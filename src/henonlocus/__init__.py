@@ -13,6 +13,7 @@ from .errors import (
     NotInEscapeRegion,
     NotUnitSeries,
     OrderMismatch,
+    SeriesInconsistency,
 )
 from .escape import (
     EscapeValue,

@@ -90,5 +90,9 @@ class DegenerateCriticalPoint(HenonLocusError):
     """Formal locus solve requires p'(c) = 0 with p''(c) invertible."""
 
 
+class SeriesInconsistency(HenonLocusError):
+    """An exact series failed an identity the construction guarantees."""
+
+
 class ConfigError(HenonLocusError):
     """Bad CLI/run configuration."""

@@ -50,7 +50,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Tuple
 
-from .errors import DegenerateCriticalPoint
+from .errors import DegenerateCriticalPoint, SeriesInconsistency
 from .series import MultiPoly, RatFunc, TruncSeries
 
 CHART_VARS = ("a", "c", "x", "y")
@@ -143,7 +143,8 @@ def phi_series(q_coeffs: Sequence[MultiPoly], side: str, order: int) -> TruncSer
 def _trim(series: TruncSeries, name: str, budget: int) -> TruncSeries:
     """Weighted truncation: in the locus pipeline the chart variable carries
     valuation 1 (y - crit = O(u)), so the coefficient of u^k only needs
-    name-degree up to budget - k."""
+    name-degree up to budget - k.  Products are truncated the same way as
+    they are formed, by ``TruncSeries.mul_weighted``; this trims inputs."""
     return TruncSeries(
         series.var,
         series.order,
@@ -154,10 +155,13 @@ def _trim(series: TruncSeries, name: str, budget: int) -> TruncSeries:
 def _compose_trimmed(
     outer: TruncSeries, inner: TruncSeries, name: str, budget: int
 ) -> TruncSeries:
-    """Horner composition with weighted truncation after every step."""
-    result = TruncSeries.from_poly(outer.coeffs[-1], inner.var, inner.order)
+    """Horner composition with weighted truncation at every step."""
+    result = TruncSeries.from_poly(
+        outer.coeffs[-1].truncate_var(name, budget), inner.var, inner.order
+    )
     for k in range(outer.order - 1, -1, -1):
-        result = _trim(result * inner + outer.coeffs[k], name, budget)
+        step = result.mul_weighted(inner, name, budget)
+        result = step + outer.coeffs[k].truncate_var(name, budget)
     return result
 
 
@@ -187,8 +191,8 @@ def _w_tilde(q: Tuple[MultiPoly, ...], crit: MultiPoly, order: int) -> TruncSeri
 
     lam = TruncSeries.monomial(p_y, 1, "u", N) - one
     lam_inv = _trim(lam.inverse(), "y", N)
-    li2 = _trim(lam_inv * lam_inv, "y", N)
-    li3 = _trim(li2 * lam_inv, "y", N)
+    li2 = lam_inv.mul_weighted(lam_inv, "y", N)
+    li3 = li2.mul_weighted(lam_inv, "y", N)
     vtil = (lam_inv * a).shift_up()
 
     A = _compose_trimmed(hm, vtil, "y", N)
@@ -198,22 +202,21 @@ def _w_tilde(q: Tuple[MultiPoly, ...], crit: MultiPoly, order: int) -> TruncSeri
     P_u = hp + hp.derivative().shift_up()
     P_y = hp.map_coeffs(lambda p: p.derivative("y")).shift_up()
 
-    term1 = -(_trim(_trim(li2 * A, "y", N) * dp_y, "y", N).shift_up().shift_up())
-    term2 = _trim(lam_inv * Bx, "y", N).shift_up()
-    term3 = -(
-        _trim(_trim(li3 * Bv, "y", N) * (dp_y * a), "y", N)
-        .shift_up()
-        .shift_up()
-        .shift_up()
-    )
-    g2 = li2 * A + _trim(li3 * Bv, "y", N).shift_up() * a
-    T = _trim(P_u * (term1 + term2 + term3), "y", N) + _trim(P_y * g2, "y", N)
+    # every truncation below is a ring map (it drops a monomial ideal), so
+    # sharing the trimmed li2*A and li3*Bv between the terms changes nothing
+    li2_A = li2.mul_weighted(A, "y", N)
+    li3_Bv = li3.mul_weighted(Bv, "y", N)
+    term1 = -(li2_A.mul_weighted(dp_y, "y", N).shift_up().shift_up())
+    term2 = lam_inv.mul_weighted(Bx, "y", N).shift_up()
+    term3 = -(li3_Bv.mul_weighted(dp_y * a, "y", N).shift_up().shift_up().shift_up())
+    g2 = li2_A + li3_Bv.shift_up() * a
+    T = P_u.mul_weighted(term1 + term2 + term3, "y", N) + P_y.mul_weighted(g2, "y", N)
 
     if not (T.coeffs[0].is_zero() and T.coeffs[1].is_zero()):
-        raise AssertionError("wedge form does not vanish to order u^2")
+        raise SeriesInconsistency("wedge form does not vanish to order u^2")
     w = T.shift_down(2).truncate(order)
     if w.coeffs[0] != -dp_y:
-        raise AssertionError("w(0, y) != -p'(y): chart assembly is inconsistent")
+        raise SeriesInconsistency("w(0, y) != -p'(y): chart assembly is inconsistent")
     return w
 
 
@@ -247,7 +250,7 @@ def locus_series(
         Z = Z - num * den.inverse()
     resid = w.substitute_coeff_var("y", Z)
     if not resid.is_zero():
-        raise AssertionError("formal Newton failed to converge")
+        raise SeriesInconsistency("formal Newton failed to converge")
     return Z + crit
 
 
@@ -298,11 +301,14 @@ def chart_series(order: int) -> ChartSeries:
         return series.map_coeffs(lambda p_: p_.substitute({}, SIGMA_VARS))
 
     Y, chi_plus, chi_minus = project(Y), project(chi_plus), project(chi_minus)
-    assert chi_plus.coeffs[0].is_zero()
-    assert chi_plus.coeffs[1] == MultiPoly.const(Fraction(1), SIGMA_VARS)
-    assert chi_minus.coeffs[0].is_zero()
     a2 = MultiPoly.variable("a", SIGMA_VARS) ** 2
-    assert chi_minus.coeffs[1] == -a2
+    if not (
+        chi_plus.coeffs[0].is_zero()
+        and chi_plus.coeffs[1] == MultiPoly.const(Fraction(1), SIGMA_VARS)
+    ):
+        raise SeriesInconsistency("chi_plus does not start u + O(u^2)")
+    if not (chi_minus.coeffs[0].is_zero() and chi_minus.coeffs[1] == -a2):
+        raise SeriesInconsistency("chi_minus does not start -a^2 u + O(u^2)")
     return ChartSeries(Y=Y, chi_plus=chi_plus, chi_minus=chi_minus)
 
 
@@ -348,7 +354,8 @@ def rigidity_defect(order: int) -> DefectSeries:
         sg = sig.coeffs[k].substitute(g_map, ring)
         coeffs.append(sg * beta**k - gamma * sf)
     D = TruncSeries("z", order, coeffs)
-    assert D.coeffs[0].is_zero()
+    if not D.coeffs[0].is_zero():
+        raise SeriesInconsistency("the defect has a nonzero constant term")
     return DefectSeries(D=D)
 
 

@@ -18,6 +18,27 @@ everywhere, so re-running a pipeline is bit-identical):
     the order.  Composition and reversion assume what they classically
     assume (zero inner constant term; invertible linear coefficient).
 
+Every exact product of MultiPolys -- a single ``MultiPoly * MultiPoly`` as
+well as the Cauchy product of two MultiPoly-coefficient series -- runs
+through one integer kernel, ``_cauchy_product`` (Kronecker substitution;
+von zur Gathen & Gerhard, *Modern Computer Algebra*, section 8.4):
+
+1. each operand's coefficient list is brought over one common denominator
+   (the lcm of its Fraction denominators), so its terms carry plain int
+   numerators;
+2. each exponent tuple is packed into one int, with a field width taken
+   from the two operands' largest exponents so that adding two packed keys
+   multiplies the monomials without a carry between fields;
+3. the pairwise products ``n1 * n2`` are accumulated as ints into one dict
+   per output index of the Cauchy product;
+4. a ``Fraction(num, den1 * den2)`` is built once per surviving term.
+
+``TruncSeries.mul_weighted`` is the same kernel with weighted truncation:
+at output index k it drops every pair whose exponent in one named
+coefficient variable would exceed ``budget - k``.  Terms are bucketed by
+that exponent, so the dropped pairs are never visited.  Series with
+RatFunc coefficients keep the plain per-coefficient product loop.
+
 The quotient-ring helper ``MultiPoly.reduce_cubic_root`` rewrites powers of
 a chosen variable b modulo b^2+b+1 (so b^3 = 1, b^2 = -b-1), which keeps
 root-of-unity vanishing arguments exact instead of floating.
@@ -25,8 +46,9 @@ root-of-unity vanishing arguments exact instead of floating.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .errors import (
     NonInvertibleLinearTerm,
@@ -44,6 +66,82 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected a rational scalar, got {type(value).__name__}")
+
+
+def _packed_rows(side, width, weight_at, budget):
+    """One operand of ``_cauchy_product`` in packed integer form.
+
+    Returns (den, rows): den is the lcm of every denominator in the operand,
+    and rows[i][w] lists the (packed exponent key, int numerator over den)
+    pairs of term dict side[i] whose exponent at position weight_at is w
+    (all terms share bucket 0 when weight_at is None).  Terms with w above
+    budget can never be kept and are left out.
+    """
+    den = math.lcm(*(c.denominator for terms in side for c in terms.values()))
+    rows = []
+    for terms in side:
+        buckets = []
+        for exps, coeff in terms.items():
+            key = 0
+            for e in reversed(exps):
+                key = (key << width) | e
+            w = 0 if weight_at is None else exps[weight_at]
+            if w > budget:
+                continue
+            while len(buckets) <= w:
+                buckets.append([])
+            buckets[w].append((key, coeff.numerator * (den // coeff.denominator)))
+        rows.append(buckets)
+    return den, rows
+
+
+def _cauchy_product(left, right, nvars, order, weight_at=None, budget=0):
+    """Exact Cauchy product of two lists of MultiPoly term dicts.
+
+    left[i] and right[j] are the term dicts of the i-th and j-th coefficients
+    of two operands over one ring of nvars variables; the result lists the
+    term dicts of output indices 0..order, with no zero terms.  When
+    weight_at is given, a pair contributing to index k is dropped if its
+    summed exponent at that position exceeds max(budget - k, 0).
+    """
+    top = 0
+    if nvars:
+        for side in (left, right):
+            top += max((max(map(max, terms)) for terms in side if terms), default=0)
+    width = max(top.bit_length(), 1)  # a field never exceeds top: no carry
+    mask = (1 << width) - 1
+    cap = max(budget, 0)
+    den_l, rows_l = _packed_rows(left, width, weight_at, cap)
+    den_r, rows_r = _packed_rows(right, width, weight_at, cap)
+    den = den_l * den_r
+    shifts = range(0, width * nvars, width)
+    unpacked: dict = {}
+    out = []
+    for k in range(order + 1):
+        limit = 0 if weight_at is None else max(budget - k, 0)
+        acc: dict = {}
+        get = acc.get
+        for i in range(k + 1):
+            buckets_l, buckets_r = rows_l[i], rows_r[k - i]
+            if not buckets_l or not buckets_r:
+                continue
+            for wl in range(min(len(buckets_l), limit + 1)):
+                pairs_l = buckets_l[wl]
+                for wr in range(min(len(buckets_r), limit - wl + 1)):
+                    pairs_r = buckets_r[wr]
+                    for kl, nl in pairs_l:
+                        for kr, nr in pairs_r:
+                            key = kl + kr
+                            acc[key] = get(key, 0) + nl * nr
+        terms = {}
+        for key, num in acc.items():
+            if num:
+                exps = unpacked.get(key)
+                if exps is None:
+                    exps = unpacked[key] = tuple((key >> s) & mask for s in shifts)
+                terms[exps] = Fraction(num, den)
+        out.append(terms)
+    return out
 
 
 class MultiPoly:
@@ -156,15 +254,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_ring(other)
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(key, Fraction(0)) + c1 * c2
-                if acc:
-                    terms[key] = acc
-                else:
-                    terms.pop(key, None)
+        (terms,) = _cauchy_product([self.terms], [other.terms], len(self.vars), 0)
         out = MultiPoly.__new__(MultiPoly)
         out.vars = self.vars
         out.terms = terms
@@ -290,17 +380,15 @@ class MultiPoly:
     def reduce_cubic_root(self, name: str) -> "MultiPoly":
         """Reduce modulo name^2 + name + 1 (so name^3 = 1)."""
         i = self.vars.index(name)
-        out = MultiPoly.zero(self.vars)
+        terms: dict = {}
         for exps, coeff in self.terms.items():
             r = exps[i] % 3
-            base = exps[:i] + (0,) + exps[i + 1:]
-            if r == 2:
-                # name^2 = -name - 1
-                out = out + MultiPoly(self.vars, {base[:i] + (1,) + base[i + 1:]: -coeff})
-                out = out + MultiPoly(self.vars, {base: -coeff})
-            else:
-                out = out + MultiPoly(self.vars, {base[:i] + (r,) + base[i + 1:]: coeff})
-        return out
+            # name^2 = -name - 1
+            pieces = ((1, -coeff), (0, -coeff)) if r == 2 else ((r, coeff),)
+            for power, c in pieces:
+                key = exps[:i] + (power,) + exps[i + 1:]
+                terms[key] = terms.get(key, Fraction(0)) + c
+        return MultiPoly(self.vars, terms)
 
     # ---- canonical text form
 
@@ -428,6 +516,20 @@ def _coeff_is_unit_constant(coeff):
     return False
 
 
+def _poly_ring(coeffs) -> Optional[tuple]:
+    """The common ring of a coefficient list of MultiPolys (ValueError if
+    they differ); None if some coefficient is not a MultiPoly."""
+    ring = None
+    for c in coeffs:
+        if not isinstance(c, MultiPoly):
+            return None
+        if ring is None:
+            ring = c.vars
+        elif c.vars != ring:
+            raise ValueError(f"ring mismatch: {ring} vs {c.vars}")
+    return ring
+
+
 def _coeff_invert(coeff):
     if isinstance(coeff, MultiPoly):
         return MultiPoly.const(1 / coeff.constant_value(), coeff.vars)
@@ -521,6 +623,10 @@ class TruncSeries:
             # scalar or coefficient-ring multiplier
             return TruncSeries(self.var, self.order, [c * other for c in self.coeffs])
         self._check(other)
+        ring = _poly_ring(self.coeffs + other.coeffs)
+        if ring is not None:
+            return self._poly_product(other, ring, None, 0)
+        # RatFunc (or mixed) coefficients: one coefficient product at a time
         zero = self._zero_coeff()
         out = [zero] * (self.order + 1)
         for i, a in enumerate(self.coeffs):
@@ -533,6 +639,37 @@ class TruncSeries:
         return TruncSeries(self.var, self.order, out)
 
     __rmul__ = __mul__
+
+    def mul_weighted(self, other, name: str, budget: int) -> "TruncSeries":
+        """The product with weighted truncation: the coefficient of var^k keeps
+        only terms of ``name``-degree at most max(budget - k, 0).  Equal to
+        truncating the full product that way, without forming the dropped
+        terms.  Both operands need MultiPoly coefficients over one ring; a
+        MultiPoly ``other`` is taken as a constant series."""
+        if not isinstance(other, TruncSeries):
+            other = TruncSeries.from_poly(other, self.var, self.order)
+        self._check(other)
+        ring = _poly_ring(self.coeffs + other.coeffs)
+        if ring is None:
+            raise ValueError("mul_weighted needs MultiPoly coefficients")
+        return self._poly_product(other, ring, ring.index(name), budget)
+
+    def _poly_product(self, other, ring, weight_at, budget) -> "TruncSeries":
+        terms = _cauchy_product(
+            [c.terms for c in self.coeffs],
+            [c.terms for c in other.coeffs],
+            len(ring),
+            self.order,
+            weight_at,
+            budget,
+        )
+        coeffs = []
+        for t in terms:
+            c = MultiPoly.__new__(MultiPoly)
+            c.vars = ring
+            c.terms = t
+            coeffs.append(c)
+        return TruncSeries(self.var, self.order, coeffs)
 
     def __pow__(self, n: int):
         if n < 0:

@@ -13,12 +13,18 @@ pipeline was written:
   - (a^2c^2 + a^2c/2 - a^4c/2) z^3 + ...
 """
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from henonlocus.errors import DegenerateCriticalPoint
+import henonlocus
+from henonlocus import rigidity
+from henonlocus.errors import DegenerateCriticalPoint, SeriesInconsistency
 from henonlocus.rigidity import (
     CHART_VARS,
     DEFECT_VARS,
@@ -140,6 +146,55 @@ def test_locus_series_rejects_degenerate_critical_point():
     # and a non-critical seed is rejected outright
     with pytest.raises(DegenerateCriticalPoint):
         locus_series(quadratic_q(), MultiPoly.const(F(1), CHART_VARS), 4)
+
+
+# A plus-side unit factor whose constant term depends on y breaks the wedge
+# form's vanishing to order u^2, which _w_tilde must report with a typed
+# error -- also under python -O, where a bare assert would be stripped.
+_BREAK_H_PLUS = """
+from henonlocus import rigidity
+from henonlocus.series import MultiPoly
+
+real_phi_series = rigidity.phi_series
+ring = rigidity.CHART_VARS
+one_plus_y = MultiPoly.const(1, ring) + MultiPoly.variable("y", ring)
+
+def broken_phi_series(q, side, order):
+    h = real_phi_series(q, side, order)
+    return h * one_plus_y if side == "plus" else h
+"""
+
+_LOCUS_UNDER_O = _BREAK_H_PLUS + """
+from henonlocus.errors import SeriesInconsistency
+
+rigidity.phi_series = broken_phi_series
+try:
+    rigidity.locus_series(rigidity.quadratic_q(), MultiPoly.zero(ring), 2)
+except SeriesInconsistency as exc:
+    print("SeriesInconsistency:", exc)
+"""
+
+
+def test_inconsistent_wedge_form_raises_typed_error(monkeypatch):
+    namespace = {}
+    exec(_BREAK_H_PLUS, namespace)
+    monkeypatch.setattr(rigidity, "phi_series", namespace["broken_phi_series"])
+    with pytest.raises(SeriesInconsistency, match="wedge form does not vanish"):
+        locus_series(quadratic_q(), MultiPoly.zero(CHART_VARS), 2)
+
+
+def test_inconsistent_wedge_form_raises_typed_error_under_O():
+    src = str(pathlib.Path(henonlocus.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _LOCUS_UNDER_O],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+        timeout=120,
+    ).stdout
+    assert out.startswith("SeriesInconsistency: wedge form does not vanish")
 
 
 # ------------------------------------------------------------------- sigma

@@ -9,6 +9,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from henonlocus.errors import (
     NonInvertibleLinearTerm,
@@ -16,6 +18,7 @@ from henonlocus.errors import (
     NotUnitSeries,
     OrderMismatch,
 )
+from henonlocus.rigidity import _trim
 from henonlocus.series import MultiPoly, RatFunc, TruncSeries
 
 AC = ("a", "c")
@@ -271,3 +274,104 @@ def test_numeric_evaluation():
     zero = MultiPoly.zero(AC)
     t = TruncSeries("z", 2, [zero, a, zero])
     assert t.evaluate(2.0, {"a": 0.25, "c": 0.0}) == pytest.approx(0.5)
+
+
+# ------------------------------------- packed product vs a naive reference
+
+RING = ("a", "c", "x", "y")
+
+# small exponents collide often; the wide ones push the packed field width
+# past 8, 16 and 32 bits
+exponents = st.one_of(
+    st.integers(0, 3), st.sampled_from([127, 128, 255, 65535, 2**20, 2**33 + 1])
+)
+# non-dyadic and negative rationals
+rationals = st.builds(
+    F, st.integers(-30, 30).filter(bool), st.sampled_from([1, 2, 3, 4, 7, 9, 10, 64])
+)
+polys = st.dictionaries(
+    st.tuples(*[exponents] * len(RING)), rationals, max_size=6
+).map(lambda terms: MultiPoly(RING, terms))
+
+
+def naive_product(p, q):
+    """Schoolbook product over dicts of Fractions."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, F(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def poly_pairs(draw):
+    """(p, q); half the time q is p with some signs flipped, like (x+y)(x-y),
+    so that cross terms of the product cancel."""
+    p = draw(polys)
+    if draw(st.booleans()):
+        return p, draw(polys)
+    flips = draw(st.lists(st.booleans(), min_size=len(p.terms), max_size=len(p.terms)))
+    q = MultiPoly(RING, {e: -c if f else c for (e, c), f in zip(p.terms.items(), flips)})
+    return p, q
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_pairs())
+def test_packed_multipoly_product_matches_naive_product(pair):
+    p, q = pair
+    got = p * q
+    assert got.terms == naive_product(p, q)
+    assert all(got.terms.values())  # cancelled terms are not stored
+    assert (q * p).terms == got.terms
+
+
+@st.composite
+def series_pairs(draw):
+    order = draw(st.integers(0, 4))
+    sparse = st.one_of(st.just(MultiPoly.zero(RING)), polys)
+    coeffs = st.lists(sparse, min_size=order + 1, max_size=order + 1)
+    return (
+        TruncSeries("u", order, draw(coeffs)),
+        TruncSeries("u", order, draw(coeffs)),
+    )
+
+
+def naive_series_product(s, t):
+    out = []
+    for k in range(s.order + 1):
+        acc = MultiPoly.zero(RING)
+        for i in range(k + 1):
+            acc = acc + MultiPoly(RING, naive_product(s.coeffs[i], t.coeffs[k - i]))
+        out.append(acc)
+    return TruncSeries(s.var, s.order, out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_pairs(), st.sampled_from(RING), st.integers(-1, 8))
+def test_series_product_and_weighted_product_match_reference(pair, name, budget):
+    s, t = pair
+    full = s * t
+    assert full == naive_series_product(s, t)
+    assert s.mul_weighted(t, name, budget) == _trim(full, name, budget)
+    c = t.coeffs[0]
+    assert s.mul_weighted(c, name, budget) == _trim(s * c, name, budget)
+
+
+@settings(max_examples=40, deadline=None)
+@given(series_pairs())
+def test_ratfunc_coefficient_series_product(pair):
+    s, t = pair
+    rat_s = s.map_coeffs(RatFunc.from_poly)
+    want = (s * t).map_coeffs(RatFunc.from_poly)
+    assert rat_s * t.map_coeffs(RatFunc.from_poly) == want
+    assert rat_s * t == want  # mixed coefficient types
+
+
+def test_series_product_rejects_mismatched_coefficient_rings():
+    s = TruncSeries("z", 1, [MultiPoly.const(F(1), AC), MultiPoly.zero(AC)])
+    t = TruncSeries("z", 1, [MultiPoly.const(F(1), RING), MultiPoly.zero(RING)])
+    with pytest.raises(ValueError):
+        s * t
+    with pytest.raises(ValueError):
+        s.mul_weighted(t, "a", 2)
