@@ -4,6 +4,7 @@ Henon maps f(x, y) = (p(x) - a y, x) near the small-Jacobian regime."""
 from .cli import RunConfig, config_from_text, config_to_text
 from .dynamics import DomainParams, HenonMap, Point, Polynomial, domain_params
 from .errors import (
+    CertificateViolation,
     ConfigError,
     DegenerateCriticalPoint,
     GradientVanishesOnLoop,

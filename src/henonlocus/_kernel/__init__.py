@@ -8,11 +8,7 @@ the reference backend regardless.
 import os
 
 from . import reference
-
-OK = reference.OK
-NO_ESCAPE = reference.NO_ESCAPE
-OVERFLOW = reference.OVERFLOW
-OVERFLOW_CAP = reference.OVERFLOW_CAP
+from .reference import NO_ESCAPE, OK, OVERFLOW, OVERFLOW_CAP
 
 if os.environ.get("HENONLOCUS_PURE"):
     _impl = reference

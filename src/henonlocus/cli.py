@@ -6,9 +6,12 @@ config file (--config), overridden again by explicit flags.  Values in
 config files are JSON fragments (quoted strings, numbers, [re, im]
 pairs); unknown keys are rejected.
 
-Every run prints a single JSON report to stdout.  Exit codes: 0 when all
-of the subcommand's assertions pass, 1 when a dynamical check fails, 2 on
-configuration errors.
+Every run prints a single strict-JSON report to stdout: no NaN or Infinity
+tokens (green-grid takes min/max over finite pixels, null when there are
+none, and counts the others in nan_pixels).  Exit codes: 0 when all of the
+subcommand's assertions pass, 1 when a dynamical check fails or the library
+raises a HenonLocusError, 2 on configuration errors, including arguments
+the library rejects with ValueError.
 """
 
 import argparse
@@ -21,9 +24,11 @@ import re
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dynamics import HenonMap, Point, Polynomial
 from .errors import ConfigError, HenonLocusError
-from .escape import green, phi_minus, phi_plus
+from .escape import default_domain, green, phi_minus, phi_plus
 from .gridfield import green_grid, grid_sidecar, grid_to_csv, grid_to_pgm
 from .holonomy import monodromy_orbit, psi_pair, same_leaf_plus
 from .locus import (
@@ -71,7 +76,6 @@ _OPTION_DEFAULTS = {
         "slice_value": 0.0,
         "workers": None,
         "out_dir": None,
-        "seed": 20240817,
     },
     "critlocus": {
         "p": "x2-1",
@@ -81,7 +85,6 @@ _OPTION_DEFAULTS = {
         "x_max": 1e4,
         "step": 0.1,
         "out_dir": None,
-        "seed": 20240817,
     },
     "holonomy": {
         "p": "x2-1",
@@ -90,7 +93,6 @@ _OPTION_DEFAULTS = {
         "x": 4.2,
         "n": 1,
         "out_dir": None,
-        "seed": 20240817,
     },
     "manifold": {
         "p": "x2-1",
@@ -102,7 +104,6 @@ _OPTION_DEFAULTS = {
         "iterations": 24,
         "loop_radius": 0.4,
         "out_dir": None,
-        "seed": 20240817,
     },
     "rigidity": {
         "case": None,
@@ -277,13 +278,9 @@ def _write(out_dir, name, payload):
 
 
 def _cmd_green_grid(opts):
-    henon = _build_map(opts)
-    kind = str(opts["kind"])
-    if kind not in ("green-plus", "green-minus", "tangency"):
-        raise ConfigError(f"kind must be green-plus, green-minus, or tangency, got {kind!r}")
     grid = green_grid(
-        henon,
-        kind,
+        _build_map(opts),
+        str(opts["kind"]),
         (_as_float(opts["re_min"], "re_min"), _as_float(opts["re_max"], "re_max")),
         (_as_float(opts["im_min"], "im_min"), _as_float(opts["im_max"], "im_max")),
         _as_int(opts["nx"], "nx"),
@@ -297,12 +294,14 @@ def _cmd_green_grid(opts):
         outputs.append(_write(opts["out_dir"], "grid.pgm", grid_to_pgm(grid)))
         outputs.append(_write(opts["out_dir"], "grid.json", grid_sidecar(grid)))
         outputs.append(_write(opts["out_dir"], "grid.csv", grid_to_csv(grid)))
+    finite = grid.values[np.isfinite(grid.values)]
     return {
         "kind": grid.kind,
         "width": grid.values.shape[1],
         "height": grid.values.shape[0],
-        "min": float(grid.values.min()),
-        "max": float(grid.values.max()),
+        "min": float(finite.min()) if finite.size else None,
+        "max": float(finite.max()) if finite.size else None,
+        "nan_pixels": grid.values.size - finite.size,
         "outputs": outputs,
     }
 
@@ -460,7 +459,7 @@ def _cmd_rigidity(opts):
 
 
 def _sample_escaping(henon, rng):
-    dp = henon.domain_params()
+    dp = default_domain(henon)
     x = rng.uniform(2.0, 20.0) * dp.alpha * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
     y = rng.uniform(0.0, 0.8) * abs(x) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
     return Point(x, y)
@@ -544,6 +543,11 @@ _HANDLERS = {
 # entry points
 
 
+def _emit(report) -> None:
+    """Print one report as strict JSON (no NaN or Infinity tokens)."""
+    print(json.dumps(report, sort_keys=True, allow_nan=False))
+
+
 def run(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -552,24 +556,21 @@ def run(argv=None) -> int:
             raise ConfigError("missing subcommand (green-grid, critlocus, holonomy, manifold, rigidity, verify)")
         opts = _merged_options(args, name)
         report = _HANDLERS[name](opts)
-    except ConfigError as exc:
-        print(json.dumps({"status": "config-error", "error": str(exc)}, sort_keys=True))
+    except (ConfigError, ValueError) as exc:
+        # ValueError is how the library rejects an argument (grid size,
+        # history, polynomial, ...): a configuration error here.
+        _emit({"status": "config-error", "error": str(exc)})
         return 2
     except _CheckFailed as exc:
         payload = exc.args[0] if exc.args else {}
         if not isinstance(payload, dict):
             payload = {"detail": str(payload)}
-        print(json.dumps({"status": "assertion-failed", **payload}, sort_keys=True))
+        _emit({"status": "assertion-failed", **payload})
         return 1
     except HenonLocusError as exc:
-        print(
-            json.dumps(
-                {"status": "assertion-failed", "error": f"{type(exc).__name__}: {exc}"},
-                sort_keys=True,
-            )
-        )
+        _emit({"status": "assertion-failed", "error": f"{type(exc).__name__}: {exc}"})
         return 1
-    print(json.dumps({"status": "ok", **report}, sort_keys=True))
+    _emit({"status": "ok", **report})
     return 0
 
 

@@ -22,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from ._kernel import OVERFLOW_CAP
 from .errors import CoordinateOverflow, DegenerateJacobian, NoAlphaFound
 
 DEFAULT_R_SMALL = 0.5  # r in (0, 1)
 DEFAULT_R_BIG = 0.125  # R, the Jacobian radius
-OVERFLOW_CAP = 1e150
 
 
 class Point(NamedTuple):

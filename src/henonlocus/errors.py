@@ -22,6 +22,16 @@ class NoAlphaFound(HenonLocusError):
     """Escape-domain radius search exhausted its grid (pathological input)."""
 
 
+class CertificateViolation(HenonLocusError):
+    """A product factor reached |s| >= r, so the escape tail bound does not hold."""
+
+    def __init__(self, message, smax=None, r=None, depth=None):
+        super().__init__(message)
+        self.smax = smax
+        self.r = r
+        self.depth = depth
+
+
 class NotInEscapeRegion(HenonLocusError):
     """No iterate reached V+/V- within the iteration cap."""
 

@@ -13,6 +13,11 @@ everything is carried in log space so the a^(e_m) factors never underflow.
 
 At a = 0 the minus function has the closed form phi- = (p(y) - x)^(1/d).
 
+Both sides go through one function, `_run`: one kernel call returns log
+phi and its exact gradient, and `_run` enforces the certificate behind the
+tail bound (every factor |s_k| < r) with CertificateViolation, so the check
+also holds under `python -O`.
+
 Green's functions: g+ = log|phi+| on the escape side, 0 on K+;
 g- = log|phi-| on the escape side, log|a|/(d-1) on K-.
 """
@@ -25,7 +30,12 @@ from dataclasses import dataclass
 
 from . import _kernel as kernel
 from .dynamics import DomainParams, HenonMap, Point
-from .errors import CoordinateOverflow, NotInEscapeRegion, OnDegenerateCurve
+from .errors import (
+    CertificateViolation,
+    CoordinateOverflow,
+    NotInEscapeRegion,
+    OnDegenerateCurve,
+)
 
 DEFAULT_TOL = 1e-12
 DEFAULT_CAP = 200
@@ -39,7 +49,7 @@ class EscapeValue:
     tail_bound: float  # certified bound on |log error|
     depth: int  # iterates used to reach V+/V-
     side: str  # "plus" | "minus"
-    smax: float  # largest |s_k| seen (always < r)
+    smax: float  # largest |s_k| seen (< r, else CertificateViolation)
 
 
 @dataclass(frozen=True)
@@ -68,75 +78,59 @@ def default_domain(henon: HenonMap) -> DomainParams:
     return dp
 
 
-def _run_plus(henon, z, tol, dp, cap, alpha=None):
+def _run(henon, z, side, tol, dp, cap, alpha=None):
+    """(EscapeValue, gradient of log phi) on one side, from one kernel call."""
+    if side == "plus":
+        evaluate, iterate, domain = kernel.phi_plus_eval, "forward", "V+"
+    elif side == "minus":
+        evaluate, iterate, domain = kernel.phi_minus_eval, "backward", "V-"
+    else:
+        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
     d = henon.degree
-    K = truncation_K(d, dp.r, tol)
-    status, k, logphi, glx, gly, smax = kernel.phi_plus_eval(
-        henon.p.coefficients,
-        henon.a,
-        complex(z[0]),
-        complex(z[1]),
-        K,
-        dp.alpha if alpha is None else alpha,
-        cap,
-    )
-    if status == kernel.NO_ESCAPE:
-        raise NotInEscapeRegion(f"no forward iterate entered V+ within {cap} steps")
-    if status == kernel.OVERFLOW:
-        raise CoordinateOverflow("overflow before reaching V+")
-    assert smax < dp.r, f"product factor |s| = {smax} >= r = {dp.r}"
-    ev = EscapeValue(
-        value=cmath.exp(logphi),
-        log_value=logphi,
-        truncation_terms=K,
-        tail_bound=tail_bound(d, dp.r, K),
-        depth=k,
-        side="plus",
-        smax=smax,
-    )
-    return ev, (glx, gly)
-
-
-def _run_minus(henon, z, tol, dp, cap, alpha=None):
-    d = henon.degree
-    if henon.a == 0:
-        v = henon.p(complex(z[1])) - complex(z[0])
+    x, y = complex(z[0]), complex(z[1])
+    if side == "minus" and henon.a == 0:
+        v = henon.p(y) - x
         if v == 0:
             raise OnDegenerateCurve("a = 0 and p(y) = x")
         logphi = cmath.log(v) / d
-        grad = (-1.0 / (d * v), henon.p.derivative(complex(z[1])) / (d * v))
         ev = EscapeValue(
             value=cmath.exp(logphi),
             log_value=logphi,
             truncation_terms=0,
             tail_bound=0.0,
             depth=0,
-            side="minus",
+            side=side,
             smax=0.0,
         )
-        return ev, grad
+        return ev, (-1.0 / (d * v), henon.p.derivative(y) / (d * v))
     K = truncation_K(d, dp.r, tol)
-    status, m, logphi, glx, gly, smax = kernel.phi_minus_eval(
+    status, depth, logphi, glx, gly, smax = evaluate(
         henon.p.coefficients,
         henon.a,
-        complex(z[0]),
-        complex(z[1]),
+        x,
+        y,
         K,
         dp.alpha if alpha is None else alpha,
         cap,
     )
     if status == kernel.NO_ESCAPE:
-        raise NotInEscapeRegion(f"no backward iterate entered V- within {cap} steps")
+        raise NotInEscapeRegion(f"no {iterate} iterate entered {domain} within {cap} steps")
     if status == kernel.OVERFLOW:
-        raise CoordinateOverflow("overflow before reaching V-")
-    assert smax < dp.r, f"product factor |s| = {smax} >= r = {dp.r}"
+        raise CoordinateOverflow(f"overflow before reaching {domain}")
+    if not smax < dp.r:
+        raise CertificateViolation(
+            f"product factor |s| = {smax} >= r = {dp.r} at {domain} entry depth {depth}",
+            smax=smax,
+            r=dp.r,
+            depth=depth,
+        )
     ev = EscapeValue(
         value=cmath.exp(logphi),
         log_value=logphi,
         truncation_terms=K,
         tail_bound=tail_bound(d, dp.r, K),
-        depth=m,
-        side="minus",
+        depth=depth,
+        side=side,
         smax=smax,
     )
     return ev, (glx, gly)
@@ -150,7 +144,7 @@ def phi_plus(
     cap: int = DEFAULT_CAP,
 ) -> EscapeValue:
     dp = dp or default_domain(henon)
-    return _run_plus(henon, z, tol, dp, cap)[0]
+    return _run(henon, z, "plus", tol, dp, cap)[0]
 
 
 def phi_minus(
@@ -161,7 +155,7 @@ def phi_minus(
     cap: int = DEFAULT_CAP,
 ) -> EscapeValue:
     dp = dp or default_domain(henon)
-    return _run_minus(henon, z, tol, dp, cap)[0]
+    return _run(henon, z, "minus", tol, dp, cap)[0]
 
 
 def phi_with_gradient(
@@ -178,12 +172,7 @@ def phi_with_gradient(
     `alpha` overrides the V+/V- entry threshold (the locus code pushes
     deeper, to 2*alpha, before trusting leaf geometry).
     """
-    dp = dp or default_domain(henon)
-    if side == "plus":
-        return _run_plus(henon, z, tol, dp, cap, alpha=alpha)
-    if side == "minus":
-        return _run_minus(henon, z, tol, dp, cap, alpha=alpha)
-    raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+    return _run(henon, z, side, tol, dp or default_domain(henon), cap, alpha)
 
 
 def green(

@@ -295,24 +295,6 @@ def _iterate_with_jacobian(henon: HenonMap, z: Point, n: int):
     return w, (j11, j12, j21, j22)
 
 
-def _iterate_with_x_derivative(
-    henon: HenonMap, z: Point, n: int
-) -> Tuple[Point, Tuple[complex, complex]]:
-    """(f^n(z), d f^n(z)/dx) by forward tangent propagation."""
-    w, (j11, _j12, j21, _j22) = _iterate_with_jacobian(henon, z, n)
-    return w, (j11, j21)
-
-
-def _leaf_depth(henon: HenonMap, z: Point, margin: float) -> int:
-    """Smallest n with f^n(z) in V+ past the margin radius."""
-    w = Point(complex(z[0]), complex(z[1]))
-    for n in range(64):
-        if abs(w.x) > max(margin, abs(w.y)):
-            return n
-        w = henon.apply(w)
-    raise LeafParameterizationFailed("point does not reach V+ within 64 steps")
-
-
 def _leaf_x(
     henon: HenonMap,
     x0: complex,
@@ -328,7 +310,7 @@ def _leaf_x(
     dp = default_domain(henon)
     x = complex(x0)
     for _ in range(max_iter):
-        w, (dwx, dwy) = _iterate_with_x_derivative(henon, Point(x, y), n)
+        w, (dwx, _, dwy, _) = _iterate_with_jacobian(henon, Point(x, y), n)
         ev, (glx, gly) = phi_with_gradient(henon, w, "plus", dp=dp)
         ratio = cmath.exp(ev.log_value - cmath.log(target))
         F = ratio - 1.0
@@ -354,16 +336,16 @@ def contact_order(
 
     The plus-leaf through z is parameterized over the circle
     y = z.y + radius*e^{i theta} by Newton in x on phi+ o f^n = const with a
-    frozen depth n.  log phi- along the leaf is unwrapped (its branch jumps
-    are multiples of 2 pi / d^m, far above the genuine variation) and its
-    circle samples are Fourier-analyzed: the order is the lowest harmonic
-    carrying more than 1% of the energy.
+    frozen depth n, the V+ entry depth of z past DEPTH_FACTOR * alpha.
+    log phi- along the leaf is unwrapped (its branch jumps are multiples of
+    2 pi / d^m, far above the genuine variation) and its circle samples are
+    Fourier-analyzed: the order is the lowest harmonic carrying more than 1%
+    of the energy.
     """
     z = Point(complex(z[0]), complex(z[1]))
     dp = default_domain(henon)
-    n = _leaf_depth(henon, z, DEPTH_FACTOR * dp.alpha)
-    w, _ = _iterate_with_x_derivative(henon, z, n)
-    base, _ = phi_with_gradient(henon, w, "plus", dp=dp)
+    n = phi_with_gradient(henon, z, "plus", dp=dp, alpha=DEPTH_FACTOR * dp.alpha)[0].depth
+    base, _ = phi_with_gradient(henon, henon.iterate(z, n), "plus", dp=dp)
     target = cmath.exp(base.log_value)
 
     mus: list[complex] = []
@@ -555,19 +537,11 @@ def classify_component(
             if c is not None:
                 return (c, -k)
         if fwd_alive:
-            try:
-                forward = henon.apply(forward)
-            except OverflowError:
-                fwd_alive = False
-            if abs(forward.x) > 1e100 or abs(forward.y) > 1e100:
-                fwd_alive = False
+            forward = henon.apply(forward)
+            fwd_alive = abs(forward.x) <= 1e100 and abs(forward.y) <= 1e100
         if bwd_alive:
-            try:
-                backward = henon.apply_inverse(backward)
-            except OverflowError:
-                bwd_alive = False
-            if abs(backward.x) > 1e100 or abs(backward.y) > 1e100:
-                bwd_alive = False
+            backward = henon.apply_inverse(backward)
+            bwd_alive = abs(backward.x) <= 1e100 and abs(backward.y) <= 1e100
     raise NotClassified(f"no iterate within |k| <= {max_k} entered a primary tube")
 
 

@@ -10,14 +10,17 @@ u-disk, obtained as the limit of preimages of a vertical slice pulled back
 through the orbit; the unstable manifold over a prescribed backward
 history is the limit of forward images of the horizontal slice v = 0.
 Both limits are computed mesh-node by mesh-node (one scalar Newton solve
-per node) and stored as Taylor polynomials recovered from circle samples.
+per node) and stored as Taylor polynomials recovered from circle samples;
+the two sides share the node solver and the deepening loop, and differ
+only in the residual they solve and the slice they start from.
 
 ``gradient_index`` counts the turning of the planar gradient of the
 backward Green's function restricted to a stable graph along a parameter
 circle |v| = const.  A single block contributes index one (the degenerate
 model is log|v|/d); removing the forward images of the d preimage blocks
 leaves a region of index 1 - d, which ``boundary_index`` verifies from
-explicit hole loops.
+explicit hole loops.  The gradient is exact: one ``phi_with_gradient``
+call per loop node, chained with the derivative of the stored graph.
 """
 
 import cmath
@@ -27,14 +30,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernel import horner, horner_deriv
 from .dynamics import HenonMap, Point, Polynomial
 from .errors import (
     GradientVanishesOnLoop,
     GraphTransformDiverged,
     NewtonDivergence,
+    NotInEscapeRegion,
+    OnDegenerateCurve,
     OutsideVPrime,
 )
-from .escape import green
+from .escape import phi_with_gradient
 
 DELTA = 0.05  # radius of the v-disk of a block
 DISK_RADIUS = 0.05  # radius of the u-disk about a Julia point
@@ -72,11 +78,7 @@ class LocalManifold:
     convergence: tuple  # sup-distances between successive depths
 
     def evaluate(self, param) -> complex:
-        t = complex(param) - self.parameter_center
-        acc = 0j
-        for c in reversed(self.coefficients):
-            acc = acc * t + c
-        return acc
+        return horner(self.coefficients, complex(param) - self.parameter_center)
 
 
 def _root_near(p: Polynomial, target: complex, seed: complex) -> complex:
@@ -123,13 +125,6 @@ def graph_point(henon: HenonMap, manifold: LocalManifold, param) -> Point:
     return point_from_uv(henon, t, manifold.evaluate(t))
 
 
-def _eval_poly(coeffs, t: complex) -> complex:
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
-
-
 def _taylor_from_circle(values, radius: float):
     """Taylor coefficients from equispaced circle samples, noise floored."""
     arr = np.fft.fft(np.asarray(values, dtype=complex)) / len(values)
@@ -165,6 +160,55 @@ def _require_tame_polynomial(p: Polynomial) -> None:
 
 
 # ---------------------------------------------------------------------------
+# graph transform, shared by both sides
+
+
+def _solve_node(residual, seed, what):
+    """Root of a scalar residual near seed, by forward-difference Newton."""
+    u = complex(seed)
+    fd = 1e-7
+    for _ in range(50):
+        f0 = residual(u)
+        d = (residual(u + fd) - f0) / fd
+        if d == 0:
+            break
+        step = f0 / d
+        u -= step
+        if abs(step) < _NODE_TOL * max(1.0, abs(u)):
+            return u
+    raise GraphTransformDiverged(f"{what} Newton stalled at a mesh node")
+
+
+def _deepen(layer, iterations, tol, what):
+    """Deepen the graph transform until two successive graphs agree to tol.
+
+    layer(depth) returns the node values and Taylor coefficients of the
+    graph at the base after `depth` transforms.  Returns those of the last
+    depth tried, that depth, and the sup-distances between successive ones.
+    """
+    if iterations < 1:
+        raise ValueError("iterations must be positive")
+    prev = None
+    conv = []
+    try:
+        for depth in range(1, iterations + 1):
+            vals, coeffs = layer(depth)
+            if prev is not None:
+                dist = max(abs(p1 - p2) for p1, p2 in zip(vals, prev))
+                conv.append(dist)
+                if dist < tol:
+                    break
+            prev = list(vals)
+    except NewtonDivergence as exc:
+        raise GraphTransformDiverged(f"graph transform failed: {exc}") from exc
+    if conv and conv[-1] >= tol:
+        raise GraphTransformDiverged(
+            f"{what} still moving by {conv[-1]:.3g} after {iterations} transforms"
+        )
+    return vals, coeffs, depth, tuple(conv)
+
+
+# ---------------------------------------------------------------------------
 # stable side
 
 
@@ -177,20 +221,9 @@ def _stable_pull_node(henon, coeffs_next, v, seed):
         w = point_from_uv(henon, uu, v)
         fx = p(w.x) - a * w.y
         u_img = _root_near(p, fx, w.x)
-        return u_img - _eval_poly(coeffs_next, a * w.y)
+        return u_img - horner(coeffs_next, a * w.y)
 
-    u = complex(seed)
-    fd = 1e-7
-    for _ in range(50):
-        f0 = residual(u)
-        d = (residual(u + fd) - f0) / fd
-        if d == 0:
-            break
-        step = f0 / d
-        u -= step
-        if abs(step) < _NODE_TOL * max(1.0, abs(u)):
-            return u
-    raise GraphTransformDiverged("pullback Newton stalled at a mesh node")
+    return _solve_node(residual, seed, "pullback")
 
 
 def local_stable_graph(
@@ -217,36 +250,19 @@ def local_stable_graph(
     radius = shrink * delta
     nodes = tuple(radius * cmath.exp(2j * math.pi * j / mesh) for j in range(mesh))
     levels = [[orbit[k]] * mesh for k in range(iterations)]  # Newton seeds
-    prev0 = None
-    conv = []
-    used = 0
-    vals0 = None
-    coeffs0 = None
-    try:
-        for depth in range(1, iterations + 1):
-            coeffs = (orbit[depth],)
-            for k in range(depth - 1, -1, -1):
-                vals = [
-                    _stable_pull_node(henon, coeffs, nodes[i], levels[k][i])
-                    for i in range(mesh)
-                ]
-                levels[k] = vals
-                coeffs = _taylor_from_circle(vals, radius)
-            used = depth
-            vals0 = levels[0]
-            coeffs0 = coeffs
-            if prev0 is not None:
-                dist = max(abs(p1 - p2) for p1, p2 in zip(vals0, prev0))
-                conv.append(dist)
-                if dist < tol:
-                    break
-            prev0 = list(vals0)
-    except NewtonDivergence as exc:
-        raise GraphTransformDiverged(f"graph transform failed: {exc}") from exc
-    if conv and conv[-1] >= tol:
-        raise GraphTransformDiverged(
-            f"stable graph still moving by {conv[-1]:.3g} after {iterations} pullbacks"
-        )
+
+    def layer(depth):
+        coeffs = (orbit[depth],)
+        for k in range(depth - 1, -1, -1):
+            vals = [
+                _stable_pull_node(henon, coeffs, nodes[i], levels[k][i])
+                for i in range(mesh)
+            ]
+            levels[k] = vals
+            coeffs = _taylor_from_circle(vals, radius)
+        return vals, coeffs
+
+    vals0, coeffs0, used, conv = _deepen(layer, iterations, tol, "stable graph")
     spread = max(abs(val - z) for val in vals0)
     if spread >= disk_radius:
         raise GraphTransformDiverged(
@@ -265,7 +281,7 @@ def local_stable_graph(
         values=tuple(vals0),
         coefficients=coeffs0,
         iterations=used,
-        convergence=tuple(conv),
+        convergence=conv,
     )
 
 
@@ -279,23 +295,12 @@ def _unstable_push_node(henon, coeffs_prev, center_prev, u_target, seed):
     a = henon.a
 
     def residual(uu):
-        vv = _eval_poly(coeffs_prev, uu - center_prev)
+        vv = horner(coeffs_prev, uu - center_prev)
         w = point_from_uv(henon, uu, vv)
         fx = p(w.x) - a * w.y
         return _root_near(p, fx, w.x) - u_target
 
-    u = complex(seed)
-    fd = 1e-7
-    for _ in range(50):
-        f0 = residual(u)
-        d = (residual(u + fd) - f0) / fd
-        if d == 0:
-            break
-        step = f0 / d
-        u -= step
-        if abs(step) < _NODE_TOL * max(1.0, abs(u)):
-            return u
-    raise GraphTransformDiverged("pushforward Newton stalled at a mesh node")
+    return _solve_node(residual, seed, "pushforward")
 
 
 def local_unstable_graph(
@@ -332,44 +337,24 @@ def local_unstable_graph(
         [hist[k + 1] + radius * ray / henon.p.derivative(hist[k + 1]) for ray in rays]
         for k in range(iterations)
     ]
-    prev0 = None
-    conv = []
-    used = 0
-    vals0 = None
-    coeffs0 = None
-    try:
-        for depth in range(1, iterations + 1):
-            coeffs = (0j,)
-            center_prev = hist[depth]
-            for k in range(depth - 1, -1, -1):
-                center = hist[k]
-                vals = []
-                for i, ray in enumerate(rays):
-                    u_t = center + radius * ray
-                    u_src = _unstable_push_node(
-                        henon, coeffs, center_prev, u_t, sources[k][i]
-                    )
-                    sources[k][i] = u_src
-                    vv = _eval_poly(coeffs, u_src - center_prev)
-                    w = point_from_uv(henon, u_src, vv)
-                    vals.append(henon.a * w.y)
-                coeffs = _taylor_from_circle(vals, radius)
-                center_prev = center
-            used = depth
-            vals0 = vals
-            coeffs0 = coeffs
-            if prev0 is not None:
-                dist = max(abs(p1 - p2) for p1, p2 in zip(vals0, prev0))
-                conv.append(dist)
-                if dist < tol:
-                    break
-            prev0 = list(vals0)
-    except NewtonDivergence as exc:
-        raise GraphTransformDiverged(f"graph transform failed: {exc}") from exc
-    if conv and conv[-1] >= tol:
-        raise GraphTransformDiverged(
-            f"unstable graph still moving by {conv[-1]:.3g} after {iterations} steps"
-        )
+
+    def layer(depth):
+        coeffs = (0j,)
+        center_prev = hist[depth]
+        for k in range(depth - 1, -1, -1):
+            center = hist[k]
+            vals = []
+            for i, ray in enumerate(rays):
+                u_t = center + radius * ray
+                u_src = _unstable_push_node(henon, coeffs, center_prev, u_t, sources[k][i])
+                sources[k][i] = u_src
+                w = point_from_uv(henon, u_src, horner(coeffs, u_src - center_prev))
+                vals.append(henon.a * w.y)
+            coeffs = _taylor_from_circle(vals, radius)
+            center_prev = center
+        return vals, coeffs
+
+    vals0, coeffs0, used, conv = _deepen(layer, iterations, tol, "unstable graph")
     spread = max(abs(val) for val in vals0)
     if spread >= delta:
         raise GraphTransformDiverged(
@@ -389,7 +374,7 @@ def local_unstable_graph(
         values=tuple(vals0),
         coefficients=coeffs0,
         iterations=used,
-        convergence=tuple(conv),
+        convergence=conv,
     )
 
 
@@ -397,25 +382,29 @@ def local_unstable_graph(
 # gradient winding
 
 
-def _graph_green(henon, manifold, v):
-    w = graph_point(henon, manifold, v)
-    gv = green(henon, w, "minus", tol=1e-12)
-    if gv.interior_flag:
-        raise GradientVanishesOnLoop(
-            "loop point fails to escape backward; it lies in the bounded set"
-        )
-    return gv.value
+def _gradient_at(henon, manifold, t):
+    """Planar gradient of g- restricted to the graph, at disk parameter t.
 
-
-def _gradient_at(henon, manifold, v, step=1e-6):
-    gr = (
-        _graph_green(henon, manifold, v + step) - _graph_green(henon, manifold, v - step)
-    ) / (2 * step)
-    gi = (
-        _graph_green(henon, manifold, v + 1j * step)
-        - _graph_green(henon, manifold, v - 1j * step)
-    ) / (2 * step)
-    return complex(gr, gi)
+    g- = Re log phi- and the graph is holomorphic in t, so the gradient is
+    the conjugate of the chain-rule derivative of log phi- along the graph:
+    (du, dv) from the stored Taylor polynomial, dx = p'(u) du from x = p(u),
+    and dy = (dx + dv) / p'(y) from p(y) = x + v.
+    """
+    t = complex(t)
+    s = t - manifold.parameter_center
+    m, dm = horner(manifold.coefficients, s), horner_deriv(manifold.coefficients, s)
+    if manifold.side == "stable":
+        u, v, du, dv = m, t, dm, 1.0
+    else:
+        u, v, du, dv = t, m, 1.0, dm
+    w = point_from_uv(henon, u, v)
+    try:
+        _, (gx, gy) = phi_with_gradient(henon, w, "minus", tol=1e-12)
+    except (NotInEscapeRegion, OnDegenerateCurve) as exc:
+        raise GradientVanishesOnLoop(f"g- has no gradient at a loop point: {exc}") from exc
+    dx = henon.p.derivative(u) * du
+    dy = (dx + dv) / henon.p.derivative(w.y)
+    return (gx * dx + gy * dy).conjugate()
 
 
 def gradient_winding(henon: HenonMap, manifold: LocalManifold, params) -> int:

@@ -12,11 +12,18 @@ from henonlocus.errors import ConfigError
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 def run_json(capsys, argv):
-    """Invoke the CLI and return (exit_code, parsed stdout report)."""
+    """Invoke the CLI and return (exit_code, parsed stdout report).
+
+    The parse is strict: NaN, Infinity and -Infinity are not JSON.
+    """
     code = run(argv)
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, json.loads(out, parse_constant=_reject_constant)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +172,7 @@ def test_green_grid_writes_all_outputs(capsys, tmp_path):
     )
     assert code == 0
     assert report["width"] == 6 and report["height"] == 5
+    assert report["nan_pixels"] == 0
     pgm = (out / "grid.pgm").read_bytes()
     assert pgm.startswith(b"P5\n6 5\n65535\n")
     assert len(pgm) == len(b"P5\n6 5\n65535\n") + 2 * 6 * 5
@@ -184,6 +192,31 @@ def test_green_grid_is_byte_deterministic(capsys, tmp_path):
     assert code_a == code_b == 0
     for name in ("grid.pgm", "grid.json", "grid.csv"):
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+
+
+def test_green_grid_all_nan_tangency_is_strict_json(capsys):
+    # The probed slice never escapes both ways, so every pixel is NaN.
+    code, report = run_json(
+        capsys,
+        ["green-grid", "--kind", "tangency", "--p", "x2-1", "--a", "0.01",
+         "--nx", "8", "--ny", "8"],
+    )
+    assert code == 0
+    assert report["min"] is None and report["max"] is None
+    assert report["nan_pixels"] == 64
+
+
+def test_green_grid_too_small_exits_2(capsys):
+    code, report = run_json(capsys, ["green-grid", "--nx", "1"])
+    assert code == 2
+    assert report["status"] == "config-error"
+    assert "at least 2 samples" in report["error"]
+
+
+def test_green_grid_has_no_seed_option(capsys):
+    code, report = run_json(capsys, ["green-grid", "--seed", "3"])
+    assert code == 2
+    assert report["status"] == "config-error"
 
 
 def test_green_grid_bad_kind_exits_2(capsys):
@@ -298,6 +331,15 @@ def test_manifold_unstable_without_history_exits_2(capsys):
     code, report = run_json(capsys, ["manifold", "--side", "unstable"])
     assert code == 2
     assert "history" in report["error"]
+
+
+def test_manifold_history_not_backward_orbit_exits_2(capsys):
+    code, report = run_json(
+        capsys, ["manifold", "--side", "unstable", "--history", "[1.0, 2.0, 3.0]"]
+    )
+    assert code == 2
+    assert report["status"] == "config-error"
+    assert "backward orbit" in report["error"]
 
 
 def test_manifold_bad_side_exits_2(capsys):

@@ -1,12 +1,25 @@
 import cmath
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import henonlocus
 from henonlocus import escape
 from henonlocus.dynamics import HenonMap, Point, Polynomial, domain_params, in_v_plus
-from henonlocus.errors import NotInEscapeRegion, OnDegenerateCurve
+from henonlocus.errors import (
+    CertificateViolation,
+    CoordinateOverflow,
+    HenonLocusError,
+    NotInEscapeRegion,
+    OnDegenerateCurve,
+)
 
 X2 = Polynomial([0, 0, 1])
 X2M1 = Polynomial([-1, 0, 1])
@@ -198,3 +211,122 @@ def test_green_positive_iff_escaping_plus():
     h = HenonMap(X2, 0.05)
     assert escape.green(h, Point(5, 0), "plus").value > 0
     assert escape.green(h, Point(0.1, 0.1), "plus").value == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the smax < r certificate
+
+
+# Entering at alpha = 1 (below the certified radius) puts a product factor
+# far outside |s| < r; the plus and minus sides mirror each other.
+_VIOLATIONS = ((Point(1.2, 0.1), "plus"), (Point(0.1, 1.2), "minus"))
+
+
+@pytest.mark.parametrize("z, side", _VIOLATIONS)
+def test_certificate_violation_is_typed(z, side):
+    h = HenonMap(X2M1, 0.01)
+    with pytest.raises(CertificateViolation) as info:
+        escape.phi_with_gradient(h, z, side, alpha=1.0)
+    err = info.value
+    assert isinstance(err, HenonLocusError)
+    assert err.r == domain_params(X2M1).r
+    assert not err.smax < err.r
+    assert err.depth >= 0
+
+
+_VIOLATIONS_UNDER_O = """
+from henonlocus.dynamics import HenonMap, Point, Polynomial
+from henonlocus.errors import CertificateViolation
+from henonlocus.escape import phi_with_gradient
+
+h = HenonMap(Polynomial([-1, 0, 1]), 0.01)
+for z, side in ((Point(1.2, 0.1), "plus"), (Point(0.1, 1.2), "minus")):
+    try:
+        ev, _ = phi_with_gradient(h, z, side, alpha=1.0)
+        print(side, "returned", ev.smax)
+    except CertificateViolation as exc:
+        print(side, "CertificateViolation", exc.smax >= exc.r)
+"""
+
+
+def test_certificate_violation_fires_under_O():
+    src = str(pathlib.Path(henonlocus.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _VIOLATIONS_UNDER_O],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+        timeout=120,
+    ).stdout
+    assert out.splitlines() == [
+        "plus CertificateViolation True",
+        "minus CertificateViolation True",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# functional equations over random maps
+
+
+@st.composite
+def maps_and_points(draw):
+    """A monic p of degree 2..4, 0 < |a| <= 0.1, a point and a tolerance.
+
+    The points range from inside V+ to well outside it, so the entry depth
+    k (and for the minus side, the reflected point's depth m) is often > 0
+    and the d^k-th-root extension is exercised along with the product.
+    """
+    d = draw(st.integers(2, 4))
+    unit = st.floats(-1.0, 1.0)
+    q = [complex(draw(unit), draw(unit)) for _ in range(d)]
+    a = draw(st.floats(1e-3, 0.1)) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+    h = HenonMap(Polynomial(q + [1]), a)
+    dp = domain_params(h.p)
+    x = draw(st.floats(0.3, 20.0)) * dp.alpha * cmath.exp(1j * draw(st.floats(0.0, 7.0)))
+    y = draw(st.floats(0.0, 2.0)) * x * cmath.exp(1j * draw(st.floats(0.0, 7.0)))
+    tol = draw(st.sampled_from((1e-6, 1e-9, 1e-12)))
+    return h, dp, Point(x, y), tol
+
+
+def _escape_pair(h, z, fz, side, tol, dp):
+    """Escape values at z and at its image; skips points that do not escape."""
+    try:
+        return (
+            escape.phi_with_gradient(h, z, side, tol, dp)[0],
+            escape.phi_with_gradient(h, fz, side, tol, dp)[0],
+        )
+    except (NotInEscapeRegion, CoordinateOverflow):
+        assume(False)
+
+
+def _rounding(*logs):
+    return 1e-13 * max(1.0, *(abs(v) for v in logs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(maps_and_points())
+def test_phi_plus_conjugates_f_to_power_map(case):
+    # log phi+(f z) = d log phi+(z) modulo 2 pi i, within the two tail bounds
+    h, dp, z, tol = case
+    d = h.degree
+    e0, e1 = _escape_pair(h, z, h.apply(z), "plus", tol, dp)
+    gap = e1.log_value - d * e0.log_value
+    gap -= 2j * math.pi * round(gap.imag / (2 * math.pi))
+    bound = e1.tail_bound + d * e0.tail_bound
+    assert abs(gap) <= bound + _rounding(e1.log_value, d * e0.log_value)
+
+
+@settings(max_examples=80, deadline=None)
+@given(maps_and_points())
+def test_green_minus_shift_law(case):
+    # g-(f^-1 w) = d g-(w) - log|a|, at the reflected point w = (y, x)
+    h, dp, z, tol = case
+    d = h.degree
+    w = Point(z.y, z.x)
+    e0, e1 = _escape_pair(h, w, h.apply_inverse(w), "minus", tol, dp)
+    g0, g1 = e0.log_value.real, e1.log_value.real
+    gap = g1 - (d * g0 - math.log(abs(h.a)))
+    bound = e1.tail_bound + d * e0.tail_bound
+    assert abs(gap) <= bound + _rounding(g1, d * g0, math.log(abs(h.a)))

@@ -2,14 +2,16 @@
 
 Independent oracles: the uv chart is checked against hand values and
 round trips, stable graphs against a direct slice-preimage solved by a
-fresh 2-D Newton with its own forward tangent accumulation, and the
-winding counts against the degenerate closed form log|v|/d.
+fresh 2-D Newton with its own forward tangent accumulation, the exact
+restricted gradient against central differences of g- along the graph,
+and the winding counts against the degenerate closed form log|v|/d.
 """
 
 import cmath
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -28,6 +30,8 @@ from henonlocus.manifolds import (
     point_from_uv,
     uv_coords,
 )
+from henonlocus.escape import green
+from henonlocus.manifolds import _gradient_at
 
 SQUARE = Polynomial([0, 0, 1])  # x^2
 BASIC = Polynomial([-1, 0, 1])  # x^2 - 1
@@ -208,6 +212,14 @@ def test_stable_graph_accepts_certified_hyperbolic():
     assert max(abs(val - beta_fix) for val in m.values) < 0.05
 
 
+def test_graph_transform_needs_one_iteration():
+    henon = HenonMap(BASIC, 0.01)
+    with pytest.raises(ValueError, match="iterations"):
+        local_stable_graph(henon, PHI, iterations=0, mesh=8)
+    with pytest.raises(ValueError, match="iterations"):
+        local_unstable_graph(henon, (PHI,) * 4, iterations=0, mesh=8)
+
+
 def test_stable_graph_rejects_escaping_critical_orbit():
     with pytest.raises(ValueError):
         local_stable_graph(HenonMap(Polynomial([0.26, 0, 1]), 0.01), 0.3)
@@ -286,6 +298,47 @@ def test_gradient_index_rejects_unstable_graph():
     m = local_unstable_graph(henon, (PHI,) * 8, mesh=16)
     with pytest.raises(ValueError):
         gradient_index(henon, m, 0.4)
+
+
+def _central_difference_gradient(henon, m, t, step=1e-6):
+    """Planar gradient of g- along the graph from green values alone."""
+
+    def g(s):
+        return green(henon, graph_point(henon, m, s), "minus", tol=1e-12).value
+
+    gr = (g(t + step) - g(t - step)) / (2 * step)
+    gi = (g(t + 1j * step) - g(t - 1j * step)) / (2 * step)
+    return complex(gr, gi)
+
+
+@pytest.mark.parametrize("poly, base, a", [
+    (BASIC, PHI, 0.0),
+    (BASIC, PHI, 0.005),
+    (BASIC, -PHI, 0.01),
+    (SQUARE, 1.0, 0.003),
+])
+def test_exact_gradient_matches_central_difference(poly, base, a):
+    henon = HenonMap(poly, a)
+    m = local_stable_graph(henon, base, mesh=32)
+    for k in range(8):
+        t = 0.4 * m.delta * cmath.exp(2j * math.pi * (k + 0.25) / 8)
+        oracle = _central_difference_gradient(henon, m, t)
+        assert abs(_gradient_at(henon, m, t) - oracle) <= 1e-6 * abs(oracle)
+
+
+def test_exact_gradient_on_unstable_side_chart():
+    # A true unstable graph lies in K- (g- is constant there), so the
+    # unstable branch of the chain rule is checked on a graph lifted to
+    # v ~ 0.02 >> a, whose points escape backward.
+    henon = HenonMap(BASIC, 0.005)
+    m = replace(
+        local_unstable_graph(henon, (PHI,) * 25, mesh=32),
+        coefficients=(0.02 + 0.005j, 0.3 - 0.1j, 0.5j),
+    )
+    for k in range(4):
+        t = PHI + 0.5 * m.radius * cmath.exp(2j * math.pi * k / 4)
+        oracle = _central_difference_gradient(henon, m, t)
+        assert abs(_gradient_at(henon, m, t) - oracle) <= 1e-6 * abs(oracle)
 
 
 def _hole_loop(henon, m, n_nodes):
