@@ -90,6 +90,6 @@ from .rigidity import (
     sigma_series,
     verify_table_case,
 )
-from .series import MultiPoly, RatFunc, TruncSeries
+from .series import MultiPoly, TruncSeries
 
 __version__ = "0.1.0"

@@ -52,7 +52,8 @@ def phi_plus_eval(coeffs, a, x, y, K, alpha, cap):
     Returns (status, k, logphi, dlog_dx, dlog_dy, smax) where
     logphi = d^-k * Log(phi+(f^k(x,y))) with principal Log, k the first
     entry time into V+ = {|x| > |y|, |x| > alpha}, and smax the largest
-    |s_j| met in the product (callers assert smax < r).
+    |s_j| met in the product (``escape._run`` raises CertificateViolation
+    unless smax < r).
     """
     d = len(coeffs) - 1
     safe = OVERFLOW_CAP ** (1.0 / d)

@@ -301,7 +301,7 @@ def _cmd_green_grid(opts):
         "height": grid.values.shape[0],
         "min": float(finite.min()) if finite.size else None,
         "max": float(finite.max()) if finite.size else None,
-        "nan_pixels": grid.values.size - finite.size,
+        "nan_pixels": grid.nan_pixels,
         "outputs": outputs,
     }
 

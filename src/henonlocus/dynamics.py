@@ -148,6 +148,11 @@ class HenonMap:
     def domain_params(
         self, r: float = DEFAULT_R_SMALL, R: float = DEFAULT_R_BIG
     ) -> DomainParams:
+        """Escape domains for this map; the invariance behind them needs |a| < R."""
+        if not abs(self.a) < R:
+            raise ValueError(
+                f"need |a| < R = {R:g} for the escape domains, got |a| = {abs(self.a):g}"
+            )
         return domain_params(self.p, r, R)
 
     def __repr__(self):

@@ -38,6 +38,11 @@ class GridField:
     p_coefficients: tuple
     a: complex
 
+    @property
+    def nan_pixels(self) -> int:
+        """Number of non-finite pixels (NaN where no value could be computed)."""
+        return int(np.count_nonzero(~np.isfinite(self.values)))
+
 
 def worker_count(requested):
     """Explicit request, else HENON_THREADS, else the machine's CPU count."""
@@ -152,7 +157,7 @@ def grid_sidecar(grid: GridField) -> str:
         "min": lo,
         "max": hi,
         "maxval": PGM_MAXVAL,
-        "nan_pixel": 0,
+        "nan_pixel": grid.nan_pixels,
         "row0": "lowest imaginary coordinate",
     }
     return json.dumps(data, indent=2, sort_keys=True)

@@ -50,10 +50,6 @@ BETA = 0.8  # separation scale of the preimage branches of p near J(p)
 _ROOT_TOL = 1e-14
 _NODE_TOL = 1e-13
 
-# Quadratic maps with an attracting (super)cycle, admitted without the
-# critical-orbit certification pass: q-coefficients of x^2 and x^2 - 1.
-_TAME_WHITELIST = {(0j, 0j), (-1 + 0j, 0j)}
-
 
 @dataclass(frozen=True)
 class UVPoint:
@@ -137,8 +133,6 @@ def _taylor_from_circle(values, radius: float):
 
 def _require_tame_polynomial(p: Polynomial) -> None:
     """Admit p only when every critical orbit settles on a bounded cycle."""
-    if tuple(p.q_coefficients()) in _TAME_WHITELIST:
-        return
     bound = 2.0 * (1.0 + sum(abs(c) for c in p.coefficients))
     for c in p.critical_points():
         w = complex(c)

@@ -38,7 +38,11 @@ and the objects computed are the ones the numeric modules approximate:
     c1 = c2 beta kills the first two coefficients identically, and the four
     constraint cases are certified by exact substitution (cube roots of
     unity live in Q[beta]/(beta^2+beta+1)) plus randomized nonvanishing
-    witnesses for everything outside the solution set.
+    witnesses for everything outside the solution set.  The partial
+    solution is certified in the one polynomial coefficient ring of
+    :mod:`henonlocus.series` by clearing its denominator a1^2: each D_k is
+    of degree at most 1 in gamma, so a1^2 D_k at that gamma is the
+    polynomial a1^2 [gamma^0]D_k + a2^2 beta [gamma^1]D_k.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from functools import lru_cache
 from typing import Sequence, Tuple
 
 from .errors import DegenerateCriticalPoint, SeriesInconsistency
-from .series import MultiPoly, RatFunc, TruncSeries
+from .series import MultiPoly, TruncSeries
 
 CHART_VARS = ("a", "c", "x", "y")
 SIGMA_VARS = ("a", "c")
@@ -376,20 +380,31 @@ class PartialSolutionReport:
     witnesses: int
 
 
-def check_partial_solution() -> PartialSolutionReport:
-    """gamma = (a2^2/a1^2) beta and c1 = c2 beta kill coefficients 1 and 2
-    of D identically; five random rational specializations with c1 != 0
-    witness that coefficient 3 survives."""
-    D = rigidity_defect(3).D
+def _clear_partial(coeff: MultiPoly) -> MultiPoly:
+    """a1^2 * coeff at gamma = (a2^2/a1^2) beta and c1 = c2 beta.
+
+    a1^2 is a nonzero polynomial, so the result is zero exactly when the
+    substituted coefficient is.
+    """
+    degree = coeff.max_power("gamma")
+    if degree > 1:
+        raise SeriesInconsistency(f"a defect coefficient has gamma-degree {degree} > 1")
     ring = DEFECT_VARS
     a1 = MultiPoly.variable("a1", ring)
     a2 = MultiPoly.variable("a2", ring)
     beta = MultiPoly.variable("beta", ring)
     c2 = MultiPoly.variable("c2", ring)
-    constraint = {"gamma": RatFunc(a2**2 * beta, a1**2), "c1": c2 * beta}
-    z1 = D.coeffs[1].substitute(constraint, ring)
-    z2 = D.coeffs[2].substitute(constraint, ring)
-    z3 = D.coeffs[3].substitute(constraint, ring)
+    g0, g1 = coeff.coeff_of("gamma", 0), coeff.coeff_of("gamma", 1)
+    cleared = a1**2 * g0 + a2**2 * beta * g1
+    return cleared.substitute({"c1": c2 * beta}, ring)
+
+
+def check_partial_solution() -> PartialSolutionReport:
+    """gamma = (a2^2/a1^2) beta and c1 = c2 beta kill coefficients 1 and 2
+    of D identically; five random rational specializations with c1 != 0
+    witness that coefficient 3 survives."""
+    D = rigidity_defect(3).D
+    z1, z2, z3 = (_clear_partial(D.coeffs[k]) for k in (1, 2, 3))
     ok = z1.is_zero() and z2.is_zero() and not z3.is_zero()
 
     rng = random.Random(20240817)

@@ -1,27 +1,27 @@
 """Exact truncated power series with sparse multivariate rational coefficients.
 
-Three layers, all immutable by convention and exact (``fractions.Fraction``
-everywhere, so re-running a pipeline is bit-identical):
+Two layers over one coefficient ring, all immutable by convention and exact
+(``fractions.Fraction`` everywhere, so re-running a pipeline is
+bit-identical):
 
 ``MultiPoly``
     sparse polynomial over Q in a fixed tuple of named variables; terms are
     a dict mapping exponent tuples to nonzero Fractions.
 
-``RatFunc``
-    a lazy quotient of two MultiPolys over the same ring.  No gcd reduction
-    is attempted; equality and the zero test cross-multiply, which is exact
-    and cheap at the sizes that appear here.
-
 ``TruncSeries``
     a formal power series in one named variable truncated at a fixed order
-    N, with MultiPoly (or RatFunc) coefficients.  Arithmetic never exceeds
+    N, with MultiPoly coefficients over one ring.  Arithmetic never exceeds
     the order.  Composition and reversion assume what they classically
     assume (zero inner constant term; invertible linear coefficient).
 
+There are no rational-function coefficients: a caller that needs to divide
+by a polynomial clears the denominator first (see
+``rigidity.check_partial_solution``).
+
 Every exact product of MultiPolys -- a single ``MultiPoly * MultiPoly`` as
-well as the Cauchy product of two MultiPoly-coefficient series -- runs
-through one integer kernel, ``_cauchy_product`` (Kronecker substitution;
-von zur Gathen & Gerhard, *Modern Computer Algebra*, section 8.4):
+well as the Cauchy product of two series -- runs through one integer
+kernel, ``_cauchy_product`` (Kronecker substitution; von zur Gathen &
+Gerhard, *Modern Computer Algebra*, section 8.4):
 
 1. each operand's coefficient list is brought over one common denominator
    (the lcm of its Fraction denominators), so its terms carry plain int
@@ -36,8 +36,7 @@ von zur Gathen & Gerhard, *Modern Computer Algebra*, section 8.4):
 ``TruncSeries.mul_weighted`` is the same kernel with weighted truncation:
 at output index k it drops every pair whose exponent in one named
 coefficient variable would exceed ``budget - k``.  Terms are bucketed by
-that exponent, so the dropped pairs are never visited.  Series with
-RatFunc coefficients keep the plain per-coefficient product loop.
+that exponent, so the dropped pairs are never visited.
 
 The quotient-ring helper ``MultiPoly.reduce_cubic_root`` rewrites powers of
 a chosen variable b modulo b^2+b+1 (so b^3 = 1, b^2 = -b-1), which keeps
@@ -48,7 +47,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Sequence
 
 from .errors import (
     NonInvertibleLinearTerm,
@@ -56,8 +55,6 @@ from .errors import (
     NotUnitSeries,
     OrderMismatch,
 )
-
-Scalar = Union[int, Fraction]
 
 
 def _as_fraction(value) -> Fraction:
@@ -333,22 +330,20 @@ class MultiPoly:
         return total
 
     def substitute(self, mapping: Mapping[str, object], target_vars: Sequence[str]):
-        """Map variables to values (Fraction / MultiPoly / RatFunc over the
-        target ring); unmapped variables are carried over by name and must
-        exist in the target ring.  Returns a MultiPoly, or a RatFunc if any
-        value is one."""
+        """Map variables to values (rationals or MultiPolys over the target
+        ring); unmapped variables are carried over by name and must exist in
+        the target ring.  The terms are summed into one dict."""
         target_vars = tuple(target_vars)
         values = {}
-        rational = False
         for name in self.vars:
             if not self.uses(name):
                 continue
             if name in mapping:
                 v = mapping[name]
-                if isinstance(v, (int, Fraction)):
+                if not isinstance(v, MultiPoly):
                     v = MultiPoly.const(v, target_vars)
-                if isinstance(v, RatFunc):
-                    rational = True
+                elif v.vars != target_vars:
+                    raise ValueError(f"value of {name!r} is not over {target_vars}")
                 values[name] = v
             else:
                 if name not in target_vars:
@@ -356,26 +351,21 @@ class MultiPoly:
                         f"variable {name!r} is not mapped and not in the target ring"
                     )
                 values[name] = MultiPoly.variable(name, target_vars)
-        one = MultiPoly.const(Fraction(1), target_vars)
-        if rational:
-            values = {
-                k: (v if isinstance(v, RatFunc) else RatFunc(v, one))
-                for k, v in values.items()
-            }
-            total = RatFunc(MultiPoly.zero(target_vars), one)
-        else:
-            total = MultiPoly.zero(target_vars)
+        unit = (((0,) * len(target_vars), Fraction(1)),)
+        total: dict = {}
+        get = total.get
         powers: dict = {}
         for exps, coeff in self.terms.items():
-            acc = (RatFunc(one, one) if rational else one) * coeff
+            acc = None
             for name, e in zip(self.vars, exps):
                 if e:
                     key = (name, e)
                     if key not in powers:
                         powers[key] = values[name] ** e
-                    acc = acc * powers[key]
-            total = total + acc
-        return total
+                    acc = powers[key] if acc is None else acc * powers[key]
+            for mono, c in unit if acc is None else acc.terms.items():
+                total[mono] = get(mono, 0) + coeff * c
+        return MultiPoly(target_vars, total)
 
     def reduce_cubic_root(self, name: str) -> "MultiPoly":
         """Reduce modulo name^2 + name + 1 (so name^3 = 1)."""
@@ -424,116 +414,24 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-class RatFunc:
-    """Quotient of two MultiPolys over the same ring, kept unreduced."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: MultiPoly, den: MultiPoly):
-        num._check_ring(den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_poly(cls, p: MultiPoly) -> "RatFunc":
-        return cls(p, MultiPoly.const(Fraction(1), p.vars))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_one(self) -> bool:
-        return (self.num - self.den).is_zero()
-
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(other, self.num.vars)
-        if isinstance(other, MultiPoly):
-            other = RatFunc.from_poly(other)
-        return other if isinstance(other, RatFunc) else None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatFunc(self.num * other, self.den)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return RatFunc(self.den, self.num) ** (-n)
-        return RatFunc(self.num**n, self.den**n)
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self.num * other.den - other.num * self.den).is_zero()
-
-    def evaluate(self, values: Mapping[str, object]):
-        return self.num.evaluate(values) / self.den.evaluate(values)
-
-    def __repr__(self):
-        return f"RatFunc(({self.num}) / ({self.den}))"
-
-
 def _coeff_zero(sample):
     return sample * 0
 
 
-def _coeff_is_unit_constant(coeff):
-    if isinstance(coeff, MultiPoly):
-        return coeff.is_constant() and not coeff.is_zero()
-    if isinstance(coeff, RatFunc):
-        return not coeff.is_zero()
-    return False
+def _unit_inverse(coeff):
+    """1/coeff for a nonzero constant coefficient, else None."""
+    if coeff.is_zero() or not coeff.is_constant():
+        return None
+    return MultiPoly.const(1 / coeff.constant_value(), coeff.vars)
 
 
-def _poly_ring(coeffs) -> Optional[tuple]:
-    """The common ring of a coefficient list of MultiPolys (ValueError if
-    they differ); None if some coefficient is not a MultiPoly."""
-    ring = None
+def _poly_ring(coeffs) -> tuple:
+    """The common ring of a coefficient list (ValueError if they differ)."""
+    ring = coeffs[0].vars
     for c in coeffs:
-        if not isinstance(c, MultiPoly):
-            return None
-        if ring is None:
-            ring = c.vars
-        elif c.vars != ring:
+        if c.vars != ring:
             raise ValueError(f"ring mismatch: {ring} vs {c.vars}")
     return ring
-
-
-def _coeff_invert(coeff):
-    if isinstance(coeff, MultiPoly):
-        return MultiPoly.const(1 / coeff.constant_value(), coeff.vars)
-    return RatFunc(coeff.den, coeff.num)
 
 
 class TruncSeries:
@@ -622,21 +520,7 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             # scalar or coefficient-ring multiplier
             return TruncSeries(self.var, self.order, [c * other for c in self.coeffs])
-        self._check(other)
-        ring = _poly_ring(self.coeffs + other.coeffs)
-        if ring is not None:
-            return self._poly_product(other, ring, None, 0)
-        # RatFunc (or mixed) coefficients: one coefficient product at a time
-        zero = self._zero_coeff()
-        out = [zero] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return TruncSeries(self.var, self.order, out)
+        return self._product(other, None, 0)
 
     __rmul__ = __mul__
 
@@ -644,23 +528,20 @@ class TruncSeries:
         """The product with weighted truncation: the coefficient of var^k keeps
         only terms of ``name``-degree at most max(budget - k, 0).  Equal to
         truncating the full product that way, without forming the dropped
-        terms.  Both operands need MultiPoly coefficients over one ring; a
-        MultiPoly ``other`` is taken as a constant series."""
+        terms.  A MultiPoly ``other`` is taken as a constant series."""
         if not isinstance(other, TruncSeries):
             other = TruncSeries.from_poly(other, self.var, self.order)
+        return self._product(other, name, budget)
+
+    def _product(self, other, name, budget) -> "TruncSeries":
         self._check(other)
         ring = _poly_ring(self.coeffs + other.coeffs)
-        if ring is None:
-            raise ValueError("mul_weighted needs MultiPoly coefficients")
-        return self._poly_product(other, ring, ring.index(name), budget)
-
-    def _poly_product(self, other, ring, weight_at, budget) -> "TruncSeries":
         terms = _cauchy_product(
             [c.terms for c in self.coeffs],
             [c.terms for c in other.coeffs],
             len(ring),
             self.order,
-            weight_at,
+            None if name is None else ring.index(name),
             budget,
         )
         coeffs = []
@@ -724,12 +605,11 @@ class TruncSeries:
         return TruncSeries(self.var, order, self.coeffs[: order + 1])
 
     def inverse(self) -> "TruncSeries":
-        """Reciprocal series; the constant term must be an invertible scalar
-        (or any nonzero RatFunc)."""
+        """Reciprocal series; the constant term must be a nonzero rational."""
         c0 = self.coeffs[0]
-        if not _coeff_is_unit_constant(c0):
+        inv0 = _unit_inverse(c0)
+        if inv0 is None:
             raise NotUnitSeries(f"constant term {c0!r} is not invertible")
-        inv0 = _coeff_invert(c0)
         out = [inv0]
         for n in range(1, self.order + 1):
             acc = self._zero_coeff()
@@ -776,11 +656,11 @@ class TruncSeries:
         if not self.coeffs[0].is_zero():
             raise NonInvertibleLinearTerm("reversion needs zero constant term")
         c1 = self.coeffs[1] if self.order >= 1 else self._zero_coeff()
-        if not _coeff_is_unit_constant(c1):
+        inv1 = _unit_inverse(c1)
+        if inv1 is None:
             raise NonInvertibleLinearTerm(
                 f"linear coefficient {c1!r} is not invertible"
             )
-        inv1 = _coeff_invert(c1)
         ident = TruncSeries.monomial(
             self._zero_coeff() + Fraction(1), 1, self.var, self.order
         )

@@ -130,6 +130,14 @@ def test_verify_core_nonzero_jacobian(capsys):
     assert report["max_minus_residual"] < 1e-9
 
 
+@pytest.mark.parametrize("a", ["3.0", "0.125", "0.1+0.1j"])
+def test_verify_jacobian_outside_R_exits_2(capsys, a):
+    code, report = run_json(capsys, ["verify", "--p", "x2-1", "--a", a])
+    assert code == 2
+    assert report["status"] == "config-error"
+    assert "|a| < R" in report["error"]
+
+
 def test_verify_unreachable_tolerance_exits_1(capsys):
     code, report = run_json(
         capsys, ["verify", "--suite", "core", "--samples", "5", "--tol", "1e-30"]
@@ -178,6 +186,7 @@ def test_green_grid_writes_all_outputs(capsys, tmp_path):
     assert len(pgm) == len(b"P5\n6 5\n65535\n") + 2 * 6 * 5
     sidecar = json.loads((out / "grid.json").read_text())
     assert sidecar["width"] == 6 and sidecar["height"] == 5
+    assert sidecar["nan_pixel"] == 0
     assert sidecar["min"] == pytest.approx(report["min"])
     csv_lines = (out / "grid.csv").read_text().splitlines()
     assert csv_lines[0] == "x,y,value"
@@ -194,16 +203,17 @@ def test_green_grid_is_byte_deterministic(capsys, tmp_path):
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
 
-def test_green_grid_all_nan_tangency_is_strict_json(capsys):
+def test_green_grid_all_nan_tangency_is_strict_json(capsys, tmp_path):
     # The probed slice never escapes both ways, so every pixel is NaN.
     code, report = run_json(
         capsys,
         ["green-grid", "--kind", "tangency", "--p", "x2-1", "--a", "0.01",
-         "--nx", "8", "--ny", "8"],
+         "--nx", "8", "--ny", "8", "--out-dir", str(tmp_path)],
     )
     assert code == 0
     assert report["min"] is None and report["max"] is None
     assert report["nan_pixels"] == 64
+    assert json.loads((tmp_path / "grid.json").read_text())["nan_pixel"] == 64
 
 
 def test_green_grid_too_small_exits_2(capsys):

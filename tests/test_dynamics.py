@@ -86,6 +86,16 @@ def test_domain_params_x2():
     assert dp.B == pytest.approx(2.0)
 
 
+def test_map_domain_params_need_jacobian_below_R():
+    # the invariance of V+ and V- is proved for |a| < R only
+    assert HenonMap(X2M1, 0.124).domain_params() == domain_params(X2M1)
+    for a in (0.125, -0.2, 0.1 + 0.1j, 3.0):
+        with pytest.raises(ValueError, match=r"\|a\| < R"):
+            HenonMap(X2M1, a).domain_params()
+    # a custom R moves the admissible range with it
+    assert HenonMap(X2M1, 0.2).domain_params(R=0.25).R == 0.25
+
+
 def test_domain_params_milder_constants_smaller_alpha():
     dp = domain_params(Polynomial([0.3, 0, 1]), r=0.9, R=0.01)
     assert dp.alpha < 2.3625

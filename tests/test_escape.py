@@ -42,6 +42,14 @@ def _sample_escaping(rng, h, dp, n):
     return out
 
 
+def test_default_domain_refuses_jacobian_outside_R():
+    # at a = 10 no tail bound may be reported as certified
+    h = HenonMap(X2M1, 10.0)
+    for phi, z in ((escape.phi_plus, Point(40, 1)), (escape.phi_minus, Point(1, 40))):
+        with pytest.raises(ValueError, match=r"\|a\| < R"):
+            phi(h, z)
+
+
 def test_phi_plus_degenerate_is_boettcher_of_x():
     # a=0, p=x^2: the Böttcher coordinate of x^2 is the identity
     h = HenonMap(X2, 0)

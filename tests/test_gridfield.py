@@ -142,6 +142,12 @@ def test_sidecar_records_scaling():
     assert list(side) == sorted(side)
 
 
+def test_sidecar_counts_non_finite_pixels():
+    values = np.array([[1.0, math.nan], [math.inf, 2.0]])
+    mixed = GridField("green-plus", values, (0, 1), (0, 1), "x", 0j, (0j, 0j, 1 + 0j), 0j)
+    assert json.loads(grid_sidecar(mixed))["nan_pixel"] == 2
+
+
 def test_csv_shape_and_values():
     henon = HenonMap(SQUARE, 0.0)
     grid = green_grid(henon, "green-minus", (1, 2), (3, 4), 3, 2, slice_axis="y")

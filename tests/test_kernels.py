@@ -1,12 +1,14 @@
 """Reference vs compiled kernel backends agree to rounding noise."""
 
 import os
+import pathlib
 import random
 import subprocess
 import sys
 
 import pytest
 
+import henonlocus
 from henonlocus._kernel import BACKEND, reference
 
 try:
@@ -135,7 +137,9 @@ def test_pure_env_var_forces_reference_backend():
         "print(k.BACKEND); "
         "print(k.phi_plus_eval.__module__)"
     )
-    env = dict(os.environ, HENONLOCUS_PURE="1")
+    src = str(pathlib.Path(henonlocus.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, HENONLOCUS_PURE="1", PYTHONPATH=path)
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     ).stdout.split()

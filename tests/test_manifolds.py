@@ -205,7 +205,7 @@ def test_stable_graphs_disjoint():
 
 
 def test_stable_graph_accepts_certified_hyperbolic():
-    # x^2 - 0.5 is not whitelisted; the critical orbit check must admit it.
+    # x^2 - 0.5 has an attracting fixed point; the critical orbit check admits it.
     henon = HenonMap(Polynomial([-0.5, 0, 1]), 0.01)
     beta_fix = (1.0 + math.sqrt(3.0)) / 2.0
     m = local_stable_graph(henon, beta_fix, mesh=8)

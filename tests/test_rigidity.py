@@ -318,6 +318,33 @@ def test_partial_solution_random_specializations_leave_z3():
         assert D.coeffs[3].evaluate(vals) != 0
 
 
+def test_cleared_partial_solution_is_a1_squared_times_the_substitution():
+    # the denominator-free polynomial agrees with a1^2 * D_k evaluated at
+    # gamma = a2^2 beta / a1^2, c1 = c2 beta, at random rational points
+    D = rigidity_defect(3).D
+    rng = random.Random(5)
+    for k in (1, 2, 3):
+        cleared = rigidity._clear_partial(D.coeffs[k])
+        assert not cleared.uses("gamma") and not cleared.uses("c1")
+        for _ in range(3):
+            a1, a2, beta, c2 = (F(rng.randrange(1, 9), rng.randrange(1, 5)) for _ in range(4))
+            vals = {"a1": a1, "a2": a2, "beta": beta, "c2": c2}
+            direct = D.coeffs[k].evaluate(
+                dict(vals, c1=c2 * beta, gamma=a2**2 * beta / a1**2)
+            )
+            assert cleared.evaluate(dict(vals, c1=F(0), gamma=F(0))) == a1**2 * direct
+
+
+def test_partial_solution_rejects_a_gamma_squared_term(monkeypatch):
+    D = rigidity_defect(3).D
+    coeffs = list(D.coeffs)
+    coeffs[2] = coeffs[2] + MultiPoly.variable("gamma", DEFECT_VARS) ** 2
+    defect = rigidity.DefectSeries(D=TruncSeries(D.var, D.order, coeffs))
+    monkeypatch.setattr(rigidity, "rigidity_defect", lambda order: defect)
+    with pytest.raises(SeriesInconsistency, match="gamma-degree 2"):
+        check_partial_solution()
+
+
 @pytest.mark.parametrize("case_id", ["beta_ratio", "a2_one", "a2_minus_one", "c1_zero"])
 def test_table_cases(case_id):
     rep = verify_table_case(case_id)

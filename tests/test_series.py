@@ -19,7 +19,7 @@ from henonlocus.errors import (
     OrderMismatch,
 )
 from henonlocus.rigidity import _trim
-from henonlocus.series import MultiPoly, RatFunc, TruncSeries
+from henonlocus.series import MultiPoly, TruncSeries
 
 AC = ("a", "c")
 
@@ -98,17 +98,6 @@ def test_multipoly_cubic_root_reduction():
     one = MultiPoly.const(F(1), ring)
     for n in range(1, 21):
         assert (b ** (2**n)).reduce_cubic_root("beta") != one
-
-
-def test_ratfunc_zero_test_and_arithmetic():
-    a = MultiPoly.variable("a", AC)
-    c = MultiPoly.variable("c", AC)
-    one = MultiPoly.const(F(1), AC)
-    r = RatFunc(a * a - c * c, a + c) - RatFunc(a - c, one)
-    assert r.is_zero()
-    s = RatFunc(a, c) * RatFunc(c, a)
-    assert s.is_one()
-    assert not RatFunc(a - c, a + c).is_zero()
 
 
 # --------------------------------------------------------------- TruncSeries
@@ -358,16 +347,6 @@ def test_series_product_and_weighted_product_match_reference(pair, name, budget)
     assert s.mul_weighted(c, name, budget) == _trim(s * c, name, budget)
 
 
-@settings(max_examples=40, deadline=None)
-@given(series_pairs())
-def test_ratfunc_coefficient_series_product(pair):
-    s, t = pair
-    rat_s = s.map_coeffs(RatFunc.from_poly)
-    want = (s * t).map_coeffs(RatFunc.from_poly)
-    assert rat_s * t.map_coeffs(RatFunc.from_poly) == want
-    assert rat_s * t == want  # mixed coefficient types
-
-
 def test_series_product_rejects_mismatched_coefficient_rings():
     s = TruncSeries("z", 1, [MultiPoly.const(F(1), AC), MultiPoly.zero(AC)])
     t = TruncSeries("z", 1, [MultiPoly.const(F(1), RING), MultiPoly.zero(RING)])
@@ -375,3 +354,40 @@ def test_series_product_rejects_mismatched_coefficient_rings():
         s * t
     with pytest.raises(ValueError):
         s.mul_weighted(t, "a", 2)
+
+
+# ------------------------------------------- substitution vs point evaluation
+
+TARGET = ("a1", "c1", "beta")
+small_polys = {
+    ring: st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * len(ring)), rationals, max_size=4
+    ).map(lambda terms, ring=ring: MultiPoly(ring, terms))
+    for ring in (AC, TARGET)
+}
+points = st.fixed_dictionaries({name: rationals for name in TARGET})
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    small_polys[AC],
+    st.one_of(small_polys[TARGET], rationals),
+    small_polys[TARGET],
+    points,
+)
+def test_substitute_commutes_with_evaluation(p, va, vc, point):
+    # p(va, vc) evaluated at a point equals p evaluated at (va(point), vc(point))
+    q = p.substitute({"a": va, "c": vc}, TARGET)
+    at = {
+        "a": va.evaluate(point) if isinstance(va, MultiPoly) else va,
+        "c": vc.evaluate(point),
+    }
+    assert q.evaluate(point) == p.evaluate(at)
+
+
+def test_substitute_rejects_values_outside_the_target_ring():
+    p = MultiPoly.variable("a", AC)
+    with pytest.raises(ValueError):
+        p.substitute({"a": MultiPoly.variable("a", AC)}, TARGET)
+    with pytest.raises(TypeError):
+        p.substitute({"a": 0.5}, TARGET)
