@@ -1,0 +1,6 @@
+"""`python3 -m henonlocus <subcommand> ...`: the command line, without an installed script."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    main()

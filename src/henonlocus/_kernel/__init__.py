@@ -25,4 +25,4 @@ else:
 phi_plus_eval = _impl.phi_plus_eval
 phi_minus_eval = _impl.phi_minus_eval
 horner = reference.horner
-horner_deriv = reference.horner_deriv
+horner_with_deriv = reference.horner_with_deriv

@@ -17,11 +17,23 @@ whose recursions only involve the factor terms s_j themselves:
     s_j  = sum_i q_i u^(d-i) - a w u^(d-1),   u <- u^d/(1+s),  w <- u^(d-1)/(1+s)
     s_j- = sum_i q_i v^(d-i) - t v^(d-1),     v <- a v^d/(1+s), t <- a v^(d-1)/(1+s)
 
-The compiled backend in _fastkernel.pyx is a line-for-line transliteration
-of this file; tests assert the two agree to the last few ulps.
+Two shortcuts change the work done but not one bit of the result. Each
+entry step takes |x| and |y| once and p, p' from one Horner pass. The
+product leaves its loop at its dead tail: once the carriers (u, w and their
+gradients, or v, t and theirs) are all exactly zero, every later factor has
+s = +-0 and 1 + s = 1, and adds only exact zeros to the log sum and the
+gradient sums. An exact zero leaves a sum bitwise unchanged unless the sum
+is -0.0 (adding +0.0 makes it +0.0). The log sum starts at +0.0 and so is
+never -0.0; a gradient sum can be, so the loop also requires that neither
+gradient sum has a -0.0 part before it leaves.
+
+The compiled backend in _fastkernel.pyx follows the same recursions
+without these two shortcuts (it runs all K factors and two Horner loops);
+tests assert the two backends agree to the last few ulps.
 """
 
 import cmath
+from math import copysign
 
 OVERFLOW_CAP = 1e150
 
@@ -38,11 +50,23 @@ def horner(coeffs, z):
     return acc
 
 
-def horner_deriv(coeffs, z):
+def horner_with_deriv(coeffs, z):
+    """(p(z), p'(z)) in one pass, bitwise equal to two separate Horner loops.
+
+    Each accumulator performs the same operations, in the same order, as a
+    lone loop for p or for p'.
+    """
     acc = 0j
+    dacc = 0j
     for i in range(len(coeffs) - 1, 0, -1):
-        acc = acc * z + i * coeffs[i]
-    return acc
+        acc = acc * z + coeffs[i]
+        dacc = dacc * z + i * coeffs[i]
+    return acc * z + coeffs[0], dacc
+
+
+def _no_negative_zero(*values):
+    """False if some real or imaginary part is -0.0 (NaN counts as nonzero)."""
+    return all(part or copysign(1.0, part) > 0.0 for z in values for part in (z.real, z.imag))
 
 
 def phi_plus_eval(coeffs, a, x, y, K, alpha, cap):
@@ -59,13 +83,15 @@ def phi_plus_eval(coeffs, a, x, y, K, alpha, cap):
     safe = OVERFLOW_CAP ** (1.0 / d)
     jxx, jxy, jyx, jyy = 1.0 + 0j, 0j, 0j, 1.0 + 0j
     k = 0
-    while not (abs(x) > abs(y) and abs(x) > alpha):
+    while True:
+        ax, ay = abs(x), abs(y)
+        if ax > ay and ax > alpha:
+            break
         if k >= cap:
             return (NO_ESCAPE, k, 0j, 0j, 0j, 0.0)
-        if abs(x) > safe or abs(y) > safe:
+        if ax > safe or ay > safe:
             return (OVERFLOW, k, 0j, 0j, 0j, 0.0)
-        px = horner(coeffs, x)
-        dpx = horner_deriv(coeffs, x)
+        px, dpx = horner_with_deriv(coeffs, x)
         njxx = dpx * jxx - a * jyx
         njxy = dpx * jxy - a * jyy
         jyx, jyy = jxx, jxy
@@ -84,6 +110,8 @@ def phi_plus_eval(coeffs, a, x, y, K, alpha, cap):
     smax = 0.0
     dj = 1
     for _ in range(K):
+        if not (u or w or gux or guy or gwx or gwy) and _no_negative_zero(glx, gly):
+            break  # dead tail: see the module docstring
         dj *= d
         # acc = sum_i q_i u^(d-1-i), acc2 = sum_i (d-i) q_i u^(d-1-i)
         acc = 0j
@@ -133,13 +161,15 @@ def phi_minus_eval(coeffs, a, x, y, K, alpha, cap):
     inv_a = 1.0 / a
     jxx, jxy, jyx, jyy = 1.0 + 0j, 0j, 0j, 1.0 + 0j
     m = 0
-    while not (abs(y) > abs(x) and abs(y) > alpha):
+    while True:
+        ax, ay = abs(x), abs(y)
+        if ay > ax and ay > alpha:
+            break
         if m >= cap:
             return (NO_ESCAPE, m, 0j, 0j, 0j, 0.0)
-        if abs(x) > safe or abs(y) > safe:
+        if ax > safe or ay > safe:
             return (OVERFLOW, m, 0j, 0j, 0j, 0.0)
-        py = horner(coeffs, y)
-        dpy = horner_deriv(coeffs, y)
+        py, dpy = horner_with_deriv(coeffs, y)
         njxx, njxy = jyx, jyy
         njyx = (dpy * jyx - jxx) * inv_a
         njyy = (dpy * jyy - jxy) * inv_a
@@ -158,6 +188,8 @@ def phi_minus_eval(coeffs, a, x, y, K, alpha, cap):
     smax = 0.0
     dj = 1
     for _ in range(K):
+        if not (v or t or gvx or gvy or gtx or gty) and _no_negative_zero(glx, gly):
+            break  # dead tail: see the module docstring
         dj *= d
         acc = 0j
         acc2 = 0j

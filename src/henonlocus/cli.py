@@ -24,8 +24,6 @@ import re
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dynamics import HenonMap, Point, Polynomial
 from .errors import ConfigError, HenonLocusError
 from .escape import default_domain, green, phi_minus, phi_plus
@@ -294,13 +292,13 @@ def _cmd_green_grid(opts):
         outputs.append(_write(opts["out_dir"], "grid.pgm", grid_to_pgm(grid)))
         outputs.append(_write(opts["out_dir"], "grid.json", grid_sidecar(grid)))
         outputs.append(_write(opts["out_dir"], "grid.csv", grid_to_csv(grid)))
-    finite = grid.values[np.isfinite(grid.values)]
+    lo, hi = grid.finite_span or (None, None)
     return {
         "kind": grid.kind,
         "width": grid.values.shape[1],
         "height": grid.values.shape[0],
-        "min": float(finite.min()) if finite.size else None,
-        "max": float(finite.max()) if finite.size else None,
+        "min": lo,
+        "max": hi,
         "nan_pixels": grid.nan_pixels,
         "outputs": outputs,
     }

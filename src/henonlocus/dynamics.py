@@ -149,14 +149,17 @@ class HenonMap:
         self, r: float = DEFAULT_R_SMALL, R: float = DEFAULT_R_BIG
     ) -> DomainParams:
         """Escape domains for this map; the invariance behind them needs |a| < R."""
-        if not abs(self.a) < R:
-            raise ValueError(
-                f"need |a| < R = {R:g} for the escape domains, got |a| = {abs(self.a):g}"
-            )
+        require_jacobian_below(self.a, R)
         return domain_params(self.p, r, R)
 
     def __repr__(self):
         return f"HenonMap({self.p!r}, a={self.a!r})"
+
+
+def require_jacobian_below(a: complex, R: float) -> None:
+    """ValueError unless |a| < R, which the escape-domain invariance needs."""
+    if not abs(a) < R:
+        raise ValueError(f"need |a| < R = {R:g} for the escape domains, got |a| = {abs(a):g}")
 
 
 def _sup_q(p: Polynomial, t: float) -> float:

@@ -16,7 +16,8 @@ At a = 0 the minus function has the closed form phi- = (p(y) - x)^(1/d).
 Both sides go through one function, `_run`: one kernel call returns log
 phi and its exact gradient, and `_run` enforces the certificate behind the
 tail bound (every factor |s_k| < r) with CertificateViolation, so the check
-also holds under `python -O`.
+also holds under `python -O`. It also refuses |a| >= R with ValueError, for
+a caller's own DomainParams as for the default one.
 
 Green's functions: g+ = log|phi+| on the escape side, 0 on K+;
 g- = log|phi-| on the escape side, log|a|/(d-1) on K-.
@@ -29,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from . import _kernel as kernel
-from .dynamics import DomainParams, HenonMap, Point
+from .dynamics import DomainParams, HenonMap, Point, require_jacobian_below
 from .errors import (
     CertificateViolation,
     CoordinateOverflow,
@@ -86,6 +87,7 @@ def _run(henon, z, side, tol, dp, cap, alpha=None):
         evaluate, iterate, domain = kernel.phi_minus_eval, "backward", "V-"
     else:
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+    require_jacobian_below(henon.a, dp.R)
     d = henon.degree
     x, y = complex(z[0]), complex(z[1])
     if side == "minus" and henon.a == 0:

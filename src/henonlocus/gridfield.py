@@ -43,6 +43,14 @@ class GridField:
         """Number of non-finite pixels (NaN where no value could be computed)."""
         return int(np.count_nonzero(~np.isfinite(self.values)))
 
+    @property
+    def finite_span(self):
+        """(min, max) over the finite pixels, or None when there are none."""
+        finite = self.values[np.isfinite(self.values)]
+        if finite.size == 0:
+            return None
+        return float(finite.min()), float(finite.max())
+
 
 def worker_count(requested):
     """Explicit request, else HENON_THREADS, else the machine's CPU count."""
@@ -113,16 +121,13 @@ def green_grid(
     )
 
 
-def _finite_span(values):
-    finite = values[np.isfinite(values)]
-    if finite.size == 0:
-        return 0.0, 0.0
-    return float(finite.min()), float(finite.max())
-
-
 def grid_to_pgm(grid: GridField) -> bytes:
-    """16-bit big-endian P5 bytes; pixels affinely scaled onto 0..65535."""
-    lo, hi = _finite_span(grid.values)
+    """16-bit big-endian P5 bytes; pixels affinely scaled onto 0..65535.
+
+    Non-finite pixels are black, and so is every pixel of a flat grid or of
+    a grid with no finite pixel.
+    """
+    lo, hi = grid.finite_span or (0.0, 0.0)
     ny, nx = grid.values.shape
     header = f"P5\n{nx} {ny}\n{PGM_MAXVAL}\n".encode("ascii")
     span = hi - lo
@@ -136,13 +141,16 @@ def grid_to_pgm(grid: GridField) -> bytes:
 
 
 def grid_sidecar(grid: GridField) -> str:
-    """JSON metadata needed to undo the PGM scaling, keys sorted."""
+    """JSON metadata needed to undo the PGM scaling, keys sorted.
+
+    `min`/`max` span the finite pixels and are null when there are none.
+    """
 
     def c2(z):
         z = complex(z)
         return [z.real, z.imag]
 
-    lo, hi = _finite_span(grid.values)
+    lo, hi = grid.finite_span or (None, None)
     ny, nx = grid.values.shape
     data = {
         "kind": grid.kind,

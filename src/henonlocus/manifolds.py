@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernel import horner, horner_deriv
+from ._kernel import horner, horner_with_deriv
 from .dynamics import HenonMap, Point, Polynomial
 from .errors import (
     GradientVanishesOnLoop,
@@ -386,7 +386,7 @@ def _gradient_at(henon, manifold, t):
     """
     t = complex(t)
     s = t - manifold.parameter_center
-    m, dm = horner(manifold.coefficients, s), horner_deriv(manifold.coefficients, s)
+    m, dm = horner_with_deriv(manifold.coefficients, s)
     if manifold.side == "stable":
         u, v, du, dv = m, t, dm, 1.0
     else:

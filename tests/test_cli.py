@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import pathlib
 import struct
+import subprocess
+import sys
 
 import pytest
 
+import henonlocus
 from henonlocus.cli import RunConfig, config_from_text, config_to_text, run
 from henonlocus.errors import ConfigError
 
@@ -213,7 +218,9 @@ def test_green_grid_all_nan_tangency_is_strict_json(capsys, tmp_path):
     assert code == 0
     assert report["min"] is None and report["max"] is None
     assert report["nan_pixels"] == 64
-    assert json.loads((tmp_path / "grid.json").read_text())["nan_pixel"] == 64
+    sidecar = json.loads((tmp_path / "grid.json").read_text(), parse_constant=_reject_constant)
+    assert sidecar["nan_pixel"] == 64
+    assert sidecar["min"] is None and sidecar["max"] is None
 
 
 def test_green_grid_too_small_exits_2(capsys):
@@ -399,3 +406,36 @@ def test_rigidity_defect_listing(capsys, tmp_path):
     assert (out / "defect.txt").read_text().strip() == "\n".join(
         report["defect_coefficients"]
     )
+
+
+# ---------------------------------------------------------------------------
+# python3 -m henonlocus
+
+
+def _run_module(args, cwd):
+    """`python3 -m henonlocus ARGS` with only the source tree on the path."""
+    src = str(pathlib.Path(henonlocus.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "henonlocus", *args],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    return proc.returncode, json.loads(proc.stdout, parse_constant=_reject_constant)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    code, report = _run_module(["verify", "--suite", "core", "--samples", "5"], tmp_path)
+    assert code == 0
+    assert report["status"] == "ok"
+    assert report["samples"] == 5
+    assert report["max_plus_residual"] < 1e-9
+
+
+def test_python_dash_m_reports_config_errors(tmp_path):
+    code, report = _run_module(["green-grid", "--nx", "1"], tmp_path)
+    assert code == 2
+    assert report["status"] == "config-error"

@@ -50,6 +50,17 @@ def test_default_domain_refuses_jacobian_outside_R():
             phi(h, z)
 
 
+def test_explicit_domain_refuses_jacobian_outside_R():
+    # a caller's own DomainParams must not bypass the |a| < R check
+    h = HenonMap(X2M1, 10.0)
+    dp = domain_params(X2M1)
+    for phi, z in ((escape.phi_plus, Point(40, 1)), (escape.phi_minus, Point(1, 40))):
+        with pytest.raises(ValueError, match=r"need \|a\| < R = 0.125 .* got \|a\| = 10$"):
+            phi(h, z, dp=dp)
+    # the same map is accepted once R covers |a|
+    assert escape.phi_plus(h, Point(400, 1), dp=domain_params(X2M1, R=20.0)).tail_bound > 0
+
+
 def test_phi_plus_degenerate_is_boettcher_of_x():
     # a=0, p=x^2: the Böttcher coordinate of x^2 is the identity
     h = HenonMap(X2, 0)
@@ -338,3 +349,61 @@ def test_green_minus_shift_law(case):
     gap = g1 - (d * g0 - math.log(abs(h.a)))
     bound = e1.tail_bound + d * e0.tail_bound
     assert abs(gap) <= bound + _rounding(g1, d * g0, math.log(abs(h.a)))
+
+
+# ---------------------------------------------------------------------------
+# 50-digit oracle for the certified tail
+
+
+def _green_oracle(h, z, side, steps):
+    """Re log phi+/- at 50 digits from `steps` exact iterates of the map.
+
+    Re log phi+(z) = d^-n log|x_n| and Re log phi-(z) = d^-n (e_n log|a| +
+    log|y_-n|), e_n = (d^n - 1)/(d - 1), up to a tail of order d^-n: the
+    telescoping product with n - depth factors instead of K.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    coeffs = [mp.mpc(c) for c in h.p.coefficients]
+    a = mp.mpc(h.a)
+    d = h.degree
+
+    def p(w):
+        acc = mp.mpc(0)
+        for c in reversed(coeffs):
+            acc = acc * w + c
+        return acc
+
+    x, y = mp.mpc(z[0]), mp.mpc(z[1])
+    for _ in range(steps):
+        if side == "plus":
+            x, y = p(x) - a * y, x
+        else:
+            x, y = y, (p(y) - x) / a
+    if side == "plus":
+        return mp.log(abs(x)) / d**steps
+    e = (d**steps - 1) // (d - 1)
+    return (e * mp.log(abs(a)) + mp.log(abs(y))) / d**steps
+
+
+_ORACLE_MAPS = (
+    HenonMap(X2M1, 0.01),
+    HenonMap(Polynomial([0.25, 0, 1]), -0.05 + 0.03j),
+    HenonMap(Polynomial([0.1, -0.5, 0, 1]), 0.03),
+    HenonMap(Polynomial([0.2j, 0, -0.3, 0, 1]), 0.08j),
+)
+
+
+@pytest.mark.parametrize("h", _ORACLE_MAPS, ids=lambda h: f"d{h.degree}")
+@pytest.mark.parametrize("tol", (1e-6, 1e-12))
+def test_tail_bound_holds_against_50_digit_oracle(h, tol):
+    pytest.importorskip("mpmath")
+    rng = random.Random(h.degree * 101 + round(-math.log10(tol)))
+    dp = domain_params(h.p)
+    for z in _sample_escaping(rng, h, dp, 6):
+        for phi, side in ((escape.phi_plus, "plus"), (escape.phi_minus, "minus")):
+            ev = phi(h, z, tol)
+            # 40 factors past K leave an oracle tail below d^-40 * tail_bound
+            exact = _green_oracle(h, z, side, ev.depth + ev.truncation_terms + 40)
+            assert abs(ev.log_value.real - float(exact)) <= ev.tail_bound + 1e-12

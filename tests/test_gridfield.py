@@ -148,6 +148,26 @@ def test_sidecar_counts_non_finite_pixels():
     assert json.loads(grid_sidecar(mixed))["nan_pixel"] == 2
 
 
+def test_all_nan_tangency_grid_has_null_span_and_black_image():
+    # The y-slice at y = 0 over [-2, 2]^2 never escapes both ways at a = 0.01.
+    henon = HenonMap(BASIC, 0.01)
+    grid = green_grid(henon, "tangency", (-2, 2), (-2, 2), 8, 8, slice_axis="y")
+    assert grid.nan_pixels == 64
+    assert grid.finite_span is None
+    side = json.loads(grid_sidecar(grid))
+    assert side["min"] is None and side["max"] is None
+    assert side["nan_pixel"] == 64
+    assert grid_to_pgm(grid) == b"P5\n8 8\n65535\n" + b"\x00" * 128
+
+
+def test_finite_span_skips_non_finite_pixels():
+    values = np.array([[1.5, math.nan], [-math.inf, -2.0]])
+    mixed = GridField("green-plus", values, (0, 1), (0, 1), "x", 0j, (0j, 0j, 1 + 0j), 0j)
+    assert mixed.finite_span == (-2.0, 1.5)
+    side = json.loads(grid_sidecar(mixed))
+    assert (side["min"], side["max"]) == (-2.0, 1.5)
+
+
 def test_csv_shape_and_values():
     henon = HenonMap(SQUARE, 0.0)
     grid = green_grid(henon, "green-minus", (1, 2), (3, 4), 3, 2, slice_axis="y")

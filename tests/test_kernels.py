@@ -1,12 +1,17 @@
-"""Reference vs compiled kernel backends agree to rounding noise."""
+"""Kernel backends: the reference kernel is bitwise the plain loops, and the
+compiled kernel agrees with it to rounding noise."""
 
+import cmath
 import os
 import pathlib
 import random
+import struct
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import henonlocus
 from henonlocus._kernel import BACKEND, reference
@@ -48,8 +53,6 @@ def _plus_points(rng, count):
 
 
 def _ray(rng):
-    import cmath
-
     return cmath.exp(2j * cmath.pi * rng.random())
 
 
@@ -145,3 +148,246 @@ def test_pure_env_var_forces_reference_backend():
     ).stdout.split()
     assert out[0] == "reference"
     assert out[1] == "henonlocus._kernel.reference"
+
+
+# ---------------------------------------------------------------------------
+# bitwise oracle: the plain loops, run for all K factors with two Horner passes
+#
+# The reference kernel leaves its product loop at its dead tail and takes
+# p, p' in one pass.  Neither shortcut may change a bit of the result, signed
+# zeros included, so the oracle below keeps the plain form.
+
+
+def _oracle_horner(coeffs, z):
+    acc = 0j
+    for i in range(len(coeffs) - 1, -1, -1):
+        acc = acc * z + coeffs[i]
+    return acc
+
+
+def _oracle_horner_deriv(coeffs, z):
+    acc = 0j
+    for i in range(len(coeffs) - 1, 0, -1):
+        acc = acc * z + i * coeffs[i]
+    return acc
+
+
+def _oracle_phi_plus(coeffs, a, x, y, K, alpha, cap):
+    d = len(coeffs) - 1
+    safe = reference.OVERFLOW_CAP ** (1.0 / d)
+    jxx, jxy, jyx, jyy = 1.0 + 0j, 0j, 0j, 1.0 + 0j
+    k = 0
+    while not (abs(x) > abs(y) and abs(x) > alpha):
+        if k >= cap:
+            return (reference.NO_ESCAPE, k, 0j, 0j, 0j, 0.0)
+        if abs(x) > safe or abs(y) > safe:
+            return (reference.OVERFLOW, k, 0j, 0j, 0j, 0.0)
+        px = _oracle_horner(coeffs, x)
+        dpx = _oracle_horner_deriv(coeffs, x)
+        njxx = dpx * jxx - a * jyx
+        njxy = dpx * jxy - a * jyy
+        jyx, jyy = jxx, jxy
+        jxx, jxy = njxx, njxy
+        x, y = px - a * y, x
+        k += 1
+    u = 1.0 / x
+    w = y * u
+    uu = u * u
+    gux, guy = -jxx * uu, -jxy * uu
+    gwx = (jyx * x - y * jxx) * uu
+    gwy = (jyy * x - y * jxy) * uu
+    glx, gly = jxx * u, jxy * u
+    logsum = 0j
+    smax = 0.0
+    dj = 1
+    for _ in range(K):
+        dj *= d
+        acc = 0j
+        acc2 = 0j
+        for i in range(d):
+            acc = acc * u + coeffs[i]
+            acc2 = acc2 * u + (d - i) * coeffs[i]
+        u_dm2 = u ** (d - 2)
+        u_dm1 = u_dm2 * u
+        s = u * acc - a * w * u_dm1
+        dsdu = acc2 - a * w * (d - 1) * u_dm2
+        dsdw = -a * u_dm1
+        gsx = dsdu * gux + dsdw * gwx
+        gsy = dsdu * guy + dsdw * gwy
+        t = 1.0 + s
+        ms = abs(s)
+        if ms > smax:
+            smax = ms
+        logsum += cmath.log(t) / dj
+        glx += gsx / (t * dj)
+        gly += gsy / (t * dj)
+        u_d = u_dm1 * u
+        inv_t = 1.0 / t
+        ngux = (d * u_dm1 * gux - u_d * gsx * inv_t) * inv_t
+        nguy = (d * u_dm1 * guy - u_d * gsy * inv_t) * inv_t
+        ngwx = ((d - 1) * u_dm2 * gux - u_dm1 * gsx * inv_t) * inv_t
+        ngwy = ((d - 1) * u_dm2 * guy - u_dm1 * gsy * inv_t) * inv_t
+        u = u_d * inv_t
+        w = u_dm1 * inv_t
+        gux, guy, gwx, gwy = ngux, nguy, ngwx, ngwy
+    phi_w = x * cmath.exp(logsum)
+    dk = d**k
+    return (reference.OK, k, cmath.log(phi_w) / dk, glx / dk, gly / dk, smax)
+
+
+def _oracle_phi_minus(coeffs, a, x, y, K, alpha, cap):
+    d = len(coeffs) - 1
+    safe = reference.OVERFLOW_CAP ** (1.0 / d)
+    inv_a = 1.0 / a
+    jxx, jxy, jyx, jyy = 1.0 + 0j, 0j, 0j, 1.0 + 0j
+    m = 0
+    while not (abs(y) > abs(x) and abs(y) > alpha):
+        if m >= cap:
+            return (reference.NO_ESCAPE, m, 0j, 0j, 0j, 0.0)
+        if abs(x) > safe or abs(y) > safe:
+            return (reference.OVERFLOW, m, 0j, 0j, 0j, 0.0)
+        py = _oracle_horner(coeffs, y)
+        dpy = _oracle_horner_deriv(coeffs, y)
+        njxx, njxy = jyx, jyy
+        njyx = (dpy * jyx - jxx) * inv_a
+        njyy = (dpy * jyy - jxy) * inv_a
+        x, y = y, (py - x) * inv_a
+        jxx, jxy, jyx, jyy = njxx, njxy, njyx, njyy
+        m += 1
+    v = 1.0 / y
+    t = x * v
+    vv = v * v
+    gvx, gvy = -jyx * vv, -jyy * vv
+    gtx = (jxx * y - x * jyx) * vv
+    gty = (jxy * y - x * jyy) * vv
+    glx, gly = jyx * v, jyy * v
+    logsum = 0j
+    smax = 0.0
+    dj = 1
+    for _ in range(K):
+        dj *= d
+        acc = 0j
+        acc2 = 0j
+        for i in range(d):
+            acc = acc * v + coeffs[i]
+            acc2 = acc2 * v + (d - i) * coeffs[i]
+        v_dm2 = v ** (d - 2)
+        v_dm1 = v_dm2 * v
+        s = v * acc - t * v_dm1
+        dsdv = acc2 - t * (d - 1) * v_dm2
+        dsdt = -v_dm1
+        gsx = dsdv * gvx + dsdt * gtx
+        gsy = dsdv * gvy + dsdt * gty
+        tau = 1.0 + s
+        ms = abs(s)
+        if ms > smax:
+            smax = ms
+        logsum += cmath.log(tau) / dj
+        glx += gsx / (tau * dj)
+        gly += gsy / (tau * dj)
+        v_d = v_dm1 * v
+        inv_tau = 1.0 / tau
+        ngvx = a * (d * v_dm1 * gvx - v_d * gsx * inv_tau) * inv_tau
+        ngvy = a * (d * v_dm1 * gvy - v_d * gsy * inv_tau) * inv_tau
+        ngtx = a * ((d - 1) * v_dm2 * gvx - v_dm1 * gsx * inv_tau) * inv_tau
+        ngty = a * ((d - 1) * v_dm2 * gvy - v_dm1 * gsy * inv_tau) * inv_tau
+        v = a * v_d * inv_tau
+        t = a * v_dm1 * inv_tau
+        gvx, gvy, gtx, gty = ngvx, ngvy, ngtx, ngty
+    phi_w = y * cmath.exp(logsum)
+    dm = d**m
+    em = (dm - 1) // (d - 1)
+    return (reference.OK, m, (em * cmath.log(a) + cmath.log(phi_w)) / dm, glx / dm, gly / dm, smax)
+
+
+def _bits(z):
+    """Exact bit pattern of a complex number; +0.0 and -0.0 differ."""
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def _outcome(kernel, *args):
+    """Kernel result as bytes, or the exception it raised (|s| = 1 hits log 0)."""
+    try:
+        status, depth, logphi, glx, gly, smax = kernel(*args)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        return type(exc).__name__
+    head = struct.pack("<qqd", status, depth, smax)
+    return head + _bits(logphi) + _bits(glx) + _bits(gly)
+
+
+_ZERO = st.sampled_from((0.0, -0.0))
+
+
+def _component(bound):
+    return st.one_of(_ZERO, st.floats(-bound, bound))
+
+
+@st.composite
+def _kernel_args(draw):
+    """Monic p of degree 2..4, |a| <= 0.1 (a = 0 included), a point, K, alpha.
+
+    Points are complex or real with a signed-zero imaginary part, from inside
+    the filled Julia set (NO_ESCAPE at the cap) out to 1e140 (OVERFLOW) and
+    1e200 (1/x^2 underflows at a direct entry).
+    """
+    d = draw(st.integers(2, 4))
+    q = [complex(draw(_component(1.0)), draw(_component(1.0))) for _ in range(d)]
+    a = complex(draw(_component(0.07)), draw(_component(0.07)))
+    scale = draw(st.sampled_from((0.5, 3.0, 40.0, 1e3, 1e140, 1e200)))
+
+    def coordinate():
+        im = _ZERO if draw(st.booleans()) else _component(scale)
+        return complex(draw(_component(scale)), draw(im))
+
+    x, y = coordinate(), coordinate()
+    K = draw(st.sampled_from((19, 26, 31, 41, 48)))
+    alpha = draw(st.sampled_from((2.0, 3.0)))
+    return tuple(q) + (1 + 0j,), a, x, y, K, alpha, CAP
+
+
+_PLUS = (reference.phi_plus_eval, _oracle_phi_plus)
+_MINUS = (reference.phi_minus_eval, _oracle_phi_minus)
+_QUADRATIC = (0j, 0.5 + 0j, 1 + 0j)
+_QUARTIC = (-0.5 + 0j, -0.3 - 0.25j, -0.45 + 0.5j, 0j, 1 + 0j)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernels=st.sampled_from((_PLUS, _MINUS)), args=_kernel_args())
+# 1/x^2 underflows, so u (v) is the only live carrier from the first factor on
+@example(kernels=_PLUS, args=(_QUADRATIC, 0j, 1e200 + 0j, 0j, 19, 3.0, CAP))
+@example(kernels=_MINUS, args=(_QUADRATIC, 0.05 + 0j, 0j, 1e200 + 0j, 19, 3.0, CAP))
+# a gradient sum holds a -0.0 part when the carriers die; the skipped
+# factors would turn it into +0.0
+@example(kernels=_PLUS, args=(CUBIC, 0.05 + 0j, complex(-1e200, -0.0), 1e140j, 19, 3.0, CAP))
+@example(kernels=_MINUS, args=(_QUARTIC, 0.025 + 0j, 7e139 + 0j, -9e139 + 0j, 19, 2.0, CAP))
+def test_kernel_is_bitwise_the_plain_loops(kernels, args):
+    kernel, oracle = kernels
+    assert _outcome(kernel, *args) == _outcome(oracle, *args)
+
+
+# A saddle fixed point of f for p = x^2 - 1, a = 0.01: its backward orbit
+# stays put for a few steps before rounding pushes it out.
+_FIXED = (1.01 + (1.01**2 + 4.0) ** 0.5) / 2.0 + 0j
+
+
+@pytest.mark.parametrize("kernels, args, status", [
+    (_PLUS, (BASIC, 0.01 + 0j, 0j, 0j, 41, ALPHA, CAP), reference.NO_ESCAPE),
+    (_PLUS, (SQUARE, 0.05 + 0j, 0j, 1e140 + 0j, 41, ALPHA, CAP), reference.OVERFLOW),
+    (_MINUS, (BASIC, 0.01 + 0j, _FIXED, _FIXED, 41, ALPHA, 3), reference.NO_ESCAPE),
+    (_MINUS, (SQUARE, 0.05 + 0j, 1e140 + 0j, 0j, 41, ALPHA, CAP), reference.OVERFLOW),
+])
+def test_statuses_are_bitwise_the_plain_loops(kernels, args, status):
+    kernel, oracle = kernels
+    assert kernel(*args)[0] == status
+    assert _outcome(kernel, *args) == _outcome(oracle, *args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coeffs=st.lists(st.builds(complex, _component(4.0), _component(4.0)), min_size=1, max_size=6),
+    z=st.builds(complex, _component(3.0), _component(3.0)),
+)
+def test_horner_with_deriv_is_bitwise_the_two_loops(coeffs, z):
+    value, slope = reference.horner_with_deriv(coeffs, z)
+    assert _bits(value) == _bits(_oracle_horner(coeffs, z)) == _bits(reference.horner(coeffs, z))
+    assert _bits(slope) == _bits(_oracle_horner_deriv(coeffs, z))
