@@ -23,7 +23,8 @@ class NoAlphaFound(HenonLocusError):
 
 
 class CertificateViolation(HenonLocusError):
-    """A product factor reached |s| >= r, so the escape tail bound does not hold."""
+    """The escape result is not certified: a product factor reached |s| >= r,
+    so the tail bound does not hold, or the kernel returned a non-finite value."""
 
     def __init__(self, message, smax=None, r=None, depth=None):
         super().__init__(message)

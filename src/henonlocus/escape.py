@@ -16,8 +16,10 @@ At a = 0 the minus function has the closed form phi- = (p(y) - x)^(1/d).
 Both sides go through one function, `_run`: one kernel call returns log
 phi and its exact gradient, and `_run` enforces the certificate behind the
 tail bound (every factor |s_k| < r) with CertificateViolation, so the check
-also holds under `python -O`. It also refuses |a| >= R with ValueError, for
-a caller's own DomainParams as for the default one.
+also holds under `python -O`; a non-finite log phi or gradient (e.g. 1/a
+overflowing for a subnormal a) is refused the same way. It also refuses
+|a| >= R with ValueError, for a caller's own DomainParams as for the
+default one.
 
 Green's functions: g+ = log|phi+| on the escape side, 0 on K+;
 g- = log|phi-| on the escape side, log|a|/(d-1) on K-.
@@ -122,6 +124,14 @@ def _run(henon, z, side, tol, dp, cap, alpha=None):
     if not smax < dp.r:
         raise CertificateViolation(
             f"product factor |s| = {smax} >= r = {dp.r} at {domain} entry depth {depth}",
+            smax=smax,
+            r=dp.r,
+            depth=depth,
+        )
+    if not (cmath.isfinite(logphi) and cmath.isfinite(glx) and cmath.isfinite(gly)):
+        raise CertificateViolation(
+            f"non-finite log phi or gradient on the {side} side "
+            f"at {domain} entry depth {depth}",
             smax=smax,
             r=dp.r,
             depth=depth,

@@ -2,8 +2,8 @@
 
 A grid samples one complex coordinate over a rectangle while the other is
 pinned (a horizontal or vertical slice of C^2).  Pixels are independent,
-so rows are dispatched to a thread pool capped by the HENON_THREADS
-environment variable; assembly order is fixed, making outputs
+so rows are dispatched to a thread pool of `workers` threads (default: the
+machine's CPU count); assembly order is fixed, making outputs
 byte-reproducible for a given configuration.
 
 Exports: binary 16-bit PGM (P5, big-endian, row-major, affine scaling
@@ -53,15 +53,12 @@ class GridField:
 
 
 def worker_count(requested):
-    """Explicit request, else HENON_THREADS, else the machine's CPU count."""
+    """Explicit request, else the machine's CPU count."""
     if requested is not None:
         n = int(requested)
         if n < 1:
             raise ValueError("worker count must be positive")
         return n
-    env = os.environ.get("HENON_THREADS")
-    if env is not None:
-        return max(1, int(env))
     return os.cpu_count() or 1
 
 

@@ -253,10 +253,23 @@ def test_certificate_violation_is_typed(z, side):
     assert err.depth >= 0
 
 
+# A subnormal a is still < R, but the minus kernel's 1/a is inf and its log
+# phi and gradient come back NaN with smax = 0.
+_SUBNORMAL_A = 1e-309
+
+
+@pytest.mark.parametrize("call", [escape.phi_with_gradient, escape.green])
+def test_non_finite_kernel_result_is_refused(call):
+    h = HenonMap(X2M1, _SUBNORMAL_A)
+    with pytest.raises(CertificateViolation, match="non-finite .* minus side") as info:
+        call(h, Point(2, 0.3), "minus")
+    assert info.value.depth == 1
+
+
 _VIOLATIONS_UNDER_O = """
 from henonlocus.dynamics import HenonMap, Point, Polynomial
 from henonlocus.errors import CertificateViolation
-from henonlocus.escape import phi_with_gradient
+from henonlocus.escape import green, phi_with_gradient
 
 h = HenonMap(Polynomial([-1, 0, 1]), 0.01)
 for z, side in ((Point(1.2, 0.1), "plus"), (Point(0.1, 1.2), "minus")):
@@ -265,6 +278,12 @@ for z, side in ((Point(1.2, 0.1), "plus"), (Point(0.1, 1.2), "minus")):
         print(side, "returned", ev.smax)
     except CertificateViolation as exc:
         print(side, "CertificateViolation", exc.smax >= exc.r)
+h = HenonMap(Polynomial([-1, 0, 1]), 1e-309)
+for call in (phi_with_gradient, green):
+    try:
+        print(call.__name__, "returned", call(h, Point(2, 0.3), "minus"))
+    except CertificateViolation as exc:
+        print(call.__name__, "CertificateViolation", "non-finite" in str(exc))
 """
 
 
@@ -282,6 +301,8 @@ def test_certificate_violation_fires_under_O():
     assert out.splitlines() == [
         "plus CertificateViolation True",
         "minus CertificateViolation True",
+        "phi_with_gradient CertificateViolation True",
+        "green CertificateViolation True",
     ]
 
 

@@ -8,6 +8,7 @@ own evaluation loop; the PGM bytes are checked against a hand-built
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -188,13 +189,11 @@ def test_grid_deterministic_across_worker_counts():
     assert grid_to_pgm(one) == grid_to_pgm(many)
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("HENON_THREADS", "2")
-    assert worker_count(None) == 2
+def test_worker_count_explicit_else_cpu_count():
     assert worker_count(5) == 5
-    monkeypatch.setenv("HENON_THREADS", "not-a-number")
     with pytest.raises(ValueError):
-        worker_count(None)
+        worker_count(0)
+    assert worker_count(None) == (os.cpu_count() or 1)
 
 
 def test_unknown_kind_rejected():

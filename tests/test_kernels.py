@@ -1,29 +1,13 @@
-"""Kernel backends: the reference kernel is bitwise the plain loops, and the
-compiled kernel agrees with it to rounding noise."""
+"""The escape kernel is bitwise the plain loops it shortcuts."""
 
 import cmath
-import os
-import pathlib
-import random
 import struct
-import subprocess
-import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import henonlocus
-from henonlocus._kernel import BACKEND, reference
-
-try:
-    from henonlocus._kernel import _fastkernel
-except ImportError:
-    _fastkernel = None
-
-needs_compiled = pytest.mark.skipif(
-    _fastkernel is None, reason="compiled kernel not built"
-)
+from henonlocus import _kernel
 
 SQUARE = (0j, 0j, 1 + 0j)
 BASIC = (-1 + 0j, 0j, 1 + 0j)
@@ -31,129 +15,20 @@ CUBIC = (0.1 + 0j, -0.5 + 0j, 0j, 1 + 0j)  # degree 3 exercises d > 2 paths
 
 ALPHA = 3.0
 CAP = 200
-K = 48
-
-
-def _plus_points(rng, count):
-    pts = []
-    for _ in range(count):
-        # direct V+ entries, slow entries, and a few bounded orbits
-        roll = rng.random()
-        if roll < 0.5:
-            x = rng.uniform(3.5, 60.0) * _ray(rng)
-            y = rng.uniform(0.0, 0.9) * abs(x) * _ray(rng)
-        elif roll < 0.85:
-            x = rng.uniform(1.2, 2.4) * _ray(rng)
-            y = rng.uniform(0.0, 1.0) * _ray(rng)
-        else:
-            x = rng.uniform(0.0, 0.6) * _ray(rng)
-            y = rng.uniform(0.0, 0.6) * _ray(rng)
-        pts.append((x, y))
-    return pts
-
-
-def _ray(rng):
-    return cmath.exp(2j * cmath.pi * rng.random())
-
-
-def _assert_close(left, right, tol=5e-13):
-    status_l, depth_l, logphi_l, gx_l, gy_l, smax_l = left
-    status_r, depth_r, logphi_r, gx_r, gy_r, smax_r = right
-    assert status_l == status_r
-    assert depth_l == depth_r
-    assert abs(logphi_l - logphi_r) <= tol * (1.0 + abs(logphi_r))
-    assert abs(gx_l - gx_r) <= tol * (1.0 + abs(gx_r))
-    assert abs(gy_l - gy_r) <= tol * (1.0 + abs(gy_r))
-    assert abs(smax_l - smax_r) <= tol * (1.0 + smax_r)
-
-
-@needs_compiled
-@pytest.mark.parametrize("coeffs,a", [
-    (SQUARE, 0j),
-    (SQUARE, 0.05 + 0j),
-    (BASIC, 0.01 + 0j),
-    (BASIC, 0.02 - 0.01j),
-    (CUBIC, 0.03 + 0j),
-])
-def test_phi_plus_backends_agree(coeffs, a):
-    rng = random.Random(hash((len(coeffs), complex(a).real)) & 0xFFFF)
-    for x, y in _plus_points(rng, 60):
-        ref = reference.phi_plus_eval(coeffs, a, x, y, K, ALPHA, CAP)
-        fast = _fastkernel.phi_plus_eval(coeffs, a, x, y, K, ALPHA, CAP)
-        _assert_close(fast, ref)
-
-
-@needs_compiled
-@pytest.mark.parametrize("coeffs,a", [
-    (SQUARE, 0.05 + 0j),
-    (BASIC, 0.01 + 0j),
-    (BASIC, 0.02 - 0.01j),
-    (CUBIC, 0.03 + 0j),
-])
-def test_phi_minus_backends_agree(coeffs, a):
-    rng = random.Random(len(coeffs) * 31)
-    for _ in range(60):
-        # direct V- entries plus points that need pulling back
-        if rng.random() < 0.6:
-            y = rng.uniform(3.5, 60.0) * _ray(rng)
-            x = rng.uniform(0.0, 0.9) * abs(y) * _ray(rng)
-        else:
-            x = rng.uniform(3.5, 8.0) * _ray(rng)
-            y = rng.uniform(0.3, 1.4) * _ray(rng)
-        ref = reference.phi_minus_eval(coeffs, a, x, y, K, ALPHA, CAP)
-        fast = _fastkernel.phi_minus_eval(coeffs, a, x, y, K, ALPHA, CAP)
-        _assert_close(fast, ref)
-
-
-@needs_compiled
-def test_no_escape_and_overflow_statuses_agree():
-    # bounded orbit: the basilica's superattracting cycle
-    ref = reference.phi_plus_eval(BASIC, 0.01 + 0j, 0j, 0j, K, ALPHA, CAP)
-    fast = _fastkernel.phi_plus_eval(BASIC, 0.01 + 0j, 0j, 0j, K, ALPHA, CAP)
-    assert ref == fast
-    assert ref[0] == reference.NO_ESCAPE
-    # y huge forces overflow before the plus iteration reaches V+
-    big = 1e140
-    ref = reference.phi_plus_eval(SQUARE, 1 + 0j, 0j, big + 0j, K, ALPHA, CAP)
-    fast = _fastkernel.phi_plus_eval(SQUARE, 1 + 0j, 0j, big + 0j, K, ALPHA, CAP)
-    assert ref == fast
-    assert ref[0] == reference.OVERFLOW
 
 
 def test_status_constants_match_reference():
-    from henonlocus import _kernel
-
     assert (_kernel.OK, _kernel.NO_ESCAPE, _kernel.OVERFLOW) == (0, 1, 2)
-    if _fastkernel is not None:
-        assert (_fastkernel.OK, _fastkernel.NO_ESCAPE, _fastkernel.OVERFLOW) == (0, 1, 2)
 
 
 def test_backend_reports_its_name():
-    assert BACKEND in ("compiled", "reference")
-    if _fastkernel is not None and not os.environ.get("HENONLOCUS_PURE"):
-        assert BACKEND == "compiled"
-
-
-def test_pure_env_var_forces_reference_backend():
-    code = (
-        "import henonlocus._kernel as k; "
-        "print(k.BACKEND); "
-        "print(k.phi_plus_eval.__module__)"
-    )
-    src = str(pathlib.Path(henonlocus.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, HENONLOCUS_PURE="1", PYTHONPATH=path)
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    ).stdout.split()
-    assert out[0] == "reference"
-    assert out[1] == "henonlocus._kernel.reference"
+    assert _kernel.BACKEND == "reference"
 
 
 # ---------------------------------------------------------------------------
 # bitwise oracle: the plain loops, run for all K factors with two Horner passes
 #
-# The reference kernel leaves its product loop at its dead tail and takes
+# The kernel leaves its product loop at its dead tail and takes
 # p, p' in one pass.  Neither shortcut may change a bit of the result, signed
 # zeros included, so the oracle below keeps the plain form.
 
@@ -174,14 +49,14 @@ def _oracle_horner_deriv(coeffs, z):
 
 def _oracle_phi_plus(coeffs, a, x, y, K, alpha, cap):
     d = len(coeffs) - 1
-    safe = reference.OVERFLOW_CAP ** (1.0 / d)
+    safe = _kernel.OVERFLOW_CAP ** (1.0 / d)
     jxx, jxy, jyx, jyy = 1.0 + 0j, 0j, 0j, 1.0 + 0j
     k = 0
     while not (abs(x) > abs(y) and abs(x) > alpha):
         if k >= cap:
-            return (reference.NO_ESCAPE, k, 0j, 0j, 0j, 0.0)
+            return (_kernel.NO_ESCAPE, k, 0j, 0j, 0j, 0.0)
         if abs(x) > safe or abs(y) > safe:
-            return (reference.OVERFLOW, k, 0j, 0j, 0j, 0.0)
+            return (_kernel.OVERFLOW, k, 0j, 0j, 0j, 0.0)
         px = _oracle_horner(coeffs, x)
         dpx = _oracle_horner_deriv(coeffs, x)
         njxx = dpx * jxx - a * jyx
@@ -232,20 +107,20 @@ def _oracle_phi_plus(coeffs, a, x, y, K, alpha, cap):
         gux, guy, gwx, gwy = ngux, nguy, ngwx, ngwy
     phi_w = x * cmath.exp(logsum)
     dk = d**k
-    return (reference.OK, k, cmath.log(phi_w) / dk, glx / dk, gly / dk, smax)
+    return (_kernel.OK, k, cmath.log(phi_w) / dk, glx / dk, gly / dk, smax)
 
 
 def _oracle_phi_minus(coeffs, a, x, y, K, alpha, cap):
     d = len(coeffs) - 1
-    safe = reference.OVERFLOW_CAP ** (1.0 / d)
+    safe = _kernel.OVERFLOW_CAP ** (1.0 / d)
     inv_a = 1.0 / a
     jxx, jxy, jyx, jyy = 1.0 + 0j, 0j, 0j, 1.0 + 0j
     m = 0
     while not (abs(y) > abs(x) and abs(y) > alpha):
         if m >= cap:
-            return (reference.NO_ESCAPE, m, 0j, 0j, 0j, 0.0)
+            return (_kernel.NO_ESCAPE, m, 0j, 0j, 0j, 0.0)
         if abs(x) > safe or abs(y) > safe:
-            return (reference.OVERFLOW, m, 0j, 0j, 0j, 0.0)
+            return (_kernel.OVERFLOW, m, 0j, 0j, 0j, 0.0)
         py = _oracle_horner(coeffs, y)
         dpy = _oracle_horner_deriv(coeffs, y)
         njxx, njxy = jyx, jyy
@@ -297,7 +172,7 @@ def _oracle_phi_minus(coeffs, a, x, y, K, alpha, cap):
     phi_w = y * cmath.exp(logsum)
     dm = d**m
     em = (dm - 1) // (d - 1)
-    return (reference.OK, m, (em * cmath.log(a) + cmath.log(phi_w)) / dm, glx / dm, gly / dm, smax)
+    return (_kernel.OK, m, (em * cmath.log(a) + cmath.log(phi_w)) / dm, glx / dm, gly / dm, smax)
 
 
 def _bits(z):
@@ -345,8 +220,8 @@ def _kernel_args(draw):
     return tuple(q) + (1 + 0j,), a, x, y, K, alpha, CAP
 
 
-_PLUS = (reference.phi_plus_eval, _oracle_phi_plus)
-_MINUS = (reference.phi_minus_eval, _oracle_phi_minus)
+_PLUS = (_kernel.phi_plus_eval, _oracle_phi_plus)
+_MINUS = (_kernel.phi_minus_eval, _oracle_phi_minus)
 _QUADRATIC = (0j, 0.5 + 0j, 1 + 0j)
 _QUARTIC = (-0.5 + 0j, -0.3 - 0.25j, -0.45 + 0.5j, 0j, 1 + 0j)
 
@@ -371,10 +246,10 @@ _FIXED = (1.01 + (1.01**2 + 4.0) ** 0.5) / 2.0 + 0j
 
 
 @pytest.mark.parametrize("kernels, args, status", [
-    (_PLUS, (BASIC, 0.01 + 0j, 0j, 0j, 41, ALPHA, CAP), reference.NO_ESCAPE),
-    (_PLUS, (SQUARE, 0.05 + 0j, 0j, 1e140 + 0j, 41, ALPHA, CAP), reference.OVERFLOW),
-    (_MINUS, (BASIC, 0.01 + 0j, _FIXED, _FIXED, 41, ALPHA, 3), reference.NO_ESCAPE),
-    (_MINUS, (SQUARE, 0.05 + 0j, 1e140 + 0j, 0j, 41, ALPHA, CAP), reference.OVERFLOW),
+    (_PLUS, (BASIC, 0.01 + 0j, 0j, 0j, 41, ALPHA, CAP), _kernel.NO_ESCAPE),
+    (_PLUS, (SQUARE, 0.05 + 0j, 0j, 1e140 + 0j, 41, ALPHA, CAP), _kernel.OVERFLOW),
+    (_MINUS, (BASIC, 0.01 + 0j, _FIXED, _FIXED, 41, ALPHA, 3), _kernel.NO_ESCAPE),
+    (_MINUS, (SQUARE, 0.05 + 0j, 1e140 + 0j, 0j, 41, ALPHA, CAP), _kernel.OVERFLOW),
 ])
 def test_statuses_are_bitwise_the_plain_loops(kernels, args, status):
     kernel, oracle = kernels
@@ -388,6 +263,6 @@ def test_statuses_are_bitwise_the_plain_loops(kernels, args, status):
     z=st.builds(complex, _component(3.0), _component(3.0)),
 )
 def test_horner_with_deriv_is_bitwise_the_two_loops(coeffs, z):
-    value, slope = reference.horner_with_deriv(coeffs, z)
-    assert _bits(value) == _bits(_oracle_horner(coeffs, z)) == _bits(reference.horner(coeffs, z))
+    value, slope = _kernel.horner_with_deriv(coeffs, z)
+    assert _bits(value) == _bits(_oracle_horner(coeffs, z)) == _bits(_kernel.horner(coeffs, z))
     assert _bits(slope) == _bits(_oracle_horner_deriv(coeffs, z))

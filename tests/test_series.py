@@ -315,15 +315,16 @@ def test_packed_multipoly_product_matches_naive_product(pair):
     assert (q * p).terms == got.terms
 
 
+def draw_series(draw, order):
+    sparse = st.one_of(st.just(MultiPoly.zero(RING)), polys)
+    coeffs = st.lists(sparse, min_size=order + 1, max_size=order + 1)
+    return TruncSeries("u", order, draw(coeffs))
+
+
 @st.composite
 def series_pairs(draw):
     order = draw(st.integers(0, 4))
-    sparse = st.one_of(st.just(MultiPoly.zero(RING)), polys)
-    coeffs = st.lists(sparse, min_size=order + 1, max_size=order + 1)
-    return (
-        TruncSeries("u", order, draw(coeffs)),
-        TruncSeries("u", order, draw(coeffs)),
-    )
+    return draw_series(draw, order), draw_series(draw, order)
 
 
 def naive_series_product(s, t):
@@ -345,6 +346,35 @@ def test_series_product_and_weighted_product_match_reference(pair, name, budget)
     assert s.mul_weighted(t, name, budget) == _trim(full, name, budget)
     c = t.coeffs[0]
     assert s.mul_weighted(c, name, budget) == _trim(s * c, name, budget)
+
+
+@st.composite
+def series_triples(draw):
+    order = draw(st.integers(0, 4))
+    return tuple(draw_series(draw, order) for _ in range(3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_triples())
+def test_series_product_distributes_over_sum(triple):
+    s, t, u = triple
+    assert s * (t + u) == s * t + s * u
+
+
+@st.composite
+def unit_series(draw):
+    """A series whose constant term is a nonzero rational; the higher
+    coefficients are MultiPolys."""
+    s = draw_series(draw, draw(st.integers(0, 4)))
+    c0 = MultiPoly.const(draw(rationals), RING)
+    return TruncSeries(s.var, s.order, (c0,) + s.coeffs[1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_series())
+def test_unit_series_times_its_inverse_is_one(s):
+    one = TruncSeries.from_poly(MultiPoly.const(F(1), RING), s.var, s.order)
+    assert s * s.inverse() == one
 
 
 def test_series_product_rejects_mismatched_coefficient_rings():
