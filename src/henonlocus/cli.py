@@ -99,7 +99,7 @@ _OPTION_DEFAULTS = {
         "side": "stable",
         "history": None,
         "mesh": 32,
-        "iterations": 24,
+        "iterations": None,
         "loop_radius": 0.4,
         "out_dir": None,
     },
@@ -332,8 +332,9 @@ def _cmd_critlocus(opts):
 def _cmd_holonomy(opts):
     henon = _build_map(opts)
     n = _as_int(opts["n"], "n")
-    z, _ = locate_on_locus(henon, _as_float(opts["x"], "x"))
-    orbit = monodromy_orbit(henon, _as_complex(opts["c"], "c"), z, n)
+    c = _as_complex(opts["c"], "c")
+    z, _ = locate_on_locus(henon, _as_float(opts["x"], "x"), c)
+    orbit = monodromy_orbit(henon, c, z, n)
     count = henon.degree**n
     base = psi_pair(henon, orbit[0]).psi_plus
     deviation = 0.0
@@ -368,12 +369,12 @@ def _cmd_holonomy(opts):
 def _cmd_manifold(opts):
     henon = _build_map(opts)
     side = str(opts["side"])
+    depth = {}  # unset: each builder's own default depth
+    if opts["iterations"] is not None:
+        depth["iterations"] = _as_int(opts["iterations"], "iterations")
     mesh = _as_int(opts["mesh"], "mesh")
-    iterations = _as_int(opts["iterations"], "iterations")
     if side == "stable":
-        m = local_stable_graph(
-            henon, _as_complex(opts["z"], "z"), iterations=iterations, mesh=mesh
-        )
+        m = local_stable_graph(henon, _as_complex(opts["z"], "z"), mesh=mesh, **depth)
         index = gradient_index(henon, m, _as_float(opts["loop_radius"], "loop_radius"))
         deviation = max(abs(v - m.base) for v in m.values)
     elif side == "unstable":
@@ -386,7 +387,7 @@ def _cmd_manifold(opts):
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"bad history: {exc}")
         history = [_as_complex(h, "history") for h in raw]
-        m = local_unstable_graph(henon, history, iterations=None, mesh=mesh)
+        m = local_unstable_graph(henon, history, mesh=mesh, **depth)
         index = None
         deviation = max(abs(v) for v in m.values)
     else:

@@ -68,15 +68,8 @@ class Polynomial:
         """Coefficients of q = p - x^d (the non-leading part)."""
         return self.coefficients[:-1]
 
-    def q_degree(self) -> int:
-        qc = self.q_coefficients()
-        for i in range(len(qc) - 1, -1, -1):
-            if qc[i] != 0:
-                return i
-        return 0
-
-    def critical_points(self, tol: float = 1e-9):
-        """Roots of p' (numpy companion-matrix roots, deduplicated)."""
+    def critical_points(self):
+        """Roots of p' (numpy companion-matrix roots, deduplicated to 1e-9)."""
         import numpy as np
 
         dcoeffs = [i * self.coefficients[i] for i in range(1, self.degree + 1)]
@@ -84,7 +77,7 @@ class Polynomial:
         out: list[complex] = []
         for rt in roots:
             z = complex(rt)
-            if all(abs(z - w) > tol for w in out):
+            if all(abs(z - w) > 1e-9 for w in out):
                 out.append(z)
         return out
 
@@ -128,15 +121,15 @@ class HenonMap:
             raise DegenerateJacobian("inverse undefined at a = 0")
         return Point(z.y, (self.p(z.y) - z.x) / self.a)
 
-    def iterate(self, z: Point, n: int, cap: float = OVERFLOW_CAP) -> Point:
+    def iterate(self, z: Point, n: int) -> Point:
         """n-fold composition (n < 0 uses the inverse; requires a != 0)."""
         step = self.apply if n >= 0 else self.apply_inverse
         w = Point(complex(z[0]), complex(z[1]))
         for i in range(abs(n)):
             w = step(w)
-            if abs(w.x) > cap or abs(w.y) > cap:
+            if abs(w.x) > OVERFLOW_CAP or abs(w.y) > OVERFLOW_CAP:
                 raise CoordinateOverflow(
-                    f"coordinate exceeded {cap:g} at step {i + 1}",
+                    f"coordinate exceeded {OVERFLOW_CAP:g} at step {i + 1}",
                     step=i + 1,
                     point=w,
                 )

@@ -64,7 +64,9 @@ class GreenValue:
 
 
 def truncation_K(d: int, r: float, tol: float) -> int:
-    """Factors needed so the geometric log-tail is below tol."""
+    """Factors needed so the geometric log-tail is below tol (0 < tol < inf)."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     K = math.ceil(math.log(-math.log(1.0 - r) / ((1.0 - 1.0 / d) * tol), d))
     return max(K, 1)
 
@@ -81,7 +83,7 @@ def default_domain(henon: HenonMap) -> DomainParams:
     return dp
 
 
-def _run(henon, z, side, tol, dp, cap, alpha=None):
+def _run(henon, z, side, tol, dp, alpha=None):
     """(EscapeValue, gradient of log phi) on one side, from one kernel call."""
     if side == "plus":
         evaluate, iterate, domain = kernel.phi_plus_eval, "forward", "V+"
@@ -91,6 +93,7 @@ def _run(henon, z, side, tol, dp, cap, alpha=None):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
     require_jacobian_below(henon.a, dp.R)
     d = henon.degree
+    K = truncation_K(d, dp.r, tol)
     x, y = complex(z[0]), complex(z[1])
     if side == "minus" and henon.a == 0:
         v = henon.p(y) - x
@@ -107,7 +110,6 @@ def _run(henon, z, side, tol, dp, cap, alpha=None):
             smax=0.0,
         )
         return ev, (-1.0 / (d * v), henon.p.derivative(y) / (d * v))
-    K = truncation_K(d, dp.r, tol)
     status, depth, logphi, glx, gly, smax = evaluate(
         henon.p.coefficients,
         henon.a,
@@ -115,10 +117,12 @@ def _run(henon, z, side, tol, dp, cap, alpha=None):
         y,
         K,
         dp.alpha if alpha is None else alpha,
-        cap,
+        DEFAULT_CAP,
     )
     if status == kernel.NO_ESCAPE:
-        raise NotInEscapeRegion(f"no {iterate} iterate entered {domain} within {cap} steps")
+        raise NotInEscapeRegion(
+            f"no {iterate} iterate entered {domain} within {DEFAULT_CAP} steps"
+        )
     if status == kernel.OVERFLOW:
         raise CoordinateOverflow(f"overflow before reaching {domain}")
     if not smax < dp.r:
@@ -153,10 +157,9 @@ def phi_plus(
     z: Point,
     tol: float = DEFAULT_TOL,
     dp: DomainParams | None = None,
-    cap: int = DEFAULT_CAP,
 ) -> EscapeValue:
     dp = dp or default_domain(henon)
-    return _run(henon, z, "plus", tol, dp, cap)[0]
+    return _run(henon, z, "plus", tol, dp)[0]
 
 
 def phi_minus(
@@ -164,10 +167,9 @@ def phi_minus(
     z: Point,
     tol: float = DEFAULT_TOL,
     dp: DomainParams | None = None,
-    cap: int = DEFAULT_CAP,
 ) -> EscapeValue:
     dp = dp or default_domain(henon)
-    return _run(henon, z, "minus", tol, dp, cap)[0]
+    return _run(henon, z, "minus", tol, dp)[0]
 
 
 def phi_with_gradient(
@@ -176,7 +178,6 @@ def phi_with_gradient(
     side: str,
     tol: float = DEFAULT_TOL,
     dp: DomainParams | None = None,
-    cap: int = DEFAULT_CAP,
     alpha: float | None = None,
 ):
     """(EscapeValue, gradient of log phi w.r.t. (x, y)), forward-mode exact.
@@ -184,35 +185,28 @@ def phi_with_gradient(
     `alpha` overrides the V+/V- entry threshold (the locus code pushes
     deeper, to 2*alpha, before trusting leaf geometry).
     """
-    return _run(henon, z, side, tol, dp or default_domain(henon), cap, alpha)
+    return _run(henon, z, side, tol, dp or default_domain(henon), alpha)
 
 
-def green(
-    henon: HenonMap,
-    z: Point,
-    side: str,
-    tol: float = 1e-9,
-    dp: DomainParams | None = None,
-    cap: int = DEFAULT_CAP,
-) -> GreenValue:
-    """g+ or g-; bounded-orbit points are classified by the iteration cap."""
-    dp = dp or default_domain(henon)
+def green(henon: HenonMap, z: Point, side: str, tol: float = 1e-9) -> GreenValue:
+    """g+ or g-; a point whose orbit has not entered V+/V- within
+    DEFAULT_CAP = 200 steps is classified as bounded (in K+/K-)."""
     if side == "plus":
         try:
-            ev = phi_plus(henon, z, tol, dp, cap)
+            ev = phi_plus(henon, z, tol)
         except NotInEscapeRegion:
-            return GreenValue(0.0, "plus", True, cap)
-        return GreenValue(ev.log_value.real, "plus", False, cap)
+            return GreenValue(0.0, "plus", True)
+        return GreenValue(ev.log_value.real, "plus", False)
     if side == "minus":
         if henon.a == 0:
             v = henon.p(complex(z[1])) - complex(z[0])
             if v == 0:
-                return GreenValue(float("-inf"), "minus", True, cap)
-            return GreenValue(math.log(abs(v)) / henon.degree, "minus", False, cap)
+                return GreenValue(float("-inf"), "minus", True)
+            return GreenValue(math.log(abs(v)) / henon.degree, "minus", False)
         try:
-            ev = phi_minus(henon, z, tol, dp, cap)
+            ev = phi_minus(henon, z, tol)
         except NotInEscapeRegion:
             constant = math.log(abs(henon.a)) / (henon.degree - 1)
-            return GreenValue(constant, "minus", True, cap)
-        return GreenValue(ev.log_value.real, "minus", False, cap)
+            return GreenValue(constant, "minus", True)
+        return GreenValue(ev.log_value.real, "minus", False)
     raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")

@@ -27,8 +27,10 @@ from typing import List, Optional
 
 from .dynamics import HenonMap, Point
 from .errors import ContinuationFailure, DegenerateJacobian, NewtonDivergence
-from .escape import phi_minus, phi_plus, phi_with_gradient
+from .escape import phi_minus, phi_plus
 from .locus import _locus_newton_2d
+
+_LEAF_TOL = 1e-6  # |ratio - omega| accepted as a leaf witness
 
 
 @dataclass(frozen=True)
@@ -51,64 +53,49 @@ def eta_constant(henon: HenonMap) -> complex:
     return cmath.exp(-cmath.log(henon.a) / (henon.degree - 1))
 
 
-def psi_pair(henon: HenonMap, z: Point, tol: float = 1e-12) -> PsiPair:
+def psi_pair(henon: HenonMap, z: Point) -> PsiPair:
     """Both normalized coordinates at z (escape errors propagate)."""
     eta = eta_constant(henon)
-    plus = phi_plus(henon, z, tol).value
-    minus = eta * phi_minus(henon, z, tol).value
+    plus = phi_plus(henon, z).value
+    minus = eta * phi_minus(henon, z).value
     return PsiPair(psi_plus=plus, psi_minus=minus, eta=eta)
 
 
-def _nearest_root_witness(
-    ratio: complex, d: int, tol: float, max_exponent: int
-) -> Optional[RootOfUnityWitness]:
-    if abs(abs(ratio) - 1.0) > tol:
+def _nearest_root_witness(ratio: complex, d: int) -> Optional[RootOfUnityWitness]:
+    """The d^n-th root of unity within _LEAF_TOL of ratio, n = 0..8 minimal."""
+    if abs(abs(ratio) - 1.0) > _LEAF_TOL:
         return None
     turns = cmath.phase(ratio) / (2.0 * math.pi)
-    for n in range(max_exponent + 1):
+    for n in range(9):
         order = d**n
         k = round(turns * order)
         omega = cmath.exp(2j * math.pi * k / order)
-        if abs(ratio - omega) < tol:
+        if abs(ratio - omega) < _LEAF_TOL:
             return RootOfUnityWitness(omega=omega, order_exponent=n)
     return None
 
 
 def same_leaf_plus(
-    henon: HenonMap,
-    z1: Point,
-    z2: Point,
-    tol: float = 1e-6,
-    max_exponent: int = 8,
+    henon: HenonMap, z1: Point, z2: Point
 ) -> Optional[RootOfUnityWitness]:
     """Witness that z1, z2 share a plus-foliation leaf, or None.
 
     The psi+ ratio is branch-independent as a member of the root-of-unity
     group, so the kernel's principal determinations suffice; the witness
-    is the nearest d^n-th root (n minimal, capped)."""
+    is the nearest d^n-th root (n minimal, at most 8)."""
     ratio = phi_plus(henon, z1).value / phi_plus(henon, z2).value
-    return _nearest_root_witness(ratio, henon.degree, tol, max_exponent)
+    return _nearest_root_witness(ratio, henon.degree)
 
 
 def same_leaf_minus(
-    henon: HenonMap,
-    z1: Point,
-    z2: Point,
-    tol: float = 1e-6,
-    max_exponent: int = 8,
+    henon: HenonMap, z1: Point, z2: Point
 ) -> Optional[RootOfUnityWitness]:
     """Minus-side twin of same_leaf_plus (eta cancels from the ratio)."""
     ratio = phi_minus(henon, z1).value / phi_minus(henon, z2).value
-    return _nearest_root_witness(ratio, henon.degree, tol, max_exponent)
+    return _nearest_root_witness(ratio, henon.degree)
 
 
-def monodromy_orbit(
-    henon: HenonMap,
-    c: complex,
-    z: Point,
-    n: int,
-    tol: float = 1e-11,
-) -> List[Point]:
+def monodromy_orbit(henon: HenonMap, c: complex, z: Point, n: int) -> List[Point]:
     """The d^n monodromy translates of z on the component through c.
 
     Continuation moves the psi+ coordinate around the circle through
@@ -135,7 +122,7 @@ def monodromy_orbit(
     for j in range(1, steps + 1):
         log_target = base.log_value + 2j * math.pi * j / steps
         try:
-            x, y, _ = _locus_newton_2d(henon, x, y, log_target, depth, tol=tol)
+            x, y, _ = _locus_newton_2d(henon, x, y, log_target, depth)
         except NewtonDivergence as err:
             raise ContinuationFailure(
                 f"monodromy continuation failed at step {j}/{steps}: {err}"

@@ -43,6 +43,7 @@ from .escape import default_domain, phi_with_gradient
 NEWTON_TOL = 1e-10
 DEPTH_FACTOR = 2.0  # push V+/V- entry past 2*alpha before trusting leaves
 FD_STEP = 1e-6
+_PROBE_SAMPLES = 16  # leaf-probe circle nodes in contact_order
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,6 @@ def tube_radius(p: Polynomial) -> float:
 def tangency_value(
     henon: HenonMap,
     z: Point,
-    tol: float = 1e-12,
     alpha_factor: float = DEPTH_FACTOR,
 ) -> TangencyValue:
     """Normalized foliation-tangency determinant at z (must escape both ways).
@@ -121,8 +121,8 @@ def tangency_value(
     z = Point(complex(z[0]), complex(z[1]))
     dp = default_domain(henon)
     alpha = alpha_factor * dp.alpha
-    evp, (g1x, g1y) = phi_with_gradient(henon, z, "plus", tol, dp, alpha=alpha)
-    evm, (g2x, g2y) = phi_with_gradient(henon, z, "minus", tol, dp, alpha=alpha)
+    evp, (g1x, g1y) = phi_with_gradient(henon, z, "plus", dp=dp, alpha=alpha)
+    evm, (g2x, g2y) = phi_with_gradient(henon, z, "minus", dp=dp, alpha=alpha)
     det = g1x * g2y - g2x * g1y
     scale = henon.degree * abs(z.x) * abs(henon.p(z.y) - z.x)
     return TangencyValue(
@@ -142,17 +142,16 @@ def locate_on_locus(
     x: complex,
     y_seed: complex = 0.0,
     tol: float = NEWTON_TOL,
-    max_iter: int = 16,
 ) -> Tuple[Point, TangencyValue]:
-    """Newton in y at fixed x onto the tangency zero set.
+    """Newton in y at fixed x onto the tangency zero set, at most 16 steps.
 
     The raw determinant is holomorphic in y, so a central finite
-    difference (cross-check for the forward-mode gradients, and the only
-    place second derivatives are needed) drives the correction; the
-    convergence test uses the normalized value.
+    difference of it drives the correction (_locus_newton_2d takes the same
+    differences in x and y for its second row); the convergence test uses
+    the normalized value.
     """
     y = complex(y_seed)
-    for _ in range(max_iter):
+    for _ in range(16):
         tv = tangency_value(henon, Point(x, y))
         if abs(tv.value) < tol:
             return Point(complex(x), y), tv
@@ -164,7 +163,7 @@ def locate_on_locus(
     if abs(tv.value) < tol:
         return Point(complex(x), y), tv
     raise NewtonDivergence(
-        f"|T| = {abs(tv.value):.3e} after {max_iter} iterations at x = {x}"
+        f"|T| = {abs(tv.value):.3e} after 16 iterations at x = {x}"
     )
 
 
@@ -173,7 +172,6 @@ def trace_primary_component(
     c: complex,
     x_range: Tuple[float, float] = (10.0, 1e4),
     step: float = 0.1,
-    tol: float = NEWTON_TOL,
     tube: float | None = None,
 ) -> CurveTrace:
     """Continuation of the component through critical point c along real x.
@@ -209,7 +207,7 @@ def trace_primary_component(
             slope = (prev[1] - prev2[1]) / (prev[0] - prev2[0])
             y_pred = prev[1] + slope * (t - prev[0])
         try:
-            pt, tv = locate_on_locus(henon, x, y_pred, tol)
+            pt, tv = locate_on_locus(henon, x, y_pred)
         except NewtonDivergence:
             if dt <= step / 64.0 or prev is None:
                 raise
@@ -246,15 +244,9 @@ def trace_primary_component(
     )
 
 
-def tangent_at_infinity(
-    henon: HenonMap,
-    c: complex,
-    u0: float = 1e-3,
-    levels: int = 5,
-    tol: float = 1e-11,
-) -> TangentAtInfinity:
+def tangent_at_infinity(henon: HenonMap, c: complex) -> TangentAtInfinity:
     """Slope dy/du of the component at u = 1/x = 0, by Richardson
-    extrapolation of (y(1/u) - c)/u over u = u0, u0/2, u0/4, ..."""
+    extrapolation of (y(1/u) - c)/u over u = 1e-3, 1e-3/2, ..., 1e-3/16."""
     p = henon.p
     if abs(p.derivative(c)) > 1e-12:
         raise NotSimpleCritical(f"p'({c}) != 0")
@@ -262,13 +254,13 @@ def tangent_at_infinity(
         raise NotSimpleCritical(f"p''({c}) ~ 0")
     quotients: list[complex] = []
     y = complex(c)
-    for j in range(levels):
-        u = u0 * 0.5**j
-        pt, _ = locate_on_locus(henon, 1.0 / u, y, tol)
+    for j in range(5):
+        u = 1e-3 * 0.5**j
+        pt, _ = locate_on_locus(henon, 1.0 / u, y, 1e-11)
         y = pt.y
         quotients.append((pt.y - c) / u)
     row = quotients
-    for k in range(1, levels):
+    for k in range(1, len(quotients)):
         row = [
             (2**k * row[i + 1] - row[i]) / (2**k - 1) for i in range(len(row) - 1)
         ]
@@ -301,20 +293,18 @@ def _leaf_x(
     y: complex,
     n: int,
     target: complex,
-    tol: float = 1e-12,
-    max_iter: int = 30,
 ) -> complex:
     """Solve phi+(f^n(x, y)) = target for x (Newton; all quantities are the
     single-valued V+ determinations, compared through exp so no branch of
     the logarithm ever enters)."""
     dp = default_domain(henon)
     x = complex(x0)
-    for _ in range(max_iter):
+    for _ in range(30):
         w, (dwx, _, dwy, _) = _iterate_with_jacobian(henon, Point(x, y), n)
         ev, (glx, gly) = phi_with_gradient(henon, w, "plus", dp=dp)
         ratio = cmath.exp(ev.log_value - cmath.log(target))
         F = ratio - 1.0
-        if abs(F) < tol:
+        if abs(F) < 1e-12:
             return x
         dF = ratio * (glx * dwx + gly * dwy)
         if dF == 0:
@@ -323,24 +313,18 @@ def _leaf_x(
     raise LeafParameterizationFailed(f"leaf Newton stalled at |F| = {abs(F):.2e}")
 
 
-def contact_order(
-    henon: HenonMap,
-    z: Point,
-    tol: float = 1e-9,
-    radius: float = 1e-2,
-    n_samples: int = 16,
-    max_order: int = 5,
-) -> int:
+def contact_order(henon: HenonMap, z: Point) -> int:
     """Contact order of the two foliations at z (2 on the tangency locus,
     1 off it).
 
-    The plus-leaf through z is parameterized over the circle
-    y = z.y + radius*e^{i theta} by Newton in x on phi+ o f^n = const with a
-    frozen depth n, the V+ entry depth of z past DEPTH_FACTOR * alpha.
+    The plus-leaf through z is parameterized at 16 equispaced points of
+    the circle y = z.y + 1e-2 e^{i theta} by Newton in x on
+    phi+ o f^n = const with a frozen depth n, the V+ entry depth of z past
+    DEPTH_FACTOR * alpha.
     log phi- along the leaf is unwrapped (its branch jumps are multiples of
     2 pi / d^m, far above the genuine variation) and its circle samples are
     Fourier-analyzed: the order is the lowest harmonic carrying more than 1%
-    of the energy.
+    of the energy, among harmonics 1 to 5.
     """
     z = Point(complex(z[0]), complex(z[1]))
     dp = default_domain(henon)
@@ -350,9 +334,9 @@ def contact_order(
 
     mus: list[complex] = []
     x = z.x
-    for j in range(n_samples):
-        theta = 2.0 * math.pi * j / n_samples
-        y = z.y + radius * cmath.exp(1j * theta)
+    for j in range(_PROBE_SAMPLES):
+        theta = 2.0 * math.pi * j / _PROBE_SAMPLES
+        y = z.y + 1e-2 * cmath.exp(1j * theta)
         x = _leaf_x(henon, x, y, n, target)
         ev, _ = phi_with_gradient(henon, Point(x, y), "minus", dp=dp)
         mu = ev.log_value
@@ -364,10 +348,10 @@ def contact_order(
 
     import numpy as np
 
-    coeffs = np.fft.fft(np.array(mus)) / n_samples
-    amps = [abs(coeffs[k]) for k in range(1, max_order + 1)]
+    coeffs = np.fft.fft(np.array(mus)) / _PROBE_SAMPLES
+    amps = [abs(coeffs[k]) for k in range(1, 6)]
     peak = max(amps)
-    if peak < tol * max(1.0, abs(mus[0])):
+    if peak < 1e-9 * max(1.0, abs(mus[0])):
         raise LeafParameterizationFailed("phi- is flat along the leaf probe")
     for k, amp in enumerate(amps, start=1):
         if amp > 0.01 * peak:
@@ -384,8 +368,6 @@ def _locus_newton_2d(
     y: complex,
     log_target: complex,
     depth: int,
-    tol: float = 1e-11,
-    max_iter: int = 25,
 ) -> Tuple[complex, complex, complex]:
     """Solve (phi+ = e^{log_target}, tangency = 0) jointly for (x, y).
 
@@ -396,7 +378,7 @@ def _locus_newton_2d(
     (x, y, phi+ at the deep iterate)."""
     dp = default_domain(henon)
     deep_target = henon.degree**depth * log_target
-    for _ in range(max_iter):
+    for _ in range(25):
         w, (j11, j12, j21, j22) = _iterate_with_jacobian(henon, Point(x, y), depth)
         evp, (glx, gly) = phi_with_gradient(henon, w, "plus", dp=dp)
         if evp.depth != 0:
@@ -405,7 +387,7 @@ def _locus_newton_2d(
         tv = tangency_value(henon, Point(x, y))
         F1 = ratio - 1.0
         F2 = tv.det
-        if abs(F1) < tol and abs(F2) * tv.scale < 10.0 * NEWTON_TOL:
+        if abs(F1) < 1e-11 and abs(F2) * tv.scale < 10.0 * NEWTON_TOL:
             return x, y, cmath.exp(evp.log_value)
         a11 = ratio * (glx * j11 + gly * j21)
         a12 = ratio * (glx * j12 + gly * j22)
@@ -429,7 +411,6 @@ def verify_biholomorphism(
     henon: HenonMap,
     c: complex,
     radii: Sequence[float] = (2.0, 8.0, 32.0),
-    n_theta: int = 64,
 ) -> BiholomorphismReport:
     """Certify that phi+ restricted to the component through c is a degree-one
     cover of each circle |phi+| = rho: continuation of phi+^{-1}(rho e^{i
@@ -444,7 +425,7 @@ def verify_biholomorphism(
         seed, _ = phi_with_gradient(henon, Point(x, y), "plus", dp=dp)
         depth = seed.depth + 1  # margin: the frozen iterate stays deep in V+
         sheets = henon.degree**depth
-        steps = max(n_theta, 8 * sheets)  # keep deep-value arg steps < pi/2
+        steps = max(64, 8 * sheets)  # keep deep-value arg steps < pi/2
         points: list[Point] = []
         values: list[complex] = []
         for j in range(steps + 1):
@@ -504,17 +485,13 @@ def classify_component(
     henon: HenonMap,
     z: Point,
     max_k: int = 8,
-    tube: float | None = None,
-    x_min: float | None = None,
 ) -> Tuple[complex, int]:
     """(c, k) with f^k(z) inside the primary tube of critical point c
-    (|y - c| < tube, |x| > x_min), searching k = 0, 1, -1, 2, -2, ..."""
+    (|y - c| < tube_radius(p), |x| > DEPTH_FACTOR * alpha), searching
+    k = 0, 1, -1, 2, -2, ..."""
     crits = henon.p.critical_points()
-    dp = default_domain(henon)
-    if tube is None:
-        tube = tube_radius(henon.p)
-    if x_min is None:
-        x_min = DEPTH_FACTOR * dp.alpha
+    tube = tube_radius(henon.p)
+    x_min = DEPTH_FACTOR * default_domain(henon).alpha
 
     def hit(w: Point):
         if abs(w.x) <= x_min:

@@ -12,7 +12,10 @@ history is the limit of forward images of the horizontal slice v = 0.
 Both limits are computed mesh-node by mesh-node (one scalar Newton solve
 per node) and stored as Taylor polynomials recovered from circle samples;
 the two sides share the node solver and the deepening loop, and differ
-only in the residual they solve and the slice they start from.
+only in the residual they solve and the slice they start from.  The node
+Newton is exact: each residual returns its derivative by the chain rule
+through the chart (_chart_point) and through the u-coordinate of the
+image point (_image_u), so one residual evaluation serves a Newton step.
 
 ``gradient_index`` counts the turning of the planar gradient of the
 backward Green's function restricted to a stable graph along a parameter
@@ -20,7 +23,8 @@ circle |v| = const.  A single block contributes index one (the degenerate
 model is log|v|/d); removing the forward images of the d preimage blocks
 leaves a region of index 1 - d, which ``boundary_index`` verifies from
 explicit hole loops.  The gradient is exact: one ``phi_with_gradient``
-call per loop node, chained with the derivative of the stored graph.
+call per loop node, chained through the same _chart_point with the
+derivative of the stored graph.
 """
 
 import cmath
@@ -49,6 +53,7 @@ BETA = 0.8  # separation scale of the preimage branches of p near J(p)
 
 _ROOT_TOL = 1e-14
 _NODE_TOL = 1e-13
+_GRAPH_TOL = 1e-10  # sup distance at which two successive graphs agree
 
 
 @dataclass(frozen=True)
@@ -113,6 +118,27 @@ def point_from_uv(henon: HenonMap, u: complex, v: complex) -> Point:
     return Point(x, y)
 
 
+def _chart_point(henon, u, v, du, dv):
+    """point_from_uv(u, v) and its differential (dx, dy) along (du, dv).
+
+    x = p(u) gives dx = p'(u) du, and p(y) = x + v gives
+    dy = (dx + dv) / p'(y).
+    """
+    w = point_from_uv(henon, u, v)
+    dx = henon.p.derivative(u) * du
+    return w, dx, (dx + dv) / henon.p.derivative(w.y)
+
+
+def _image_u(henon, w, dx, dy):
+    """u-coordinate u' of f(w), and its differential along (dx, dy).
+
+    p(u') = p(x) - a y gives du' = (p'(x) dx - a dy) / p'(u').
+    """
+    p = henon.p
+    u_img = _root_near(p, p(w.x) - henon.a * w.y, w.x)
+    return u_img, (p.derivative(w.x) * dx - henon.a * dy) / p.derivative(u_img)
+
+
 def graph_point(henon: HenonMap, manifold: LocalManifold, param) -> Point:
     """The plane point of a manifold graph at the given disk parameter."""
     t = complex(param)
@@ -158,12 +184,10 @@ def _require_tame_polynomial(p: Polynomial) -> None:
 
 
 def _solve_node(residual, seed, what):
-    """Root of a scalar residual near seed, by forward-difference Newton."""
+    """Root near seed of residual(u) -> (value, derivative), by Newton."""
     u = complex(seed)
-    fd = 1e-7
     for _ in range(50):
-        f0 = residual(u)
-        d = (residual(u + fd) - f0) / fd
+        f0, d = residual(u)
         if d == 0:
             break
         step = f0 / d
@@ -173,8 +197,8 @@ def _solve_node(residual, seed, what):
     raise GraphTransformDiverged(f"{what} Newton stalled at a mesh node")
 
 
-def _deepen(layer, iterations, tol, what):
-    """Deepen the graph transform until two successive graphs agree to tol.
+def _deepen(layer, iterations, what):
+    """Deepen the graph transform until successive graphs agree to _GRAPH_TOL.
 
     layer(depth) returns the node values and Taylor coefficients of the
     graph at the base after `depth` transforms.  Returns those of the last
@@ -190,12 +214,12 @@ def _deepen(layer, iterations, tol, what):
             if prev is not None:
                 dist = max(abs(p1 - p2) for p1, p2 in zip(vals, prev))
                 conv.append(dist)
-                if dist < tol:
+                if dist < _GRAPH_TOL:
                     break
             prev = list(vals)
     except NewtonDivergence as exc:
         raise GraphTransformDiverged(f"graph transform failed: {exc}") from exc
-    if conv and conv[-1] >= tol:
+    if conv and conv[-1] >= _GRAPH_TOL:
         raise GraphTransformDiverged(
             f"{what} still moving by {conv[-1]:.3g} after {iterations} transforms"
         )
@@ -206,42 +230,36 @@ def _deepen(layer, iterations, tol, what):
 # stable side
 
 
-def _stable_pull_node(henon, coeffs_next, v, seed):
-    """Solve u(f(w)) = g_next(v(f(w))) for the u-parameter of w at fixed v."""
+def _stable_residual(henon, coeffs_next, v):
+    """uu -> u(f(w)) - g_next(v(f(w))) and its derivative, for w = (uu, v).
+
+    v(f(w)) = a y, so the derivative of the subtracted graph is a dy g_next'.
+    """
     a = henon.a
-    p = henon.p
 
     def residual(uu):
-        w = point_from_uv(henon, uu, v)
-        fx = p(w.x) - a * w.y
-        u_img = _root_near(p, fx, w.x)
-        return u_img - horner(coeffs_next, a * w.y)
+        w, dx, dy = _chart_point(henon, uu, v, 1.0, 0.0)
+        u_img, du_img = _image_u(henon, w, dx, dy)
+        g, dg = horner_with_deriv(coeffs_next, a * w.y)
+        return u_img - g, du_img - a * dy * dg
 
-    return _solve_node(residual, seed, "pullback")
+    return residual
 
 
 def local_stable_graph(
-    henon: HenonMap,
-    z: complex,
-    iterations: int = 24,
-    mesh: int = 32,
-    *,
-    delta: float = DELTA,
-    disk_radius: float = DISK_RADIUS,
-    shrink: float = SHRINK,
-    tol: float = 1e-10,
+    henon: HenonMap, z: complex, iterations: int = 24, mesh: int = 32
 ) -> LocalManifold:
     """Graph v -> u of the local stable manifold over the orbit of z.
 
     Pulls the vertical slice u = p^n(z) back n times and deepens n until
-    two successive graphs agree to tol in the sup norm over the mesh.
+    two successive graphs agree to 1e-10 in the sup norm over the mesh.
     """
     _require_tame_polynomial(henon.p)
     z = complex(z)
     orbit = [z]
     for _ in range(iterations):
         orbit.append(henon.p(orbit[-1]))
-    radius = shrink * delta
+    radius = SHRINK * DELTA
     nodes = tuple(radius * cmath.exp(2j * math.pi * j / mesh) for j in range(mesh))
     levels = [[orbit[k]] * mesh for k in range(iterations)]  # Newton seeds
 
@@ -249,18 +267,20 @@ def local_stable_graph(
         coeffs = (orbit[depth],)
         for k in range(depth - 1, -1, -1):
             vals = [
-                _stable_pull_node(henon, coeffs, nodes[i], levels[k][i])
+                _solve_node(
+                    _stable_residual(henon, coeffs, nodes[i]), levels[k][i], "pullback"
+                )
                 for i in range(mesh)
             ]
             levels[k] = vals
             coeffs = _taylor_from_circle(vals, radius)
         return vals, coeffs
 
-    vals0, coeffs0, used, conv = _deepen(layer, iterations, tol, "stable graph")
+    vals0, coeffs0, used, conv = _deepen(layer, iterations, "stable graph")
     spread = max(abs(val - z) for val in vals0)
-    if spread >= disk_radius:
+    if spread >= DISK_RADIUS:
         raise GraphTransformDiverged(
-            f"stable graph leaves the block: spread {spread:.3g} >= {disk_radius:.3g}"
+            f"stable graph leaves the block: spread {spread:.3g} >= {DISK_RADIUS:.3g}"
         )
     return LocalManifold(
         side="stable",
@@ -268,9 +288,9 @@ def local_stable_graph(
         history=tuple(orbit),
         parameter_center=0j,
         radius=radius,
-        delta=delta,
-        disk_radius=disk_radius,
-        shrink=shrink,
+        delta=DELTA,
+        disk_radius=DISK_RADIUS,
+        shrink=SHRINK,
         nodes=nodes,
         values=tuple(vals0),
         coefficients=coeffs0,
@@ -283,36 +303,27 @@ def local_stable_graph(
 # unstable side
 
 
-def _unstable_push_node(henon, coeffs_prev, center_prev, u_target, seed):
-    """Solve u(f(w)) = u_target for the source parameter on the prior graph."""
-    p = henon.p
-    a = henon.a
+def _unstable_residual(henon, coeffs_prev, center_prev, u_target):
+    """uu -> u(f(w)) - u_target and its derivative, for w = (uu, v) on the
+    prior graph v = h(uu - center_prev)."""
 
     def residual(uu):
-        vv = horner(coeffs_prev, uu - center_prev)
-        w = point_from_uv(henon, uu, vv)
-        fx = p(w.x) - a * w.y
-        return _root_near(p, fx, w.x) - u_target
+        vv, dvv = horner_with_deriv(coeffs_prev, uu - center_prev)
+        w, dx, dy = _chart_point(henon, uu, vv, 1.0, dvv)
+        u_img, du_img = _image_u(henon, w, dx, dy)
+        return u_img - u_target, du_img
 
-    return _solve_node(residual, seed, "pushforward")
+    return residual
 
 
 def local_unstable_graph(
-    henon: HenonMap,
-    history,
-    iterations: int | None = None,
-    mesh: int = 32,
-    *,
-    delta: float = DELTA,
-    disk_radius: float = DISK_RADIUS,
-    shrink: float = SHRINK,
-    tol: float = 1e-10,
+    henon: HenonMap, history, iterations: int | None = None, mesh: int = 32
 ) -> LocalManifold:
     """Graph u -> v of the local unstable manifold over a backward history.
 
     history = (y0, y-1, y-2, ...) with p(y-(j+1)) = y-j; the horizontal
     slice v = 0 at the history tail is pushed forward and the depth grows
-    until successive graphs agree to tol.
+    until successive graphs agree to 1e-10.
     """
     _require_tame_polynomial(henon.p)
     hist = tuple(complex(h) for h in history)
@@ -325,7 +336,7 @@ def local_unstable_graph(
         iterations = len(hist) - 1
     if not 1 <= iterations <= len(hist) - 1:
         raise ValueError("iterations must fit inside the history")
-    radius = shrink * disk_radius
+    radius = SHRINK * DISK_RADIUS
     rays = tuple(cmath.exp(2j * math.pi * j / mesh) for j in range(mesh))
     sources = [
         [hist[k + 1] + radius * ray / henon.p.derivative(hist[k + 1]) for ray in rays]
@@ -340,7 +351,11 @@ def local_unstable_graph(
             vals = []
             for i, ray in enumerate(rays):
                 u_t = center + radius * ray
-                u_src = _unstable_push_node(henon, coeffs, center_prev, u_t, sources[k][i])
+                u_src = _solve_node(
+                    _unstable_residual(henon, coeffs, center_prev, u_t),
+                    sources[k][i],
+                    "pushforward",
+                )
                 sources[k][i] = u_src
                 w = point_from_uv(henon, u_src, horner(coeffs, u_src - center_prev))
                 vals.append(henon.a * w.y)
@@ -348,11 +363,11 @@ def local_unstable_graph(
             center_prev = center
         return vals, coeffs
 
-    vals0, coeffs0, used, conv = _deepen(layer, iterations, tol, "unstable graph")
+    vals0, coeffs0, used, conv = _deepen(layer, iterations, "unstable graph")
     spread = max(abs(val) for val in vals0)
-    if spread >= delta:
+    if spread >= DELTA:
         raise GraphTransformDiverged(
-            f"unstable graph leaves the block: spread {spread:.3g} >= {delta:.3g}"
+            f"unstable graph leaves the block: spread {spread:.3g} >= {DELTA:.3g}"
         )
     nodes = tuple(hist[0] + radius * ray for ray in rays)
     return LocalManifold(
@@ -361,9 +376,9 @@ def local_unstable_graph(
         history=hist,
         parameter_center=hist[0],
         radius=radius,
-        delta=delta,
-        disk_radius=disk_radius,
-        shrink=shrink,
+        delta=DELTA,
+        disk_radius=DISK_RADIUS,
+        shrink=SHRINK,
         nodes=nodes,
         values=tuple(vals0),
         coefficients=coeffs0,
@@ -381,8 +396,7 @@ def _gradient_at(henon, manifold, t):
 
     g- = Re log phi- and the graph is holomorphic in t, so the gradient is
     the conjugate of the chain-rule derivative of log phi- along the graph:
-    (du, dv) from the stored Taylor polynomial, dx = p'(u) du from x = p(u),
-    and dy = (dx + dv) / p'(y) from p(y) = x + v.
+    (du, dv) from the stored Taylor polynomial, then (dx, dy) by _chart_point.
     """
     t = complex(t)
     s = t - manifold.parameter_center
@@ -391,13 +405,11 @@ def _gradient_at(henon, manifold, t):
         u, v, du, dv = m, t, dm, 1.0
     else:
         u, v, du, dv = t, m, 1.0, dm
-    w = point_from_uv(henon, u, v)
+    w, dx, dy = _chart_point(henon, u, v, du, dv)
     try:
         _, (gx, gy) = phi_with_gradient(henon, w, "minus", tol=1e-12)
     except (NotInEscapeRegion, OnDegenerateCurve) as exc:
         raise GradientVanishesOnLoop(f"g- has no gradient at a loop point: {exc}") from exc
-    dx = henon.p.derivative(u) * du
-    dy = (dx + dv) / henon.p.derivative(w.y)
     return (gx * dx + gy * dy).conjugate()
 
 
@@ -429,27 +441,25 @@ def gradient_winding(henon: HenonMap, manifold: LocalManifold, params) -> int:
     return int(nearest)
 
 
-def gradient_index(
-    henon: HenonMap,
-    manifold: LocalManifold,
-    loop_radius: float,
-    mesh: int = 64,
-    max_mesh: int = 2048,
-) -> int:
-    """Winding of the restricted gradient of g- around |v| = loop_radius*delta."""
+def gradient_index(henon: HenonMap, manifold: LocalManifold, loop_radius: float) -> int:
+    """Winding of the restricted gradient of g- around |v| = loop_radius*delta.
+
+    The loop starts at 64 nodes and doubles until the direction is resolved,
+    up to 2048 nodes.
+    """
     if manifold.side != "stable":
         raise ValueError("gradient winding is defined on stable graphs")
     rad = loop_radius * manifold.delta
     if not 0.0 < rad <= manifold.radius * (1.0 + 1e-12):
         raise ValueError("loop must stay inside the sampled graph disk")
-    n = mesh
+    n = 64
     while True:
         params = [rad * cmath.exp(2j * math.pi * j / n) for j in range(n)]
         try:
             return gradient_winding(henon, manifold, params)
         except ValueError:
             n *= 2
-            if n > max_mesh:
+            if n > 2048:
                 raise GradientVanishesOnLoop(
                     "gradient direction could not be resolved on the loop"
                 )

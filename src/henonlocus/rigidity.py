@@ -446,8 +446,8 @@ class CaseReport:
 _TABLE_ORDERS = {"beta_ratio": 7, "a2_one": 8, "a2_minus_one": 8, "c1_zero": 13}
 
 
-def _nonzero_fraction(rng: random.Random, span: int = 9) -> Fraction:
-    num = rng.choice([n for n in range(-span, span + 1) if n])
+def _nonzero_fraction(rng: random.Random) -> Fraction:
+    num = rng.choice([n for n in range(-9, 10) if n])
     return Fraction(num, rng.randrange(1, 5))
 
 

@@ -315,6 +315,19 @@ def test_holonomy_reports_orbit_and_witness(capsys):
     assert len(report["points"]) == 2
 
 
+@pytest.mark.parametrize("c", [1.0, -1.0])
+def test_holonomy_seeds_the_locus_at_the_critical_point(capsys, c):
+    # x^3 - 3x has critical points +-1; the locus point at x = 30 must be
+    # found on the component through --c, not from a seed at y = 0.
+    code, report = run_json(
+        capsys,
+        ["holonomy", "--p", "[0,-3,0,1]", "--a", "0.01", "--c", repr(c), "--x", "30"],
+    )
+    assert code == 0, report
+    assert report["orbit_size"] == 3
+    assert abs(complex(*report["points"][0]["y"]) - c) < 1e-3
+
+
 # ---------------------------------------------------------------------------
 # manifold
 
@@ -342,6 +355,21 @@ def test_manifold_unstable_graph(capsys):
     assert code == 0
     assert report["index"] is None
     assert report["graph_deviation"] < 5 * 0.005
+
+
+def test_manifold_unstable_honours_iterations(capsys):
+    history = json.dumps([PHI] * 13)
+    argv = ["manifold", "--side", "unstable", "--history", history]
+    code, report = run_json(capsys, argv + ["--iterations", "2"])
+    assert code == 1
+    assert "GraphTransformDiverged" in report["error"]
+    assert "after 2 transforms" in report["error"]
+    code, report = run_json(capsys, argv + ["--iterations", "999"])
+    assert code == 2
+    assert "iterations must fit inside the history" in report["error"]
+    code, report = run_json(capsys, argv)
+    assert code == 0
+    assert report["iterations"] == 4
 
 
 def test_manifold_unstable_without_history_exits_2(capsys):

@@ -428,3 +428,20 @@ def test_tail_bound_holds_against_50_digit_oracle(h, tol):
             # 40 factors past K leave an oracle tail below d^-40 * tail_bound
             exact = _green_oracle(h, z, side, ev.depth + ev.truncation_terms + 40)
             assert abs(ev.log_value.real - float(exact)) <= ev.tail_bound + 1e-12
+
+
+_TOL_CALLS = {
+    "phi_plus": lambda h, z, tol: escape.phi_plus(h, z, tol),
+    "phi_minus": lambda h, z, tol: escape.phi_minus(h, z, tol),
+    "phi_with_gradient": lambda h, z, tol: escape.phi_with_gradient(h, z, "plus", tol),
+    "green": lambda h, z, tol: escape.green(h, z, "minus", tol),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TOL_CALLS))
+@pytest.mark.parametrize("tol", (0.0, -1e-9, math.inf, math.nan))
+def test_tolerance_must_be_positive_and_finite(name, tol):
+    # K = ceil(log_d(.../tol)) exists only for 0 < tol < inf
+    h = HenonMap(X2M1, 0.01)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        _TOL_CALLS[name](h, Point(8.0, 9.0), tol)

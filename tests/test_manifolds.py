@@ -31,7 +31,7 @@ from henonlocus.manifolds import (
     uv_coords,
 )
 from henonlocus.escape import green
-from henonlocus.manifolds import _gradient_at
+from henonlocus.manifolds import _gradient_at, _stable_residual, _unstable_residual
 
 SQUARE = Polynomial([0, 0, 1])  # x^2
 BASIC = Polynomial([-1, 0, 1])  # x^2 - 1
@@ -274,6 +274,39 @@ def test_unstable_graph_requires_backward_orbit():
     henon = HenonMap(BASIC, 0.01)
     with pytest.raises(ValueError):
         local_unstable_graph(henon, (PHI, PHI + 0.3))
+
+
+# ---------------------------------------------------------------------------
+# graph-transform node residuals
+
+
+def _forward_difference(residual, u, step=1e-7):
+    """The derivative the node Newton once took: (R(u + h) - R(u)) / h."""
+    return (residual(u + step)[0] - residual(u)[0]) / step
+
+
+@pytest.mark.parametrize("poly, base, a", [
+    (BASIC, PHI, 0.01),
+    (BASIC, -PHI, 0.005 + 0.003j),
+    (SQUARE, 1.0, -0.004j),
+    (Polynomial([0, -3, 0, 1]), 2.0, 0.02),  # x^3 - 3x, fixed point 2
+])
+def test_node_residual_derivatives_match_forward_difference(poly, base, a):
+    # Curved graphs, so the g_next' and h' terms of the chain rule count.
+    henon = HenonMap(poly, a)
+    g_next = (poly(base), 0.3 - 0.1j, 0.5j)  # stable: u = g_next(v) at f(w)
+    h_prev = (0.002 + 0.001j, 0.03 - 0.01j, 0.05j)  # unstable: v = h(u - base)
+    for k in range(6):
+        ray = cmath.exp(2j * math.pi * (k + 0.25) / 6)
+        u = base + 0.01 * ray
+        residuals = (
+            _stable_residual(henon, g_next, 0.02 * ray),
+            _unstable_residual(henon, h_prev, base, poly(base) + 0.01),
+        )
+        for residual in residuals:
+            oracle = _forward_difference(residual, u)
+            _, exact = residual(u)
+            assert abs(exact - oracle) <= 1e-6 * abs(oracle)
 
 
 # ---------------------------------------------------------------------------

@@ -43,3 +43,31 @@ def test_package_reads_no_environment_variables():
     # Behaviour comes from arguments (CLI flags, config keys) only.
     found = _find(_reads_environment)
     assert not found, f"environment reads in the package: {found}"
+
+
+def _unused_imports(tree):
+    """Names an import statement binds that the module never reads."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {name: line for name, line in bound.items() if name not in read}
+
+
+def test_no_unused_imports():
+    # __init__.py imports to re-export; every other module imports to use.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.relative_to(PACKAGE)}:{line} {name}"
+            for name, line in sorted(_unused_imports(tree).items())
+        ]
+    assert not found, f"unused imports in the package: {found}"
