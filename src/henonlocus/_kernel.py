@@ -6,6 +6,12 @@ domain while propagating the 2x2 complex Jacobian, then accumulate the
 truncated telescoping product for log phi+ (resp. log phi-) together with
 its holomorphic gradient.
 
+Their entry loops are the package's only Jacobian-carrying iteration of f,
+and `horner` / `horner_with_deriv` its only Horner routines. The product
+loop keeps an inline Horner in u (resp. v): it runs once per factor of every
+call, where a function call costs time, and stays bit for bit the loop the
+oracle tests pin.
+
 To avoid overflowing doubles (iterates grow like |x|^(d^k)) the product
 phase works entirely in the bounded reciprocal variables
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ._kernel import OVERFLOW_CAP
+from ._kernel import OVERFLOW_CAP, horner
 from .errors import CoordinateOverflow, DegenerateJacobian, NoAlphaFound
 
 DEFAULT_R_SMALL = 0.5  # r in (0, 1)
@@ -45,24 +45,18 @@ class Polynomial:
             raise ValueError("polynomial must be monic (leading coefficient 1)")
         self.coefficients = coeffs
         self.degree = len(coeffs) - 1
+        # coefficients of p' and p'', from the products i*c_i and i*(i-1)*c_i
+        self._d1 = tuple(i * coeffs[i] for i in range(1, len(coeffs)))
+        self._d2 = tuple(i * (i - 1) * coeffs[i] for i in range(2, len(coeffs)))
 
     def __call__(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coefficients):
-            acc = acc * z + c
-        return acc
+        return horner(self.coefficients, z)
 
     def derivative(self, z: complex) -> complex:
-        acc = 0j
-        for i in range(self.degree, 0, -1):
-            acc = acc * z + i * self.coefficients[i]
-        return acc
+        return horner(self._d1, z)
 
     def second_derivative(self, z: complex) -> complex:
-        acc = 0j
-        for i in range(self.degree, 1, -1):
-            acc = acc * z + i * (i - 1) * self.coefficients[i]
-        return acc
+        return horner(self._d2, z)
 
     def q_coefficients(self):
         """Coefficients of q = p - x^d (the non-leading part)."""
@@ -72,8 +66,7 @@ class Polynomial:
         """Roots of p' (numpy companion-matrix roots, deduplicated to 1e-9)."""
         import numpy as np
 
-        dcoeffs = [i * self.coefficients[i] for i in range(1, self.degree + 1)]
-        roots = np.roots(list(reversed(dcoeffs)))
+        roots = np.roots(list(reversed(self._d1)))
         out: list[complex] = []
         for rt in roots:
             z = complex(rt)

@@ -19,7 +19,8 @@ tail bound (every factor |s_k| < r) with CertificateViolation, so the check
 also holds under `python -O`; a non-finite log phi or gradient (e.g. 1/a
 overflowing for a subnormal a) is refused the same way. It also refuses
 |a| >= R with ValueError, for a caller's own DomainParams as for the
-default one.
+default one, and a non-finite point (a blown-up Newton iterate, say) with
+CoordinateOverflow before iterating.
 
 Green's functions: g+ = log|phi+| on the escape side, 0 on K+;
 g- = log|phi-| on the escape side, log|a|/(d-1) on K-.
@@ -63,10 +64,21 @@ class GreenValue:
     cap: int = DEFAULT_CAP
 
 
-def truncation_K(d: int, r: float, tol: float) -> int:
-    """Factors needed so the geometric log-tail is below tol (0 < tol < inf)."""
+def _require_tolerance(tol: float) -> None:
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
+def _finite_point(z) -> tuple[complex, complex]:
+    x, y = complex(z[0]), complex(z[1])
+    if not (cmath.isfinite(x) and cmath.isfinite(y)):
+        raise CoordinateOverflow(f"non-finite point ({x!r}, {y!r})", point=Point(x, y))
+    return x, y
+
+
+def truncation_K(d: int, r: float, tol: float) -> int:
+    """Factors needed so the geometric log-tail is below tol (0 < tol < inf)."""
+    _require_tolerance(tol)
     K = math.ceil(math.log(-math.log(1.0 - r) / ((1.0 - 1.0 / d) * tol), d))
     return max(K, 1)
 
@@ -94,7 +106,7 @@ def _run(henon, z, side, tol, dp, alpha=None):
     require_jacobian_below(henon.a, dp.R)
     d = henon.degree
     K = truncation_K(d, dp.r, tol)
-    x, y = complex(z[0]), complex(z[1])
+    x, y = _finite_point(z)
     if side == "minus" and henon.a == 0:
         v = henon.p(y) - x
         if v == 0:
@@ -199,7 +211,9 @@ def green(henon: HenonMap, z: Point, side: str, tol: float = 1e-9) -> GreenValue
         return GreenValue(ev.log_value.real, "plus", False)
     if side == "minus":
         if henon.a == 0:
-            v = henon.p(complex(z[1])) - complex(z[0])
+            _require_tolerance(tol)
+            x, y = _finite_point(z)
+            v = henon.p(y) - x
             if v == 0:
                 return GreenValue(float("-inf"), "minus", True)
             return GreenValue(math.log(abs(v)) / henon.degree, "minus", False)

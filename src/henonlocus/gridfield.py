@@ -91,9 +91,12 @@ def green_grid(
         raise ValueError("slice_axis must be 'x' or 'y'")
     if nx < 2 or ny < 2:
         raise ValueError("grid needs at least 2 samples per axis")
-    res = np.linspace(float(re_range[0]), float(re_range[1]), nx)
-    ims = np.linspace(float(im_range[0]), float(im_range[1]), ny)
+    bounds = (float(re_range[0]), float(re_range[1]), float(im_range[0]), float(im_range[1]))
     pin = complex(slice_value)
+    if not all(map(math.isfinite, (*bounds, pin.real, pin.imag))):
+        raise ValueError("grid ranges and slice value must be finite")
+    res = np.linspace(*bounds[:2], nx)
+    ims = np.linspace(*bounds[2:], ny)
 
     def row(iy):
         out = np.empty(nx, dtype=float)
@@ -109,8 +112,8 @@ def green_grid(
     return GridField(
         kind=kind,
         values=values,
-        re_range=(float(re_range[0]), float(re_range[1])),
-        im_range=(float(im_range[0]), float(im_range[1])),
+        re_range=bounds[:2],
+        im_range=bounds[2:],
         slice_axis=slice_axis,
         slice_value=pin,
         p_coefficients=tuple(henon.p.coefficients),

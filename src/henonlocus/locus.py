@@ -17,6 +17,12 @@ in t = log x with Newton correction in y, confined to the tube
 of the two foliations along the component (two everywhere on it) and
 that phi+ restricted to the component winds exactly once around every
 circle |phi+| = rho, i.e. the component is a punctured-disk graph.
+
+Both compare phi+ at a frozen depth n without iterating f^n: by
+phi+ o f^n = (phi+)^(d^n), d^n log phi+(z) and its exact gradient, from one
+kernel call at z, are a logarithm of phi+(f^n(z)) and its gradient.  The
+lift needs f^n(z) in V+, i.e. (V+ being forward invariant) a V+ entry depth
+<= n.
 """
 
 from __future__ import annotations
@@ -270,43 +276,32 @@ def tangent_at_infinity(henon: HenonMap, c: complex) -> TangentAtInfinity:
 # --------------------------------------------------------------- leaf probes
 
 
-def _iterate_with_jacobian(henon: HenonMap, z: Point, n: int):
-    """(f^n(z), 2x2 Jacobian of f^n at z) by forward tangent propagation."""
-    w = Point(complex(z[0]), complex(z[1]))
-    j11, j12 = 1.0 + 0j, 0.0 + 0j  # d w.x / d(x, y)
-    j21, j22 = 0.0 + 0j, 1.0 + 0j  # d w.y / d(x, y)
-    for _ in range(n):
-        dp = henon.p.derivative(w.x)
-        j11, j12, j21, j22 = (
-            dp * j11 - henon.a * j21,
-            dp * j12 - henon.a * j22,
-            j11,
-            j12,
-        )
-        w = henon.apply(w)
-    return w, (j11, j12, j21, j22)
+def _frozen_ratio(henon: HenonMap, x: complex, y: complex, n: int, log_target: complex, error):
+    """(R, dR/dx, dR/dy), R = exp(d^n log phi+(z) - log_target) at z = (x, y):
+    phi+(f^n(z)) / e^log_target by the d^n lift.  Refused with `error` unless
+    f^n(z) is in V+ (entry depth <= n), or if the exp overflows."""
+    scale = henon.degree**n
+    ev, (glx, gly) = phi_with_gradient(henon, Point(x, y), "plus")
+    if ev.depth > n:
+        raise error(f"f^{n} of the Newton iterate left V+ (entry depth {ev.depth})")
+    try:
+        ratio = cmath.exp(scale * ev.log_value - log_target)
+    except OverflowError:
+        raise error(f"phi+ ratio overflows at frozen depth {n}") from None
+    g = scale * ratio
+    return ratio, g * glx, g * gly
 
 
-def _leaf_x(
-    henon: HenonMap,
-    x0: complex,
-    y: complex,
-    n: int,
-    target: complex,
-) -> complex:
-    """Solve phi+(f^n(x, y)) = target for x (Newton; all quantities are the
-    single-valued V+ determinations, compared through exp so no branch of
-    the logarithm ever enters)."""
-    dp = default_domain(henon)
+def _leaf_x(henon: HenonMap, x0: complex, y: complex, n: int, log_target: complex) -> complex:
+    """Solve phi+(f^n(x, y)) = e^log_target for x by Newton on the
+    branch-free _frozen_ratio - 1 (the d^n lift; f^n(x, y) must stay in V+,
+    else LeafParameterizationFailed)."""
     x = complex(x0)
     for _ in range(30):
-        w, (dwx, _, dwy, _) = _iterate_with_jacobian(henon, Point(x, y), n)
-        ev, (glx, gly) = phi_with_gradient(henon, w, "plus", dp=dp)
-        ratio = cmath.exp(ev.log_value - cmath.log(target))
+        ratio, dF, _ = _frozen_ratio(henon, x, y, n, log_target, LeafParameterizationFailed)
         F = ratio - 1.0
         if abs(F) < 1e-12:
             return x
-        dF = ratio * (glx * dwx + gly * dwy)
         if dF == 0:
             raise LeafParameterizationFailed("leaf Newton hit a flat spot")
         x = x - F / dF
@@ -320,25 +315,26 @@ def contact_order(henon: HenonMap, z: Point) -> int:
     The plus-leaf through z is parameterized at 16 equispaced points of
     the circle y = z.y + 1e-2 e^{i theta} by Newton in x on
     phi+ o f^n = const with a frozen depth n, the V+ entry depth of z past
-    DEPTH_FACTOR * alpha.
+    DEPTH_FACTOR * alpha; the constant is the d^n lift of log phi+(z), and
+    every probe point's f^n must lie in V+.
     log phi- along the leaf is unwrapped (its branch jumps are multiples of
     2 pi / d^m, far above the genuine variation) and its circle samples are
     Fourier-analyzed: the order is the lowest harmonic carrying more than 1%
     of the energy, among harmonics 1 to 5.
     """
     z = Point(complex(z[0]), complex(z[1]))
-    dp = default_domain(henon)
-    n = phi_with_gradient(henon, z, "plus", dp=dp, alpha=DEPTH_FACTOR * dp.alpha)[0].depth
-    base, _ = phi_with_gradient(henon, henon.iterate(z, n), "plus", dp=dp)
-    target = cmath.exp(base.log_value)
+    alpha = DEPTH_FACTOR * default_domain(henon).alpha
+    base, _ = phi_with_gradient(henon, z, "plus", alpha=alpha)
+    n = base.depth
+    log_target = henon.degree**n * base.log_value
 
     mus: list[complex] = []
     x = z.x
     for j in range(_PROBE_SAMPLES):
         theta = 2.0 * math.pi * j / _PROBE_SAMPLES
         y = z.y + 1e-2 * cmath.exp(1j * theta)
-        x = _leaf_x(henon, x, y, n, target)
-        ev, _ = phi_with_gradient(henon, Point(x, y), "minus", dp=dp)
+        x = _leaf_x(henon, x, y, n, log_target)
+        ev, _ = phi_with_gradient(henon, Point(x, y), "minus")
         mu = ev.log_value
         if mus:
             quantum = 2.0 * math.pi / henon.degree ** max(ev.depth, 1)
@@ -371,26 +367,19 @@ def _locus_newton_2d(
 ) -> Tuple[complex, complex, complex]:
     """Solve (phi+ = e^{log_target}, tangency = 0) jointly for (x, y).
 
-    The phi+ condition is compared at the frozen iterate f^depth(x, y),
-    which sits in V+ where exp(log phi+) is single valued; there it reads
-    exp(log phi+(f^depth) - d^depth * log_target) - 1, branch-free because
-    2 pi i jumps of the outer logarithm die under exp.  Returns
-    (x, y, phi+ at the deep iterate)."""
-    dp = default_domain(henon)
+    The phi+ row is exp(d^depth (log phi+ - log_target)) - 1 and its exact
+    gradient, by the d^depth lift (_frozen_ratio; f^depth(x, y) must stay in
+    V+, else NewtonDivergence), branch-free because 2 pi i jumps die under
+    exp; the tangency row takes central differences.  Returns (x, y, phi+
+    at the frozen depth)."""
     deep_target = henon.degree**depth * log_target
     for _ in range(25):
-        w, (j11, j12, j21, j22) = _iterate_with_jacobian(henon, Point(x, y), depth)
-        evp, (glx, gly) = phi_with_gradient(henon, w, "plus", dp=dp)
-        if evp.depth != 0:
-            raise NewtonDivergence("frozen iterate left V+")
-        ratio = cmath.exp(evp.log_value - deep_target)
+        ratio, a11, a12 = _frozen_ratio(henon, x, y, depth, deep_target, NewtonDivergence)
         tv = tangency_value(henon, Point(x, y))
         F1 = ratio - 1.0
         F2 = tv.det
         if abs(F1) < 1e-11 and abs(F2) * tv.scale < 10.0 * NEWTON_TOL:
-            return x, y, cmath.exp(evp.log_value)
-        a11 = ratio * (glx * j11 + gly * j21)
-        a12 = ratio * (glx * j12 + gly * j22)
+            return x, y, ratio * cmath.exp(deep_target)
         h = FD_STEP * max(1.0, abs(x))
         a21 = (
             tangency_value(henon, Point(x + h, y)).det
@@ -417,12 +406,11 @@ def verify_biholomorphism(
     theta}) around the full circle must close up (< 1e-8), wind exactly once,
     and visit pairwise-distinct points."""
     items = []
-    dp = default_domain(henon)
     for rho in radii:
         if rho <= 1.0:
             raise ValueError("radii must exceed 1")
         x, y = complex(rho), complex(c)
-        seed, _ = phi_with_gradient(henon, Point(x, y), "plus", dp=dp)
+        seed, _ = phi_with_gradient(henon, Point(x, y), "plus")
         depth = seed.depth + 1  # margin: the frozen iterate stays deep in V+
         sheets = henon.degree**depth
         steps = max(64, 8 * sheets)  # keep deep-value arg steps < pi/2

@@ -86,10 +86,10 @@ def _root_near(p: Polynomial, target: complex, seed: complex) -> complex:
     """The preimage branch of `target` under p that Newton reaches from seed."""
     u = complex(seed)
     for _ in range(60):
-        dp = p.derivative(u)
+        pu, dp = horner_with_deriv(p.coefficients, u)
         if abs(dp) < 1e-12:
             raise NewtonDivergence("derivative of p vanished while inverting")
-        step = (p(u) - target) / dp
+        step = (pu - target) / dp
         u -= step
         if abs(step) < _ROOT_TOL * max(1.0, abs(u)):
             return u
@@ -135,8 +135,9 @@ def _image_u(henon, w, dx, dy):
     p(u') = p(x) - a y gives du' = (p'(x) dx - a dy) / p'(u').
     """
     p = henon.p
-    u_img = _root_near(p, p(w.x) - henon.a * w.y, w.x)
-    return u_img, (p.derivative(w.x) * dx - henon.a * dy) / p.derivative(u_img)
+    px, dpx = horner_with_deriv(p.coefficients, w.x)
+    u_img = _root_near(p, px - henon.a * w.y, w.x)
+    return u_img, (dpx * dx - henon.a * dy) / p.derivative(u_img)
 
 
 def graph_point(henon: HenonMap, manifold: LocalManifold, param) -> Point:

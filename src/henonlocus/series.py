@@ -471,13 +471,6 @@ class TruncSeries:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
-    def valuation(self) -> int:
-        """Index of the first nonzero coefficient; order+1 for the zero series."""
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return k
-        return self.order + 1
-
     def _zero_coeff(self):
         return _coeff_zero(self.coeffs[0])
 

@@ -230,6 +230,16 @@ def test_green_grid_too_small_exits_2(capsys):
     assert "at least 2 samples" in report["error"]
 
 
+@pytest.mark.parametrize("flag", ("--re-min", "--im-max", "--slice-value"))
+def test_green_grid_non_finite_geometry_exits_2(capsys, flag):
+    argv = ["green-grid", "--kind", "green-plus", "--p", "x2-1", "--a", "0.01",
+            "--nx", "4", "--ny", "4", flag, "nan"]
+    code, report = run_json(capsys, argv)
+    assert code == 2
+    assert report["status"] == "config-error"
+    assert "must be finite" in report["error"]
+
+
 def test_green_grid_has_no_seed_option(capsys):
     code, report = run_json(capsys, ["green-grid", "--seed", "3"])
     assert code == 2

@@ -435,6 +435,8 @@ _TOL_CALLS = {
     "phi_minus": lambda h, z, tol: escape.phi_minus(h, z, tol),
     "phi_with_gradient": lambda h, z, tol: escape.phi_with_gradient(h, z, "plus", tol),
     "green": lambda h, z, tol: escape.green(h, z, "minus", tol),
+    # the a = 0 closed form must refuse the same tolerances
+    "green_a0": lambda h, z, tol: escape.green(HenonMap(h.p, 0.0), z, "minus", tol),
 }
 
 
@@ -445,3 +447,29 @@ def test_tolerance_must_be_positive_and_finite(name, tol):
     h = HenonMap(X2M1, 0.01)
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         _TOL_CALLS[name](h, Point(8.0, 9.0), tol)
+
+
+_NON_FINITE = (
+    Point(math.nan, 0.0),
+    Point(0.0, math.inf),
+    Point(complex(8.0, -math.inf), 0.5),
+    Point(2.0, complex(math.nan, 1.0)),
+)
+
+
+@pytest.mark.parametrize("z", _NON_FINITE)
+@pytest.mark.parametrize("name", sorted(_TOL_CALLS))
+def test_non_finite_point_is_a_coordinate_overflow(name, z):
+    # refused before iterating: NaN never enters V+, so it read as bounded
+    with pytest.raises(CoordinateOverflow, match="non-finite point"):
+        _TOL_CALLS[name](HenonMap(X2M1, 0.01), z, 1e-9)
+
+
+@pytest.mark.parametrize("z", _NON_FINITE)
+def test_non_finite_point_is_refused_by_green_plus(z):
+    with pytest.raises(CoordinateOverflow):
+        escape.green(HenonMap(X2M1, 0.01), z, "plus")
+
+
+def test_coordinate_overflow_is_not_a_configuration_error():
+    assert not issubclass(CoordinateOverflow, ValueError)

@@ -200,3 +200,19 @@ def test_unknown_kind_rejected():
     henon = HenonMap(SQUARE, 0.0)
     with pytest.raises(ValueError):
         green_grid(henon, "potential", (0, 1), (0, 1), 2, 2)
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    (
+        dict(re_range=(math.nan, 1.0)),
+        dict(re_range=(0.0, math.inf)),
+        dict(im_range=(-math.inf, 1.0)),
+        dict(slice_value=complex(0.5, math.nan)),
+    ),
+)
+def test_non_finite_geometry_rejected(geometry):
+    # NaN pixels would read as g+ = 0 and export as a valid grid
+    kwargs = {"re_range": (0.0, 1.0), "im_range": (0.0, 1.0), "nx": 4, "ny": 4, **geometry}
+    with pytest.raises(ValueError, match="must be finite"):
+        green_grid(HenonMap(BASIC, 0.01), "green-plus", **kwargs)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from henonlocus import _kernel
+from henonlocus.dynamics import Polynomial
 
 SQUARE = (0j, 0j, 1 + 0j)
 BASIC = (-1 + 0j, 0j, 1 + 0j)
@@ -266,3 +267,25 @@ def test_horner_with_deriv_is_bitwise_the_two_loops(coeffs, z):
     value, slope = _kernel.horner_with_deriv(coeffs, z)
     assert _bits(value) == _bits(_oracle_horner(coeffs, z)) == _bits(_kernel.horner(coeffs, z))
     assert _bits(slope) == _bits(_oracle_horner_deriv(coeffs, z))
+
+
+def _oracle_horner_second(coeffs, z):
+    acc = 0j
+    for i in range(len(coeffs) - 1, 1, -1):
+        acc = acc * z + i * (i - 1) * coeffs[i]
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    q=st.lists(st.builds(complex, _component(4.0), _component(4.0)), min_size=2, max_size=4),
+    lead=st.sampled_from((1 + 0j, complex(1.0, -0.0))),
+    z=st.one_of(st.builds(complex, _component(3.0), _component(3.0)), _component(3.0)),
+)
+def test_polynomial_is_bitwise_the_plain_loops(q, lead, z):
+    # Polynomial evaluates through _kernel.horner on stored p', p'' coefficients
+    coeffs = (*q, lead)
+    p = Polynomial(coeffs)
+    assert _bits(p(z)) == _bits(_oracle_horner(coeffs, z))
+    assert _bits(p.derivative(z)) == _bits(_oracle_horner_deriv(coeffs, z))
+    assert _bits(p.second_derivative(z)) == _bits(_oracle_horner_second(coeffs, z))

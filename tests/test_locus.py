@@ -16,12 +16,16 @@ import pytest
 
 from henonlocus.dynamics import HenonMap, Point, Polynomial
 from henonlocus.errors import (
+    ContinuationFailure,
+    LeafParameterizationFailed,
     LeftTube,
     NewtonDivergence,
     NotClassified,
     NotSimpleCritical,
 )
+from henonlocus.escape import phi_with_gradient
 from henonlocus.locus import (
+    _frozen_ratio,
     classify_component,
     contact_order,
     locate_on_locus,
@@ -296,3 +300,98 @@ def test_trace_exports():
     assert u_trace.chart == "u-chart"
     z0 = trace.samples[0].point
     assert abs(u_trace.samples[0].point.x - 1.0 / z0.x) < 1e-15
+
+
+# ------------------------------------------------------ frozen-depth lift
+#
+# _frozen_ratio lifts one kernel call at z by phi+ o f^n = (phi+)^(d^n).
+# The oracle is the code it replaced: iterate f^n with its Jacobian in
+# Python and evaluate phi+ at f^n(z), which must already lie in V+.
+
+
+def _iterate_with_jacobian(henon, z, n):
+    """(f^n(z), 2x2 Jacobian of f^n at z) by forward tangent propagation."""
+    w = Point(complex(z[0]), complex(z[1]))
+    j11, j12 = 1.0 + 0j, 0.0 + 0j  # d w.x / d(x, y)
+    j21, j22 = 0.0 + 0j, 1.0 + 0j  # d w.y / d(x, y)
+    for _ in range(n):
+        dp = henon.p.derivative(w.x)
+        j11, j12, j21, j22 = (
+            dp * j11 - henon.a * j21,
+            dp * j12 - henon.a * j22,
+            j11,
+            j12,
+        )
+        w = henon.apply(w)
+    return w, (j11, j12, j21, j22)
+
+
+def _oracle_frozen_ratio(henon, z, n, log_target):
+    w, (j11, j12, j21, j22) = _iterate_with_jacobian(henon, z, n)
+    ev, (glx, gly) = phi_with_gradient(henon, w, "plus")
+    if ev.depth != 0:
+        raise NewtonDivergence("frozen iterate left V+")
+    ratio = cmath.exp(ev.log_value - log_target)
+    return ratio, ratio * (glx * j11 + gly * j21), ratio * (glx * j12 + gly * j22)
+
+
+_KAPPA = 0.75
+_LIFT_MAPS = (
+    (H, 0.0),
+    (HenonMap(Polynomial([0, -3 * _KAPPA**2, 0, 1]), 0.06 * cmath.exp(1j)), _KAPPA),
+    (HenonMap(BASIC, 0.003 - 0.004j), 0.0),
+)
+
+
+def _traced_points(henon, c):
+    """Traced component samples z and their backward images (V+ entry depth 1)."""
+    trace = trace_primary_component(henon, c, (10.0, 1e3), step=0.2)
+    picks = [s.point for s in trace.samples[:: max(1, len(trace.samples) // 4)]]
+    return picks + [henon.apply_inverse(z) for z in picks]
+
+
+@pytest.mark.parametrize("henon, c", _LIFT_MAPS)
+def test_frozen_ratio_matches_iterated_oracle(henon, c):
+    offset = 0.05 - 0.1j  # keeps the ratio away from 1
+    checked = 0
+    for z in _traced_points(henon, c):
+        k = phi_with_gradient(henon, z, "plus")[0].depth
+        for n in (k, k + 1, k + 2):
+            w = henon.iterate(z, n)
+            log_target = phi_with_gradient(henon, w, "plus")[0].log_value + offset
+            got = _frozen_ratio(henon, *z, n, log_target, NewtonDivergence)
+            want = _oracle_frozen_ratio(henon, z, n, log_target)
+            assert abs(got[0] - want[0]) <= 1e-10 * abs(want[0])
+            gradient = max(abs(want[1]), abs(want[2]))
+            assert abs(got[1] - want[1]) <= 1e-10 * gradient
+            assert abs(got[2] - want[2]) <= 1e-10 * gradient
+            checked += 1
+    assert checked >= 18
+
+
+@pytest.mark.parametrize("henon, c", _LIFT_MAPS)
+def test_frozen_ratio_refuses_before_v_plus_entry(henon, c):
+    # backward images of traced points enter V+ at step 1, so n = 0 is too
+    # shallow for both the lift and the iterated oracle
+    for z in _traced_points(henon, c)[-3:]:
+        assert phi_with_gradient(henon, z, "plus")[0].depth == 1
+        with pytest.raises(NewtonDivergence):
+            _oracle_frozen_ratio(henon, z, 0, 0j)
+        for error in (NewtonDivergence, LeafParameterizationFailed):
+            with pytest.raises(error, match="left V\\+"):
+                _frozen_ratio(henon, *z, 0, 0j, error)
+
+
+def test_frozen_ratio_refuses_overflow_with_the_callers_error():
+    z = Point(1e60, 0.0)  # phi+ ~ 1e60, and (phi+)^(2^4) overflows exp
+    for error in (NewtonDivergence, LeafParameterizationFailed):
+        with pytest.raises(error, match="overflow"):
+            _frozen_ratio(H, *z, 4, 0j, error)
+
+
+def test_cubic_cover_overflow_is_a_continuation_failure():
+    # A Newton step at rho = 2 lands near |x| = 4.6e67; the iterated f^5
+    # became NaN there and the kernel then raised NotInEscapeRegion.
+    henon = HenonMap(Polynomial([0, -3, 0, 1]), 0.005403 + 0.008415j)
+    with pytest.raises(ContinuationFailure, match="overflow"):
+        verify_biholomorphism(henon, 1.0, radii=(2.0,))

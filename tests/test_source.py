@@ -71,3 +71,26 @@ def test_no_unused_imports():
             for name, line in sorted(_unused_imports(tree).items())
         ]
     assert not found, f"unused imports in the package: {found}"
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_every_private_definition_is_used():
+    # A private function or class nothing in the package names is dead code.
+    defined, referenced = {}, set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if _is_private(node.name):
+                    defined[node.name] = f"{path.relative_to(PACKAGE)}:{node.lineno}"
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    found = sorted(where for name, where in defined.items() if name not in referenced)
+    assert not found, f"private definitions nothing references: {found}"
