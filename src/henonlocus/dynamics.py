@@ -1,4 +1,4 @@
-"""Hénon maps f_a(x, y) = (p(x) - a·y, x), iteration, and escape domains.
+"""Hénon maps f_a(x, y) = (p(x) - a·y, x), their inverses, and escape domains.
 
 p is a monic polynomial of degree d >= 2, written p = x^d + q with
 deg q < d.  The map has constant Jacobian a; for a != 0 the inverse is
@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ._kernel import OVERFLOW_CAP, horner
-from .errors import CoordinateOverflow, DegenerateJacobian, NoAlphaFound
+from ._kernel import horner
+from .errors import DegenerateJacobian, NoAlphaFound
 
 DEFAULT_R_SMALL = 0.5  # r in (0, 1)
 DEFAULT_R_BIG = 0.125  # R, the Jacobian radius
@@ -113,20 +113,6 @@ class HenonMap:
         if self.a == 0:
             raise DegenerateJacobian("inverse undefined at a = 0")
         return Point(z.y, (self.p(z.y) - z.x) / self.a)
-
-    def iterate(self, z: Point, n: int) -> Point:
-        """n-fold composition (n < 0 uses the inverse; requires a != 0)."""
-        step = self.apply if n >= 0 else self.apply_inverse
-        w = Point(complex(z[0]), complex(z[1]))
-        for i in range(abs(n)):
-            w = step(w)
-            if abs(w.x) > OVERFLOW_CAP or abs(w.y) > OVERFLOW_CAP:
-                raise CoordinateOverflow(
-                    f"coordinate exceeded {OVERFLOW_CAP:g} at step {i + 1}",
-                    step=i + 1,
-                    point=w,
-                )
-        return w
 
     def bound_B(self, r: float = DEFAULT_R_SMALL) -> float:
         return bound_B(r, self.degree)

@@ -187,7 +187,10 @@ def trace_primary_component(
     must stay in the tube |y - c| < tube, and |y - c| must be nonincreasing
     in |x| over the outermost decade; violations raise LeftTube with the
     offending sample attached.  Samples are returned ascending in |x|.
+    step and both ends of x_range must be positive and finite (ValueError).
     """
+    if not all(0.0 < v < math.inf for v in (step, *x_range)):
+        raise ValueError(f"step {step} and x_range {x_range} must be positive and finite")
     p = henon.p
     if abs(p.derivative(c)) > 1e-9:
         raise NotSimpleCritical(f"p'({c}) != 0")

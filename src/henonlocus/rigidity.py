@@ -18,7 +18,10 @@ and the objects computed are the ones the numeric modules approximate:
     for an order-one critical point crit of p.  The locus is the vanishing
     of w(u,y) = [the wedge of the two foliation differentials] / u^2, which
     takes the form -p'(y) - u * H(u,y); Y is found by a formal Newton
-    iteration from Y = crit.
+    iteration from Y = crit, which returns at the first iterate whose
+    residual is exactly zero (the arithmetic is exact, so that is the
+    convergence test) and refuses once the quadratic-convergence step
+    bound is spent.
 
 ``sigma_series`` / ``rigidity_defect``
     d = 2 only, p = x^2 + c.  chi_plus(u) = u h_plus(u, Y(u)) and
@@ -38,8 +41,11 @@ and the objects computed are the ones the numeric modules approximate:
     c1 = c2 beta kills the first two coefficients identically, and the four
     constraint cases are certified by exact substitution (cube roots of
     unity live in Q[beta]/(beta^2+beta+1)) plus randomized nonvanishing
-    witnesses for everything outside the solution set.  The partial
-    solution is certified in the one polynomial coefficient ring of
+    witnesses for everything outside the solution set.  The cases are one
+    table, ``_CASES``: each row holds the order checked, the trivial
+    solution, the cube-root family (if any) and the draw of its witnesses,
+    and every numeric specialization is built by ``_specialization``.  The
+    partial solution is certified in the one polynomial coefficient ring of
     :mod:`henonlocus.series` by clearing its denominator a1^2: each D_k is
     of degree at most 1 in gamma, so a1^2 D_k at that gamma is the
     polynomial a1^2 [gamma^0]D_k + a2^2 beta [gamma^1]D_k.
@@ -51,8 +57,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Sequence, Tuple
+from functools import lru_cache, partial
+from typing import Callable, Sequence, Tuple
 
 from .errors import DegenerateCriticalPoint, SeriesInconsistency
 from .series import MultiPoly, TruncSeries
@@ -230,9 +236,13 @@ def locus_series(
     """The locus branch y = Y(u) through (0, crit), exact through the order.
 
     crit must be an order-one critical point of p: p'(crit) = 0 identically
-    and p''(crit) an invertible rational constant.
+    and p''(crit) an invertible rational constant, and the order must be at
+    least deg p - 1, the y-degree of w(0, y) = -p'(y).  Arithmetic is exact,
+    so Newton stops at the first iterate whose residual is exactly zero.
     """
     q = tuple(q_coeffs)
+    if order < len(q) - 1:
+        raise ValueError(f"locus series order {order} is below deg p - 1 = {len(q) - 1}")
     ring = q[0].vars
     p = _p_of(q, "y")
     dp = p.derivative("y")
@@ -247,15 +257,12 @@ def locus_series(
     w = _w_tilde(q, crit, order)
     wy = w.map_coeffs(lambda p_: p_.derivative("y"))
     Z = TruncSeries.from_poly(MultiPoly.zero(ring), "u", order)
-    steps = max(3, math.ceil(math.log2(order + 1)) + 1)
-    for _ in range(steps):
-        num = w.substitute_coeff_var("y", Z)
-        den = wy.substitute_coeff_var("y", Z)
-        Z = Z - num * den.inverse()
-    resid = w.substitute_coeff_var("y", Z)
-    if not resid.is_zero():
-        raise SeriesInconsistency("formal Newton failed to converge")
-    return Z + crit
+    for _ in range(max(3, math.ceil(math.log2(order + 1)) + 1)):
+        resid = w.substitute_coeff_var("y", Z)
+        if resid.is_zero():
+            return Z + crit
+        Z = Z - resid * wy.substitute_coeff_var("y", Z).inverse()
+    raise SeriesInconsistency("formal Newton failed to converge")
 
 
 # ----------------------------------------------------- charts and sigma (d=2)
@@ -399,6 +406,24 @@ def _clear_partial(coeff: MultiPoly) -> MultiPoly:
     return cleared.substitute({"c1": c2 * beta}, ring)
 
 
+def _nonzero_fraction(rng: random.Random) -> Fraction:
+    num = rng.choice([n for n in range(-9, 10) if n])
+    return Fraction(num, rng.randrange(1, 5))
+
+
+def _specialization(a1, a2, beta, c1) -> dict:
+    """Values for all six defect variables on the partial solution:
+    c2 = c1/beta and gamma = (a2^2/a1^2) beta."""
+    return {
+        "a1": a1,
+        "a2": a2,
+        "beta": beta,
+        "c1": c1,
+        "c2": c1 / beta,
+        "gamma": a2**2 * beta / a1**2,
+    }
+
+
 def check_partial_solution() -> PartialSolutionReport:
     """gamma = (a2^2/a1^2) beta and c1 = c2 beta kill coefficients 1 and 2
     of D identically; five random rational specializations with c1 != 0
@@ -410,18 +435,7 @@ def check_partial_solution() -> PartialSolutionReport:
     rng = random.Random(20240817)
     witnesses = 0
     for _ in range(5):
-        a1v = _nonzero_fraction(rng)
-        a2v = _nonzero_fraction(rng)
-        betav = _nonzero_fraction(rng)
-        c1v = _nonzero_fraction(rng)
-        vals = {
-            "a1": a1v,
-            "a2": a2v,
-            "beta": betav,
-            "c1": c1v,
-            "c2": c1v / betav,
-            "gamma": a2v**2 * betav / a1v**2,
-        }
+        vals = _specialization(*(_nonzero_fraction(rng) for _ in range(4)))
         if (
             D.coeffs[1].evaluate(vals) == 0
             and D.coeffs[2].evaluate(vals) == 0
@@ -443,39 +457,89 @@ class CaseReport:
     ok: bool
 
 
-_TABLE_ORDERS = {"beta_ratio": 7, "a2_one": 8, "a2_minus_one": 8, "c1_zero": 13}
+_CUBE_RING = ("a1", "beta")
 
 
-def _nonzero_fraction(rng: random.Random) -> Fraction:
-    num = rng.choice([n for n in range(-9, 10) if n])
-    return Fraction(num, rng.randrange(1, 5))
-
-
-def _all_vanish(D: TruncSeries, n: int, values) -> bool:
-    return all(D.coeffs[k].evaluate(values) == 0 for k in range(1, n + 1))
-
-
-def _some_nonzero(D: TruncSeries, n: int, values) -> bool:
-    return any(D.coeffs[k].evaluate(values) != 0 for k in range(1, n + 1))
-
-
-def _cube_root_vanish(D: TruncSeries, n: int, fixed_a: Fraction | None) -> bool:
-    """Substitute c1 = c2 = 0, gamma = beta, a1 = a2 (= fixed_a if given) and
-    reduce modulo beta^2 + beta + 1; True when every coefficient dies."""
-    small = ("a1", "beta")
+def _cube_root_vanish(D: TruncSeries, n: int, a) -> bool:
+    """Substitute a1 = a2 = a, c1 = c2 = 0, gamma = beta and reduce modulo
+    beta^2 + beta + 1; True when every coefficient through n dies."""
     m = {
+        "a1": a,
+        "a2": a,
         "c1": Fraction(0),
         "c2": Fraction(0),
-        "gamma": MultiPoly.variable("beta", small),
-        "a2": fixed_a if fixed_a is not None else MultiPoly.variable("a1", small),
+        "gamma": MultiPoly.variable("beta", _CUBE_RING),
     }
-    if fixed_a is not None:
-        m["a1"] = fixed_a
-    for k in range(1, n + 1):
-        reduced = D.coeffs[k].substitute(m, small).reduce_cubic_root("beta")
-        if not reduced.is_zero():
-            return False
-    return True
+    return all(
+        D.coeffs[k].substitute(m, _CUBE_RING).reduce_cubic_root("beta").is_zero()
+        for k in range(1, n + 1)
+    )
+
+
+def _draw_beta_ratio(rng: random.Random, trial: int) -> dict:
+    # beta = (a1^2 - 1)/(a2^2 - 1) with c1 != 0, against the conclusion c1 = 0
+    while True:
+        a1, a2 = _nonzero_fraction(rng), _nonzero_fraction(rng)
+        if a1**2 != 1 and a2**2 != 1 and a1**2 != a2**2:
+            break
+    return _specialization(a1, a2, (a1**2 - 1) / (a2**2 - 1), _nonzero_fraction(rng))
+
+
+def _draw_unit_a2(a2: Fraction, rng: random.Random, trial: int) -> dict:
+    # a2 = +-1 with c1 != 0, against the conclusion c1 = 0
+    a1 = _nonzero_fraction(rng)
+    beta = _nonzero_fraction(rng)
+    return _specialization(a1, a2, beta, _nonzero_fraction(rng))
+
+
+def _draw_c1_zero(rng: random.Random, trial: int) -> dict:
+    # c1 = 0 against the conclusion "a1 = a2 and beta a cube root of unity":
+    # a1 != a2 on even trials, a1 = a2 with rational beta != 1 on odd ones
+    if trial % 2 == 0:
+        while True:
+            a1, a2 = _nonzero_fraction(rng), _nonzero_fraction(rng)
+            if a1 != a2:
+                break
+        beta = _nonzero_fraction(rng)
+    else:
+        a1 = a2 = _nonzero_fraction(rng)
+        while True:
+            beta = _nonzero_fraction(rng)
+            if beta != 1:
+                break
+    return _specialization(a1, a2, beta, Fraction(0))
+
+
+@dataclass(frozen=True)
+class _Case:
+    """One row of the constraint-case table.
+
+    D is checked through coefficient ``order``.  ``trivial`` is the (a, c)
+    of the trivial solution f = g, beta = gamma = 1.  ``cube_root_a`` is the
+    common value of a1 = a2 on the cube-root family (a rational, the free
+    variable a1, or None when the case claims no such family).
+    ``draw(rng, trial)`` returns a specialization on the case constraint and
+    the partial solution that violates the case's conclusion.
+    """
+
+    order: int
+    trivial: Tuple[Fraction, Fraction]
+    cube_root_a: object
+    draw: Callable[[random.Random, int], dict]
+
+
+_CASES = {
+    "beta_ratio": _Case(7, (Fraction(5, 2), Fraction(3, 7)), None, _draw_beta_ratio),
+    "a2_one": _Case(
+        8, (Fraction(1), Fraction(-4, 3)), Fraction(1), partial(_draw_unit_a2, Fraction(1))
+    ),
+    "a2_minus_one": _Case(
+        8, (Fraction(-1), Fraction(7, 5)), Fraction(-1), partial(_draw_unit_a2, Fraction(-1))
+    ),
+    "c1_zero": _Case(
+        13, (Fraction(9, 4), Fraction(0)), MultiPoly.variable("a1", _CUBE_RING), _draw_c1_zero
+    ),
+}
 
 
 def verify_table_case(case_id: str) -> CaseReport:
@@ -488,100 +552,25 @@ def verify_table_case(case_id: str) -> CaseReport:
     cube roots handled in the quotient ring.  Negative side: 25 random
     rational parameter choices satisfying the case constraint and the
     partial solution but violating the case's conclusion each leave some
-    coefficient nonzero.
+    coefficient nonzero.  An unknown case_id raises KeyError.
     """
-    n = _TABLE_ORDERS[case_id]
+    case = _CASES[case_id]
+    n = case.order
     D = rigidity_defect(n).D
+    a, c = case.trivial
+    trivial = _specialization(a, a, Fraction(1), c)
+    positives = [
+        ("trivial_solution", all(D.coeffs[k].evaluate(trivial) == 0 for k in range(1, n + 1)))
+    ]
+    if case.cube_root_a is not None:
+        positives.append(("cube_root_solution", _cube_root_vanish(D, n, case.cube_root_a)))
+
     rng = random.Random(f"table-{case_id}")
-    positives = []
-
-    if case_id == "beta_ratio":
-        r, s = Fraction(5, 2), Fraction(3, 7)
-        trivial = dict(a1=r, a2=r, c1=s, c2=s, beta=Fraction(1), gamma=Fraction(1))
-        positives.append(("trivial_solution", _all_vanish(D, n, trivial)))
-    elif case_id == "a2_one":
-        s = Fraction(-4, 3)
-        trivial = dict(
-            a1=Fraction(1), a2=Fraction(1), c1=s, c2=s, beta=Fraction(1), gamma=Fraction(1)
-        )
-        positives.append(("trivial_solution", _all_vanish(D, n, trivial)))
-        positives.append(("cube_root_solution", _cube_root_vanish(D, n, Fraction(1))))
-    elif case_id == "a2_minus_one":
-        s = Fraction(7, 5)
-        trivial = dict(
-            a1=Fraction(-1),
-            a2=Fraction(-1),
-            c1=s,
-            c2=s,
-            beta=Fraction(1),
-            gamma=Fraction(1),
-        )
-        positives.append(("trivial_solution", _all_vanish(D, n, trivial)))
-        positives.append(("cube_root_solution", _cube_root_vanish(D, n, Fraction(-1))))
-    elif case_id == "c1_zero":
-        r = Fraction(9, 4)
-        trivial = dict(
-            a1=r, a2=r, c1=Fraction(0), c2=Fraction(0), beta=Fraction(1), gamma=Fraction(1)
-        )
-        positives.append(("trivial_solution", _all_vanish(D, n, trivial)))
-        positives.append(("cube_root_solution", _cube_root_vanish(D, n, None)))
-    else:  # pragma: no cover - _TABLE_ORDERS lookup above already raised
-        raise KeyError(case_id)
-
     trials = 25
     detected = 0
     for trial in range(trials):
-        if case_id == "beta_ratio":
-            while True:
-                a1v = _nonzero_fraction(rng)
-                a2v = _nonzero_fraction(rng)
-                if a1v**2 != 1 and a2v**2 != 1 and a1v**2 != a2v**2:
-                    break
-            betav = (a1v**2 - 1) / (a2v**2 - 1)
-            c1v = _nonzero_fraction(rng)  # violates the conclusion c1 = 0
-            vals = dict(
-                a1=a1v,
-                a2=a2v,
-                beta=betav,
-                c1=c1v,
-                c2=c1v / betav,
-                gamma=a2v**2 * betav / a1v**2,
-            )
-        elif case_id in ("a2_one", "a2_minus_one"):
-            a2v = Fraction(1) if case_id == "a2_one" else Fraction(-1)
-            a1v = _nonzero_fraction(rng)
-            betav = _nonzero_fraction(rng)
-            c1v = _nonzero_fraction(rng)  # violates the conclusion c1 = 0
-            vals = dict(
-                a1=a1v,
-                a2=a2v,
-                beta=betav,
-                c1=c1v,
-                c2=c1v / betav,
-                gamma=a2v**2 * betav / a1v**2,
-            )
-        else:  # c1_zero: violate "a1 = a2 and beta a cube root of unity"
-            if trial % 2 == 0:
-                while True:
-                    a1v, a2v = _nonzero_fraction(rng), _nonzero_fraction(rng)
-                    if a1v != a2v:
-                        break
-                betav = _nonzero_fraction(rng)
-            else:
-                a1v = a2v = _nonzero_fraction(rng)
-                while True:
-                    betav = _nonzero_fraction(rng)
-                    if betav != 1:
-                        break
-            vals = dict(
-                a1=a1v,
-                a2=a2v,
-                beta=betav,
-                c1=Fraction(0),
-                c2=Fraction(0),
-                gamma=a2v**2 * betav / a1v**2,
-            )
-        if _some_nonzero(D, n, vals):
+        vals = case.draw(rng, trial)
+        if any(D.coeffs[k].evaluate(vals) != 0 for k in range(1, n + 1)):
             detected += 1
 
     ok = all(flag for _name, flag in positives) and detected == trials

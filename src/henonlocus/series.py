@@ -33,6 +33,10 @@ Gerhard, *Modern Computer Algebra*, section 8.4):
    per output index of the Cauchy product;
 4. a ``Fraction(num, den1 * den2)`` is built once per surviving term.
 
+``TruncSeries.inverse`` is Newton's iteration over whole-series products
+(von zur Gathen & Gerhard, section 9.1), so a reciprocal costs
+2 * order.bit_length() calls of the kernel, not one per coefficient pair.
+
 ``TruncSeries.mul_weighted`` is the same kernel with weighted truncation:
 at output index k it drops every pair whose exponent in one named
 coefficient variable would exceed ``budget - k``.  Terms are bucketed by
@@ -598,18 +602,19 @@ class TruncSeries:
         return TruncSeries(self.var, order, self.coeffs[: order + 1])
 
     def inverse(self) -> "TruncSeries":
-        """Reciprocal series; the constant term must be a nonzero rational."""
+        """Reciprocal series; the constant term must be a nonzero rational.
+
+        Newton's iteration g <- g - g (f g - 1) from g = 1/f(0): each round
+        doubles the number of correct coefficients, so order.bit_length()
+        rounds reach the truncation order."""
         c0 = self.coeffs[0]
         inv0 = _unit_inverse(c0)
         if inv0 is None:
             raise NotUnitSeries(f"constant term {c0!r} is not invertible")
-        out = [inv0]
-        for n in range(1, self.order + 1):
-            acc = self._zero_coeff()
-            for k in range(1, n + 1):
-                acc = acc + self.coeffs[k] * out[n - k]
-            out.append(-(inv0 * acc))
-        return TruncSeries(self.var, self.order, out)
+        g = TruncSeries.from_poly(inv0, self.var, self.order)
+        for _ in range(self.order.bit_length()):
+            g = g - g * (self * g - 1)
+        return g
 
     def pow_rational(self, exponent: Fraction) -> "TruncSeries":
         """(1 + t)^exponent by the binomial series; the constant term must be 1."""

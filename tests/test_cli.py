@@ -1,5 +1,6 @@
 """Command-line interface: config round-trips, exit codes, JSON reports."""
 
+import hashlib
 import json
 import math
 import os
@@ -311,6 +312,16 @@ def test_critlocus_degenerate_collapses_to_axis(capsys):
     assert report["max_abs_y"] < 1e-12
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--step", "0"), ("--step", "-0.1"), ("--x-min", "nan")]
+)
+def test_critlocus_bad_step_or_range_exits_2(capsys, flag, value):
+    code, report = run_json(capsys, ["critlocus", flag, value])
+    assert code == 2
+    assert report["status"] == "config-error"
+    assert "positive and finite" in report["error"]
+
+
 # ---------------------------------------------------------------------------
 # holonomy
 
@@ -444,6 +455,32 @@ def test_rigidity_defect_listing(capsys, tmp_path):
     assert (out / "defect.txt").read_text().strip() == "\n".join(
         report["defect_coefficients"]
     )
+
+
+def test_rigidity_defect_order_below_the_locus_minimum_exits_2(capsys):
+    code, report = run_json(capsys, ["rigidity", "--defect-order", "0"])
+    assert code == 2
+    assert report["status"] == "config-error"
+
+
+# sha256 of the stdout of `henonlocus rigidity ARGS`: the exact pipeline is
+# deterministic, so a report changes only with these values
+_RIGIDITY_STDOUT_SHA256 = {
+    "": "d9390ee4d4ba7a2f8675e9b757130403d98c9b8ecaf0409c63573e6411da7dcc",
+    "--partial": "11bcfbe70f1e607721e8e6f558fb44c290102bd7df705be18c31366c4bbb2403",
+    "--case beta_ratio": "d0c864cc51ad46b534726b44605f0d60aed2c3054246691d64b6e293ab74dafb",
+    "--case a2_one": "008e84b86825caccef21e89a743c948d70622a64385a47dfc3f223e6438098de",
+    "--case a2_minus_one": "aa089740e26a89dbd82840b274a56b9bee0370651f7f2b767a8681d7951dfed7",
+    "--case c1_zero": "2a1e2f49bc3057641e1230ca3dd68d63e65838102dba076a36ccf31347e319dc",
+    "--defect-order 3": "cf76ff1a275c02fec40a9372739fe5e2cec42d8bb405584a8c30609269aa9a04",
+}
+
+
+@pytest.mark.parametrize("args", sorted(_RIGIDITY_STDOUT_SHA256))
+def test_rigidity_stdout_is_pinned(capsys, args):
+    assert run(["rigidity", *args.split()]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == _RIGIDITY_STDOUT_SHA256[args]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from henonlocus.dynamics import (
     in_v_minus,
     in_v_plus,
 )
-from henonlocus.errors import CoordinateOverflow, DegenerateJacobian
+from henonlocus.errors import DegenerateJacobian
 
 X2 = Polynomial([0, 0, 1])
 X2M1 = Polynomial([-1, 0, 1])
@@ -42,22 +42,6 @@ def test_inverse_roundtrip():
 def test_inverse_degenerate():
     with pytest.raises(DegenerateJacobian):
         HenonMap(X2, 0).apply_inverse(Point(1, 1))
-
-
-def test_iterate_composition():
-    h = HenonMap(X2M1, 0.2)
-    z = Point(0.4, -0.3)
-    for m, n in [(2, 3), (3, -2), (-1, -2), (0, 4)]:
-        lhs = h.iterate(z, m + n)
-        rhs = h.iterate(h.iterate(z, m), n)
-        assert abs(lhs.x - rhs.x) < 1e-9 and abs(lhs.y - rhs.y) < 1e-9
-
-
-def test_iterate_overflow_flag():
-    h = HenonMap(X2, 0.1)
-    with pytest.raises(CoordinateOverflow) as exc:
-        h.iterate(Point(10, 0), 12)
-    assert exc.value.step is not None
 
 
 def test_jacobian_determinant_is_a():

@@ -13,6 +13,7 @@ pipeline was written:
   - (a^2c^2 + a^2c/2 - a^4c/2) z^3 + ...
 """
 
+import hashlib
 import os
 import pathlib
 import random
@@ -146,6 +147,58 @@ def test_locus_series_rejects_degenerate_critical_point():
     # and a non-critical seed is rejected outright
     with pytest.raises(DegenerateCriticalPoint):
         locus_series(quadratic_q(), MultiPoly.const(F(1), CHART_VARS), 4)
+
+
+def test_locus_series_order_below_deg_p_minus_one_is_a_bad_argument():
+    # w(0, y) = -p'(y) has y-degree deg p - 1, which the order must reach
+    zero = MultiPoly.zero(CHART_VARS)
+    cubic = (zero, MultiPoly.const(F(-3), CHART_VARS), zero)
+    one = MultiPoly.const(F(1), CHART_VARS)
+    for q, crit, order in ((quadratic_q(), zero, 0), (cubic, one, 0), (cubic, one, 1)):
+        with pytest.raises(ValueError, match="below deg p - 1"):
+            locus_series(q, crit, order)
+    assert locus_series(cubic, one, 2).coeffs[0] == one
+
+
+def _fix_w(monkeypatch, order):
+    """Pin rigidity._w_tilde for x^2 + c at this order to its true value, so
+    that a patched TruncSeries.inverse reaches only the Newton loop."""
+    w = rigidity._w_tilde(quadratic_q(), MultiPoly.zero(CHART_VARS), order)
+    monkeypatch.setattr(rigidity, "_w_tilde", lambda q, crit, order: w)
+
+
+def _count_updates(monkeypatch, scale):
+    """Patch TruncSeries.inverse to scale its result; one call per Newton update."""
+    updates = []
+    inverse = TruncSeries.inverse
+
+    def counted(series):
+        updates.append(series)
+        return inverse(series) * scale
+
+    monkeypatch.setattr(TruncSeries, "inverse", counted)
+    return updates
+
+
+def test_formal_newton_returns_at_the_first_zero_residual(monkeypatch):
+    # exact Newton from Y = 0 is done after two updates at order 8, where
+    # the step bound max(3, ceil(log2(9)) + 1) = 5 would allow four
+    _fix_w(monkeypatch, 8)
+    updates = _count_updates(monkeypatch, 1)
+    locus_series(quadratic_q(), MultiPoly.zero(CHART_VARS), 8)
+    assert len(updates) == 2
+
+
+def test_formal_newton_refuses_when_the_residual_never_vanishes(monkeypatch):
+    # twice the Newton correction flips the sign of the error, so the
+    # residual never vanishes; the refusal comes after the step bound
+    # max(3, ceil(log2(5)) + 1) = 4 of residual checks, each followed by
+    # an update
+    _fix_w(monkeypatch, 4)
+    updates = _count_updates(monkeypatch, 2)
+    with pytest.raises(SeriesInconsistency, match="formal Newton failed to converge"):
+        locus_series(quadratic_q(), MultiPoly.zero(CHART_VARS), 4)
+    assert len(updates) == 4
 
 
 # A plus-side unit factor whose constant term depends on y breaks the wedge
@@ -364,6 +417,41 @@ def test_table_case_orders():
 def test_unknown_case_rejected():
     with pytest.raises(KeyError):
         verify_table_case("nonsense")
+
+
+# sha256 over the distinct `values` dicts each check passes to
+# MultiPoly.evaluate, one "name=value,..." line per dict in first-use order
+# (26 per case: the trivial solution and 25 draws; 5 partial witnesses).
+# Recorded from the per-case if/elif code the case table replaced, so the
+# table keeps every rng draw and its order.
+_SPECIALIZATIONS_SHA256 = {
+    "beta_ratio": "a91785e8c068e7d3599fdcd4493b8e86f7ff3ad683a24724f46a00719bc7ccc7",
+    "a2_one": "cfc0933c2a79c2907ebef37a4b7bbd6463104fd6600a4f049e179b41a7cf7857",
+    "a2_minus_one": "81a19b7042ad0fbaf49b16f2a13d4f5e59532f5b9dfcb934e880bebd3b89d7e3",
+    "c1_zero": "31a049066fea5fa4d09e8fabd4f7310461ac94bd91d559ee431b5be1ddd67bec",
+    "partial": "46223faa5e6f436032855ad9de0a60eb87a54d5c62e4ae349ddd84584c97241f",
+}
+
+
+@pytest.mark.parametrize("check", sorted(_SPECIALIZATIONS_SHA256))
+def test_specializations_keep_their_draw_order(monkeypatch, check):
+    seen = []
+    real_evaluate = MultiPoly.evaluate
+
+    def recording(self, values):
+        line = ",".join(f"{name}={values[name]}" for name in sorted(values))
+        if line not in seen:
+            seen.append(line)
+        return real_evaluate(self, values)
+
+    monkeypatch.setattr(MultiPoly, "evaluate", recording)
+    if check == "partial":
+        check_partial_solution()
+    else:
+        verify_table_case(check)
+    assert len(seen) == (5 if check == "partial" else 26)
+    digest = hashlib.sha256("\n".join(seen).encode()).hexdigest()
+    assert digest == _SPECIALIZATIONS_SHA256[check]
 
 
 def test_sigma_agrees_with_reversion_route():

@@ -19,6 +19,7 @@ from henonlocus.errors import (
     OrderMismatch,
 )
 from henonlocus.rigidity import _trim
+from henonlocus import series
 from henonlocus.series import MultiPoly, TruncSeries
 
 AC = ("a", "c")
@@ -375,6 +376,56 @@ def unit_series(draw):
 def test_unit_series_times_its_inverse_is_one(s):
     one = TruncSeries.from_poly(MultiPoly.const(F(1), RING), s.var, s.order)
     assert s * s.inverse() == one
+
+
+def recurrence_inverse(s):
+    """The triangular recurrence Newton's inversion replaced:
+    g_n = -g_0 * sum_{k=1..n} f_k g_{n-k}, one coefficient pair at a time."""
+    inv0 = MultiPoly.const(1 / s.coeffs[0].constant_value(), s.coeffs[0].vars)
+    out = [inv0]
+    for n in range(1, s.order + 1):
+        acc = MultiPoly.zero(inv0.vars)
+        for k in range(1, n + 1):
+            acc = acc + s.coeffs[k] * out[n - k]
+        out.append(-(inv0 * acc))
+    return TruncSeries(s.var, s.order, out)
+
+
+# few low-degree terms: the reciprocal's coefficients grow fast with the order
+inverse_coeffs = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * len(RING)), rationals, max_size=2
+).map(lambda terms: MultiPoly(RING, terms))
+
+
+@st.composite
+def unit_series_to_order_nine(draw):
+    order = draw(st.integers(0, 9))
+    c0 = draw(st.one_of(st.sampled_from([F(-1), F(3, 2)]), rationals))
+    tail = draw(st.lists(inverse_coeffs, min_size=order, max_size=order))
+    return TruncSeries("u", order, [MultiPoly.const(c0, RING)] + tail)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_series_to_order_nine())
+def test_newton_inverse_matches_the_recurrence(s):
+    want = recurrence_inverse(s)
+    got = s.inverse()
+    assert [c.terms for c in got.coeffs] == [c.terms for c in want.coeffs]
+
+
+def test_newton_inverse_makes_two_series_products_per_round(monkeypatch):
+    calls = []
+    real = series._cauchy_product
+
+    def counted(*args):
+        calls.append(args[3])  # the output order
+        return real(*args)
+
+    monkeypatch.setattr(series, "_cauchy_product", counted)
+    s = const_series("z", 13, [2, -1, 0, 3])
+    g = s.inverse()
+    assert calls == [13] * 8  # 13 has 4 bits: 4 rounds of f*g and g*(f*g - 1)
+    assert s * g == const_series("z", 13, [1])
 
 
 def test_series_product_rejects_mismatched_coefficient_rings():
