@@ -23,7 +23,7 @@ whose recursions only involve the factor terms s_j themselves:
     s_j  = sum_i q_i u^(d-i) - a w u^(d-1),   u <- u^d/(1+s),  w <- u^(d-1)/(1+s)
     s_j- = sum_i q_i v^(d-i) - t v^(d-1),     v <- a v^d/(1+s), t <- a v^(d-1)/(1+s)
 
-Two shortcuts change the work done but not one bit of the result. Each
+Three shortcuts change the work done but not one bit of the result. Each
 entry step takes |x| and |y| once and p, p' from one Horner pass. The
 product leaves its loop at its dead tail: once the carriers (u, w and their
 gradients, or v, t and theirs) are all exactly zero, every later factor has
@@ -32,6 +32,15 @@ gradient sums. An exact zero leaves a sum bitwise unchanged unless the sum
 is -0.0 (adding +0.0 makes it +0.0). The log sum starts at +0.0 and so is
 never -0.0; a gradient sum can be, so the loop also requires that neither
 gradient sum has a -0.0 part before it leaves.
+
+The third is the trap (plus side only): given the bidisk B_0 of a
+certified trap around f's attracting cycle (`dynamics.attracting_trap`),
+the entry loop returns NO_ESCAPE as soon as an iterate lies in B_0. The
+certificate keeps every float orbit through B_0 inside the trap's bidisks,
+which stay out of V+ and far below the overflow cap, so the plain loop
+would have returned NO_ESCAPE at the cap with the same zero values; only
+the returned step count differs, k < cap. The minus side has no trap: f^-1
+expands volume by 1/|a| and has no attracting cycle.
 """
 
 import cmath
@@ -74,7 +83,7 @@ def _no_negative_zero(*values):
     return all(part or copysign(1.0, part) > 0.0 for z in values for part in (z.real, z.imag))
 
 
-def phi_plus_eval(coeffs, a, x, y, K, alpha, cap):
+def phi_plus_eval(coeffs, a, x, y, K, alpha, cap, trap=None):
     """log phi+ with gradient at (x, y).
 
     coeffs: coefficients of the monic p, lowest degree first (len d+1).
@@ -83,9 +92,16 @@ def phi_plus_eval(coeffs, a, x, y, K, alpha, cap):
     entry time into V+ = {|x| > |y|, |x| > alpha}, and smax the largest
     |s_j| met in the product (``escape._run`` raises CertificateViolation
     unless smax < r).
+
+    trap: None, or (x0, y0, rho, sigma) from ``CycleTrap.kernel_trap(alpha)``;
+    an iterate with |x - x0| < rho and |y - y0| < sigma ends the loop with
+    NO_ESCAPE at its step k (see the module docstring).
     """
     d = len(coeffs) - 1
     safe = OVERFLOW_CAP ** (1.0 / d)
+    trapping = trap is not None
+    if trapping:
+        tx, ty, trho, tsigma = trap
     jxx, jxy, jyx, jyy = 1.0 + 0j, 0j, 0j, 1.0 + 0j
     k = 0
     while True:
@@ -93,6 +109,8 @@ def phi_plus_eval(coeffs, a, x, y, K, alpha, cap):
         if ax > ay and ax > alpha:
             break
         if k >= cap:
+            return (NO_ESCAPE, k, 0j, 0j, 0j, 0.0)
+        if trapping and abs(x - tx) < trho and abs(y - ty) < tsigma:
             return (NO_ESCAPE, k, 0j, 0j, 0j, 0.0)
         if ax > safe or ay > safe:
             return (OVERFLOW, k, 0j, 0j, 0j, 0.0)

@@ -467,6 +467,8 @@ def _sample_escaping(henon, rng):
 def _suite_core(henon, opts):
     tol = _as_float(opts["tol"], "tol")
     samples = _as_int(opts["samples"], "samples")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = random.Random(_as_int(opts["seed"], "seed"))
     d = henon.degree
     plus_res = []

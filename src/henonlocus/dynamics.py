@@ -15,14 +15,27 @@ with alpha chosen (domain_params) so that for all |y| >= alpha
 
 With those constants, f_a(V+) ⊂ V+ with |x_1| > (R+1)|x| and
 f_a^{-1}(V-) ⊂ V- with |y_{-1}| > 2|y| whenever |a| < R.
+
+The bounded side has a certificate too.  For hyperbolic p and small a, f
+has an attracting cycle z_0 ... z_{q-1} near one of p, found by iterating f
+from (c, c) for the critical points c of p (Hubbard & Oberste-Vorth, Publ.
+IHES 79, 1994).  `attracting_trap` certifies bidisks
+
+    B_i = { |x - x_i| < rho_i, |y - y_i| < sigma_i },   f(B_i) ⊂ B_{i+1},
+
+from a Taylor bound on p with a margin that covers floating-point rounding,
+so even a float orbit that enters some B_i stays in their union forever:
+it is bounded and, when every B_i lies in |x|, |y| < alpha, never enters V+.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import comb
 from typing import NamedTuple
 
-from ._kernel import horner
+from ._kernel import OVERFLOW_CAP, horner
 from .errors import DegenerateJacobian, NoAlphaFound
 
 DEFAULT_R_SMALL = 0.5  # r in (0, 1)
@@ -184,3 +197,199 @@ def in_v_plus(z: Point, dp: DomainParams) -> bool:
 
 def in_v_minus(z: Point, dp: DomainParams) -> bool:
     return abs(z[1]) > abs(z[0]) and abs(z[1]) > dp.alpha
+
+
+# ---------------------------------------------------------------------------
+# certified trap around the attracting cycle (plus side)
+
+TRAP_MARGIN = 2.0**-20  # relative room in every trap inequality; see _trap_holds
+CYCLE_STEPS = 1000  # iterates of f before looking for a cycle
+MAX_PERIOD = 64
+CYCLE_TOL = 1e-10  # |z_q - z_0| <= CYCLE_TOL * (1 + |x_0| + |y_0|) closes a cycle
+CRITICAL_SWEEPS = 32  # Durand-Kerner sweeps for the critical-point seeds
+RADIUS_LADDER = tuple(0.5 * 2.0 ** (-j / 4) for j in range(80))  # 0.5 down to ~5e-7
+
+
+@dataclass(frozen=True)
+class CycleTrap:
+    """Bidisks B_i around an attracting cycle of f, certified f(B_i) ⊂ B_{i+1}.
+
+    B_i = {|x - x_i| < rho[i], |y - y_i| < sigma[i]} with (x_i, y_i) =
+    centres[i]; indices run mod the period.  B_0 has the largest rho.
+    """
+
+    centres: tuple
+    rho: tuple
+    sigma: tuple
+
+    @property
+    def period(self) -> int:
+        return len(self.centres)
+
+    @cached_property
+    def reach(self) -> float:
+        """Every B_i lies in |x|, |y| < reach = max_i max(|x_i| + rho_i, |y_i| + sigma_i)."""
+        return max(
+            max(abs(c.x) + r, abs(c.y) + s) for c, r, s in zip(self.centres, self.rho, self.sigma)
+        )
+
+    def kernel_trap(self, alpha: float):
+        """(x_0, y_0, rho_0, sigma_0) for the kernel's entry loop, or None.
+
+        The radii are B_0's shrunk by the margin, so a point the kernel's
+        float test accepts lies in B_0 itself.  None when some B_i reaches
+        |x| >= alpha, where it could meet V+ = {|x| > |y|, |x| > alpha}
+        (|y| is held below alpha too, which keeps the kernel's overflow
+        test quiet: `attracting_trap` admits reach < OVERFLOW_CAP^(1/d)).
+        """
+        keep = 1.0 - TRAP_MARGIN
+        if not self.reach <= keep * alpha:
+            return None
+        x0, y0 = self.centres[0]
+        return (x0, y0, keep * self.rho[0], keep * self.sigma[0])
+
+
+def _critical_seeds(p: Polynomial) -> list:
+    """Approximate roots of p'/d: Durand-Kerner sweeps through `horner`.
+
+    Pure Python on purpose: `critical_points` calls numpy's companion-matrix
+    root finder, whose first LAPACK call costs about a megabyte of resident
+    memory.  The seeds need no accuracy; the trap certificate carries it.
+    """
+    d = p.degree
+    monic = tuple(c / d for c in p._d1)  # p'/d, leading coefficient 1
+    roots = [(0.4 + 0.9j) ** j for j in range(d - 1)]
+    for _ in range(CRITICAL_SWEEPS):
+        for j, z in enumerate(roots):
+            den = 1.0 + 0j
+            for k, w in enumerate(roots):
+                if k != j:
+                    den *= z - w
+            if den != 0:
+                roots[j] = z - horner(monic, z) / den
+    return roots
+
+
+def _attracting_cycle(henon: HenonMap, c: complex):
+    """z_0 ... z_{q-1} of the cycle the orbit of (c, c) settles on, or None."""
+    p, a = henon.p, henon.a
+    bound = 2.0 * (1.0 + abs(a) + sum(abs(coef) for coef in p.coefficients))
+    x, y = c, c
+    for _ in range(CYCLE_STEPS):
+        x, y = p(x) - a * y, x
+        if not abs(x) < bound:  # escaping (or NaN): no bounded cycle
+            return None
+    orbit = [Point(x, y)]
+    for _ in range(MAX_PERIOD):
+        x, y = p(x) - a * y, x
+        orbit.append(Point(x, y))
+    x0, y0 = orbit[0]
+    tol = CYCLE_TOL * (1.0 + abs(x0) + abs(y0))
+    for q in range(1, MAX_PERIOD + 1):
+        if abs(orbit[q].x - x0) + abs(orbit[q].y - y0) <= tol:
+            return orbit[:q]
+    return None
+
+
+def _x_image_radius(henon: HenonMap, z: Point, nxt: Point, rho: float, sigma: float) -> float:
+    """Sup of |f(w)_x - x_{i+1}| over w in B_i, plus the rounding of float steps.
+
+    Taylor: sum_k |p^(k)(x_i)|/k! rho^k + |a| sigma + |p(x_i) - a y_i - x_{i+1}|.
+    Each of the 2d + 2 complex operations of p(x) - a*y by Horner errs by
+    at most 2*sqrt(2) units of 2**-53 of its operands' moduli (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., §3.6), so
+    8(d + 1) units of S = sum_j |c_j| X^j + |a| Y, X = |x_i| + rho and
+    Y = |y_i| + sigma, bound one step.  Three such bounds are added: the
+    kernel's step, the computed residual, and the Taylor coefficients
+    (sum_k rho^k sum_j C(j, k) |c_j| |x_i|^(j-k) = sum_j |c_j| X^j).
+    """
+    p, a, d = henon.p, henon.a, henon.degree
+    c = p.coefficients
+    taylor = sum(
+        abs(horner(tuple(comb(j, k) * c[j] for j in range(k, d + 1)), z.x)) * rho**k
+        for k in range(1, d + 1)
+    )
+    drift = abs(p(z.x) - a * z.y - nxt.x)
+    X, Y = abs(z.x) + rho, abs(z.y) + sigma
+    size = sum(abs(cj) * X**j for j, cj in enumerate(c)) + abs(a) * Y
+    return taylor + abs(a) * sigma + drift + 3 * 8 * (d + 1) * 2.0**-53 * size
+
+
+def _trap_holds(henon: HenonMap, centres, rho, sigma) -> bool:
+    """The trap certificate: for every i, with m = TRAP_MARGIN,
+
+        x:  sum_k |p^(k)(x_i)|/k! rho_i^k + |a| sigma_i + |p(x_i) - a y_i - x_{i+1}|
+                + roundings <= (1 - m) rho_{i+1}
+        y:  rho_i + |x_i - y_{i+1}| <= (1 - m) sigma_{i+1}
+
+    so f maps B_i into B_{i+1} with room for the float step: the kernel's y
+    step is exact, and its x step's rounding is in `_x_image_radius`.  m covers
+    the rounding of these sums themselves (a few dozen operations on
+    non-negative terms, each within 2**-53 relative).
+    """
+    keep = 1.0 - TRAP_MARGIN
+    q = len(centres)
+    for i, z in enumerate(centres):
+        j = (i + 1) % q
+        nxt = centres[j]
+        if not _x_image_radius(henon, z, nxt, rho[i], sigma[i]) <= keep * rho[j]:
+            return False
+        if not rho[i] + abs(z.x - nxt.y) <= keep * sigma[j]:
+            return False
+    return True
+
+
+def _trap_radii(henon: HenonMap, centres):
+    """Largest rho_0 on RADIUS_LADDER whose forward-propagated radii close up.
+
+    From (rho_0, sigma_0), each step around the cycle takes the smallest
+    radii the two trap inequalities allow (with twice the margin); they
+    close up when they come back no larger than they started.  sigma_0
+    starts at rho_0 and is raised to the returning sigma_q up to three
+    times: |a| sigma_i feeds rho_{i+1} only weakly.
+    """
+    q = len(centres)
+    loose = 1.0 - 2.0 * TRAP_MARGIN  # propagate with twice the margin the check needs
+    for rho0 in RADIUS_LADDER:
+        sigma0 = rho0
+        for _ in range(4):
+            rho, sigma = [rho0], [sigma0]
+            for i, z in enumerate(centres):
+                nxt = centres[(i + 1) % q]
+                rho.append(_x_image_radius(henon, z, nxt, rho[i], sigma[i]) / loose)
+                sigma.append((rho[i] + abs(z.x - nxt.y)) / loose)
+            if rho[q] > rho0:
+                break
+            if sigma[q] <= sigma0:
+                if _trap_holds(henon, centres, rho[:q], sigma[:q]):
+                    return rho[:q], sigma[:q]
+                break
+            sigma0 = sigma[q]
+    return None
+
+
+def attracting_trap(henon: HenonMap):
+    """A certified CycleTrap around an attracting cycle of f, or None.
+
+    The cycle comes from iterating f from (c, c) for approximate critical
+    points c of p; the first cycle whose radii certify wins.  None when no
+    critical orbit settles within CYCLE_STEPS (e.g. a near-parabolic p) or
+    no radii certify.
+    """
+    for c in _critical_seeds(henon.p):
+        centres = _attracting_cycle(henon, c)
+        if centres is None:
+            continue
+        radii = _trap_radii(henon, centres)
+        if radii is None:
+            continue
+        rho, sigma = radii
+        i = max(range(len(rho)), key=rho.__getitem__)  # B_0: the widest bidisk
+        trap = CycleTrap(
+            centres=tuple(centres[i:] + centres[:i]),
+            rho=tuple(rho[i:] + rho[:i]),
+            sigma=tuple(sigma[i:] + sigma[:i]),
+        )
+        if trap.reach < OVERFLOW_CAP ** (1.0 / henon.degree):
+            return trap
+    return None

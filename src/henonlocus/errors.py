@@ -34,7 +34,8 @@ class CertificateViolation(HenonLocusError):
 
 
 class NotInEscapeRegion(HenonLocusError):
-    """No iterate reached V+/V- within the iteration cap."""
+    """No iterate reached V+/V- within the iteration cap, or a forward iterate
+    entered the certified trap around the attracting cycle."""
 
 
 class OnDegenerateCurve(HenonLocusError):

@@ -22,6 +22,16 @@ overflowing for a subnormal a) is refused the same way. It also refuses
 default one, and a non-finite point (a blown-up Newton iterate, say) with
 CoordinateOverflow before iterating.
 
+On the plus side `_run` also hands the kernel the map's certified trap
+around f's attracting cycle (`dynamics.attracting_trap`, computed on the
+first plus-side call and cached on the map, like the default domain), when
+every bidisk of the trap lies in |x|, |y| < alpha for the call's alpha.  An orbit
+that enters it is certified bounded, and NotInEscapeRegion then names the
+trap step and radius; an orbit that neither escapes nor meets the trap is
+refused by the 200-step cap, as on the minus side.  Which of the two
+refuses changes no value: the kernel returns the plain loop's status either
+way.
+
 Green's functions: g+ = log|phi+| on the escape side, 0 on K+;
 g- = log|phi-| on the escape side, log|a|/(d-1) on K-.
 """
@@ -33,7 +43,14 @@ import math
 from dataclasses import dataclass
 
 from . import _kernel as kernel
-from .dynamics import DomainParams, HenonMap, Point, require_jacobian_below
+from .dynamics import (
+    CycleTrap,
+    DomainParams,
+    HenonMap,
+    Point,
+    attracting_trap,
+    require_jacobian_below,
+)
 from .errors import (
     CertificateViolation,
     CoordinateOverflow,
@@ -60,7 +77,9 @@ class EscapeValue:
 class GreenValue:
     value: float
     side: str
-    interior_flag: bool  # point classified in K+/K- (cap-based)
+    # point in K+/K-: certified by the trap around the attracting cycle
+    # (plus side), or classified by the iteration cap
+    interior_flag: bool
     cap: int = DEFAULT_CAP
 
 
@@ -95,6 +114,19 @@ def default_domain(henon: HenonMap) -> DomainParams:
     return dp
 
 
+def plus_trap(henon: HenonMap) -> CycleTrap | None:
+    """The map's certified trap around its attracting cycle, or None.
+
+    Computed on first use and cached on the map; threads that race here
+    compute the same trap.
+    """
+    try:
+        return henon._plus_trap
+    except AttributeError:
+        trap = henon._plus_trap = attracting_trap(henon)
+        return trap
+
+
 def _run(henon, z, side, tol, dp, alpha=None):
     """(EscapeValue, gradient of log phi) on one side, from one kernel call."""
     if side == "plus":
@@ -122,16 +154,20 @@ def _run(henon, z, side, tol, dp, alpha=None):
             smax=0.0,
         )
         return ev, (-1.0 / (d * v), henon.p.derivative(y) / (d * v))
-    status, depth, logphi, glx, gly, smax = evaluate(
-        henon.p.coefficients,
-        henon.a,
-        x,
-        y,
-        K,
-        dp.alpha if alpha is None else alpha,
-        DEFAULT_CAP,
-    )
+    alpha = dp.alpha if alpha is None else alpha
+    args = (henon.p.coefficients, henon.a, x, y, K, alpha, DEFAULT_CAP)
+    if side == "plus":
+        cycle_trap = plus_trap(henon)
+        trap = None if cycle_trap is None else cycle_trap.kernel_trap(alpha)
+        args += (trap,)
+    status, depth, logphi, glx, gly, smax = evaluate(*args)
     if status == kernel.NO_ESCAPE:
+        if depth < DEFAULT_CAP:
+            raise NotInEscapeRegion(
+                f"{iterate} iterate {depth} entered the certified trap (radius "
+                f"{trap[2]:.3g}) around the attracting {cycle_trap.period}-cycle, "
+                f"so no {iterate} iterate ever enters {domain}"
+            )
         raise NotInEscapeRegion(
             f"no {iterate} iterate entered {domain} within {DEFAULT_CAP} steps"
         )
@@ -201,8 +237,13 @@ def phi_with_gradient(
 
 
 def green(henon: HenonMap, z: Point, side: str, tol: float = 1e-9) -> GreenValue:
-    """g+ or g-; a point whose orbit has not entered V+/V- within
-    DEFAULT_CAP = 200 steps is classified as bounded (in K+/K-)."""
+    """g+ or g-, with interior_flag set for a point taken to be in K+/K-.
+
+    On the plus side a point whose orbit enters the certified trap around
+    the attracting cycle is certified interior.  Any other point whose orbit
+    has not entered V+/V- within DEFAULT_CAP = 200 steps is classified
+    interior by the cap.
+    """
     if side == "plus":
         try:
             ev = phi_plus(henon, z, tol)

@@ -154,9 +154,11 @@ def locate_on_locus(
     The raw determinant is holomorphic in y, so a central finite
     difference of it drives the correction (_locus_newton_2d takes the same
     differences in x and y for its second row); the convergence test uses
-    the normalized value.
+    the normalized value.  x and y_seed must be finite (ValueError).
     """
     y = complex(y_seed)
+    if not (cmath.isfinite(x) and cmath.isfinite(y)):
+        raise ValueError(f"x {x!r} and y_seed {y_seed!r} must be finite")
     for _ in range(16):
         tv = tangency_value(henon, Point(x, y))
         if abs(tv.value) < tol:

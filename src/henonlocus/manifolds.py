@@ -158,6 +158,11 @@ def _taylor_from_circle(values, radius: float):
     )
 
 
+def _require_mesh(mesh: int) -> None:
+    if not mesh >= 1:
+        raise ValueError(f"mesh must be at least 1 circle node, got {mesh!r}")
+
+
 def _require_tame_polynomial(p: Polynomial) -> None:
     """Admit p only when every critical orbit settles on a bounded cycle."""
     bound = 2.0 * (1.0 + sum(abs(c) for c in p.coefficients))
@@ -255,6 +260,7 @@ def local_stable_graph(
     Pulls the vertical slice u = p^n(z) back n times and deepens n until
     two successive graphs agree to 1e-10 in the sup norm over the mesh.
     """
+    _require_mesh(mesh)
     _require_tame_polynomial(henon.p)
     z = complex(z)
     orbit = [z]
@@ -326,6 +332,7 @@ def local_unstable_graph(
     slice v = 0 at the history tail is pushed forward and the depth grows
     until successive graphs agree to 1e-10.
     """
+    _require_mesh(mesh)
     _require_tame_polynomial(henon.p)
     hist = tuple(complex(h) for h in history)
     if len(hist) < 2:

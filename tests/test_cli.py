@@ -326,6 +326,22 @@ def test_critlocus_bad_step_or_range_exits_2(capsys, flag, value):
 # holonomy
 
 
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["holonomy", "--x", "nan"], "must be finite"),
+        (["verify", "--samples", "0"], "samples must be >= 1"),
+        (["verify", "--samples", "-3"], "samples must be >= 1"),
+        (["manifold", "--mesh", "0"], "mesh must be at least 1"),
+    ],
+)
+def test_bad_count_or_coordinate_exits_2(capsys, argv, names):
+    code, report = run_json(capsys, argv)
+    assert code == 2
+    assert report["status"] == "config-error"
+    assert names in report["error"]
+
+
 def test_holonomy_reports_orbit_and_witness(capsys):
     code, report = run_json(capsys, ["holonomy", "--n", "1"])
     assert code == 0

@@ -4,11 +4,14 @@ import random
 
 import pytest
 
+from henonlocus import dynamics
 from henonlocus.dynamics import (
+    TRAP_MARGIN,
     DomainParams,
     HenonMap,
     Point,
     Polynomial,
+    attracting_trap,
     domain_params,
     in_v_minus,
     in_v_plus,
@@ -145,3 +148,101 @@ def test_backward_invariance(p):
         w = h.apply_inverse(z)
         assert in_v_minus(w, dp)
         assert abs(w.y) > 2 * abs(z.y)
+
+
+# ---------------------------------------------------------------------------
+# certified trap around the attracting cycle
+
+# the field workload's quadratic (attracting fixed point, multiplier ~ -0.85)
+FIELD_QUADRATIC = HenonMap(Polynomial([-0.6 + 0.01j, 0, 1]), 0.034 + 0.029j)
+# period-2 bulb: the 2-cycle near 0 <-> -1
+BULB = HenonMap(Polynomial([-1 + 0.1j, 0, 1]), 0.01)
+# cubic x^3 - 3 kappa^2 x, kappa = 0.75: a 2-cycle near +-0.79
+CUBIC = HenonMap(Polynomial([0, -1.6875, 0, 1]), 0.06)
+# the field's near-parabolic cubic at a = 0: p'(0) ~ -0.9965 attracts too
+# slowly for its critical orbits to settle within CYCLE_STEPS
+NEAR_PARABOLIC = HenonMap(
+    Polynomial([-0.004154701540427896 + 0.016234744883985915j,
+                -0.9964945986992689 - 0.0022022595581502207j, 0, 1]),
+    0,
+)
+
+
+def _boundary(rng, centre, rho, sigma):
+    """A point on the boundary of the bidisk: one coordinate on its circle."""
+    ex, ey = (cmath.exp(2j * math.pi * rng.random()) for _ in range(2))
+    tx, ty = rng.random(), rng.random()
+    side = rng.randrange(3)
+    if side == 0:
+        tx = ty = 1.0  # the distinguished boundary torus
+    elif side == 1:
+        tx = 1.0
+    else:
+        ty = 1.0
+    return Point(centre.x + tx * rho * ex, centre.y + ty * sigma * ey)
+
+
+@pytest.mark.parametrize("henon, period", [(FIELD_QUADRATIC, 1), (BULB, 2), (CUBIC, 2)])
+def test_trap_maps_each_bidisk_into_the_next(henon, period):
+    trap = attracting_trap(henon)
+    assert trap is not None and trap.period == period
+    rng = random.Random(17)
+    q = trap.period
+    for i, centre in enumerate(trap.centres):
+        j = (i + 1) % q
+        nxt = trap.centres[j]
+        assert abs(henon.apply(centre).x - nxt.x) < 1e-9
+        for _ in range(400):
+            w = henon.apply(_boundary(rng, centre, trap.rho[i], trap.sigma[i]))
+            # inside the next bidisk with room to spare for the float step
+            assert abs(w.x - nxt.x) <= (1 - TRAP_MARGIN / 2) * trap.rho[j]
+            assert abs(w.y - nxt.y) <= (1 - TRAP_MARGIN / 2) * trap.sigma[j]
+
+
+def test_trap_stays_out_of_v_plus_and_widest_bidisk_comes_first():
+    trap = attracting_trap(BULB)
+    alpha = domain_params(BULB.p).alpha
+    assert trap.rho[0] == max(trap.rho)
+    x0, y0, rho0, sigma0 = trap.kernel_trap(alpha)
+    assert (x0, y0) == trap.centres[0]
+    assert rho0 == (1 - TRAP_MARGIN) * trap.rho[0] and sigma0 < trap.sigma[0]
+    # no trap for an alpha that some bidisk reaches, with the margin's room
+    reach = max(
+        max(abs(c.x) + r, abs(c.y) + s) for c, r, s in zip(trap.centres, trap.rho, trap.sigma)
+    )
+    assert trap.reach == reach and reach < alpha
+    assert trap.kernel_trap(reach) is None
+    assert trap.kernel_trap(reach / (1 - TRAP_MARGIN)) is not None
+
+
+def test_trap_certificate_refuses_radii_that_do_not_map_inward():
+    trap = attracting_trap(FIELD_QUADRATIC)
+    assert dynamics._trap_holds(FIELD_QUADRATIC, trap.centres, trap.rho, trap.sigma)
+    # the multiplier is ~0.85 and |p''|/2 = 1: rho = 0.2 is not mapped inward
+    wide = tuple(0.2 for _ in trap.rho)
+    assert not dynamics._trap_holds(FIELD_QUADRATIC, trap.centres, wide, wide)
+    # a centre off the cycle leaves a residual larger than the radius
+    moved = tuple(Point(c.x + 0.5 * trap.rho[0], c.y) for c in trap.centres)
+    assert not dynamics._trap_holds(FIELD_QUADRATIC, moved, trap.rho, trap.sigma)
+
+
+def test_no_cycle_no_trap():
+    assert attracting_trap(NEAR_PARABOLIC) is None
+    # escaping critical orbits: x^2 + 1 has no bounded critical orbit
+    assert attracting_trap(HenonMap(Polynomial([1, 0, 1]), 0.01)) is None
+
+
+def test_trap_search_needs_no_numpy_root_finder(monkeypatch):
+    def refuse(self):
+        raise AssertionError("critical_points called")
+
+    monkeypatch.setattr(Polynomial, "critical_points", refuse)
+    assert attracting_trap(CUBIC) is not None
+
+
+def test_critical_seeds_approximate_the_critical_points():
+    for p in (Polynomial([-0.6, 0, 1]), CUBIC.p, Polynomial([0.1, 0.2j, -0.5, 0.3, 1])):
+        seeds = dynamics._critical_seeds(p)
+        assert len(seeds) == p.degree - 1
+        for c in p.critical_points():
+            assert min(abs(c - s) for s in seeds) < 1e-8

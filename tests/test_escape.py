@@ -198,6 +198,33 @@ def test_not_in_escape_region():
     assert g.interior_flag and g.value == 0.0
 
 
+def test_interior_refusals_name_their_certificate():
+    # p = x^2: the superattracting fixed point 0 is trapped at step 0
+    h = HenonMap(X2, 0.05)
+    with pytest.raises(NotInEscapeRegion, match=r"iterate 0 entered the certified trap"):
+        escape.phi_plus(h, Point(0, 0))
+    assert escape.plus_trap(h).period == 1
+    # a threshold the trap's bidisks reach: no trap, the cap refuses
+    with pytest.raises(NotInEscapeRegion, match=r"within 200 steps"):
+        escape.phi_with_gradient(h, Point(0, 0), "plus", alpha=0.5)
+    # no trap on the minus side
+    with pytest.raises(NotInEscapeRegion, match=r"no backward iterate entered V- within 200"):
+        escape.phi_minus(h, Point(0, 0))
+
+
+def test_plus_trap_is_lazy_and_cached():
+    h = HenonMap(X2M1, 0.01)
+    h.domain_params()
+    escape.default_domain(h)
+    escape.phi_minus(h, Point(0.5, 30.0))
+    assert not hasattr(h, "_plus_trap")
+    escape.phi_plus(h, Point(30.0, 0.5))
+    trap = h._plus_trap
+    assert trap is not None and trap.period == 2
+    escape.green(h, Point(0, 0), "plus")
+    assert h._plus_trap is trap
+
+
 def test_green_minus_interior_constant():
     h = HenonMap(X2, 0.05)
     g = escape.green(h, Point(0, 0), "minus")

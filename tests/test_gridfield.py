@@ -6,6 +6,7 @@ own evaluation loop; the PGM bytes are checked against a hand-built
 2x2 image.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from henonlocus.dynamics import HenonMap, Polynomial
+from henonlocus.escape import plus_trap
 from henonlocus.gridfield import (
     GridField,
     green_grid,
@@ -216,3 +218,27 @@ def test_non_finite_geometry_rejected(geometry):
     kwargs = {"re_range": (0.0, 1.0), "im_range": (0.0, 1.0), "nx": 4, "ny": 4, **geometry}
     with pytest.raises(ValueError, match="must be finite"):
         green_grid(HenonMap(BASIC, 0.01), "green-plus", **kwargs)
+
+
+# sha256 of PGM + sidecar + CSV of 64x64 tiles of the field workload's
+# quadratic, recorded before the kernel stopped trapped orbits early: about
+# a quarter of the pixels lie in the basin of the attracting fixed point
+PINNED_TILES = {
+    "green-plus": "6e2bda3212d52c9dd784352bdb40d3b5227c8edac83907508f948a87e0ff4519",
+    "tangency": "7d1d212fed334ce5fd326ba7da0edec4d9e2e9609fc9f5b01605ed9d6b91b0eb",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_TILES))
+def test_trapped_tiles_keep_their_bytes(kind):
+    henon = HenonMap(Polynomial([-0.6 + 0.01j, 0, 1]), 0.034 + 0.029j)
+    grid = green_grid(
+        henon, kind, (-1.5, 1.5), (-1.5, 1.5), 64, 64, slice_axis="x", slice_value=0.05j
+    )
+    assert plus_trap(henon) is not None
+    interior = grid.nan_pixels if kind == "tangency" else int((grid.values == 0).sum())
+    assert interior == 1111
+    digest = hashlib.sha256()
+    for part in (grid_to_pgm(grid), grid_sidecar(grid).encode(), grid_to_csv(grid).encode()):
+        digest.update(part)
+    assert digest.hexdigest() == PINNED_TILES[kind]

@@ -4,11 +4,11 @@ import cmath
 import struct
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from henonlocus import _kernel
-from henonlocus.dynamics import Polynomial
+from henonlocus.dynamics import HenonMap, Polynomial, attracting_trap
 
 SQUARE = (0j, 0j, 1 + 0j)
 BASIC = (-1 + 0j, 0j, 1 + 0j)
@@ -239,6 +239,82 @@ _QUARTIC = (-0.5 + 0j, -0.3 - 0.25j, -0.45 + 0.5j, 0j, 1 + 0j)
 def test_kernel_is_bitwise_the_plain_loops(kernels, args):
     kernel, oracle = kernels
     assert _outcome(kernel, *args) == _outcome(oracle, *args)
+
+
+# ---------------------------------------------------------------------------
+# the trap: same result as the plain loop, less work on capped orbits
+
+
+@st.composite
+def _trapped_args(draw):
+    """A map with a certified trap, a point, K and alpha, plus the kernel trap.
+
+    Quadratics x^2 + c with c in the main cardioid (multiplier |mu| <= 0.8)
+    or the period-2 bulb, or cubics x^3 + b x + c0 near x^3 - x; |a| <= 0.07,
+    a = 0 included.  Points fall near the cycle, across the filled Julia
+    set, or far out (OVERFLOW at 1e140).
+    """
+    family = draw(st.sampled_from(("cardioid", "bulb", "cubic")))
+    turn = cmath.exp(2j * cmath.pi * draw(st.floats(0.0, 1.0)))
+    if family == "cardioid":
+        mu = draw(st.floats(0.0, 0.8)) * turn
+        coeffs = (mu / 2 - mu * mu / 4, 0j, 1 + 0j)
+    elif family == "bulb":
+        coeffs = (-1 + draw(st.floats(0.0, 0.2)) * turn, 0j, 1 + 0j)
+    else:
+        b = -1 + draw(st.floats(0.0, 0.3)) * turn
+        coeffs = (draw(st.floats(-0.1, 0.1)) + 0j, b, 0j, 1 + 0j)
+    a = complex(draw(_component(0.07)), draw(_component(0.07)))
+    alpha = draw(st.sampled_from((2.0, 3.0, 6.0)))
+    cycle_trap = attracting_trap(HenonMap(Polynomial(coeffs), a))
+    assume(cycle_trap is not None)
+    trap = cycle_trap.kernel_trap(alpha)
+    assume(trap is not None)
+    scale = draw(st.sampled_from((0.5, 2.0, 3.0, 1e140)))
+    i = draw(st.integers(0, cycle_trap.period - 1))
+    if draw(st.booleans()):  # near B_i
+        centre, reach = cycle_trap.centres[i], 2.0 * cycle_trap.rho[i]
+    else:
+        centre, reach = (0j, 0j), scale
+    x = centre[0] + complex(draw(_component(reach)), draw(_component(reach)))
+    y = centre[1] + complex(draw(_component(reach)), draw(_component(reach)))
+    K = draw(st.sampled_from((19, 26, 31)))
+    return (coeffs, a, x, y, K, alpha, CAP), trap
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_trapped_args())
+def test_trapped_kernel_is_the_plain_loop_except_for_the_step_count(case):
+    args, trap = case
+    expected = _outcome(_oracle_phi_plus, *args)
+    got = _outcome(_kernel.phi_plus_eval, *args, trap)
+    if isinstance(expected, bytes) and struct.unpack("<q", expected[:8])[0] == _kernel.NO_ESCAPE:
+        status, k, logphi, glx, gly, smax = _kernel.phi_plus_eval(*args, trap)
+        assert status == _kernel.NO_ESCAPE and 0 <= k <= CAP
+        assert _bits(logphi) + _bits(glx) + _bits(gly) == bytes(48) and smax == 0.0
+    else:
+        assert got == expected
+
+
+_BULB = HenonMap(Polynomial([-1 + 0.1j, 0, 1]), 0.01)
+
+
+def test_trap_boundary_point_iterates_to_the_plain_result():
+    trap = attracting_trap(_BULB).kernel_trap(ALPHA)
+    x0, y0, rho, sigma = trap
+    args = (_BULB.p.coefficients, _BULB.a)
+    inside = (x0 + 0.999 * rho, y0)
+    outside = (x0 + rho, y0)  # |x - x0| = rho exactly: not in the open bidisk
+    assert _kernel.phi_plus_eval(*args, *inside, 41, ALPHA, CAP, trap)[:2] == (
+        _kernel.NO_ESCAPE,
+        0,
+    )
+    for point in (outside, (x0, y0 + sigma), (x0 - 1.001 * rho, y0 + 1j * 1.001 * sigma)):
+        plain = _oracle_phi_plus(*args, *point, 41, ALPHA, CAP)
+        status, k = _kernel.phi_plus_eval(*args, *point, 41, ALPHA, CAP, trap)[:2]
+        # a basin point: the plain loop runs to the cap, the trap stops it later than step 0
+        assert plain[:2] == (_kernel.NO_ESCAPE, CAP)
+        assert status == _kernel.NO_ESCAPE and 1 <= k < CAP
 
 
 # A saddle fixed point of f for p = x^2 - 1, a = 0.01: its backward orbit

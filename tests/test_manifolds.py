@@ -220,6 +220,15 @@ def test_graph_transform_needs_one_iteration():
         local_unstable_graph(henon, (PHI,) * 4, iterations=0, mesh=8)
 
 
+@pytest.mark.parametrize("mesh", [0, -2])
+def test_graph_transform_needs_a_mesh_node(mesh):
+    henon = HenonMap(BASIC, 0.01)
+    with pytest.raises(ValueError, match="mesh"):
+        local_stable_graph(henon, PHI, mesh=mesh)
+    with pytest.raises(ValueError, match="mesh"):
+        local_unstable_graph(henon, (PHI,) * 4, mesh=mesh)
+
+
 def test_stable_graph_rejects_escaping_critical_orbit():
     with pytest.raises(ValueError):
         local_stable_graph(HenonMap(Polynomial([0.26, 0, 1]), 0.01), 0.3)
