@@ -354,10 +354,13 @@ def _trap_radii(henon: HenonMap, centres):
         sigma0 = rho0
         for _ in range(4):
             rho, sigma = [rho0], [sigma0]
-            for i, z in enumerate(centres):
-                nxt = centres[(i + 1) % q]
-                rho.append(_x_image_radius(henon, z, nxt, rho[i], sigma[i]) / loose)
-                sigma.append((rho[i] + abs(z.x - nxt.y)) / loose)
+            try:
+                for i, z in enumerate(centres):
+                    nxt = centres[(i + 1) % q]
+                    rho.append(_x_image_radius(henon, z, nxt, rho[i], sigma[i]) / loose)
+                    sigma.append((rho[i] + abs(z.x - nxt.y)) / loose)
+            except OverflowError:  # rho_i**k left the floats: these radii cannot close
+                break
             if rho[q] > rho0:
                 break
             if sigma[q] <= sigma0:

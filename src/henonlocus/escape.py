@@ -39,6 +39,7 @@ g- = log|phi-| on the escape side, log|a|/(d-1) on K-.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -95,13 +96,17 @@ def _finite_point(z) -> tuple[complex, complex]:
     return x, y
 
 
+@functools.lru_cache
 def truncation_K(d: int, r: float, tol: float) -> int:
-    """Factors needed so the geometric log-tail is below tol (0 < tol < inf)."""
+    """Factors needed so the geometric log-tail is below tol (0 < tol < inf).
+
+    Memoised, like tail_bound: every kernel call asks for both."""
     _require_tolerance(tol)
     K = math.ceil(math.log(-math.log(1.0 - r) / ((1.0 - 1.0 / d) * tol), d))
     return max(K, 1)
 
 
+@functools.lru_cache
 def tail_bound(d: int, r: float, K: int) -> float:
     return -math.log(1.0 - r) / (d**K * (d - 1))
 

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from .dynamics import HenonMap, Point
-from .errors import ContinuationFailure, DegenerateJacobian, NewtonDivergence
+from .errors import ContinuationFailure, DegenerateJacobian
 from .escape import phi_minus, phi_plus
-from .locus import _locus_newton_2d
+from .locus import CLOSURE_TOL, _theta_continuation
 
 _LEAF_TOL = 1e-6  # |ratio - omega| accepted as a leaf witness
 
@@ -98,11 +98,14 @@ def same_leaf_minus(
 def monodromy_orbit(henon: HenonMap, c: complex, z: Point, n: int) -> List[Point]:
     """The d^n monodromy translates of z on the component through c.
 
-    Continuation moves the psi+ coordinate around the circle through
-    psi+(z); the orbit collects the points over omega * psi+(z) for all
-    omega with omega^(d^n) = 1, each corrected back onto the locus (the
-    2-D Newton enforces the tangency condition, so every returned point
-    is certified on the component).  The orbit starts at z itself.
+    The covering certificate's theta-continuation (a third-order predictor,
+    then the 2-D Newton with a chord tangency row) moves the psi+ coordinate
+    around the circle through psi+(z), from z itself as the solved theta = 0
+    point.  The orbit collects the points over omega * psi+(z) for all omega
+    with omega^(d^n) = 1; the 2-D Newton enforces the tangency condition, so
+    every returned point is certified on the component.  The continuation
+    must return to z within CLOSURE_TOL, else ContinuationFailure.  The orbit
+    starts at z itself.
     """
     if n < 0:
         raise ValueError("monodromy exponent must be >= 0")
@@ -118,19 +121,12 @@ def monodromy_orbit(henon: HenonMap, c: complex, z: Point, n: int) -> List[Point
     depth = base.depth + 1  # frozen V+ iterate for the branch-free target
 
     orbit = [z]
-    x, y = z.x, z.y
-    for j in range(1, steps + 1):
-        log_target = base.log_value + 2j * math.pi * j / steps
-        try:
-            x, y, _ = _locus_newton_2d(henon, x, y, log_target, depth)
-        except NewtonDivergence as err:
-            raise ContinuationFailure(
-                f"monodromy continuation failed at step {j}/{steps}: {err}"
-            ) from err
+    continuation = _theta_continuation(henon, z.x, z.y, base.log_value, steps, depth, 1)
+    for j, (x, y, _) in enumerate(continuation, start=1):
         if j % sub == 0 and j < steps:
             orbit.append(Point(x, y))
     closure = abs(x - z.x) + abs(y - z.y)
-    if closure > 1e-8:
+    if closure > CLOSURE_TOL:
         raise ContinuationFailure(
             f"orbit continuation did not close up (gap {closure:.3e})"
         )

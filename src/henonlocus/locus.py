@@ -33,7 +33,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from .dynamics import HenonMap, Point, Polynomial
 from .errors import (
@@ -49,6 +49,7 @@ from .escape import default_domain, phi_with_gradient
 NEWTON_TOL = 1e-10
 DEPTH_FACTOR = 2.0  # push V+/V- entry past 2*alpha before trusting leaves
 FD_STEP = 1e-6
+CLOSURE_TOL = 1e-8  # closure gap of a certified theta continuation
 _PROBE_SAMPLES = 16  # leaf-probe circle nodes in contact_order
 
 
@@ -375,9 +376,14 @@ def _locus_newton_2d(
     The phi+ row is exp(d^depth (log phi+ - log_target)) - 1 and its exact
     gradient, by the d^depth lift (_frozen_ratio; f^depth(x, y) must stay in
     V+, else NewtonDivergence), branch-free because 2 pi i jumps die under
-    exp; the tangency row takes central differences.  Returns (x, y, phi+
-    at the frozen depth)."""
+    exp, and fresh every iteration.  The tangency row takes central
+    differences (eight kernel calls), so it is a chord row: taken at the
+    start (x, y) and kept while each correction at least halves the residual
+    max(|F1|, |F2| * scale), retaken where a correction does not.  Returns
+    (x, y, phi+ at the frozen depth)."""
     deep_target = henon.degree**depth * log_target
+    row = None
+    residual = math.inf
     for _ in range(25):
         ratio, a11, a12 = _frozen_ratio(henon, x, y, depth, deep_target, NewtonDivergence)
         tv = tangency_value(henon, Point(x, y))
@@ -385,12 +391,15 @@ def _locus_newton_2d(
         F2 = tv.det
         if abs(F1) < 1e-11 and abs(F2) * tv.scale < 10.0 * NEWTON_TOL:
             return x, y, ratio * cmath.exp(deep_target)
-        h = FD_STEP * max(1.0, abs(x))
-        a21 = (
-            tangency_value(henon, Point(x + h, y)).det
-            - tangency_value(henon, Point(x - h, y)).det
-        ) / (2 * h)
-        a22 = _dvalue_dy(henon, x, y)
+        previous, residual = residual, max(abs(F1), abs(F2) * tv.scale)
+        if row is None or residual > 0.5 * previous:
+            h = FD_STEP * max(1.0, abs(x))
+            a21 = (
+                tangency_value(henon, Point(x + h, y)).det
+                - tangency_value(henon, Point(x - h, y)).det
+            ) / (2 * h)
+            row = a21, _dvalue_dy(henon, x, y)
+        a21, a22 = row
         det = a11 * a22 - a12 * a21
         if det == 0:
             raise NewtonDivergence("singular Jacobian in 2-D locus Newton")
@@ -401,6 +410,44 @@ def _locus_newton_2d(
     )
 
 
+def _theta_continuation(
+    henon: HenonMap,
+    x: complex,
+    y: complex,
+    log_target0: complex,
+    steps: int,
+    depth: int,
+    first: int,
+) -> Iterator[Tuple[complex, complex, complex]]:
+    """Continue a locus point around the circle phi+ = exp(log_target0 + i theta).
+
+    Yields (x, y, phi+ at the frozen depth) from _locus_newton_2d at
+    theta = 2 pi j / steps for j = first, ..., steps.  With first = 0, (x, y)
+    only seeds the j = 0 solve; with first = 1 it is the solved j = 0 point.
+    Each solve starts from the third-order predictor 3 z0 - 3 z1 + z2 through
+    the last three accepted points z0, z1, z2 (newest first): 2 z0 - z1 with
+    two of them, z0 with one.  A failed solve raises ContinuationFailure
+    naming the step."""
+    recent = [(x, y)] if first else []  # accepted points, oldest first
+    for j in range(first, steps + 1):
+        if len(recent) == 3:
+            (x2, y2), (x1, y1), (x0, y0) = recent
+            x, y = 3 * x0 - 3 * x1 + x2, 3 * y0 - 3 * y1 + y2
+        elif len(recent) == 2:
+            (x1, y1), (x0, y0) = recent
+            x, y = 2 * x0 - x1, 2 * y0 - y1
+        log_target = log_target0 + 2j * math.pi * j / steps
+        try:
+            x, y, value = _locus_newton_2d(henon, x, y, log_target, depth)
+        except NewtonDivergence as err:
+            raise ContinuationFailure(
+                f"theta continuation failed at |phi+| = {math.exp(log_target0.real):.6g}, "
+                f"step {j}/{steps}: {err}"
+            ) from err
+        recent = (recent + [(x, y)])[-3:]
+        yield x, y, value
+
+
 def verify_biholomorphism(
     henon: HenonMap,
     c: complex,
@@ -408,8 +455,8 @@ def verify_biholomorphism(
 ) -> BiholomorphismReport:
     """Certify that phi+ restricted to the component through c is a degree-one
     cover of each circle |phi+| = rho: continuation of phi+^{-1}(rho e^{i
-    theta}) around the full circle must close up (< 1e-8), wind exactly once,
-    and visit pairwise-distinct points."""
+    theta}) around the full circle must close up (< CLOSURE_TOL), wind
+    exactly once, and visit points pairwise more than CLOSURE_TOL apart."""
     items = []
     for rho in radii:
         if rho <= 1.0:
@@ -421,15 +468,7 @@ def verify_biholomorphism(
         steps = max(64, 8 * sheets)  # keep deep-value arg steps < pi/2
         points: list[Point] = []
         values: list[complex] = []
-        for j in range(steps + 1):
-            theta = 2.0 * math.pi * j / steps
-            log_target = math.log(rho) + 1j * theta
-            try:
-                x, y, val = _locus_newton_2d(henon, x, y, log_target, depth)
-            except NewtonDivergence as err:
-                raise ContinuationFailure(
-                    f"theta continuation failed at rho = {rho}, step {j}: {err}"
-                ) from err
+        for x, y, val in _theta_continuation(henon, x, y, math.log(rho), steps, depth, 0):
             points.append(Point(x, y))
             values.append(val)
         closure = abs(points[-1].x - points[0].x) + abs(points[-1].y - points[0].y)
@@ -453,8 +492,8 @@ def verify_biholomorphism(
         ok = (
             winding == 1
             and ok_steps
-            and closure < 1e-8
-            and min_sep > 0.0
+            and closure < CLOSURE_TOL
+            and min_sep > CLOSURE_TOL
         )
         items.append(
             RadiusReport(

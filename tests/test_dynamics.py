@@ -167,6 +167,10 @@ NEAR_PARABOLIC = HenonMap(
     0,
 )
 
+# quartic at a = 0.0625 with an attracting 7-cycle: propagating the widest
+# rungs of RADIUS_LADDER around it overflows a float before they fail to close
+QUARTIC = HenonMap(Polynomial([0, -1 + 0.40625j, -1, 0, 1]), 0.0625)
+
 
 def _boundary(rng, centre, rho, sigma):
     """A point on the boundary of the bidisk: one coordinate on its circle."""
@@ -182,7 +186,9 @@ def _boundary(rng, centre, rho, sigma):
     return Point(centre.x + tx * rho * ex, centre.y + ty * sigma * ey)
 
 
-@pytest.mark.parametrize("henon, period", [(FIELD_QUADRATIC, 1), (BULB, 2), (CUBIC, 2)])
+@pytest.mark.parametrize(
+    "henon, period", [(FIELD_QUADRATIC, 1), (BULB, 2), (CUBIC, 2), (QUARTIC, 7)]
+)
 def test_trap_maps_each_bidisk_into_the_next(henon, period):
     trap = attracting_trap(henon)
     assert trap is not None and trap.period == period

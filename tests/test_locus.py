@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from henonlocus import _kernel, locus
 from henonlocus.dynamics import HenonMap, Point, Polynomial
 from henonlocus.errors import (
     ContinuationFailure,
@@ -25,7 +26,12 @@ from henonlocus.errors import (
 )
 from henonlocus.escape import phi_with_gradient
 from henonlocus.locus import (
+    CLOSURE_TOL,
+    FD_STEP,
+    NEWTON_TOL,
+    _dvalue_dy,
     _frozen_ratio,
+    _locus_newton_2d,
     classify_component,
     contact_order,
     locate_on_locus,
@@ -249,7 +255,139 @@ def test_biholomorphism_radii():
     for item in report.items:
         assert item.winding == 1
         assert item.closure_error < 1e-8
-        assert item.min_separation > 0.0
+        assert item.min_separation > CLOSURE_TOL
+
+
+# ------------------------------------------------- theta continuation
+#
+# The oracle is the loop the chord continuation replaced: every solve
+# restarts from the previous point, and every correction takes a fresh
+# central-difference tangency row.
+
+
+def _oracle_newton_2d(henon, x, y, log_target, depth):
+    deep_target = henon.degree**depth * log_target
+    for _ in range(25):
+        ratio, a11, a12 = _frozen_ratio(henon, x, y, depth, deep_target, NewtonDivergence)
+        tv = tangency_value(henon, Point(x, y))
+        F1 = ratio - 1.0
+        F2 = tv.det
+        if abs(F1) < 1e-11 and abs(F2) * tv.scale < 10.0 * NEWTON_TOL:
+            return x, y, ratio * cmath.exp(deep_target)
+        h = FD_STEP * max(1.0, abs(x))
+        a21 = (
+            tangency_value(henon, Point(x + h, y)).det
+            - tangency_value(henon, Point(x - h, y)).det
+        ) / (2 * h)
+        a22 = _dvalue_dy(henon, x, y)
+        det = a11 * a22 - a12 * a21
+        x = x - (F1 * a22 - F2 * a12) / det
+        y = y - (a11 * F2 - a21 * F1) / det
+    raise NewtonDivergence("oracle Newton stalled")
+
+
+def _oracle_continuation(henon, x, y, log_target0, steps, depth, first):
+    for j in range(first, steps + 1):
+        log_target = log_target0 + 2j * math.pi * j / steps
+        x, y, value = _oracle_newton_2d(henon, x, y, log_target, depth)
+        yield x, y, value
+
+
+def _recording(continuation, points):
+    """`continuation` with every yielded point appended to `points`."""
+
+    def run(*args):
+        for x, y, value in continuation(*args):
+            points.append(Point(x, y))
+            yield x, y, value
+
+    return run
+
+
+def _gap(p, q):
+    return abs(p.x - q.x) + abs(p.y - q.y)
+
+
+@pytest.mark.parametrize("rho", (2.0, 8.0, 32.0))
+def test_covering_kernel_calls_per_theta_step(monkeypatch, rho):
+    # the restarting loop made 47-59 calls per step on this map
+    calls = []
+    for name in ("phi_plus_eval", "phi_minus_eval"):
+        evaluate = getattr(_kernel, name)
+        monkeypatch.setattr(
+            _kernel, name, lambda *args, evaluate=evaluate: calls.append(1) or evaluate(*args)
+        )
+    item = verify_biholomorphism(H, 0.0, radii=(rho,)).items[0]
+    assert item.ok
+    assert len(calls) <= 24 * item.n_theta
+
+
+@pytest.mark.parametrize("rho", (2.0, 8.0, 32.0))
+def test_covering_matches_restarting_newton_oracle(monkeypatch, rho):
+    continuation = locus._theta_continuation
+    got_points, want_points = [], []
+    monkeypatch.setattr(locus, "_theta_continuation", _recording(continuation, got_points))
+    got = verify_biholomorphism(H, 0.0, radii=(rho,)).items[0]
+    monkeypatch.setattr(
+        locus, "_theta_continuation", _recording(_oracle_continuation, want_points)
+    )
+    want = verify_biholomorphism(H, 0.0, radii=(rho,)).items[0]
+    assert (got.winding, got.n_theta, got.ok) == (want.winding, want.n_theta, want.ok)
+    assert want.ok
+    assert len(got_points) == len(want_points) == got.n_theta + 1
+    assert max(_gap(p, q) for p, q in zip(got_points, want_points)) < 1e-8
+
+
+@pytest.mark.parametrize("n", (1, 2))
+def test_monodromy_matches_restarting_newton_oracle(monkeypatch, n):
+    from henonlocus import holonomy
+
+    z, _ = locate_on_locus(H, 4.2)
+    got = holonomy.monodromy_orbit(H, 0.0, z, n)
+    monkeypatch.setattr(holonomy, "_theta_continuation", _oracle_continuation)
+    want = holonomy.monodromy_orbit(H, 0.0, z, n)
+    assert len(got) == len(want) == 2**n
+    assert got[0] == want[0] == z
+    assert max(_gap(p, q) for p, q in zip(got, want)) < 1e-8
+
+
+def test_chord_row_is_retaken_far_from_the_solution(monkeypatch):
+    # With no predictor, one theta step away needs one row on this map; the
+    # seed (rho, c) and a start two steps away need the row retaken.
+    rows = []
+    monkeypatch.setattr(
+        locus, "_dvalue_dy", lambda *args: rows.append(1) or _dvalue_dy(*args)
+    )
+    rho, c = 2.0, 0.0
+    depth = phi_with_gradient(H, Point(rho, c), "plus")[0].depth + 1
+    steps = max(64, 8 * H.degree**depth)  # as verify_biholomorphism chooses
+    seed = (complex(rho), complex(c))
+    solved = _oracle_newton_2d(H, *seed, math.log(rho), depth)[:2]
+    for start, k, least_rows in ((seed, 0, 2), (solved, 1, 1), (solved, 2, 2)):
+        log_target = math.log(rho) + 2j * math.pi * k / steps
+        rows.clear()
+        got = _locus_newton_2d(H, *start, log_target, depth)
+        assert len(rows) >= least_rows
+        want = _oracle_newton_2d(H, *start, log_target, depth)
+        assert _gap(Point(*got[:2]), Point(*want[:2])) < 1e-8
+
+
+def test_revisit_within_closure_tolerance_is_not_a_cover(monkeypatch):
+    # min_separation must exceed CLOSURE_TOL: a continuation that comes back
+    # to within 1e-9 of an earlier point has not covered the circle once.
+    continuation = locus._theta_continuation
+
+    def revisiting(*args):
+        solved = list(continuation(*args))
+        x, y, _ = solved[10]
+        solved[20] = (x + 1e-9, y, solved[20][2])
+        yield from solved
+
+    monkeypatch.setattr(locus, "_theta_continuation", revisiting)
+    item = verify_biholomorphism(H, 0.0, radii=(8.0,)).items[0]
+    assert item.winding == 1 and item.closure_error < CLOSURE_TOL
+    assert item.min_separation <= CLOSURE_TOL
+    assert not item.ok
 
 
 # ------------------------------------------------------------ classification

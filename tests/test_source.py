@@ -94,3 +94,32 @@ def test_every_private_definition_is_used():
                 referenced.add(node.name)
     found = sorted(where for name, where in defined.items() if name not in referenced)
     assert not found, f"private definitions nothing references: {found}"
+
+
+def _functions_naming(name):
+    """(module, enclosing function or "<module>") of every read or import of name."""
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        enclosing = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    enclosing.setdefault(node, fn.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and node.id == name) or (
+                isinstance(node, ast.alias) and node.name == name
+            ):
+                found.add((path.name, enclosing.get(node, "<module>")))
+    return found
+
+
+def test_one_theta_continuation():
+    # The covering and monodromy certificates share one theta-continuation,
+    # and it is the only caller of the 2-D locus Newton.
+    assert _functions_naming("_locus_newton_2d") == {("locus.py", "_theta_continuation")}
+    assert _functions_naming("_theta_continuation") == {
+        ("locus.py", "verify_biholomorphism"),
+        ("holonomy.py", "<module>"),
+        ("holonomy.py", "monodromy_orbit"),
+    }
