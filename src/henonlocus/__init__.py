@@ -7,6 +7,7 @@ from .errors import (
     CertificateViolation,
     ConfigError,
     DegenerateCriticalPoint,
+    ExponentOverflow,
     GradientVanishesOnLoop,
     HenonLocusError,
     NonInvertibleLinearTerm,

@@ -102,6 +102,11 @@ class DegenerateCriticalPoint(HenonLocusError):
     """Formal locus solve requires p'(c) = 0 with p''(c) invertible."""
 
 
+class ExponentOverflow(HenonLocusError):
+    """An exponent does not fit the packed exponent field of an exact
+    polynomial, or a product could carry out of it."""
+
+
 class SeriesInconsistency(HenonLocusError):
     """An exact series failed an identity the construction guarantees."""
 

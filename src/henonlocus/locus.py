@@ -42,6 +42,7 @@ from .errors import (
     LeftTube,
     NewtonDivergence,
     NotClassified,
+    NotInEscapeRegion,
     NotSimpleCritical,
 )
 from .escape import default_domain, phi_with_gradient
@@ -379,32 +380,37 @@ def _locus_newton_2d(
     exp, and fresh every iteration.  The tangency row takes central
     differences (eight kernel calls), so it is a chord row: taken at the
     start (x, y) and kept while each correction at least halves the residual
-    max(|F1|, |F2| * scale), retaken where a correction does not.  Returns
-    (x, y, phi+ at the frozen depth)."""
+    max(|F1|, |F2| * scale), retaken where a correction does not.  An
+    iterate whose orbit a kernel call refuses (NotInEscapeRegion, as when a
+    forward orbit enters the attracting trap) is a NewtonDivergence naming
+    the iterate.  Returns (x, y, phi+ at the frozen depth)."""
     deep_target = henon.degree**depth * log_target
     row = None
     residual = math.inf
-    for _ in range(25):
-        ratio, a11, a12 = _frozen_ratio(henon, x, y, depth, deep_target, NewtonDivergence)
-        tv = tangency_value(henon, Point(x, y))
-        F1 = ratio - 1.0
-        F2 = tv.det
-        if abs(F1) < 1e-11 and abs(F2) * tv.scale < 10.0 * NEWTON_TOL:
-            return x, y, ratio * cmath.exp(deep_target)
-        previous, residual = residual, max(abs(F1), abs(F2) * tv.scale)
-        if row is None or residual > 0.5 * previous:
-            h = FD_STEP * max(1.0, abs(x))
-            a21 = (
-                tangency_value(henon, Point(x + h, y)).det
-                - tangency_value(henon, Point(x - h, y)).det
-            ) / (2 * h)
-            row = a21, _dvalue_dy(henon, x, y)
-        a21, a22 = row
-        det = a11 * a22 - a12 * a21
-        if det == 0:
-            raise NewtonDivergence("singular Jacobian in 2-D locus Newton")
-        x = x - (F1 * a22 - F2 * a12) / det
-        y = y - (a11 * F2 - a21 * F1) / det
+    try:
+        for _ in range(25):
+            ratio, a11, a12 = _frozen_ratio(henon, x, y, depth, deep_target, NewtonDivergence)
+            tv = tangency_value(henon, Point(x, y))
+            F1 = ratio - 1.0
+            F2 = tv.det
+            if abs(F1) < 1e-11 and abs(F2) * tv.scale < 10.0 * NEWTON_TOL:
+                return x, y, ratio * cmath.exp(deep_target)
+            previous, residual = residual, max(abs(F1), abs(F2) * tv.scale)
+            if row is None or residual > 0.5 * previous:
+                h = FD_STEP * max(1.0, abs(x))
+                a21 = (
+                    tangency_value(henon, Point(x + h, y)).det
+                    - tangency_value(henon, Point(x - h, y)).det
+                ) / (2 * h)
+                row = a21, _dvalue_dy(henon, x, y)
+            a21, a22 = row
+            det = a11 * a22 - a12 * a21
+            if det == 0:
+                raise NewtonDivergence("singular Jacobian in 2-D locus Newton")
+            x = x - (F1 * a22 - F2 * a12) / det
+            y = y - (a11 * F2 - a21 * F1) / det
+    except NotInEscapeRegion as err:
+        raise NewtonDivergence(f"2-D Newton iterate (x, y) = ({x:.6g}, {y:.6g}): {err}") from err
     raise NewtonDivergence(
         f"2-D Newton stalled: |F1| = {abs(F1):.2e}, |F2| = {abs(F2):.2e}"
     )

@@ -57,7 +57,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial, wraps
 from typing import Callable, Sequence, Tuple
 
 from .errors import DegenerateCriticalPoint, SeriesInconsistency
@@ -277,6 +277,13 @@ class ChartSeries:
     chi_minus: TruncSeries
     degree: int = 2
 
+    def truncate(self, order: int) -> "ChartSeries":
+        return ChartSeries(
+            Y=self.Y.truncate(order),
+            chi_plus=self.chi_plus.truncate(order),
+            chi_minus=self.chi_minus.truncate(order),
+        )
+
 
 @dataclass(frozen=True)
 class DefectSeries:
@@ -284,8 +291,40 @@ class DefectSeries:
 
     D: TruncSeries
 
+    def truncate(self, order: int) -> "DefectSeries":
+        return DefectSeries(D=self.D.truncate(order))
 
-@lru_cache(maxsize=8)
+
+def _highest_order_kept(compute):
+    """Keep the highest order computed in the process and serve every lower
+    order as its truncation.
+
+    Exact, because every coefficient through order n is independent of the
+    truncation order.  Orders below 1 (under deg p - 1 for the quadratic
+    family) go to compute, which refuses them.  ``cache_clear()`` drops the
+    kept series.
+    """
+    kept = None  # (order, value)
+
+    @wraps(compute)
+    def serve(order):
+        nonlocal kept
+        if kept is not None and 1 <= order <= kept[0]:
+            return kept[1] if order == kept[0] else kept[1].truncate(order)
+        value = compute(order)
+        if kept is None or order > kept[0]:
+            kept = (order, value)
+        return value
+
+    def cache_clear():
+        nonlocal kept
+        kept = None
+
+    serve.cache_clear = cache_clear
+    return serve
+
+
+@_highest_order_kept
 def chart_series(order: int) -> ChartSeries:
     """Y, chi_plus, chi_minus for the quadratic family p = x^2 + c."""
     q = quadratic_q()
@@ -323,7 +362,7 @@ def chart_series(order: int) -> ChartSeries:
     return ChartSeries(Y=Y, chi_plus=chi_plus, chi_minus=chi_minus)
 
 
-@lru_cache(maxsize=8)
+@_highest_order_kept
 def sigma_series(order: int) -> TruncSeries:
     """sigma = chi_minus o chi_plus^(-1) for p = x^2 + c, exact through order.
 
@@ -350,7 +389,7 @@ def sigma_series(order: int) -> TruncSeries:
     return TruncSeries("z", order, sigma)
 
 
-@lru_cache(maxsize=8)
+@_highest_order_kept
 def rigidity_defect(order: int) -> DefectSeries:
     """D(z) = sigma_g(beta z) - gamma sigma_f(z), f in (a1,c1), g in (a2,c2)."""
     sig = sigma_series(order)

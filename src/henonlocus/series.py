@@ -1,12 +1,18 @@
 """Exact truncated power series with sparse multivariate rational coefficients.
 
 Two layers over one coefficient ring, all immutable by convention and exact
-(``fractions.Fraction`` everywhere, so re-running a pipeline is
-bit-identical):
+(integers throughout, so re-running a pipeline is bit-identical):
 
 ``MultiPoly``
-    sparse polynomial over Q in a fixed tuple of named variables; terms are
-    a dict mapping exponent tuples to nonzero Fractions.
+    sparse polynomial over Q in a fixed tuple of named variables, stored in
+    one packed integer form: a positive int denominator ``den`` and a dict
+    from packed exponent keys to nonzero int numerators, in lowest terms
+    (gcd(den, every numerator) = 1; zero is den = 1 with no terms).  A key
+    holds the exponent of variable i in field i, bits [WIDTH i, WIDTH i +
+    WIDTH), so adding two keys multiplies the monomials.  ``Fraction`` appears only at the boundary: the
+    constructor from an exponent-tuple mapping, ``const``,
+    ``constant_value``, ``evaluate``, the text form and the read-only
+    ``terms`` view.
 
 ``TruncSeries``
     a formal power series in one named variable truncated at a fixed order
@@ -20,18 +26,15 @@ by a polynomial clears the denominator first (see
 
 Every exact product of MultiPolys -- a single ``MultiPoly * MultiPoly`` as
 well as the Cauchy product of two series -- runs through one integer
-kernel, ``_cauchy_product`` (Kronecker substitution; von zur Gathen &
-Gerhard, *Modern Computer Algebra*, section 8.4):
-
-1. each operand's coefficient list is brought over one common denominator
-   (the lcm of its Fraction denominators), so its terms carry plain int
-   numerators;
-2. each exponent tuple is packed into one int, with a field width taken
-   from the two operands' largest exponents so that adding two packed keys
-   multiplies the monomials without a carry between fields;
-3. the pairwise products ``n1 * n2`` are accumulated as ints into one dict
-   per output index of the Cauchy product;
-4. a ``Fraction(num, den1 * den2)`` is built once per surviving term.
+kernel, ``_cauchy_product``, on the packed operands as stored (Kronecker
+substitution; von zur Gathen & Gerhard, *Modern Computer Algebra*,
+section 8.4).  It refuses with ``ExponentOverflow`` when an operand has an
+exponent whose field's top bit is set, the one case in which the sum of two
+keys could carry between fields (the guard-bit test of Monagan & Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007), then accumulates the pairwise int products into one
+dict per output index and divides each output coefficient through by one
+gcd.
 
 ``TruncSeries.inverse`` is Newton's iteration over whole-series products
 (von zur Gathen & Gerhard, section 9.1), so a reciprocal costs
@@ -40,7 +43,7 @@ Gerhard, *Modern Computer Algebra*, section 8.4):
 ``TruncSeries.mul_weighted`` is the same kernel with weighted truncation:
 at output index k it drops every pair whose exponent in one named
 coefficient variable would exceed ``budget - k``.  Terms are bucketed by
-that exponent, so the dropped pairs are never visited.
+that exponent field, so the dropped pairs are never visited.
 
 The quotient-ring helper ``MultiPoly.reduce_cubic_root`` rewrites powers of
 a chosen variable b modulo b^2+b+1 (so b^3 = 1, b^2 = -b-1), which keeps
@@ -51,14 +54,25 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import reduce
+from operator import or_
+from typing import Iterator, Mapping, Sequence
 
 from .errors import (
+    ExponentOverflow,
     NonInvertibleLinearTerm,
     NonzeroConstantInner,
     NotUnitSeries,
     OrderMismatch,
 )
+
+# Bits per packed exponent field, the same in every ring.  A product refuses
+# an operand exponent of 2^39 or more (the field's top bit), far above the
+# largest exponent of the rigidity pipeline (32); the property tests multiply
+# exponents up to 4 (2^33 + 1).
+WIDTH = 40
+_FIELD = (1 << WIDTH) - 1
+_TOP = 1 << (WIDTH - 1)  # an operand field below this cannot carry in a product
 
 
 def _as_fraction(value) -> Fraction:
@@ -69,54 +83,89 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected a rational scalar, got {type(value).__name__}")
 
 
-def _packed_rows(side, width, weight_at, budget):
-    """One operand of ``_cauchy_product`` in packed integer form.
+def _pack(exps, ring) -> int:
+    """The packed key of an exponent tuple over ring."""
+    if len(exps) != len(ring):
+        raise ValueError(f"exponent tuple {exps} does not fit ring {ring}")
+    key = 0
+    for name, e in zip(reversed(ring), reversed(exps)):
+        if not 0 <= e <= _FIELD:
+            raise ExponentOverflow(
+                f"exponent {e} of {name!r} does not fit a {WIDTH}-bit field"
+            )
+        key = (key << WIDTH) | e
+    return key
 
-    Returns (den, rows): den is the lcm of every denominator in the operand,
-    and rows[i][w] lists the (packed exponent key, int numerator over den)
-    pairs of term dict side[i] whose exponent at position weight_at is w
-    (all terms share bucket 0 when weight_at is None).  Terms with w above
-    budget can never be kept and are left out.
+
+def _unpack(key: int, nvars: int) -> tuple:
+    return tuple((key >> s) & _FIELD for s in range(0, WIDTH * nvars, WIDTH))
+
+
+def _packed(vars: tuple, den: int, nums: dict) -> "MultiPoly":
+    """The MultiPoly with these fields, which must already be canonical."""
+    out = MultiPoly.__new__(MultiPoly)
+    out.vars = vars
+    out.den = den
+    out._nums = nums
+    return out
+
+
+def _canonical(vars: tuple, den: int, nums: dict) -> "MultiPoly":
+    """nums / den with every numerator nonzero, divided through by the gcd."""
+    g = math.gcd(den, *nums.values()) if den != 1 else 1
+    if g != 1:
+        den //= g
+        nums = {key: num // g for key, num in nums.items()}
+    return _packed(vars, den, nums)
+
+
+def _cauchy_product(left, right, ring, order, weight_at=None, budget=0):
+    """Exact Cauchy product of two lists of MultiPolys over ring.
+
+    left[i] and right[j] are the i-th and j-th coefficients of the two
+    operands; the result lists the coefficients of output indices
+    0..order.  When weight_at is given, a pair contributing to index k
+    is dropped if its summed exponent at that position exceeds
+    max(budget - k, 0).  Raises ExponentOverflow before multiplying if some
+    operand exponent has its field's top bit set.
     """
-    den = math.lcm(*(c.denominator for terms in side for c in terms.values()))
-    rows = []
-    for terms in side:
-        buckets = []
-        for exps, coeff in terms.items():
-            key = 0
-            for e in reversed(exps):
-                key = (key << width) | e
-            w = 0 if weight_at is None else exps[weight_at]
-            if w > budget:
-                continue
-            while len(buckets) <= w:
-                buckets.append([])
-            buckets[w].append((key, coeff.numerator * (den // coeff.denominator)))
-        rows.append(buckets)
-    return den, rows
-
-
-def _cauchy_product(left, right, nvars, order, weight_at=None, budget=0):
-    """Exact Cauchy product of two lists of MultiPoly term dicts.
-
-    left[i] and right[j] are the term dicts of the i-th and j-th coefficients
-    of two operands over one ring of nvars variables; the result lists the
-    term dicts of output indices 0..order, with no zero terms.  When
-    weight_at is given, a pair contributing to index k is dropped if its
-    summed exponent at that position exceeds max(budget - k, 0).
-    """
-    top = 0
-    if nvars:
-        for side in (left, right):
-            top += max((max(map(max, terms)) for terms in side if terms), default=0)
-    width = max(top.bit_length(), 1)  # a field never exceeds top: no carry
-    mask = (1 << width) - 1
+    bits = 0
+    for side in (left, right):
+        for p in side:
+            bits = reduce(or_, p._nums, bits)
+    top = bits & (_TOP * ((1 << (WIDTH * len(ring))) - 1) // _FIELD)
+    if top:
+        name = ring[(top.bit_length() - 1) // WIDTH]
+        raise ExponentOverflow(
+            f"a product operand has an exponent of {name!r} of at least {_TOP}, "
+            f"so the product could overflow its {WIDTH}-bit field"
+        )
+    shift = None if weight_at is None else WIDTH * weight_at
     cap = max(budget, 0)
-    den_l, rows_l = _packed_rows(left, width, weight_at, cap)
-    den_r, rows_r = _packed_rows(right, width, weight_at, cap)
+    sides = []
+    for side in (left, right):
+        den = math.lcm(*(p.den for p in side))
+        rows = []
+        for p in side:
+            scale = den // p.den
+            if shift is None:
+                items = p._nums.items()
+                if scale != 1:
+                    items = [(key, num * scale) for key, num in items]
+                rows.append([items] if items else [])
+                continue
+            buckets = []
+            for key, num in p._nums.items():
+                w = (key >> shift) & _FIELD
+                if w > cap:
+                    continue
+                while len(buckets) <= w:
+                    buckets.append([])
+                buckets[w].append((key, num * scale))
+            rows.append(buckets)
+        sides.append((den, rows))
+    (den_l, rows_l), (den_r, rows_r) = sides
     den = den_l * den_r
-    shifts = range(0, width * nvars, width)
-    unpacked: dict = {}
     out = []
     for k in range(order + 1):
         limit = 0 if weight_at is None else max(budget - k, 0)
@@ -134,77 +183,106 @@ def _cauchy_product(left, right, nvars, order, weight_at=None, budget=0):
                         for kr, nr in pairs_r:
                             key = kl + kr
                             acc[key] = get(key, 0) + nl * nr
-        terms = {}
-        for key, num in acc.items():
-            if num:
-                exps = unpacked.get(key)
-                if exps is None:
-                    exps = unpacked[key] = tuple((key >> s) & mask for s in shifts)
-                terms[exps] = Fraction(num, den)
-        out.append(terms)
+        out.append(_canonical(ring, den, {key: num for key, num in acc.items() if num}))
     return out
+
+
+class _Terms(Mapping):
+    """Read-only view of a MultiPoly as {exponent tuple: Fraction}."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: "MultiPoly"):
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly._nums)
+
+    def __iter__(self) -> Iterator[tuple]:
+        n = len(self._poly.vars)
+        return (_unpack(key, n) for key in self._poly._nums)
+
+    def __getitem__(self, exps) -> Fraction:
+        p = self._poly
+        try:
+            num = p._nums[_pack(exps, p.vars)]
+        except (ExponentOverflow, TypeError, ValueError):
+            raise KeyError(exps) from None
+        return Fraction(num, p.den)
 
 
 class MultiPoly:
     """Sparse exact polynomial over Q in a fixed ordered tuple of variables."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "den", "_nums")
 
     def __init__(self, vars: Sequence[str], terms: Mapping[tuple, Fraction]):
-        self.vars = tuple(vars)
-        n = len(self.vars)
-        clean = {}
+        vars = tuple(vars)
+        coeffs = {}
         for exps, coeff in terms.items():
-            coeff = _as_fraction(coeff)
-            if len(exps) != n:
-                raise ValueError(f"exponent tuple {exps} does not fit ring {self.vars}")
+            if not isinstance(coeff, (int, Fraction)):
+                raise TypeError(f"expected a rational scalar, got {type(coeff).__name__}")
+            key = _pack(exps, vars)
             if coeff:
-                clean[tuple(exps)] = coeff
-        self.terms = clean
+                coeffs[key] = coeff
+        # over the lcm of reduced denominators the numerators share no factor
+        # with it, so this is already in lowest terms
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        self.vars = vars
+        self.den = den
+        self._nums = {
+            key: c.numerator * (den // c.denominator) for key, c in coeffs.items()
+        }
+
+    @property
+    def terms(self) -> Mapping[tuple, Fraction]:
+        """The terms as a read-only {exponent tuple: Fraction} mapping."""
+        return _Terms(self)
 
     # ---- constructors
 
     @classmethod
     def zero(cls, vars: Sequence[str]) -> "MultiPoly":
-        return cls(vars, {})
+        return _packed(tuple(vars), 1, {})
 
     @classmethod
     def const(cls, value, vars: Sequence[str]) -> "MultiPoly":
         value = _as_fraction(value)
         if not value:
             return cls.zero(vars)
-        return cls(vars, {(0,) * len(tuple(vars)): value})
+        return _packed(tuple(vars), value.denominator, {0: value.numerator})
 
     @classmethod
     def variable(cls, name: str, vars: Sequence[str]) -> "MultiPoly":
         vars = tuple(vars)
-        exps = [0] * len(vars)
-        exps[vars.index(name)] = 1
-        return cls(vars, {tuple(exps): Fraction(1)})
+        return _packed(vars, 1, {1 << (WIDTH * vars.index(name)): 1})
 
     # ---- predicates
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return not any(self._nums)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (raises if it is not one)."""
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return next(iter(self.terms.values()), Fraction(0))
+        return Fraction(self._nums.get(0, 0), self.den)
+
+    def _field(self, name: str):
+        """(shift, unit) of the exponent field of name."""
+        shift = WIDTH * self.vars.index(name)
+        return shift, 1 << shift
 
     def uses(self, name: str) -> bool:
-        i = self.vars.index(name)
-        return any(e[i] for e in self.terms)
+        return self.max_power(name) > 0
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        n = len(self.vars)
+        return max((sum(_unpack(key, n)) for key in self._nums), default=-1)
 
     # ---- ring arithmetic
 
@@ -218,25 +296,26 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_ring(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = terms.get(exps, Fraction(0)) + coeff
+        den = math.lcm(self.den, other.den)
+        scale = den // self.den
+        if scale == 1:
+            nums = dict(self._nums)
+        else:
+            nums = {key: num * scale for key, num in self._nums.items()}
+        scale = den // other.den
+        get = nums.get
+        for key, num in other._nums.items():
+            acc = get(key, 0) + num * scale
             if acc:
-                terms[exps] = acc
+                nums[key] = acc
             else:
-                terms.pop(exps, None)
-        out = MultiPoly.__new__(MultiPoly)
-        out.vars = self.vars
-        out.terms = terms
-        return out
+                del nums[key]
+        return _canonical(self.vars, den, nums)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MultiPoly.__new__(MultiPoly)
-        out.vars = self.vars
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return _packed(self.vars, self.den, {key: -num for key, num in self._nums.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -248,18 +327,16 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = _as_fraction(other)
-            out = MultiPoly.__new__(MultiPoly)
-            out.vars = self.vars
-            out.terms = {e: c * q for e, c in self.terms.items()} if q else {}
-            return out
+            if not q:
+                return MultiPoly.zero(self.vars)
+            n = q.numerator
+            nums = {key: num * n for key, num in self._nums.items()}
+            return _canonical(self.vars, self.den * q.denominator, nums)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_ring(other)
-        (terms,) = _cauchy_product([self.terms], [other.terms], len(self.vars), 0)
-        out = MultiPoly.__new__(MultiPoly)
-        out.vars = self.vars
-        out.terms = terms
-        return out
+        (product,) = _cauchy_product([self], [other], self.vars, 0)
+        return product
 
     __rmul__ = __mul__
 
@@ -280,52 +357,57 @@ class MultiPoly:
             other = MultiPoly.const(other, self.vars)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return (
+            self.vars == other.vars and self.den == other.den and self._nums == other._nums
+        )
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, self.den, frozenset(self._nums.items())))
 
     # ---- calculus / substitution
 
     def derivative(self, name: str) -> "MultiPoly":
-        i = self.vars.index(name)
-        terms = {}
-        for exps, coeff in self.terms.items():
-            e = exps[i]
+        shift, unit = self._field(name)
+        nums = {}
+        for key, num in self._nums.items():
+            e = (key >> shift) & _FIELD
             if e:
-                key = exps[:i] + (e - 1,) + exps[i + 1:]
-                terms[key] = terms.get(key, Fraction(0)) + coeff * e
-        return MultiPoly(self.vars, terms)
+                nums[key - unit] = num * e
+        return _canonical(self.vars, self.den, nums)
 
     def coeff_of(self, name: str, power: int) -> "MultiPoly":
         """The coefficient of name**power, as a polynomial with that variable
         exponent zeroed out (the ring is unchanged)."""
-        i = self.vars.index(name)
-        terms = {}
-        for exps, coeff in self.terms.items():
-            if exps[i] == power:
-                terms[exps[:i] + (0,) + exps[i + 1:]] = coeff
-        return MultiPoly(self.vars, terms)
+        shift, unit = self._field(name)
+        drop = power * unit
+        nums = {
+            key - drop: num
+            for key, num in self._nums.items()
+            if (key >> shift) & _FIELD == power
+        }
+        return _canonical(self.vars, self.den, nums)
 
     def truncate_var(self, name: str, max_power: int) -> "MultiPoly":
         """Drop every term whose exponent in ``name`` exceeds ``max_power``."""
-        i = self.vars.index(name)
-        out = MultiPoly.__new__(MultiPoly)
-        out.vars = self.vars
-        out.terms = {e: c for e, c in self.terms.items() if e[i] <= max_power}
-        return out
+        shift, _ = self._field(name)
+        nums = {
+            key: num
+            for key, num in self._nums.items()
+            if (key >> shift) & _FIELD <= max_power
+        }
+        return _canonical(self.vars, self.den, nums)
 
     def max_power(self, name: str) -> int:
-        i = self.vars.index(name)
-        return max((e[i] for e in self.terms), default=0)
+        shift, _ = self._field(name)
+        return max(((key >> shift) & _FIELD for key in self._nums), default=0)
 
     def evaluate(self, values: Mapping[str, object]):
         """Plug numbers (Fraction, float, complex) in for every variable."""
         total = None
-        for exps, coeff in self.terms.items():
-            term = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-            acc = term
-            for name, e in zip(self.vars, exps):
+        n = len(self.vars)
+        for key, num in self._nums.items():
+            acc = Fraction(num, self.den)
+            for name, e in zip(self.vars, _unpack(key, n)):
                 if e:
                     acc = acc * values[name] ** e
             total = acc if total is None else total + acc
@@ -355,44 +437,54 @@ class MultiPoly:
                         f"variable {name!r} is not mapped and not in the target ring"
                     )
                 values[name] = MultiPoly.variable(name, target_vars)
-        unit = (((0,) * len(target_vars), Fraction(1)),)
+        unit = MultiPoly.const(1, target_vars)
+        n = len(self.vars)
+        powers: dict = {}
+        images = []  # (numerator, image of the monomial) per term
+        for key, num in self._nums.items():
+            acc = None
+            for name, e in zip(self.vars, _unpack(key, n)):
+                if e:
+                    pk = (name, e)
+                    if pk not in powers:
+                        powers[pk] = values[name] ** e
+                    acc = powers[pk] if acc is None else acc * powers[pk]
+            images.append((num, unit if acc is None else acc))
+        den = math.lcm(*(image.den for _, image in images))
         total: dict = {}
         get = total.get
-        powers: dict = {}
-        for exps, coeff in self.terms.items():
-            acc = None
-            for name, e in zip(self.vars, exps):
-                if e:
-                    key = (name, e)
-                    if key not in powers:
-                        powers[key] = values[name] ** e
-                    acc = powers[key] if acc is None else acc * powers[key]
-            for mono, c in unit if acc is None else acc.terms.items():
-                total[mono] = get(mono, 0) + coeff * c
-        return MultiPoly(target_vars, total)
+        for num, image in images:
+            scale = num * (den // image.den)
+            for mono, c in image._nums.items():
+                total[mono] = get(mono, 0) + scale * c
+        nums = {key: num for key, num in total.items() if num}
+        return _canonical(target_vars, self.den * den, nums)
 
     def reduce_cubic_root(self, name: str) -> "MultiPoly":
         """Reduce modulo name^2 + name + 1 (so name^3 = 1)."""
-        i = self.vars.index(name)
-        terms: dict = {}
-        for exps, coeff in self.terms.items():
-            r = exps[i] % 3
+        shift, unit = self._field(name)
+        total: dict = {}
+        get = total.get
+        for key, num in self._nums.items():
+            e = (key >> shift) & _FIELD
+            base = key - e * unit
+            r = e % 3
             # name^2 = -name - 1
-            pieces = ((1, -coeff), (0, -coeff)) if r == 2 else ((r, coeff),)
-            for power, c in pieces:
-                key = exps[:i] + (power,) + exps[i + 1:]
-                terms[key] = terms.get(key, Fraction(0)) + c
-        return MultiPoly(self.vars, terms)
+            pieces = ((base + unit, -num), (base, -num)) if r == 2 else ((base + r * unit, num),)
+            for mono, c in pieces:
+                total[mono] = get(mono, 0) + c
+        nums = {key: num for key, num in total.items() if num}
+        return _canonical(self.vars, self.den, nums)
 
     # ---- canonical text form
 
     def _sorted_terms(self):
-        return sorted(
-            self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True
-        )
+        n = len(self.vars)
+        terms = [(_unpack(key, n), Fraction(num, self.den)) for key, num in self._nums.items()]
+        return sorted(terms, key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def __str__(self):
-        if not self.terms:
+        if not self._nums:
             return "0"
         pieces = []
         for exps, coeff in self._sorted_terms():
@@ -533,20 +625,14 @@ class TruncSeries:
     def _product(self, other, name, budget) -> "TruncSeries":
         self._check(other)
         ring = _poly_ring(self.coeffs + other.coeffs)
-        terms = _cauchy_product(
-            [c.terms for c in self.coeffs],
-            [c.terms for c in other.coeffs],
-            len(ring),
+        coeffs = _cauchy_product(
+            self.coeffs,
+            other.coeffs,
+            ring,
             self.order,
             None if name is None else ring.index(name),
             budget,
         )
-        coeffs = []
-        for t in terms:
-            c = MultiPoly.__new__(MultiPoly)
-            c.vars = ring
-            c.terms = t
-            coeffs.append(c)
         return TruncSeries(self.var, self.order, coeffs)
 
     def __pow__(self, n: int):
@@ -571,7 +657,7 @@ class TruncSeries:
         return (
             self.var == other.var
             and self.order == other.order
-            and all((a - b).is_zero() for a, b in zip(self.coeffs, other.coeffs))
+            and self.coeffs == other.coeffs
         )
 
     # ---- series operations

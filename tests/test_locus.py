@@ -22,6 +22,7 @@ from henonlocus.errors import (
     LeftTube,
     NewtonDivergence,
     NotClassified,
+    NotInEscapeRegion,
     NotSimpleCritical,
 )
 from henonlocus.escape import phi_with_gradient
@@ -370,6 +371,24 @@ def test_chord_row_is_retaken_far_from_the_solution(monkeypatch):
         assert len(rows) >= least_rows
         want = _oracle_newton_2d(H, *start, log_target, depth)
         assert _gap(Point(*got[:2]), Point(*want[:2])) < 1e-8
+
+
+def test_iterate_entering_the_trap_is_a_newton_divergence():
+    # Started four theta steps short of its target at rho = 2, the 2-D Newton
+    # sends an iterate whose forward orbit enters the certified trap around
+    # the attracting 2-cycle; the kernel's refusal is typed by the Newton.
+    rho = 2.0
+    depth = phi_with_gradient(H, Point(rho, 0.0), "plus")[0].depth + 1
+    steps = max(64, 8 * H.degree**depth)  # as verify_biholomorphism chooses
+    x, y, _ = _locus_newton_2d(H, complex(rho), 0j, math.log(rho), depth)
+    far = math.log(rho) + 2j * math.pi * 4 / steps
+    with pytest.raises(NewtonDivergence, match=r"iterate \(x, y\) = .*certified trap") as err:
+        _locus_newton_2d(H, x, y, far, depth)
+    assert isinstance(err.value.__cause__, NotInEscapeRegion)
+    # the continuation that makes this solve refuses with its own type
+    before = far - 2j * math.pi / steps
+    with pytest.raises(ContinuationFailure, match="step 1/64: 2-D Newton iterate"):
+        list(locus._theta_continuation(H, x, y, before, steps, depth, 1))
 
 
 def test_revisit_within_closure_tolerance_is_not_a_cover(monkeypatch):

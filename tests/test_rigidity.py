@@ -24,7 +24,7 @@ from fractions import Fraction as F
 import pytest
 
 import henonlocus
-from henonlocus import rigidity
+from henonlocus import rigidity, series
 from henonlocus.errors import DegenerateCriticalPoint, SeriesInconsistency
 from henonlocus.rigidity import (
     CHART_VARS,
@@ -205,7 +205,7 @@ def test_formal_newton_refuses_when_the_residual_never_vanishes(monkeypatch):
 # form's vanishing to order u^2, which _w_tilde must report with a typed
 # error -- also under python -O, where a bare assert would be stripped.
 _BREAK_H_PLUS = """
-from henonlocus import rigidity
+from henonlocus import rigidity, series
 from henonlocus.series import MultiPoly
 
 real_phi_series = rigidity.phi_series
@@ -306,12 +306,56 @@ def test_defect_first_three_coefficients_match_display():
     assert D.coeffs[3] == want3 and str(D.coeffs[3]) == str(want3)
 
 
+def fresh_defect(order):
+    """rigidity_defect(order) computed from scratch, with no chart, sigma or
+    defect series kept from an earlier call."""
+    for kept in (rigidity.chart_series, rigidity.sigma_series, rigidity.rigidity_defect):
+        kept.cache_clear()
+    return rigidity_defect(order).D
+
+
 def test_defect_prefix_stability():
     # a shorter run is literally a prefix of a longer one (no truncation
     # artifacts near the top order)
-    short = rigidity_defect(6).D
-    long = rigidity_defect(9).D
+    short = fresh_defect(6)
+    long = fresh_defect(9)
     assert short.coeffs == long.coeffs[:7]
+
+
+def test_lower_orders_are_truncations_of_order_13():
+    # what makes serving every lower order from the kept order 13 exact
+    fresh = {}
+    for n in (3, 7, 8, 13):
+        D = fresh_defect(n)
+        fresh[n] = (rigidity.chart_series(n), sigma_series(n), D)
+    chart13, sigma13, D13 = fresh[13]
+    for n in (3, 7, 8):
+        chart, sigma, D = fresh[n]
+        assert D == D13.truncate(n)
+        assert [str(c) for c in D.coeffs] == [str(c) for c in D13.coeffs[: n + 1]]
+        assert sigma == sigma13.truncate(n)
+        assert chart == chart13.truncate(n)
+        assert rigidity_defect(n).D == D
+
+
+def test_lower_order_after_a_higher_one_makes_no_products(monkeypatch):
+    rigidity_defect(13)
+    calls = []
+    real = series._cauchy_product
+    monkeypatch.setattr(
+        series, "_cauchy_product", lambda *args: calls.append(args[3]) or real(*args)
+    )
+    D = rigidity_defect(8).D
+    assert calls == []
+    assert D.order == 8
+    assert D == rigidity_defect(13).D.truncate(8)
+
+
+def test_orders_below_the_locus_minimum_are_refused_after_a_kept_order():
+    rigidity_defect(3)
+    for refused in (rigidity.chart_series, sigma_series, rigidity_defect):
+        with pytest.raises(ValueError, match="below deg p - 1"):
+            refused(0)
 
 
 def test_defect_golden_file():

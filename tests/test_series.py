@@ -5,14 +5,21 @@ Lagrange inversion of z+z^2) before the engine existed, so they are
 independent of the implementation.
 """
 
+import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import henonlocus
 from henonlocus.errors import (
+    ExponentOverflow,
     NonInvertibleLinearTerm,
     NonzeroConstantInner,
     NotUnitSeries,
@@ -314,6 +321,79 @@ def test_packed_multipoly_product_matches_naive_product(pair):
     assert got.terms == naive_product(p, q)
     assert all(got.terms.values())  # cancelled terms are not stored
     assert (q * p).terms == got.terms
+
+
+# ---------------------------------------------------- the packed form
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys)
+def test_terms_view_round_trips(p):
+    assert MultiPoly(RING, p.terms) == p
+    assert len(p.terms) == len(dict(p.terms.items()))
+
+
+def assert_canonical(p):
+    """Lowest terms: gcd(den, every numerator) = 1, and zero is den = 1."""
+    nums = [c * p.den for c in p.terms.values()]
+    assert all(n.denominator == 1 and n for n in nums)
+    assert math.gcd(p.den, *(int(n) for n in nums)) == 1
+    if p.is_zero():
+        assert p.den == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, polys)
+def test_sums_are_canonical(p, q):
+    back = (p + q) - q
+    assert back == p
+    assert hash(back) == hash(p)
+    for r in (p, p + q, back, p * q, p * F(4, 3), p.derivative("x")):
+        assert_canonical(r)
+
+
+def test_halves_summing_to_an_integer_are_canonical():
+    x = MultiPoly.variable("x", RING)
+    half = x * F(1, 2)
+    whole = half + half
+    assert whole == x and hash(whole) == hash(x)
+    assert whole.den == 1
+
+
+def test_exponent_overflow_is_refused():
+    x = MultiPoly.variable("x", ("x",))
+    top = 2 ** (series.WIDTH - 1)
+    with pytest.raises(ExponentOverflow, match="'x'"):
+        x ** (2 * top)  # the last squaring multiplies x^top by itself
+    with pytest.raises(ExponentOverflow, match="'x'"):
+        MultiPoly(("x",), {(2**series.WIDTH,): 1})
+    assert (x ** (top - 1)).max_power("x") == top - 1  # the largest that still multiplies
+
+
+_OVERFLOW_UNDER_O = """
+from henonlocus.errors import ExponentOverflow
+from henonlocus.series import WIDTH, MultiPoly
+
+x = MultiPoly.variable("x", ("x",))
+try:
+    x ** (2**WIDTH)
+except ExponentOverflow as exc:
+    print("ExponentOverflow:", exc)
+"""
+
+
+def test_exponent_overflow_is_refused_under_O():
+    src = str(pathlib.Path(henonlocus.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _OVERFLOW_UNDER_O],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+        timeout=120,
+    ).stdout
+    assert out.startswith("ExponentOverflow: a product operand has an exponent of 'x'")
 
 
 def draw_series(draw, order):

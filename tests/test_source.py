@@ -123,3 +123,22 @@ def test_one_theta_continuation():
         ("holonomy.py", "<module>"),
         ("holonomy.py", "monodromy_orbit"),
     }
+
+
+def test_exact_products_stay_in_packed_integers():
+    # One packed form: no per-product repacking of operands, and no Fraction
+    # inside the product kernel.
+    series = PACKAGE / "series.py"
+    tree = ast.parse(series.read_text(encoding="utf-8"), filename=str(series))
+    defined = {
+        node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert "_packed_rows" not in defined
+    (kernel,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_cauchy_product"
+    ]
+    names = {node.id for node in ast.walk(kernel) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(kernel) if isinstance(node, ast.Attribute)}
+    assert "Fraction" not in names
