@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .dynamics import HenonMap, Point, Polynomial
 from .errors import ConfigError, HenonLocusError
-from .escape import default_domain, green, phi_minus, phi_plus
+from .escape import green, phi_minus, phi_plus
 from .gridfield import green_grid, grid_sidecar, grid_to_csv, grid_to_pgm
 from .holonomy import monodromy_orbit, psi_pair, same_leaf_plus
 from .locus import (
@@ -458,8 +458,8 @@ def _cmd_rigidity(opts):
 
 
 def _sample_escaping(henon, rng):
-    dp = default_domain(henon)
-    x = rng.uniform(2.0, 20.0) * dp.alpha * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    alpha = henon.domain_params().alpha
+    x = rng.uniform(2.0, 20.0) * alpha * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
     y = rng.uniform(0.0, 0.8) * abs(x) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
     return Point(x, y)
 

@@ -11,10 +11,12 @@ The forward/backward escape domains are
 
 with alpha chosen (domain_params) so that for all |y| >= alpha
 
-    |q(y)/y^d| + (R+1)/|y|^{d-1} < r    and    |p(y)| > (2R+1)|y|.
+    |q(y)/y^d| + (R+1)/|y|^{d-1} < r    and    |p(y)| > (2R+1)|y|,
 
-With those constants, f_a(V+) ⊂ V+ with |x_1| > (R+1)|x| and
-f_a^{-1}(V-) ⊂ V- with |y_{-1}| > 2|y| whenever |a| < R.
+at the fixed constants r = 1/2 and R = 1/8.  With those constants,
+f_a(V+) ⊂ V+ with |x_1| > (R+1)|x| and f_a^{-1}(V-) ⊂ V- with
+|y_{-1}| > 2|y| whenever |a| < R.  A HenonMap owns its domains: the first
+`HenonMap.domain_params()` call checks |a| < R and caches them on the map.
 
 The bounded side has a certificate too.  For hyperbolic p and small a, f
 has an attracting cycle z_0 ... z_{q-1} near one of p, found by iterating f
@@ -26,6 +28,7 @@ IHES 79, 1994).  `attracting_trap` certifies bidisks
 from a Taylor bound on p with a margin that covers floating-point rounding,
 so even a float orbit that enters some B_i stays in their union forever:
 it is bounded and, when every B_i lies in |x|, |y| < alpha, never enters V+.
+`HenonMap.trap` computes the trap on first use and caches it on the map.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from typing import NamedTuple
 from ._kernel import OVERFLOW_CAP, horner
 from .errors import DegenerateJacobian, NoAlphaFound
 
-DEFAULT_R_SMALL = 0.5  # r in (0, 1)
-DEFAULT_R_BIG = 0.125  # R, the Jacobian radius
+R_SMALL = 0.5  # r in (0, 1), the bound on every product factor |s_k|
+R_BIG = 0.125  # R, the Jacobian radius
 
 
 class Point(NamedTuple):
@@ -100,20 +103,18 @@ class DomainParams:
 
     @property
     def B(self) -> float:
-        """Distortion bound: B^-1 < |phi+/x| < B on V+ (same for phi-/y)."""
-        return bound_B(self.r, self.degree)
+        """Distortion bound: B^-1 < |phi+/x| < B on V+ (same for phi-/y).
 
-
-def bound_B(r: float, d: int) -> float:
-    # The product tail is bounded by -log(1-r)/(d-1), so the distortion
-    # constant is exp of that.
-    return (1.0 - r) ** (-1.0 / (d - 1))
+        The product tail is bounded by -log(1-r)/(d-1), so the distortion
+        constant is exp of that."""
+        return (1.0 - self.r) ** (-1.0 / (self.degree - 1))
 
 
 class HenonMap:
     def __init__(self, p: Polynomial, a: complex):
         self.p = p
         self.a = complex(a)
+        self._domain = None
 
     @property
     def degree(self) -> int:
@@ -127,24 +128,28 @@ class HenonMap:
             raise DegenerateJacobian("inverse undefined at a = 0")
         return Point(z.y, (self.p(z.y) - z.x) / self.a)
 
-    def bound_B(self, r: float = DEFAULT_R_SMALL) -> float:
-        return bound_B(r, self.degree)
+    def domain_params(self) -> DomainParams:
+        """Escape domains for this map, computed once and cached on it.
 
-    def domain_params(
-        self, r: float = DEFAULT_R_SMALL, R: float = DEFAULT_R_BIG
-    ) -> DomainParams:
-        """Escape domains for this map; the invariance behind them needs |a| < R."""
-        require_jacobian_below(self.a, R)
-        return domain_params(self.p, r, R)
+        The invariance behind them needs |a| < R: ValueError otherwise, on
+        every call."""
+        if self._domain is None:
+            if not abs(self.a) < R_BIG:
+                raise ValueError(
+                    f"need |a| < R = {R_BIG:g} for the escape domains, got |a| = {abs(self.a):g}"
+                )
+            self._domain = domain_params(self.p)
+        return self._domain
+
+    @cached_property
+    def trap(self) -> CycleTrap | None:
+        """The certified trap around the attracting cycle (attracting_trap),
+        or None; computed on first use.  Threads that race here compute the
+        same trap."""
+        return attracting_trap(self)
 
     def __repr__(self):
         return f"HenonMap({self.p!r}, a={self.a!r})"
-
-
-def require_jacobian_below(a: complex, R: float) -> None:
-    """ValueError unless |a| < R, which the escape-domain invariance needs."""
-    if not abs(a) < R:
-        raise ValueError(f"need |a| < R = {R:g} for the escape domains, got |a| = {abs(a):g}")
 
 
 def _sup_q(p: Polynomial, t: float) -> float:
@@ -163,17 +168,15 @@ def _alpha_ok(p: Polynomial, r: float, R: float, t: float) -> bool:
     return t**d - Q > (2.0 * R + 1.0) * t
 
 
-def domain_params(
-    p: Polynomial, r: float = DEFAULT_R_SMALL, R: float = DEFAULT_R_BIG
-) -> DomainParams:
-    """Smallest grid alpha satisfying both escape-domain inequalities, + 5%.
+def domain_params(p: Polynomial) -> DomainParams:
+    """Smallest grid alpha satisfying both escape-domain inequalities at
+    (r, R) = (R_SMALL, R_BIG), + 5%.
 
     Search: coarse doubling to bracket, then bisection (both criteria are
     monotone in t because every term is a negative power of t), then a 5%
     inflation so the inequalities hold strictly with margin.
     """
-    if not (0.0 < r < 1.0 and R > 0.0):
-        raise ValueError("need 0 < r < 1 and R > 0")
+    r, R = R_SMALL, R_BIG
     hi = 1.0
     for _ in range(60):
         if _alpha_ok(p, r, R, hi):

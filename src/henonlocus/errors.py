@@ -10,7 +10,10 @@ class DegenerateJacobian(HenonLocusError):
 
 
 class CoordinateOverflow(HenonLocusError):
-    """An iterate left the configured coordinate cap (default 1e150)."""
+    """A point is not finite, or an iterate passed the kernel's overflow
+    guard |x| or |y| > OVERFLOW_CAP^(1/d) (`_kernel.OVERFLOW_CAP` = 1e150).
+
+    `step` is the depth of that iterate and `point` the point iterated."""
 
     def __init__(self, message, step=None, point=None):
         super().__init__(message)

@@ -17,15 +17,16 @@ Both sides go through one function, `_run`: one kernel call returns log
 phi and its exact gradient, and `_run` enforces the certificate behind the
 tail bound (every factor |s_k| < r) with CertificateViolation, so the check
 also holds under `python -O`; a non-finite log phi or gradient (e.g. 1/a
-overflowing for a subnormal a) is refused the same way. It also refuses
-|a| >= R with ValueError, for a caller's own DomainParams as for the
-default one, and a non-finite point (a blown-up Newton iterate, say) with
-CoordinateOverflow before iterating.
+overflowing for a subnormal a) is refused the same way. The domain is the
+map's own (`HenonMap.domain_params()`, which refuses |a| >= R with
+ValueError); a non-finite point (a blown-up Newton iterate, say) is refused
+with CoordinateOverflow before iterating, and an iterate past the kernel's
+overflow guard with CoordinateOverflow naming the depth.
 
 On the plus side `_run` also hands the kernel the map's certified trap
-around f's attracting cycle (`dynamics.attracting_trap`, computed on the
-first plus-side call and cached on the map, like the default domain), when
-every bidisk of the trap lies in |x|, |y| < alpha for the call's alpha.  An orbit
+around f's attracting cycle (`HenonMap.trap`, computed on the first
+plus-side call and cached on the map), when every bidisk of the trap lies
+in |x|, |y| < alpha for the call's alpha.  An orbit
 that enters it is certified bounded, and NotInEscapeRegion then names the
 trap step and radius; an orbit that neither escapes nor meets the trap is
 refused by the 200-step cap, as on the minus side.  Which of the two
@@ -44,14 +45,7 @@ import math
 from dataclasses import dataclass
 
 from . import _kernel as kernel
-from .dynamics import (
-    CycleTrap,
-    DomainParams,
-    HenonMap,
-    Point,
-    attracting_trap,
-    require_jacobian_below,
-)
+from .dynamics import HenonMap, Point
 from .errors import (
     CertificateViolation,
     CoordinateOverflow,
@@ -60,6 +54,7 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-12
+GREEN_TOL = 1e-9  # green's truncation tolerance
 DEFAULT_CAP = 200
 
 
@@ -81,12 +76,6 @@ class GreenValue:
     # point in K+/K-: certified by the trap around the attracting cycle
     # (plus side), or classified by the iteration cap
     interior_flag: bool
-    cap: int = DEFAULT_CAP
-
-
-def _require_tolerance(tol: float) -> None:
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
 def _finite_point(z) -> tuple[complex, complex]:
@@ -101,7 +90,8 @@ def truncation_K(d: int, r: float, tol: float) -> int:
     """Factors needed so the geometric log-tail is below tol (0 < tol < inf).
 
     Memoised, like tail_bound: every kernel call asks for both."""
-    _require_tolerance(tol)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     K = math.ceil(math.log(-math.log(1.0 - r) / ((1.0 - 1.0 / d) * tol), d))
     return max(K, 1)
 
@@ -111,28 +101,7 @@ def tail_bound(d: int, r: float, K: int) -> float:
     return -math.log(1.0 - r) / (d**K * (d - 1))
 
 
-def default_domain(henon: HenonMap) -> DomainParams:
-    dp = getattr(henon, "_default_domain", None)
-    if dp is None:
-        dp = henon.domain_params()
-        henon._default_domain = dp
-    return dp
-
-
-def plus_trap(henon: HenonMap) -> CycleTrap | None:
-    """The map's certified trap around its attracting cycle, or None.
-
-    Computed on first use and cached on the map; threads that race here
-    compute the same trap.
-    """
-    try:
-        return henon._plus_trap
-    except AttributeError:
-        trap = henon._plus_trap = attracting_trap(henon)
-        return trap
-
-
-def _run(henon, z, side, tol, dp, alpha=None):
+def _run(henon, z, side, tol, alpha):
     """(EscapeValue, gradient of log phi) on one side, from one kernel call."""
     if side == "plus":
         evaluate, iterate, domain = kernel.phi_plus_eval, "forward", "V+"
@@ -140,7 +109,7 @@ def _run(henon, z, side, tol, dp, alpha=None):
         evaluate, iterate, domain = kernel.phi_minus_eval, "backward", "V-"
     else:
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-    require_jacobian_below(henon.a, dp.R)
+    dp = henon.domain_params()
     d = henon.degree
     K = truncation_K(d, dp.r, tol)
     x, y = _finite_point(z)
@@ -162,7 +131,7 @@ def _run(henon, z, side, tol, dp, alpha=None):
     alpha = dp.alpha if alpha is None else alpha
     args = (henon.p.coefficients, henon.a, x, y, K, alpha, DEFAULT_CAP)
     if side == "plus":
-        cycle_trap = plus_trap(henon)
+        cycle_trap = henon.trap
         trap = None if cycle_trap is None else cycle_trap.kernel_trap(alpha)
         args += (trap,)
     status, depth, logphi, glx, gly, smax = evaluate(*args)
@@ -177,7 +146,11 @@ def _run(henon, z, side, tol, dp, alpha=None):
             f"no {iterate} iterate entered {domain} within {DEFAULT_CAP} steps"
         )
     if status == kernel.OVERFLOW:
-        raise CoordinateOverflow(f"overflow before reaching {domain}")
+        raise CoordinateOverflow(
+            f"{iterate} iterate {depth} passed OVERFLOW_CAP^(1/d) before reaching {domain}",
+            step=depth,
+            point=Point(x, y),
+        )
     if not smax < dp.r:
         raise CertificateViolation(
             f"product factor |s| = {smax} >= r = {dp.r} at {domain} entry depth {depth}",
@@ -205,44 +178,26 @@ def _run(henon, z, side, tol, dp, alpha=None):
     return ev, (glx, gly)
 
 
-def phi_plus(
-    henon: HenonMap,
-    z: Point,
-    tol: float = DEFAULT_TOL,
-    dp: DomainParams | None = None,
-) -> EscapeValue:
-    dp = dp or default_domain(henon)
-    return _run(henon, z, "plus", tol, dp)[0]
+def phi_plus(henon: HenonMap, z: Point, tol: float = DEFAULT_TOL) -> EscapeValue:
+    return _run(henon, z, "plus", tol, None)[0]
 
 
-def phi_minus(
-    henon: HenonMap,
-    z: Point,
-    tol: float = DEFAULT_TOL,
-    dp: DomainParams | None = None,
-) -> EscapeValue:
-    dp = dp or default_domain(henon)
-    return _run(henon, z, "minus", tol, dp)[0]
+def phi_minus(henon: HenonMap, z: Point, tol: float = DEFAULT_TOL) -> EscapeValue:
+    return _run(henon, z, "minus", tol, None)[0]
 
 
-def phi_with_gradient(
-    henon: HenonMap,
-    z: Point,
-    side: str,
-    tol: float = DEFAULT_TOL,
-    dp: DomainParams | None = None,
-    alpha: float | None = None,
-):
+def phi_with_gradient(henon: HenonMap, z: Point, side: str, alpha: float | None = None):
     """(EscapeValue, gradient of log phi w.r.t. (x, y)), forward-mode exact.
 
     `alpha` overrides the V+/V- entry threshold (the locus code pushes
     deeper, to 2*alpha, before trusting leaf geometry).
     """
-    return _run(henon, z, side, tol, dp or default_domain(henon), alpha)
+    return _run(henon, z, side, DEFAULT_TOL, alpha)
 
 
-def green(henon: HenonMap, z: Point, side: str, tol: float = 1e-9) -> GreenValue:
-    """g+ or g-, with interior_flag set for a point taken to be in K+/K-.
+def green(henon: HenonMap, z: Point, side: str) -> GreenValue:
+    """g+ or g- to GREEN_TOL, with interior_flag set for a point taken to be
+    in K+/K-.
 
     On the plus side a point whose orbit enters the certified trap around
     the attracting cycle is certified interior.  Any other point whose orbit
@@ -251,20 +206,19 @@ def green(henon: HenonMap, z: Point, side: str, tol: float = 1e-9) -> GreenValue
     """
     if side == "plus":
         try:
-            ev = phi_plus(henon, z, tol)
+            ev = phi_plus(henon, z, GREEN_TOL)
         except NotInEscapeRegion:
             return GreenValue(0.0, "plus", True)
         return GreenValue(ev.log_value.real, "plus", False)
     if side == "minus":
         if henon.a == 0:
-            _require_tolerance(tol)
             x, y = _finite_point(z)
             v = henon.p(y) - x
             if v == 0:
                 return GreenValue(float("-inf"), "minus", True)
             return GreenValue(math.log(abs(v)) / henon.degree, "minus", False)
         try:
-            ev = phi_minus(henon, z, tol)
+            ev = phi_minus(henon, z, GREEN_TOL)
         except NotInEscapeRegion:
             constant = math.log(abs(henon.a)) / (henon.degree - 1)
             return GreenValue(constant, "minus", True)

@@ -69,7 +69,7 @@ def _pixel_value(henon, kind, point):
         except HenonLocusError:
             return math.nan
     side = "plus" if kind == "green-plus" else "minus"
-    return green(henon, point, side, tol=1e-9).value
+    return green(henon, point, side).value
 
 
 def green_grid(

@@ -31,6 +31,7 @@ from .escape import phi_minus, phi_plus
 from .locus import CLOSURE_TOL, _theta_continuation
 
 _LEAF_TOL = 1e-6  # |ratio - omega| accepted as a leaf witness
+MAX_EXPONENT = 8  # largest n of a d^n-th root witness, and of a monodromy orbit
 
 
 @dataclass(frozen=True)
@@ -62,11 +63,11 @@ def psi_pair(henon: HenonMap, z: Point) -> PsiPair:
 
 
 def _nearest_root_witness(ratio: complex, d: int) -> Optional[RootOfUnityWitness]:
-    """The d^n-th root of unity within _LEAF_TOL of ratio, n = 0..8 minimal."""
+    """The d^n-th root of unity within _LEAF_TOL of ratio, n = 0..MAX_EXPONENT minimal."""
     if abs(abs(ratio) - 1.0) > _LEAF_TOL:
         return None
     turns = cmath.phase(ratio) / (2.0 * math.pi)
-    for n in range(9):
+    for n in range(MAX_EXPONENT + 1):
         order = d**n
         k = round(turns * order)
         omega = cmath.exp(2j * math.pi * k / order)
@@ -82,7 +83,7 @@ def same_leaf_plus(
 
     The psi+ ratio is branch-independent as a member of the root-of-unity
     group, so the kernel's principal determinations suffice; the witness
-    is the nearest d^n-th root (n minimal, at most 8)."""
+    is the nearest d^n-th root (n minimal, at most MAX_EXPONENT)."""
     ratio = phi_plus(henon, z1).value / phi_plus(henon, z2).value
     return _nearest_root_witness(ratio, henon.degree)
 
@@ -105,10 +106,11 @@ def monodromy_orbit(henon: HenonMap, c: complex, z: Point, n: int) -> List[Point
     with omega^(d^n) = 1; the 2-D Newton enforces the tangency condition, so
     every returned point is certified on the component.  The continuation
     must return to z within CLOSURE_TOL, else ContinuationFailure.  The orbit
-    starts at z itself.
+    starts at z itself.  n runs from 0 to MAX_EXPONENT, the largest exponent
+    a leaf witness resolves (ValueError otherwise, before any work).
     """
-    if n < 0:
-        raise ValueError("monodromy exponent must be >= 0")
+    if not 0 <= n <= MAX_EXPONENT:
+        raise ValueError(f"monodromy exponent must be in 0..{MAX_EXPONENT}, got {n}")
     z = Point(complex(z[0]), complex(z[1]))
     if n == 0:
         return [z]

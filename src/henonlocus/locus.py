@@ -45,10 +45,11 @@ from .errors import (
     NotInEscapeRegion,
     NotSimpleCritical,
 )
-from .escape import default_domain, phi_with_gradient
+from .escape import phi_with_gradient
 
 NEWTON_TOL = 1e-10
 DEPTH_FACTOR = 2.0  # push V+/V- entry past 2*alpha before trusting leaves
+CLASSIFY_STEPS = 8  # iterates each way classify_component tries
 FD_STEP = 1e-6
 CLOSURE_TOL = 1e-8  # closure gap of a certified theta continuation
 _PROBE_SAMPLES = 16  # leaf-probe circle nodes in contact_order
@@ -115,22 +116,17 @@ def tube_radius(p: Polynomial) -> float:
     return max(0.25, 0.5 * gap)
 
 
-def tangency_value(
-    henon: HenonMap,
-    z: Point,
-    alpha_factor: float = DEPTH_FACTOR,
-) -> TangencyValue:
+def tangency_value(henon: HenonMap, z: Point) -> TangencyValue:
     """Normalized foliation-tangency determinant at z (must escape both ways).
 
     Depths are adaptive: iterates run until |x| (resp. |y|) clears
-    alpha_factor * alpha, so the leaf geometry backing the gradients is the
+    DEPTH_FACTOR * alpha, so the leaf geometry backing the gradients is the
     certified one.  Deterministic for fixed depths and truncation.
     """
     z = Point(complex(z[0]), complex(z[1]))
-    dp = default_domain(henon)
-    alpha = alpha_factor * dp.alpha
-    evp, (g1x, g1y) = phi_with_gradient(henon, z, "plus", dp=dp, alpha=alpha)
-    evm, (g2x, g2y) = phi_with_gradient(henon, z, "minus", dp=dp, alpha=alpha)
+    alpha = DEPTH_FACTOR * henon.domain_params().alpha
+    evp, (g1x, g1y) = phi_with_gradient(henon, z, "plus", alpha=alpha)
+    evm, (g2x, g2y) = phi_with_gradient(henon, z, "minus", alpha=alpha)
     det = g1x * g2y - g2x * g1y
     scale = henon.degree * abs(z.x) * abs(henon.p(z.y) - z.x)
     return TangencyValue(
@@ -182,15 +178,14 @@ def trace_primary_component(
     c: complex,
     x_range: Tuple[float, float] = (10.0, 1e4),
     step: float = 0.1,
-    tube: float | None = None,
 ) -> CurveTrace:
     """Continuation of the component through critical point c along real x.
 
     Steps t = log x downward from the large-|x| end (where y ~ c seeds the
     corrector), halving the step on Newton failure.  Every accepted sample
-    must stay in the tube |y - c| < tube, and |y - c| must be nonincreasing
-    in |x| over the outermost decade; violations raise LeftTube with the
-    offending sample attached.  Samples are returned ascending in |x|.
+    must stay in the tube |y - c| < tube_radius(p), and |y - c| must be
+    nonincreasing in |x| over the outermost decade; violations raise LeftTube
+    with the offending sample attached.  Samples are returned ascending in |x|.
     step and both ends of x_range must be positive and finite (ValueError).
     """
     if not all(0.0 < v < math.inf for v in (step, *x_range)):
@@ -200,8 +195,7 @@ def trace_primary_component(
         raise NotSimpleCritical(f"p'({c}) != 0")
     if abs(p.second_derivative(c)) < 1e-9:
         raise NotSimpleCritical(f"p''({c}) ~ 0")
-    if tube is None:
-        tube = tube_radius(p)
+    tube = tube_radius(p)
     x_lo, x_hi = sorted((float(x_range[0]), float(x_range[1])))
     t_lo, t_hi = math.log(x_lo), math.log(x_hi)
 
@@ -330,7 +324,7 @@ def contact_order(henon: HenonMap, z: Point) -> int:
     of the energy, among harmonics 1 to 5.
     """
     z = Point(complex(z[0]), complex(z[1]))
-    alpha = DEPTH_FACTOR * default_domain(henon).alpha
+    alpha = DEPTH_FACTOR * henon.domain_params().alpha
     base, _ = phi_with_gradient(henon, z, "plus", alpha=alpha)
     n = base.depth
     log_target = henon.degree**n * base.log_value
@@ -462,11 +456,13 @@ def verify_biholomorphism(
     """Certify that phi+ restricted to the component through c is a degree-one
     cover of each circle |phi+| = rho: continuation of phi+^{-1}(rho e^{i
     theta}) around the full circle must close up (< CLOSURE_TOL), wind
-    exactly once, and visit points pairwise more than CLOSURE_TOL apart."""
+    exactly once, and visit points pairwise more than CLOSURE_TOL apart.
+    Every radius must be finite and > 1 (ValueError before any continuation)."""
+    bad = [rho for rho in radii if not 1.0 < rho < math.inf]
+    if bad:
+        raise ValueError(f"radii must be finite and exceed 1, got {bad}")
     items = []
     for rho in radii:
-        if rho <= 1.0:
-            raise ValueError("radii must exceed 1")
         x, y = complex(rho), complex(c)
         seed, _ = phi_with_gradient(henon, Point(x, y), "plus")
         depth = seed.depth + 1  # margin: the frozen iterate stays deep in V+
@@ -519,17 +515,13 @@ def verify_biholomorphism(
 # ------------------------------------------------------------- classification
 
 
-def classify_component(
-    henon: HenonMap,
-    z: Point,
-    max_k: int = 8,
-) -> Tuple[complex, int]:
+def classify_component(henon: HenonMap, z: Point) -> Tuple[complex, int]:
     """(c, k) with f^k(z) inside the primary tube of critical point c
     (|y - c| < tube_radius(p), |x| > DEPTH_FACTOR * alpha), searching
-    k = 0, 1, -1, 2, -2, ..."""
+    k = 0, 1, -1, 2, -2, ..., +-CLASSIFY_STEPS."""
     crits = henon.p.critical_points()
     tube = tube_radius(henon.p)
-    x_min = DEPTH_FACTOR * default_domain(henon).alpha
+    x_min = DEPTH_FACTOR * henon.domain_params().alpha
 
     def hit(w: Point):
         if abs(w.x) <= x_min:
@@ -542,7 +534,7 @@ def classify_component(
     z = Point(complex(z[0]), complex(z[1]))
     forward, backward = z, z
     fwd_alive, bwd_alive = True, henon.a != 0
-    for k in range(max_k + 1):
+    for k in range(CLASSIFY_STEPS + 1):
         if fwd_alive:
             c = hit(forward)
             if c is not None:
@@ -557,7 +549,7 @@ def classify_component(
         if bwd_alive:
             backward = henon.apply_inverse(backward)
             bwd_alive = abs(backward.x) <= 1e100 and abs(backward.y) <= 1e100
-    raise NotClassified(f"no iterate within |k| <= {max_k} entered a primary tube")
+    raise NotClassified(f"no iterate within |k| <= {CLASSIFY_STEPS} entered a primary tube")
 
 
 # ------------------------------------------------------------------- exports

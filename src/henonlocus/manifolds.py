@@ -415,7 +415,7 @@ def _gradient_at(henon, manifold, t):
         u, v, du, dv = t, m, 1.0, dm
     w, dx, dy = _chart_point(henon, u, v, du, dv)
     try:
-        _, (gx, gy) = phi_with_gradient(henon, w, "minus", tol=1e-12)
+        _, (gx, gy) = phi_with_gradient(henon, w, "minus")
     except (NotInEscapeRegion, OnDegenerateCurve) as exc:
         raise GradientVanishesOnLoop(f"g- has no gradient at a loop point: {exc}") from exc
     return (gx * dx + gy * dy).conjugate()

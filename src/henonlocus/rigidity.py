@@ -275,7 +275,6 @@ class ChartSeries:
     Y: TruncSeries
     chi_plus: TruncSeries
     chi_minus: TruncSeries
-    degree: int = 2
 
     def truncate(self, order: int) -> "ChartSeries":
         return ChartSeries(

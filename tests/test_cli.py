@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import henonlocus
+from henonlocus import holonomy
 from henonlocus.cli import RunConfig, config_from_text, config_to_text, run
 from henonlocus.errors import ConfigError
 
@@ -350,6 +351,18 @@ def test_holonomy_reports_orbit_and_witness(capsys):
     assert abs(omega - (-1.0)) < 1e-8
     assert report["equivariance_deviation"] < 1e-6
     assert len(report["points"]) == 2
+
+
+def test_holonomy_exponent_past_the_witness_range_exits_2(capsys, monkeypatch):
+    # refused before the orbit starts: 8 * 2^40 theta steps otherwise
+    def no_orbit(*args):
+        raise AssertionError("the monodromy orbit started")
+
+    monkeypatch.setattr(holonomy, "_theta_continuation", no_orbit)
+    code, report = run_json(capsys, ["holonomy", "--n", "40"])
+    assert code == 2
+    assert report["status"] == "config-error"
+    assert "exponent must be in 0..8, got 40" in report["error"]
 
 
 @pytest.mark.parametrize("c", [1.0, -1.0])

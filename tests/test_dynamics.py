@@ -67,7 +67,7 @@ def test_jacobian_determinant_is_a():
 
 
 def test_domain_params_x2():
-    dp = domain_params(X2)  # defaults (r, R) = (1/2, 1/8)
+    dp = domain_params(X2)  # fixed (r, R) = (1/2, 1/8)
     # analytic threshold for p = x^2 is (R+1)/r = 2.25, inflated by 5%
     assert abs(dp.alpha - 2.3625) < 1e-3
     assert dp.B == pytest.approx(2.0)
@@ -75,17 +75,25 @@ def test_domain_params_x2():
 
 def test_map_domain_params_need_jacobian_below_R():
     # the invariance of V+ and V- is proved for |a| < R only
-    assert HenonMap(X2M1, 0.124).domain_params() == domain_params(X2M1)
+    h = HenonMap(X2M1, 0.124)
+    assert h.domain_params() == domain_params(X2M1)
+    assert h.domain_params() is h.domain_params()  # computed once per map
     for a in (0.125, -0.2, 0.1 + 0.1j, 3.0):
-        with pytest.raises(ValueError, match=r"\|a\| < R"):
-            HenonMap(X2M1, a).domain_params()
-    # a custom R moves the admissible range with it
-    assert HenonMap(X2M1, 0.2).domain_params(R=0.25).R == 0.25
+        h = HenonMap(X2M1, a)
+        for _ in range(2):  # refused on every call, not only the first
+            with pytest.raises(ValueError, match=r"\|a\| < R"):
+                h.domain_params()
 
 
 def test_domain_params_milder_constants_smaller_alpha():
-    dp = domain_params(Polynomial([0.3, 0, 1]), r=0.9, R=0.01)
-    assert dp.alpha < 2.3625
+    # Milder constants admit a smaller radius: at (r, R) = (0.9, 0.01) the
+    # search criterion already holds at t = 2.3625 / 1.05, so a search there
+    # would end below 2.3625; at the fixed (1/2, 1/8) it fails at t.
+    p = Polynomial([0.3, 0, 1])
+    t = 2.3625 / 1.05
+    assert dynamics._alpha_ok(p, 0.9, 0.01, t)
+    assert not dynamics._alpha_ok(p, dynamics.R_SMALL, dynamics.R_BIG, t)
+    assert domain_params(p).alpha > 2.3625
 
 
 def test_domain_params_scan_oracle():

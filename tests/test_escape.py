@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import henonlocus
-from henonlocus import escape
+from henonlocus import dynamics, escape
 from henonlocus.dynamics import HenonMap, Point, Polynomial, domain_params, in_v_plus
 from henonlocus.errors import (
     CertificateViolation,
@@ -48,17 +48,6 @@ def test_default_domain_refuses_jacobian_outside_R():
     for phi, z in ((escape.phi_plus, Point(40, 1)), (escape.phi_minus, Point(1, 40))):
         with pytest.raises(ValueError, match=r"\|a\| < R"):
             phi(h, z)
-
-
-def test_explicit_domain_refuses_jacobian_outside_R():
-    # a caller's own DomainParams must not bypass the |a| < R check
-    h = HenonMap(X2M1, 10.0)
-    dp = domain_params(X2M1)
-    for phi, z in ((escape.phi_plus, Point(40, 1)), (escape.phi_minus, Point(1, 40))):
-        with pytest.raises(ValueError, match=r"need \|a\| < R = 0.125 .* got \|a\| = 10$"):
-            phi(h, z, dp=dp)
-    # the same map is accepted once R covers |a|
-    assert escape.phi_plus(h, Point(400, 1), dp=domain_params(X2M1, R=20.0)).tail_bound > 0
 
 
 def test_phi_plus_degenerate_is_boettcher_of_x():
@@ -203,7 +192,7 @@ def test_interior_refusals_name_their_certificate():
     h = HenonMap(X2, 0.05)
     with pytest.raises(NotInEscapeRegion, match=r"iterate 0 entered the certified trap"):
         escape.phi_plus(h, Point(0, 0))
-    assert escape.plus_trap(h).period == 1
+    assert h.trap.period == 1
     # a threshold the trap's bidisks reach: no trap, the cap refuses
     with pytest.raises(NotInEscapeRegion, match=r"within 200 steps"):
         escape.phi_with_gradient(h, Point(0, 0), "plus", alpha=0.5)
@@ -212,17 +201,27 @@ def test_interior_refusals_name_their_certificate():
         escape.phi_minus(h, Point(0, 0))
 
 
-def test_plus_trap_is_lazy_and_cached():
+def test_plus_trap_is_lazy_and_cached(monkeypatch):
+    built = []
+    original = dynamics.attracting_trap
+
+    def counting(henon):
+        built.append(henon)
+        return original(henon)
+
+    monkeypatch.setattr(dynamics, "attracting_trap", counting)
     h = HenonMap(X2M1, 0.01)
-    h.domain_params()
-    escape.default_domain(h)
+    assert h.domain_params() is h.domain_params()
     escape.phi_minus(h, Point(0.5, 30.0))
-    assert not hasattr(h, "_plus_trap")
+    escape.green(h, Point(0.5, 30.0), "minus")
+    assert built == []
     escape.phi_plus(h, Point(30.0, 0.5))
-    trap = h._plus_trap
+    trap = h.trap
     assert trap is not None and trap.period == 2
     escape.green(h, Point(0, 0), "plus")
-    assert h._plus_trap is trap
+    escape.phi_with_gradient(h, Point(30.0, 0.5), "plus")
+    assert h.trap is trap
+    assert built == [h]
 
 
 def test_green_minus_interior_constant():
@@ -354,16 +353,14 @@ def maps_and_points(draw):
     x = draw(st.floats(0.3, 20.0)) * dp.alpha * cmath.exp(1j * draw(st.floats(0.0, 7.0)))
     y = draw(st.floats(0.0, 2.0)) * x * cmath.exp(1j * draw(st.floats(0.0, 7.0)))
     tol = draw(st.sampled_from((1e-6, 1e-9, 1e-12)))
-    return h, dp, Point(x, y), tol
+    return h, Point(x, y), tol
 
 
-def _escape_pair(h, z, fz, side, tol, dp):
+def _escape_pair(h, z, fz, side, tol):
     """Escape values at z and at its image; skips points that do not escape."""
+    phi = escape.phi_plus if side == "plus" else escape.phi_minus
     try:
-        return (
-            escape.phi_with_gradient(h, z, side, tol, dp)[0],
-            escape.phi_with_gradient(h, fz, side, tol, dp)[0],
-        )
+        return phi(h, z, tol), phi(h, fz, tol)
     except (NotInEscapeRegion, CoordinateOverflow):
         assume(False)
 
@@ -376,9 +373,9 @@ def _rounding(*logs):
 @given(maps_and_points())
 def test_phi_plus_conjugates_f_to_power_map(case):
     # log phi+(f z) = d log phi+(z) modulo 2 pi i, within the two tail bounds
-    h, dp, z, tol = case
+    h, z, tol = case
     d = h.degree
-    e0, e1 = _escape_pair(h, z, h.apply(z), "plus", tol, dp)
+    e0, e1 = _escape_pair(h, z, h.apply(z), "plus", tol)
     gap = e1.log_value - d * e0.log_value
     gap -= 2j * math.pi * round(gap.imag / (2 * math.pi))
     bound = e1.tail_bound + d * e0.tail_bound
@@ -389,10 +386,10 @@ def test_phi_plus_conjugates_f_to_power_map(case):
 @given(maps_and_points())
 def test_green_minus_shift_law(case):
     # g-(f^-1 w) = d g-(w) - log|a|, at the reflected point w = (y, x)
-    h, dp, z, tol = case
+    h, z, tol = case
     d = h.degree
     w = Point(z.y, z.x)
-    e0, e1 = _escape_pair(h, w, h.apply_inverse(w), "minus", tol, dp)
+    e0, e1 = _escape_pair(h, w, h.apply_inverse(w), "minus", tol)
     g0, g1 = e0.log_value.real, e1.log_value.real
     gap = g1 - (d * g0 - math.log(abs(h.a)))
     bound = e1.tail_bound + d * e0.tail_bound
@@ -457,23 +454,23 @@ def test_tail_bound_holds_against_50_digit_oracle(h, tol):
             assert abs(ev.log_value.real - float(exact)) <= ev.tail_bound + 1e-12
 
 
-_TOL_CALLS = {
-    "phi_plus": lambda h, z, tol: escape.phi_plus(h, z, tol),
-    "phi_minus": lambda h, z, tol: escape.phi_minus(h, z, tol),
-    "phi_with_gradient": lambda h, z, tol: escape.phi_with_gradient(h, z, "plus", tol),
-    "green": lambda h, z, tol: escape.green(h, z, "minus", tol),
-    # the a = 0 closed form must refuse the same tolerances
-    "green_a0": lambda h, z, tol: escape.green(HenonMap(h.p, 0.0), z, "minus", tol),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_TOL_CALLS))
+@pytest.mark.parametrize("name", ["phi_minus", "phi_plus"])
 @pytest.mark.parametrize("tol", (0.0, -1e-9, math.inf, math.nan))
 def test_tolerance_must_be_positive_and_finite(name, tol):
     # K = ceil(log_d(.../tol)) exists only for 0 < tol < inf
     h = HenonMap(X2M1, 0.01)
     with pytest.raises(ValueError, match="tol must be positive and finite"):
-        _TOL_CALLS[name](h, Point(8.0, 9.0), tol)
+        getattr(escape, name)(h, Point(8.0, 9.0), tol)
+
+
+_CALLS = {
+    "phi_plus": escape.phi_plus,
+    "phi_minus": escape.phi_minus,
+    "phi_with_gradient": lambda h, z: escape.phi_with_gradient(h, z, "plus"),
+    "green": lambda h, z: escape.green(h, z, "minus"),
+    # the a = 0 closed form must refuse the same points
+    "green_a0": lambda h, z: escape.green(HenonMap(h.p, 0.0), z, "minus"),
+}
 
 
 _NON_FINITE = (
@@ -485,17 +482,33 @@ _NON_FINITE = (
 
 
 @pytest.mark.parametrize("z", _NON_FINITE)
-@pytest.mark.parametrize("name", sorted(_TOL_CALLS))
+@pytest.mark.parametrize("name", sorted(_CALLS))
 def test_non_finite_point_is_a_coordinate_overflow(name, z):
     # refused before iterating: NaN never enters V+, so it read as bounded
     with pytest.raises(CoordinateOverflow, match="non-finite point"):
-        _TOL_CALLS[name](HenonMap(X2M1, 0.01), z, 1e-9)
+        _CALLS[name](HenonMap(X2M1, 0.01), z)
 
 
 @pytest.mark.parametrize("z", _NON_FINITE)
 def test_non_finite_point_is_refused_by_green_plus(z):
     with pytest.raises(CoordinateOverflow):
         escape.green(HenonMap(X2M1, 0.01), z, "plus")
+
+
+@pytest.mark.parametrize(
+    "phi, h, z, where",
+    [
+        (escape.phi_plus, HenonMap(X2, 0), Point(0, 1e100), r"forward iterate 0 .* V\+"),
+        (escape.phi_minus, HenonMap(X2M1, 0.01), Point(1e100, 0), r"backward iterate 0 .* V-"),
+    ],
+    ids=["plus", "minus"],
+)
+def test_overflow_refusal_names_depth_and_point(phi, h, z, where):
+    # a starting coordinate past OVERFLOW_CAP^(1/d) and outside V+/V-
+    with pytest.raises(CoordinateOverflow, match=where) as info:
+        phi(h, z)
+    assert info.value.step == 0
+    assert info.value.point == z
 
 
 def test_coordinate_overflow_is_not_a_configuration_error():

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from henonlocus.dynamics import HenonMap, Polynomial
-from henonlocus.escape import plus_trap
 from henonlocus.gridfield import (
     GridField,
     green_grid,
@@ -235,7 +234,7 @@ def test_trapped_tiles_keep_their_bytes(kind):
     grid = green_grid(
         henon, kind, (-1.5, 1.5), (-1.5, 1.5), 64, 64, slice_axis="x", slice_value=0.05j
     )
-    assert plus_trap(henon) is not None
+    assert henon.trap is not None
     interior = grid.nan_pixels if kind == "tangency" else int((grid.values == 0).sum())
     assert interior == 1111
     digest = hashlib.sha256()

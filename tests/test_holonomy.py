@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from henonlocus import holonomy
 from henonlocus.dynamics import HenonMap, Point, Polynomial
 from henonlocus.errors import ContinuationFailure, DegenerateJacobian
 from henonlocus.escape import phi_minus, phi_with_gradient
@@ -61,7 +62,7 @@ def test_psi_ratio_band():
     pair = psi_pair(HSQ, z)
     predicted = math.sqrt(abs(HSQ.p(z.y) - z.x)) / (abs(HSQ.a) * abs(z.x))
     ratio = abs(pair.psi_minus / pair.psi_plus)
-    B = HSQ.bound_B()
+    B = HSQ.domain_params().B
     assert predicted / B**2 <= ratio <= predicted * B**2
 
 
@@ -159,3 +160,15 @@ def test_orbit_rejects_bad_input():
     z, _ = locate_on_locus(H, 8.0)
     with pytest.raises(ValueError):
         monodromy_orbit(H, 0.0, z, -1)
+
+
+@pytest.mark.parametrize("n", [9, 40])
+def test_orbit_refuses_exponents_past_the_witness_range(monkeypatch, n):
+    # refused before any work: no escape value, no continuation step
+    def no_work(*args):
+        raise AssertionError("monodromy_orbit started working")
+
+    monkeypatch.setattr(holonomy, "phi_plus", no_work)
+    monkeypatch.setattr(holonomy, "_theta_continuation", no_work)
+    with pytest.raises(ValueError, match=r"exponent must be in 0\.\.8, got"):
+        monodromy_orbit(H, 0.0, Point(8.0, 0.0), n)

@@ -100,11 +100,22 @@ def test_tangency_reports_depths_and_scale():
 
 
 def test_tangency_deepening_invariance():
+    # the determinant does not depend on how deep past alpha the leaves are
+    # taken: DEPTH_FACTOR = 2 (tangency_value) against 4
     z = Point(20.0, 0.0001)
-    shallow = tangency_value(H, z, alpha_factor=2.0)
-    deep = tangency_value(H, z, alpha_factor=4.0)
-    assert deep.n >= shallow.n and deep.m >= shallow.m
-    assert abs(deep.value - shallow.value) < 1e-6
+    alpha = H.domain_params().alpha
+
+    def normalized(factor):
+        evp, (g1x, g1y) = phi_with_gradient(H, z, "plus", alpha=factor * alpha)
+        evm, (g2x, g2y) = phi_with_gradient(H, z, "minus", alpha=factor * alpha)
+        det = g1x * g2y - g2x * g1y
+        return evp.depth, evm.depth, det * (2 * abs(z.x) * abs(BASIC(z.y) - z.x))
+
+    n2, m2, shallow = normalized(2.0)
+    n4, m4, deep = normalized(4.0)
+    assert shallow == tangency_value(H, z).value
+    assert n4 >= n2 and m4 >= m2
+    assert abs(deep - shallow) < 1e-6
 
 
 def test_newton_zero_matches_dense_scan():
@@ -209,9 +220,10 @@ def test_trace_is_f_invariant():
     assert checked >= 2
 
 
-def test_trace_left_tube():
+def test_trace_left_tube(monkeypatch):
+    monkeypatch.setattr(locus, "tube_radius", lambda p: 1e-6)
     with pytest.raises(LeftTube) as err:
-        trace_primary_component(H, 0.0, (10.0, 1e4), tube=1e-6)
+        trace_primary_component(H, 0.0, (10.0, 1e4))
     assert err.value.sample is not None
 
 
@@ -257,6 +269,17 @@ def test_biholomorphism_radii():
         assert item.winding == 1
         assert item.closure_error < 1e-8
         assert item.min_separation > CLOSURE_TOL
+
+
+@pytest.mark.parametrize("radii", [(math.nan,), (math.inf,), (2.0, 0.5), (8.0, 1.0)])
+def test_biholomorphism_refuses_bad_radii_before_any_continuation(monkeypatch, radii):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a circle was computed")
+
+    monkeypatch.setattr(locus, "phi_with_gradient", no_work)
+    monkeypatch.setattr(locus, "_theta_continuation", no_work)
+    with pytest.raises(ValueError, match="radii must be finite and exceed 1"):
+        verify_biholomorphism(H, 0.0, radii=radii)
 
 
 # ------------------------------------------------- theta continuation
@@ -426,13 +449,13 @@ def test_classify_scan_found_points():
     for _ in range(10):
         x = math.exp(rng.uniform(math.log(6.0), math.log(300.0)))
         y = scan_locus_y(H, x, lo=-0.3, hi=0.3, step=1e-2)
-        c, k = classify_component(H, Point(x, y), max_k=8)
+        c, k = classify_component(H, Point(x, y))
         assert c == 0.0 and abs(k) <= 8
 
 
 def test_classify_bounded_point_fails():
     with pytest.raises(NotClassified):
-        classify_component(H, Point(0.1, 0.1), max_k=4)
+        classify_component(H, Point(0.1, 0.1))
 
 
 # ------------------------------------------------------------------ exports

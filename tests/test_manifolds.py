@@ -30,7 +30,7 @@ from henonlocus.manifolds import (
     point_from_uv,
     uv_coords,
 )
-from henonlocus.escape import green
+from henonlocus.escape import phi_minus
 from henonlocus.manifolds import _gradient_at, _stable_residual, _unstable_residual
 
 SQUARE = Polynomial([0, 0, 1])  # x^2
@@ -343,10 +343,10 @@ def test_gradient_index_rejects_unstable_graph():
 
 
 def _central_difference_gradient(henon, m, t, step=1e-6):
-    """Planar gradient of g- along the graph from green values alone."""
+    """Planar gradient of g- = Re log phi- along the graph from values alone."""
 
     def g(s):
-        return green(henon, graph_point(henon, m, s), "minus", tol=1e-12).value
+        return phi_minus(henon, graph_point(henon, m, s)).log_value.real
 
     gr = (g(t + step) - g(t - step)) / (2 * step)
     gi = (g(t + 1j * step) - g(t - 1j * step)) / (2 * step)

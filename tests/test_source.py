@@ -142,3 +142,127 @@ def test_exact_products_stay_in_packed_integers():
     names = {node.id for node in ast.walk(kernel) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(kernel) if isinstance(node, ast.Attribute)}
     assert "Fraction" not in names
+
+
+def _is_dataclass(cls):
+    for decorator in cls.decorator_list:
+        fn = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(fn, "id", None) == "dataclass" or getattr(fn, "attr", None) == "dataclass":
+            return True
+    return False
+
+
+def _knobs(node, module, prefix=""):
+    """`module:function:name` of every defaulted parameter and every
+    defaulted dataclass field under node; methods are `Class.method`."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = child.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            name = prefix + child.name
+            found += [f"{module}:{name}:{arg.arg}" for arg in defaulted]
+            found += _knobs(child, module, name + ".")
+        elif isinstance(child, ast.ClassDef):
+            name = prefix + child.name
+            if _is_dataclass(child):
+                found += [
+                    f"{module}:{name}:{field.target.id}"
+                    for field in child.body
+                    if isinstance(field, ast.AnnAssign) and field.value is not None
+                ]
+            found += _knobs(child, module, name + ".")
+        else:
+            found += _knobs(child, module, prefix)
+    return found
+
+
+# Every setting a caller can leave out.  A new one is a knob: it belongs here
+# only with a caller outside the tests that sets it.
+KNOBS = {
+    "_kernel:phi_plus_eval:trap",
+    "cli:config_from_text:subcommand",
+    "cli:run:argv",
+    "errors:CertificateViolation.__init__:depth",
+    "errors:CertificateViolation.__init__:r",
+    "errors:CertificateViolation.__init__:smax",
+    "errors:CoordinateOverflow.__init__:point",
+    "errors:CoordinateOverflow.__init__:step",
+    "errors:LeftTube.__init__:sample",
+    "escape:phi_minus:tol",
+    "escape:phi_plus:tol",
+    "escape:phi_with_gradient:alpha",
+    "gridfield:green_grid:slice_axis",
+    "gridfield:green_grid:slice_value",
+    "gridfield:green_grid:workers",
+    "locus:locate_on_locus:tol",
+    "locus:locate_on_locus:y_seed",
+    "locus:trace_primary_component:step",
+    "locus:trace_primary_component:x_range",
+    "locus:verify_biholomorphism:radii",
+    "manifolds:local_stable_graph:iterations",
+    "manifolds:local_stable_graph:mesh",
+    "manifolds:local_unstable_graph:iterations",
+    "manifolds:local_unstable_graph:mesh",
+    "manifolds:uv_coords:beta",
+    "manifolds:uv_coords:delta",
+    "rigidity:defect_coefficients_text:order",
+    "series:_cauchy_product:budget",
+    "series:_cauchy_product:weight_at",
+}
+
+
+def test_knob_ledger():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += _knobs(tree, path.stem)
+    assert len(found) == len(set(found))
+    assert sorted(set(found) - KNOBS) == [], "new defaulted parameters or fields"
+    assert sorted(KNOBS - set(found)) == [], "ledger entries with no parameter left"
+
+
+def _henon_names(tree):
+    """Names that hold a HenonMap: `henon`, and any annotated HenonMap."""
+    names = {"henon"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            if ast.unparse(node.annotation) == "HenonMap":
+                names.add(node.arg)
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            if ast.unparse(node.annotation) == "HenonMap":
+                names.add(node.target.id)
+    return names
+
+
+def _attribute_writes(tree):
+    """(line, base name) of every attribute store, delete, setattr and delattr."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            if isinstance(node.value, ast.Name):
+                yield node.lineno, node.value.id
+        elif isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Name):
+            fn = node.func
+            if getattr(fn, "id", None) in ("setattr", "delattr") or getattr(
+                fn, "attr", None
+            ) in ("__setattr__", "__delattr__"):
+                yield node.lineno, node.args[0].id
+
+
+def test_only_dynamics_sets_attributes_on_a_map():
+    # The map owns its per-map facts (domain, trap): no other module caches
+    # anything on it.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "dynamics.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        henon = _henon_names(tree)
+        found += [
+            f"{path.relative_to(PACKAGE)}:{line} {name}"
+            for line, name in _attribute_writes(tree)
+            if name in henon
+        ]
+    assert not found, f"attributes set on a HenonMap outside dynamics.py: {found}"
