@@ -28,7 +28,7 @@ from .dynamics import HenonMap, Point, Polynomial
 from .errors import ConfigError, HenonLocusError
 from .escape import green, phi_minus, phi_plus
 from .gridfield import green_grid, grid_sidecar, grid_to_csv, grid_to_pgm
-from .holonomy import monodromy_orbit, psi_pair, same_leaf_plus
+from .holonomy import monodromy_orbit, psi_pair, require_exponent, same_leaf_plus
 from .locus import (
     contact_order,
     locate_on_locus,
@@ -312,19 +312,20 @@ def _cmd_critlocus(opts):
         x_range=(_as_float(opts["x_min"], "x_min"), _as_float(opts["x_max"], "x_max")),
         step=_as_float(opts["step"], "step"),
     )
-    max_abs_y = max(abs(s.point.y) for s in trace.samples)
+    # the tube is |y - c| < tube_radius; the key keeps its name (|y| at c = 0)
+    offset = max(abs(s.point.y - trace.critical_point) for s in trace.samples)
     max_residual = max(s.residual for s in trace.samples)
     report = {
         "samples": len(trace.samples),
         "tube_radius": trace.tube_radius,
-        "max_abs_y": max_abs_y,
+        "max_abs_y": offset,
         "max_residual": max_residual,
         "outputs": [],
     }
     if opts["out_dir"]:
         report["outputs"].append(_write(opts["out_dir"], "trace.json", trace_to_json(trace)))
         report["outputs"].append(_write(opts["out_dir"], "trace.csv", trace_to_csv(trace)))
-    if max_abs_y > trace.tube_radius or max_residual > 1e-8:
+    if offset > trace.tube_radius or max_residual > 1e-8:
         raise _CheckFailed(report)
     return report
 
@@ -332,6 +333,7 @@ def _cmd_critlocus(opts):
 def _cmd_holonomy(opts):
     henon = _build_map(opts)
     n = _as_int(opts["n"], "n")
+    require_exponent(n)
     c = _as_complex(opts["c"], "c")
     z, _ = locate_on_locus(henon, _as_float(opts["x"], "x"), c)
     orbit = monodromy_orbit(henon, c, z, n)
@@ -504,18 +506,18 @@ def _suite_locus(henon, opts):
     if henon.a == 0:
         raise ConfigError("the locus suite needs a nonzero Jacobian (--a)")
     trace = trace_primary_component(henon, 0.0, x_range=(10.0, 100.0), step=0.25)
-    max_abs_y = max(abs(s.point.y) for s in trace.samples)
+    offset = max(abs(s.point.y - trace.critical_point) for s in trace.samples)
     max_residual = max(s.residual for s in trace.samples)
     mid = trace.samples[len(trace.samples) // 2].point
     order = contact_order(henon, mid)
     report = {
         "suite": "locus",
         "samples": len(trace.samples),
-        "max_abs_y": max_abs_y,
+        "max_abs_y": offset,
         "max_residual": max_residual,
         "contact_order": order,
     }
-    if max_abs_y > trace.tube_radius or max_residual > 1e-8 or order != 2:
+    if offset > trace.tube_radius or max_residual > 1e-8 or order != 2:
         raise _CheckFailed(report)
     return report
 

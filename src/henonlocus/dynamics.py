@@ -21,7 +21,10 @@ f_a(V+) ⊂ V+ with |x_1| > (R+1)|x| and f_a^{-1}(V-) ⊂ V- with
 The bounded side has a certificate too.  For hyperbolic p and small a, f
 has an attracting cycle z_0 ... z_{q-1} near one of p, found by iterating f
 from (c, c) for the critical points c of p (Hubbard & Oberste-Vorth, Publ.
-IHES 79, 1994).  `attracting_trap` certifies bidisks
+IHES 79, 1994), taken from one pure-Python finder cached on the read-only p
+(`Polynomial.critical_points`).  Run at a = 0, the same cycle search checks
+the manifolds' standing hypothesis: every critical orbit of p settles on an
+attracting cycle.  `attracting_trap` certifies bidisks
 
     B_i = { |x - x_i| < rho_i, |y - y_i| < sigma_i },   f(B_i) ⊂ B_{i+1},
 
@@ -35,10 +38,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
+from math import comb, prod
 from typing import NamedTuple
 
-from ._kernel import OVERFLOW_CAP, horner
+from ._kernel import OVERFLOW_CAP, horner, horner_with_deriv
 from .errors import DegenerateJacobian, NoAlphaFound
 
 R_SMALL = 0.5  # r in (0, 1), the bound on every product factor |s_k|
@@ -51,7 +54,8 @@ class Point(NamedTuple):
 
 
 class Polynomial:
-    """Monic polynomial, coefficients lowest degree first."""
+    """Monic polynomial, coefficients lowest degree first.  Read-only, so the
+    critical points cached on it stay its own."""
 
     def __init__(self, coefficients):
         coeffs = tuple(complex(c) for c in coefficients)
@@ -59,14 +63,21 @@ class Polynomial:
             raise ValueError("degree must be >= 2")
         if coeffs[-1] != 1:
             raise ValueError("polynomial must be monic (leading coefficient 1)")
-        self.coefficients = coeffs
-        self.degree = len(coeffs) - 1
+        self._coefficients = coeffs
         # coefficients of p' and p'', from the products i*c_i and i*(i-1)*c_i
         self._d1 = tuple(i * coeffs[i] for i in range(1, len(coeffs)))
         self._d2 = tuple(i * (i - 1) * coeffs[i] for i in range(2, len(coeffs)))
 
+    @property
+    def coefficients(self) -> tuple:
+        return self._coefficients
+
+    @property
+    def degree(self) -> int:
+        return len(self._coefficients) - 1
+
     def __call__(self, z: complex) -> complex:
-        return horner(self.coefficients, z)
+        return horner(self._coefficients, z)
 
     def derivative(self, z: complex) -> complex:
         return horner(self._d1, z)
@@ -76,22 +87,41 @@ class Polynomial:
 
     def q_coefficients(self):
         """Coefficients of q = p - x^d (the non-leading part)."""
-        return self.coefficients[:-1]
+        return self._coefficients[:-1]
 
-    def critical_points(self):
-        """Roots of p' (numpy companion-matrix roots, deduplicated to 1e-9)."""
-        import numpy as np
+    def critical_points(self) -> tuple:
+        """The roots of p', deduplicated to 1e-9, computed once per polynomial."""
+        return self._critical_points
 
-        roots = np.roots(list(reversed(self._d1)))
-        out: list[complex] = []
-        for rt in roots:
-            z = complex(rt)
+    @cached_property
+    def _critical_points(self) -> tuple:
+        # Durand-Kerner sweeps until no root moves, then Newton steps, on r = p'/(d x^m)
+        d = self.degree
+        m = next(i for i, c in enumerate(self._d1) if c != 0)  # 0 is an exact m-fold root
+        monic = tuple(c / d for c in self._d1[m:])  # r, leading coefficient 1
+        roots = [(0.4 + 0.9j) ** j for j in range(d - 1 - m)]
+        for _ in range(CRITICAL_SWEEPS):
+            moved = 0.0
+            for j, z in enumerate(roots):
+                den = prod(z - w for k, w in enumerate(roots) if k != j)
+                if den != 0:
+                    step = horner(monic, z) / den
+                    roots[j] = z - step
+                    moved = max(moved, abs(step) / (1.0 + abs(z)))
+            if moved <= CRITICAL_STOP:
+                break
+        out: list[complex] = [0j] if m else []
+        for z in roots:
+            for _ in range(3):  # Newton steps on r polish each swept root
+                value, slope = horner_with_deriv(monic, z)
+                if slope:
+                    z -= value / slope
             if all(abs(z - w) > 1e-9 for w in out):
                 out.append(z)
-        return out
+        return tuple(out)
 
     def __repr__(self):
-        return f"Polynomial({list(self.coefficients)!r})"
+        return f"Polynomial({list(self._coefficients)!r})"
 
 
 @dataclass(frozen=True)
@@ -111,10 +141,21 @@ class DomainParams:
 
 
 class HenonMap:
+    """f_a for a Polynomial p.  Read-only, so the domain and trap cached on it
+    stay its own; equality is identity."""
+
     def __init__(self, p: Polynomial, a: complex):
-        self.p = p
-        self.a = complex(a)
+        self._p = p
+        self._a = complex(a)
         self._domain = None
+
+    @property
+    def p(self) -> Polynomial:
+        return self._p
+
+    @property
+    def a(self) -> complex:
+        return self._a
 
     @property
     def degree(self) -> int:
@@ -209,7 +250,8 @@ TRAP_MARGIN = 2.0**-20  # relative room in every trap inequality; see _trap_hold
 CYCLE_STEPS = 1000  # iterates of f before looking for a cycle
 MAX_PERIOD = 64
 CYCLE_TOL = 1e-10  # |z_q - z_0| <= CYCLE_TOL * (1 + |x_0| + |y_0|) closes a cycle
-CRITICAL_SWEEPS = 32  # Durand-Kerner sweeps for the critical-point seeds
+CRITICAL_SWEEPS = 100  # at most this many Durand-Kerner sweeps for the roots of p'
+CRITICAL_STOP = 1e-12  # sweeps stop once no root moves by more than this times 1 + |root|
 RADIUS_LADDER = tuple(0.5 * 2.0 ** (-j / 4) for j in range(80))  # 0.5 down to ~5e-7
 
 
@@ -250,27 +292,6 @@ class CycleTrap:
             return None
         x0, y0 = self.centres[0]
         return (x0, y0, keep * self.rho[0], keep * self.sigma[0])
-
-
-def _critical_seeds(p: Polynomial) -> list:
-    """Approximate roots of p'/d: Durand-Kerner sweeps through `horner`.
-
-    Pure Python on purpose: `critical_points` calls numpy's companion-matrix
-    root finder, whose first LAPACK call costs about a megabyte of resident
-    memory.  The seeds need no accuracy; the trap certificate carries it.
-    """
-    d = p.degree
-    monic = tuple(c / d for c in p._d1)  # p'/d, leading coefficient 1
-    roots = [(0.4 + 0.9j) ** j for j in range(d - 1)]
-    for _ in range(CRITICAL_SWEEPS):
-        for j, z in enumerate(roots):
-            den = 1.0 + 0j
-            for k, w in enumerate(roots):
-                if k != j:
-                    den *= z - w
-            if den != 0:
-                roots[j] = z - horner(monic, z) / den
-    return roots
 
 
 def _attracting_cycle(henon: HenonMap, c: complex):
@@ -377,12 +398,12 @@ def _trap_radii(henon: HenonMap, centres):
 def attracting_trap(henon: HenonMap):
     """A certified CycleTrap around an attracting cycle of f, or None.
 
-    The cycle comes from iterating f from (c, c) for approximate critical
-    points c of p; the first cycle whose radii certify wins.  None when no
+    The cycle comes from iterating f from (c, c) for the critical points c
+    of p; the first cycle whose radii certify wins.  None when no
     critical orbit settles within CYCLE_STEPS (e.g. a near-parabolic p) or
     no radii certify.
     """
-    for c in _critical_seeds(henon.p):
+    for c in henon.p.critical_points():
         centres = _attracting_cycle(henon, c)
         if centres is None:
             continue

@@ -65,24 +65,15 @@ class EscapeValue:
     truncation_terms: int  # K, number of product factors
     tail_bound: float  # certified bound on |log error|
     depth: int  # iterates used to reach V+/V-
-    side: str  # "plus" | "minus"
     smax: float  # largest |s_k| seen (< r, else CertificateViolation)
 
 
 @dataclass(frozen=True)
 class GreenValue:
     value: float
-    side: str
     # point in K+/K-: certified by the trap around the attracting cycle
     # (plus side), or classified by the iteration cap
     interior_flag: bool
-
-
-def _finite_point(z) -> tuple[complex, complex]:
-    x, y = complex(z[0]), complex(z[1])
-    if not (cmath.isfinite(x) and cmath.isfinite(y)):
-        raise CoordinateOverflow(f"non-finite point ({x!r}, {y!r})", point=Point(x, y))
-    return x, y
 
 
 @functools.lru_cache
@@ -112,19 +103,21 @@ def _run(henon, z, side, tol, alpha):
     dp = henon.domain_params()
     d = henon.degree
     K = truncation_K(d, dp.r, tol)
-    x, y = _finite_point(z)
+    x, y = complex(z[0]), complex(z[1])
+    if not (cmath.isfinite(x) and cmath.isfinite(y)):
+        raise CoordinateOverflow(f"non-finite point ({x!r}, {y!r})", point=Point(x, y))
     if side == "minus" and henon.a == 0:
         v = henon.p(y) - x
         if v == 0:
             raise OnDegenerateCurve("a = 0 and p(y) = x")
-        logphi = cmath.log(v) / d
+        # g- reads the real part: math.log(abs(v)), which cmath.log differs from near |v| = 1
+        logphi = complex(math.log(abs(v)), cmath.phase(v)) / d
         ev = EscapeValue(
             value=cmath.exp(logphi),
             log_value=logphi,
             truncation_terms=0,
             tail_bound=0.0,
             depth=0,
-            side=side,
             smax=0.0,
         )
         return ev, (-1.0 / (d * v), henon.p.derivative(y) / (d * v))
@@ -172,7 +165,6 @@ def _run(henon, z, side, tol, alpha):
         truncation_terms=K,
         tail_bound=tail_bound(d, dp.r, K),
         depth=depth,
-        side=side,
         smax=smax,
     )
     return ev, (glx, gly)
@@ -202,25 +194,16 @@ def green(henon: HenonMap, z: Point, side: str) -> GreenValue:
     On the plus side a point whose orbit enters the certified trap around
     the attracting cycle is certified interior.  Any other point whose orbit
     has not entered V+/V- within DEFAULT_CAP = 200 steps is classified
-    interior by the cap.
+    interior by the cap.  At a = 0, g- = log|p(y) - x|/d from phi-'s closed
+    form, and the collapse curve x = p(y) is interior with g- = -inf.
     """
-    if side == "plus":
-        try:
-            ev = phi_plus(henon, z, GREEN_TOL)
-        except NotInEscapeRegion:
-            return GreenValue(0.0, "plus", True)
-        return GreenValue(ev.log_value.real, "plus", False)
-    if side == "minus":
-        if henon.a == 0:
-            x, y = _finite_point(z)
-            v = henon.p(y) - x
-            if v == 0:
-                return GreenValue(float("-inf"), "minus", True)
-            return GreenValue(math.log(abs(v)) / henon.degree, "minus", False)
-        try:
-            ev = phi_minus(henon, z, GREEN_TOL)
-        except NotInEscapeRegion:
-            constant = math.log(abs(henon.a)) / (henon.degree - 1)
-            return GreenValue(constant, "minus", True)
-        return GreenValue(ev.log_value.real, "minus", False)
-    raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+    if side not in ("plus", "minus"):
+        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+    try:
+        ev = (phi_plus if side == "plus" else phi_minus)(henon, z, GREEN_TOL)
+    except OnDegenerateCurve:
+        return GreenValue(-math.inf, True)
+    except NotInEscapeRegion:
+        interior = 0.0 if side == "plus" else math.log(abs(henon.a)) / (henon.degree - 1)
+        return GreenValue(interior, True)
+    return GreenValue(ev.log_value.real, False)

@@ -96,6 +96,12 @@ def same_leaf_minus(
     return _nearest_root_witness(ratio, henon.degree)
 
 
+def require_exponent(n: int) -> None:
+    """ValueError unless 0 <= n <= MAX_EXPONENT, checked before any locus work."""
+    if not 0 <= n <= MAX_EXPONENT:
+        raise ValueError(f"monodromy exponent must be in 0..{MAX_EXPONENT}, got {n}")
+
+
 def monodromy_orbit(henon: HenonMap, c: complex, z: Point, n: int) -> List[Point]:
     """The d^n monodromy translates of z on the component through c.
 
@@ -109,8 +115,7 @@ def monodromy_orbit(henon: HenonMap, c: complex, z: Point, n: int) -> List[Point
     starts at z itself.  n runs from 0 to MAX_EXPONENT, the largest exponent
     a leaf witness resolves (ValueError otherwise, before any work).
     """
-    if not 0 <= n <= MAX_EXPONENT:
-        raise ValueError(f"monodromy exponent must be in 0..{MAX_EXPONENT}, got {n}")
+    require_exponent(n)
     z = Point(complex(z[0]), complex(z[1]))
     if n == 0:
         return [z]

@@ -108,12 +108,8 @@ def tube_radius(p: Polynomial) -> float:
     """Half the minimum distance between distinct critical points of p,
     with floor 0.25 (and 0.25 outright when there is only one)."""
     crits = p.critical_points()
-    if len(crits) < 2:
-        return 0.25
-    gap = min(
-        abs(c1 - c2) for i, c1 in enumerate(crits) for c2 in crits[:i]
-    )
-    return max(0.25, 0.5 * gap)
+    gaps = [abs(c1 - c2) for i, c1 in enumerate(crits) for c2 in crits[:i]]
+    return max(0.25, 0.5 * min(gaps, default=0.0))
 
 
 def tangency_value(henon: HenonMap, z: Point) -> TangencyValue:

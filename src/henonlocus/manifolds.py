@@ -16,6 +16,9 @@ only in the residual they solve and the slice they start from.  The node
 Newton is exact: each residual returns its derivative by the chain rule
 through the chart (_chart_point) and through the u-coordinate of the
 image point (_image_u), so one residual evaluation serves a Newton step.
+Both graphs need p hyperbolic with connected Julia set: the trap's cycle
+search, run at a = 0 from each cached critical point of p, must find a
+cycle, else ValueError names the critical point.
 
 ``gradient_index`` counts the turning of the planar gradient of the
 backward Green's function restricted to a stable graph along a parameter
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernel import horner, horner_with_deriv
-from .dynamics import HenonMap, Point, Polynomial
+from .dynamics import CYCLE_STEPS, HenonMap, Point, Polynomial, _attracting_cycle
 from .errors import (
     GradientVanishesOnLoop,
     GraphTransformDiverged,
@@ -164,25 +167,14 @@ def _require_mesh(mesh: int) -> None:
 
 
 def _require_tame_polynomial(p: Polynomial) -> None:
-    """Admit p only when every critical orbit settles on a bounded cycle."""
-    bound = 2.0 * (1.0 + sum(abs(c) for c in p.coefficients))
+    """Admit p only when the trap's cycle search, run at a = 0, finds an
+    attracting cycle from every critical point of p."""
     for c in p.critical_points():
-        w = complex(c)
-        tail = []
-        settled = False
-        for n in range(400):
-            w = p(w)
-            if abs(w) > bound:
-                raise ValueError(
-                    "a critical orbit of p escapes: the Julia set is disconnected"
-                )
-            if n >= 200:
-                if any(abs(w - t) < 1e-9 for t in tail):
-                    settled = True
-                    break
-                tail.append(w)
-        if not settled:
-            raise ValueError("could not certify an attracting cycle for a critical orbit")
+        if _attracting_cycle(HenonMap(p, 0), c) is None:
+            raise ValueError(
+                f"the orbit of the critical point {c:.6g} of p settles on no attracting "
+                f"cycle within {CYCLE_STEPS} steps: p is not admitted as hyperbolic"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import henonlocus
-from henonlocus import holonomy
+from henonlocus import cli, holonomy
 from henonlocus.cli import RunConfig, config_from_text, config_to_text, run
 from henonlocus.errors import ConfigError
 
@@ -313,6 +313,19 @@ def test_critlocus_degenerate_collapses_to_axis(capsys):
     assert report["max_abs_y"] < 1e-12
 
 
+@pytest.mark.parametrize("c", [1.0, -1.0])
+def test_critlocus_checks_the_tube_about_its_critical_point(capsys, c):
+    # x^3 - 3x: the tube about c = +-1 is |y - c| < 1, so |y| near 1 passes.
+    code, report = run_json(
+        capsys,
+        ["critlocus", "--p", "[0,-3,0,1]", "--a", "0.01", "--c", repr(c), "--x-max", "100"],
+    )
+    assert code == 0, report
+    assert report["tube_radius"] == 1.0  # half the gap between the critical points
+    assert report["max_abs_y"] < 1e-5  # measured from c
+    assert report["max_residual"] < 1e-8
+
+
 @pytest.mark.parametrize(
     "flag, value", [("--step", "0"), ("--step", "-0.1"), ("--x-min", "nan")]
 )
@@ -354,15 +367,17 @@ def test_holonomy_reports_orbit_and_witness(capsys):
 
 
 def test_holonomy_exponent_past_the_witness_range_exits_2(capsys, monkeypatch):
-    # refused before the orbit starts: 8 * 2^40 theta steps otherwise
-    def no_orbit(*args):
-        raise AssertionError("the monodromy orbit started")
+    # refused before any work: no locus Newton, no orbit (8 * 2^40 theta steps)
+    def no_work(*args):
+        raise AssertionError("the locus or the monodromy orbit started")
 
-    monkeypatch.setattr(holonomy, "_theta_continuation", no_orbit)
-    code, report = run_json(capsys, ["holonomy", "--n", "40"])
-    assert code == 2
-    assert report["status"] == "config-error"
-    assert "exponent must be in 0..8, got 40" in report["error"]
+    monkeypatch.setattr(cli, "locate_on_locus", no_work)
+    monkeypatch.setattr(holonomy, "_theta_continuation", no_work)
+    for n in ("40", "-1"):
+        code, report = run_json(capsys, ["holonomy", "--n", n])
+        assert code == 2
+        assert report["status"] == "config-error"
+        assert f"exponent must be in 0..8, got {n}" in report["error"]
 
 
 @pytest.mark.parametrize("c", [1.0, -1.0])

@@ -2,7 +2,10 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from henonlocus import dynamics
 from henonlocus.dynamics import (
@@ -246,17 +249,87 @@ def test_no_cycle_no_trap():
     assert attracting_trap(HenonMap(Polynomial([1, 0, 1]), 0.01)) is None
 
 
-def test_trap_search_needs_no_numpy_root_finder(monkeypatch):
-    def refuse(self):
-        raise AssertionError("critical_points called")
-
-    monkeypatch.setattr(Polynomial, "critical_points", refuse)
-    assert attracting_trap(CUBIC) is not None
+# ---------------------------------------------------------------------------
+# critical points and read-only objects
 
 
-def test_critical_seeds_approximate_the_critical_points():
-    for p in (Polynomial([-0.6, 0, 1]), CUBIC.p, Polynomial([0.1, 0.2j, -0.5, 0.3, 1])):
-        seeds = dynamics._critical_seeds(p)
-        assert len(seeds) == p.degree - 1
-        for c in p.critical_points():
-            assert min(abs(c - s) for s in seeds) < 1e-8
+def _numpy_critical_points(p):
+    """Oracle: numpy's companion-matrix roots of p', deduplicated to 1e-9."""
+    out = []
+    for rt in np.roots(list(reversed(p._d1))):
+        z = complex(rt)
+        if all(abs(z - w) > 1e-9 for w in out):
+            out.append(z)
+    return out
+
+
+@st.composite
+def separated_monic(draw):
+    """Monic p of degree 2..6 whose critical points lie at least 1e-2 apart:
+    both finders lose accuracy as roots of p' close up (about eps/gap for a
+    pair, eps^(1/m) for an m-fold root), so close pairs are no oracle."""
+    d = draw(st.integers(2, 6))
+    part = st.floats(-4.0, 4.0)
+    p = Polynomial([complex(draw(part), draw(part)) for _ in range(d)] + [1])
+    raw = [complex(rt) for rt in np.roots(list(reversed(p._d1)))]
+    assume(all(abs(z - w) > 1e-2 for i, z in enumerate(raw) for w in raw[:i]))
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(separated_monic())
+def test_critical_points_match_numpy_roots(p):
+    got, want = p.critical_points(), _numpy_critical_points(p)
+    assert len(got) == len(want) == p.degree - 1
+    for w in want:
+        assert min(abs(z - w) for z in got) <= 1e-12 * max(1.0, abs(w))
+    for z in got:
+        assert min(abs(z - w) for w in want) <= 1e-12 * max(1.0, abs(z))
+
+
+def test_critical_points_of_a_tight_cluster():
+    # Five critical points within 0.02 of 0, at least 1.7e-3 apart: 32 fixed
+    # Durand-Kerner sweeps and 3 Newton steps left one 1.4e-4 off.
+    p = Polynomial([0, 2.86722e-10 - 4.63967e-11j, 9.56801e-09 - 3.96756e-09j,
+                    2.07399e-06 - 8.54828e-07j, 0.000184929 - 8.86118e-05j,
+                    0.0120764 - 0.00506071j, 1])
+    got, want = p.critical_points(), _numpy_critical_points(p)
+    assert len(got) == len(want) == 5
+    for w in want:
+        assert min(abs(z - w) for z in got) <= 1e-12
+
+
+def test_critical_points_are_exact_on_simple_examples():
+    assert X2M1.critical_points() == (0j,)
+    # a multiple critical point at 0 is split off exactly, not swept into a cluster
+    assert Polynomial([0.3, 0, 0, 0, 1]).critical_points() == (0j,)
+    assert Polynomial([1, 0, 0, 0, 0, 0, 1]).critical_points() == (0j,)
+    assert Polynomial([0.5, 0, 0, 2, 1]).critical_points() == (0j, -1.5)
+    assert sorted(Polynomial([0, -3, 0, 1]).critical_points(), key=lambda z: z.real) == [-1, 1]
+
+
+def test_critical_points_are_computed_once_and_cannot_be_corrupted():
+    p = Polynomial([0.1, 0.2j, -0.5, 0.3, 1])
+    crits = p.critical_points()
+    assert isinstance(crits, tuple) and p.critical_points() is crits
+
+
+def test_polynomial_is_read_only():
+    p = Polynomial([-1, 0, 1])
+    with pytest.raises(AttributeError):
+        p.coefficients = (0, 0, 1)
+    with pytest.raises(AttributeError):
+        p.degree = 3
+    assert p.coefficients == (-1, 0, 1) and p.degree == 2
+
+
+def test_map_is_read_only_after_its_domain_is_cached():
+    # a map changed after its first escape call would keep the old domain
+    h = HenonMap(X2M1, 0.01)
+    h.domain_params()
+    with pytest.raises(AttributeError):
+        h.a = 10
+    with pytest.raises(AttributeError):
+        h.p = X2
+    assert h.a == 0.01 and h.p is X2M1
+    assert h != HenonMap(X2M1, 0.01) and h == h  # equality is identity

@@ -234,6 +234,18 @@ def test_stable_graph_rejects_escaping_critical_orbit():
         local_stable_graph(HenonMap(Polynomial([0.26, 0, 1]), 0.01), 0.3)
 
 
+def test_admission_names_the_critical_point_whose_orbit_escapes():
+    # x^3 - 3x + 3: the critical point 1 is a superattracting fixed point,
+    # and the orbit of -1 escapes (p(-1) = 5).
+    henon = HenonMap(Polynomial([3, -3, 0, 1]), 0.01)
+    for graph in (
+        lambda: local_stable_graph(henon, 1.0, mesh=8),
+        lambda: local_unstable_graph(henon, (1.0,) * 4, mesh=8),
+    ):
+        with pytest.raises(ValueError, match=r"critical point -1\+0j of p settles on no"):
+            graph()
+
+
 # ---------------------------------------------------------------------------
 # unstable graphs
 

@@ -125,6 +125,35 @@ def test_one_theta_continuation():
     }
 
 
+def test_one_critical_point_finder_and_one_cycle_search():
+    # Polynomial.critical_points is the only root finder: numpy's companion
+    # roots and the trap's own Durand-Kerner seeds are gone, and the trap and
+    # the manifold admission check share one attracting-cycle search.
+    assert _find(
+        lambda node: (isinstance(node, ast.Attribute) and node.attr == "roots")
+        or (isinstance(node, ast.alias) and node.name.split(".")[-1] == "roots")
+    ) == []
+    assert _functions_naming("_critical_seeds") == set()
+    assert _find(lambda node: getattr(node, "name", None) == "_critical_seeds") == []
+    assert _functions_naming("_attracting_cycle") == {
+        ("dynamics.py", "attracting_trap"),
+        ("manifolds.py", "<module>"),
+        ("manifolds.py", "_require_tame_polynomial"),
+    }
+
+
+def test_dynamics_imports_no_numpy():
+    dynamics = PACKAGE / "dynamics.py"
+    tree = ast.parse(dynamics.read_text(encoding="utf-8"), filename=str(dynamics))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+    assert not [name for name in imported if name.split(".")[0] == "numpy"]
+
+
 def test_exact_products_stay_in_packed_integers():
     # One packed form: no per-product repacking of operands, and no Fraction
     # inside the product kernel.
