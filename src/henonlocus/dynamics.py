@@ -185,8 +185,8 @@ class HenonMap:
     @cached_property
     def trap(self) -> CycleTrap | None:
         """The certified trap around the attracting cycle (attracting_trap),
-        or None; computed on first use.  Threads that race here compute the
-        same trap."""
+        or None; computed on first use.  `green_grid` computes it in the
+        caller before it forks its row workers, which inherit it."""
         return attracting_trap(self)
 
     def __repr__(self):

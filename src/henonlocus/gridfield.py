@@ -2,9 +2,12 @@
 
 A grid samples one complex coordinate over a rectangle while the other is
 pinned (a horizontal or vertical slice of C^2).  Pixels are independent,
-so rows are dispatched to a thread pool of `workers` threads (default: the
-machine's CPU count); assembly order is fixed, making outputs
-byte-reproducible for a given configuration.
+so rows are rendered by `workers` processes (default: the machine's CPU
+count), forked so that each inherits the map with its escape domain and
+trap already computed; where the platform cannot fork, or one process is
+asked for, the rows are rendered in-process.  Every process runs the same
+scalar code and rows are assembled in order, so outputs are
+byte-reproducible for a given configuration whatever the worker count.
 
 Exports: binary 16-bit PGM (P5, big-endian, row-major, affine scaling
 recorded in a JSON sidecar) and CSV rows (x, y, value).
@@ -12,8 +15,8 @@ recorded in a JSON sidecar) and CSV rows (x, y, value).
 
 import json
 import math
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +65,29 @@ def worker_count(requested):
     return os.cpu_count() or 1
 
 
+# The grid a forked worker renders, set by _adopt in the worker only
+_job = None
+
+
+def _adopt(job):
+    global _job
+    _job = job
+
+
+def _forked_row(iy):
+    return _row(_job, iy)
+
+
+def _row(job, iy):
+    henon, kind, res, ims, pin, slice_axis = job
+    out = np.empty(len(res), dtype=float)
+    for ix, re in enumerate(res):
+        c = complex(re, ims[iy])
+        point = Point(c, pin) if slice_axis == "x" else Point(pin, c)
+        out[ix] = _pixel_value(henon, kind, point)
+    return out
+
+
 def _pixel_value(henon, kind, point):
     if kind == "tangency":
         try:
@@ -97,17 +123,22 @@ def green_grid(
         raise ValueError("grid ranges and slice value must be finite")
     res = np.linspace(*bounds[:2], nx)
     ims = np.linspace(*bounds[2:], ny)
-
-    def row(iy):
-        out = np.empty(nx, dtype=float)
-        for ix in range(nx):
-            c = complex(res[ix], ims[iy])
-            point = Point(c, pin) if slice_axis == "x" else Point(pin, c)
-            out[ix] = _pixel_value(henon, kind, point)
-        return out
-
-    with ThreadPoolExecutor(max_workers=worker_count(workers)) as pool:
-        rows = list(pool.map(row, range(ny)))
+    # computed here, so that forked workers inherit them and the map keeps them
+    henon.domain_params()
+    if kind != "green-minus":
+        henon.trap
+    job = (henon, kind, res, ims, pin, slice_axis)
+    processes = min(worker_count(workers), ny)
+    if processes == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        rows = [_row(job, iy) for iy in range(ny)]
+    else:
+        # The job reaches the workers by fork, unpickled.  imap, in chunks
+        # as map takes them, raises the lowest failing row's error, as the
+        # in-process loop does; leaving the block stops every worker.
+        chunk = -(-ny // (4 * processes))
+        fork = multiprocessing.get_context("fork")
+        with fork.Pool(processes, initializer=_adopt, initargs=(job,)) as pool:
+            rows = list(pool.imap(_forked_row, range(ny), chunk))
     values = np.vstack(rows)
     return GridField(
         kind=kind,

@@ -9,13 +9,18 @@ own evaluation loop; the PGM bytes are checked against a hand-built
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import struct
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from henonlocus.dynamics import HenonMap, Polynomial
+from henonlocus import dynamics, gridfield
+from henonlocus.dynamics import HenonMap, Point, Polynomial
+from henonlocus.errors import CoordinateOverflow
 from henonlocus.gridfield import (
     GridField,
     green_grid,
@@ -181,13 +186,101 @@ def test_csv_shape_and_values():
     assert float(first[2]) == pytest.approx(grid.values[0, 0])
 
 
+# The field workload's quadratic with a certified trap: about a quarter of a
+# tile around the origin lies in the basin of its attracting fixed point
+TRAPPED = (Polynomial([-0.6 + 0.01j, 0, 1]), 0.034 + 0.029j)
+
+PARITY_TILES = (
+    # (kind, map, geometry); the tangency tile has some NaN pixels
+    ("green-plus", TRAPPED, dict(re_range=(-1.5, 1.5), slice_value=0.05j)),
+    ("green-minus", (BASIC, 0.01), dict(re_range=(-2.0, 2.0), slice_axis="y")),
+    ("tangency", TRAPPED, dict(re_range=(-1.5, 1.5), slice_value=0.05j)),
+)
+
+
 def test_grid_deterministic_across_worker_counts():
+    # ny is not a multiple of the worker count, or is smaller than it
+    for kind, spec, geometry in PARITY_TILES:
+        for workers, ny in ((2, 5), (3, 7), (8, 3)):
+            henon = HenonMap(*spec)
+            kwargs = dict(im_range=(-1.5, 1.5), nx=6, ny=ny, **geometry)
+            one = green_grid(henon, kind, workers=1, **kwargs)
+            many = green_grid(henon, kind, workers=workers, **kwargs)
+            assert np.array_equal(one.values, many.values, equal_nan=True)
+            assert grid_to_pgm(one) == grid_to_pgm(many)
+            assert grid_sidecar(one) == grid_sidecar(many)
+            if kind == "green-plus":
+                assert henon.trap is not None and (one.values == 0).any()
+            if kind == "tangency":
+                assert 0 < one.nan_pixels < one.values.size
+
+
+def _overflow(workers):
+    # rows 1 to 3 pass the kernel's overflow guard |x| > 1e75; row 0 does not
     henon = HenonMap(BASIC, 0.01)
-    kwargs = dict(re_range=(5.0, 9.0), im_range=(-2.0, 2.0), nx=6, ny=5, slice_value=0.5)
-    one = green_grid(henon, "green-plus", workers=1, **kwargs)
-    many = green_grid(henon, "green-plus", workers=3, **kwargs)
-    assert np.array_equal(one.values, many.values)
-    assert grid_to_pgm(one) == grid_to_pgm(many)
+    with pytest.raises(CoordinateOverflow) as caught:
+        green_grid(henon, "green-minus", (1.0, 2.0), (0.0, 1e80), 3, 4, workers=workers)
+    return caught.value
+
+
+def test_worker_error_reaches_the_caller_typed():
+    one = _overflow(1)
+    assert (one.step, one.point) == (0, Point(complex(1.0, 1e80 / 3), 0j))
+    many = _overflow(2)
+    assert type(many) is type(one)
+    assert many.args == one.args
+    assert (many.step, many.point) == (one.step, one.point)
+    assert multiprocessing.active_children() == []
+
+
+def test_lowest_failing_row_raises_whichever_worker_fails_first(monkeypatch):
+    # Row 1 fails slowly and rows 2 and 3 at once; the in-process loop meets
+    # row 1 first.  Forked workers inherit the patched pixel function.
+    def pixel(henon, kind, point):
+        row = round(point.x.imag)
+        if row == 1:
+            time.sleep(0.3)
+        if row >= 1:
+            raise CoordinateOverflow(f"row {row}", step=row, point=point)
+        return 0.0
+
+    monkeypatch.setattr(gridfield, "_pixel_value", pixel)
+    for workers in (1, 2):
+        with pytest.raises(CoordinateOverflow) as caught:
+            green_grid(HenonMap(BASIC, 0.01), "green-plus", (0, 1), (0, 3), 2, 4, workers=workers)
+        assert caught.value.step == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_no_worker_outlives_the_call():
+    # nor a pool thread, which would make the next call fork a threaded process
+    threads = threading.enumerate()
+    green_grid(HenonMap(BASIC, 0.01), "green-minus", (1, 2), (0, 1), 3, 4, workers=2)
+    assert multiprocessing.active_children() == []
+    assert threading.enumerate() == threads
+
+
+def test_trap_is_computed_once_in_the_caller(monkeypatch):
+    # a counter in shared memory also sees calls made in forked workers
+    calls = multiprocessing.get_context("fork").Value("i", 0)
+    compute = dynamics.attracting_trap
+
+    def counted(henon):
+        with calls.get_lock():
+            calls.value += 1
+        return compute(henon)
+
+    monkeypatch.setattr(dynamics, "attracting_trap", counted)
+    minus = HenonMap(*TRAPPED)
+    for _ in range(2):
+        green_grid(minus, "green-minus", (-1, 1), (-1, 1), 4, 4, slice_axis="y", workers=2)
+    assert calls.value == 0
+    henon = HenonMap(*TRAPPED)
+    for _ in range(2):
+        green_grid(henon, "green-plus", (-1, 1), (-1, 1), 4, 4, slice_value=0.05j, workers=2)
+    assert calls.value == 1
+    assert henon.trap is not None
+    assert calls.value == 1
 
 
 def test_worker_count_explicit_else_cpu_count():
@@ -230,7 +323,7 @@ PINNED_TILES = {
 
 @pytest.mark.parametrize("kind", sorted(PINNED_TILES))
 def test_trapped_tiles_keep_their_bytes(kind):
-    henon = HenonMap(Polynomial([-0.6 + 0.01j, 0, 1]), 0.034 + 0.029j)
+    henon = HenonMap(*TRAPPED)
     grid = green_grid(
         henon, kind, (-1.5, 1.5), (-1.5, 1.5), 64, 64, slice_axis="x", slice_value=0.05j
     )

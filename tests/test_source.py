@@ -142,6 +142,17 @@ def test_one_critical_point_finder_and_one_cycle_search():
     }
 
 
+def test_no_thread_pool_renders_pixels():
+    # The escape kernel is pure Python, so threads share one interpreter
+    # lock: grid rows go to forked processes instead.
+    found = _find(
+        lambda node: (isinstance(node, ast.Name) and node.id == "ThreadPoolExecutor")
+        or (isinstance(node, ast.Attribute) and node.attr == "ThreadPoolExecutor")
+        or (isinstance(node, ast.alias) and node.name == "ThreadPoolExecutor")
+    )
+    assert not found, f"ThreadPoolExecutor in the package: {found}"
+
+
 def test_dynamics_imports_no_numpy():
     dynamics = PACKAGE / "dynamics.py"
     tree = ast.parse(dynamics.read_text(encoding="utf-8"), filename=str(dynamics))
