@@ -79,7 +79,6 @@ from .manifolds import (
 from .rigidity import (
     CaseReport,
     ChartSeries,
-    DefectSeries,
     PartialSolutionReport,
     chart_series,
     check_partial_solution,

@@ -50,7 +50,8 @@ from .rigidity import (
 
 
 class _CheckFailed(Exception):
-    """A subcommand assertion failed; the payload is the partial report."""
+    """A subcommand assertion failed; the one argument is the partial report,
+    a dict."""
 
 
 @dataclass(frozen=True)
@@ -304,6 +305,14 @@ def _cmd_green_grid(opts):
     }
 
 
+def _trace_check(trace):
+    """(max |y - c|, max residual, ok): ok when the samples stay within the
+    tube radius and every residual is at most 1e-8."""
+    offset = max(abs(s.point.y - trace.critical_point) for s in trace.samples)
+    max_residual = max(s.residual for s in trace.samples)
+    return offset, max_residual, offset <= trace.tube_radius and max_residual <= 1e-8
+
+
 def _cmd_critlocus(opts):
     henon = _build_map(opts)
     trace = trace_primary_component(
@@ -313,8 +322,7 @@ def _cmd_critlocus(opts):
         step=_as_float(opts["step"], "step"),
     )
     # the tube is |y - c| < tube_radius; the key keeps its name (|y| at c = 0)
-    offset = max(abs(s.point.y - trace.critical_point) for s in trace.samples)
-    max_residual = max(s.residual for s in trace.samples)
+    offset, max_residual, ok = _trace_check(trace)
     report = {
         "samples": len(trace.samples),
         "tube_radius": trace.tube_radius,
@@ -325,7 +333,7 @@ def _cmd_critlocus(opts):
     if opts["out_dir"]:
         report["outputs"].append(_write(opts["out_dir"], "trace.json", trace_to_json(trace)))
         report["outputs"].append(_write(opts["out_dir"], "trace.csv", trace_to_csv(trace)))
-    if offset > trace.tube_radius or max_residual > 1e-8:
+    if not ok:
         raise _CheckFailed(report)
     return report
 
@@ -506,8 +514,7 @@ def _suite_locus(henon, opts):
     if henon.a == 0:
         raise ConfigError("the locus suite needs a nonzero Jacobian (--a)")
     trace = trace_primary_component(henon, 0.0, x_range=(10.0, 100.0), step=0.25)
-    offset = max(abs(s.point.y - trace.critical_point) for s in trace.samples)
-    max_residual = max(s.residual for s in trace.samples)
+    offset, max_residual, ok = _trace_check(trace)
     mid = trace.samples[len(trace.samples) // 2].point
     order = contact_order(henon, mid)
     report = {
@@ -517,7 +524,7 @@ def _suite_locus(henon, opts):
         "max_residual": max_residual,
         "contact_order": order,
     }
-    if offset > trace.tube_radius or max_residual > 1e-8 or order != 2:
+    if not ok or order != 2:
         raise _CheckFailed(report)
     return report
 
@@ -565,10 +572,7 @@ def run(argv=None) -> int:
         _emit({"status": "config-error", "error": str(exc)})
         return 2
     except _CheckFailed as exc:
-        payload = exc.args[0] if exc.args else {}
-        if not isinstance(payload, dict):
-            payload = {"detail": str(payload)}
-        _emit({"status": "assertion-failed", **payload})
+        _emit({"status": "assertion-failed", **exc.args[0]})
         return 1
     except HenonLocusError as exc:
         _emit({"status": "assertion-failed", "error": f"{type(exc).__name__}: {exc}"})

@@ -52,6 +52,8 @@ DEPTH_FACTOR = 2.0  # push V+/V- entry past 2*alpha before trusting leaves
 CLASSIFY_STEPS = 8  # iterates each way classify_component tries
 FD_STEP = 1e-6
 CLOSURE_TOL = 1e-8  # closure gap of a certified theta continuation
+DECAY_SLACK = 1e-12  # growth of |y - c| the trace's decay test forgives
+POLISH_TOL = 1e-15  # |T| the decay test resolves samples to before refusing
 _PROBE_SAMPLES = 16  # leaf-probe circle nodes in contact_order
 
 
@@ -110,6 +112,14 @@ def tube_radius(p: Polynomial) -> float:
     crits = p.critical_points()
     gaps = [abs(c1 - c2) for i, c1 in enumerate(crits) for c2 in crits[:i]]
     return max(0.25, 0.5 * min(gaps, default=0.0))
+
+
+def _require_simple_critical(p: Polynomial, c: complex) -> None:
+    """Refuse (NotSimpleCritical) unless |p'(c)| <= 1e-9 and |p''(c)| >= 1e-9."""
+    if abs(p.derivative(c)) > 1e-9:
+        raise NotSimpleCritical(f"p'({c}) != 0")
+    if abs(p.second_derivative(c)) < 1e-9:
+        raise NotSimpleCritical(f"p''({c}) ~ 0")
 
 
 def tangency_value(henon: HenonMap, z: Point) -> TangencyValue:
@@ -180,18 +190,17 @@ def trace_primary_component(
     Steps t = log x downward from the large-|x| end (where y ~ c seeds the
     corrector), halving the step on Newton failure.  Every accepted sample
     must stay in the tube |y - c| < tube_radius(p), and |y - c| must be
-    nonincreasing in |x| over the outermost decade; violations raise LeftTube
-    with the offending sample attached.  Samples are returned ascending in |x|.
+    nonincreasing in |x| (up to DECAY_SLACK) over the outermost decade; when
+    the traced samples there seem to grow, they are re-solved to |T| <
+    POLISH_TOL and the test is applied to those.  Violations raise LeftTube
+    with the offending (traced or re-solved) sample attached.  Samples, always
+    the traced ones, are returned ascending in |x|.
     step and both ends of x_range must be positive and finite (ValueError).
     """
     if not all(0.0 < v < math.inf for v in (step, *x_range)):
         raise ValueError(f"step {step} and x_range {x_range} must be positive and finite")
-    p = henon.p
-    if abs(p.derivative(c)) > 1e-9:
-        raise NotSimpleCritical(f"p'({c}) != 0")
-    if abs(p.second_derivative(c)) < 1e-9:
-        raise NotSimpleCritical(f"p''({c}) ~ 0")
-    tube = tube_radius(p)
+    _require_simple_critical(henon.p, c)
+    tube = tube_radius(henon.p)
     x_lo, x_hi = sorted((float(x_range[0]), float(x_range[1])))
     t_lo, t_hi = math.log(x_lo), math.log(x_hi)
 
@@ -232,10 +241,19 @@ def trace_primary_component(
 
     samples.reverse()  # ascending |x|
     outer = [s for s in samples if abs(s.point.x) >= x_hi / 10.0]
-    for s1, s2 in zip(outer, outer[1:]):
-        if abs(s2.point.y - c) > abs(s1.point.y - c) + 1e-12:
+    if _first_rise(outer, c) is not None:
+        # NEWTON_TOL leaves y a few 1e-11 off the locus, which is the size of
+        # |y - c| near the outer end: resolve those samples before refusing
+        polished = []
+        for s in outer:
+            pt, tv = locate_on_locus(henon, s.point.x, s.point.y, POLISH_TOL)
+            polished.append(TraceSample(point=pt, tangency=tv, residual=abs(tv.value)))
+        rise = _first_rise(polished, c)
+        if rise is not None:
             raise LeftTube(
-                "|y - c| fails to decay over the outermost decade", sample=s2
+                f"|y - c| fails to decay over the outermost decade: it grows by "
+                f"{rise[0]:.3e} > {DECAY_SLACK} at |T| < {POLISH_TOL}",
+                sample=rise[1],
             )
     return CurveTrace(
         critical_point=complex(c),
@@ -247,14 +265,19 @@ def trace_primary_component(
     )
 
 
+def _first_rise(samples: Sequence[TraceSample], c: complex):
+    """(growth, later sample) of the first neighbouring pair whose |y - c|
+    grows by more than DECAY_SLACK, or None when there is none."""
+    for s1, s2 in zip(samples, samples[1:]):
+        if abs(s2.point.y - c) > abs(s1.point.y - c) + DECAY_SLACK:
+            return abs(s2.point.y - c) - abs(s1.point.y - c), s2
+    return None
+
+
 def tangent_at_infinity(henon: HenonMap, c: complex) -> TangentAtInfinity:
     """Slope dy/du of the component at u = 1/x = 0, by Richardson
     extrapolation of (y(1/u) - c)/u over u = 1e-3, 1e-3/2, ..., 1e-3/16."""
-    p = henon.p
-    if abs(p.derivative(c)) > 1e-12:
-        raise NotSimpleCritical(f"p'({c}) != 0")
-    if abs(p.second_derivative(c)) < 1e-9:
-        raise NotSimpleCritical(f"p''({c}) ~ 0")
+    _require_simple_critical(henon.p, c)
     quotients: list[complex] = []
     y = complex(c)
     for j in range(5):

@@ -21,15 +21,17 @@ and the objects computed are the ones the numeric modules approximate:
     iteration from Y = crit, which returns at the first iterate whose
     residual is exactly zero (the arithmetic is exact, so that is the
     convergence test) and refuses once the quadratic-convergence step
-    bound is spent.
+    bound is spent.  One builder forms w together with the chart pieces it
+    is made of, h_plus(u, y), A = h_minus(y, au/L) and 1/L with
+    L = u p(y) - 1, so the locus and the charts are derived once.
 
-``sigma_series`` / ``rigidity_defect``
+``chart_series`` / ``sigma_series`` / ``rigidity_defect``
     d = 2 only, p = x^2 + c.  chi_plus(u) = u h_plus(u, Y(u)) and
-    chi_minus(u) = a^2 u h_minus(Y(u), au/L)/L with L = u p(Y(u)) - 1 are
-    the two leaf-space charts along the locus branch; sigma = chi_minus o
-    chi_plus^(-1) is their transition.  The defect
+    chi_minus(u) = a^2 u A(u, Y(u)) / L(u, Y(u)) are the two leaf-space
+    charts along the locus branch, read off those pieces at y = Y(u);
+    sigma = chi_minus o chi_plus^(-1) is their transition.  The defect
     D(z) = sigma_g(beta z) - gamma sigma_f(z), with the f-copy in (a1, c1)
-    and the g-copy in (a2, c2), starts
+    and the g-copy in (a2, c2), is returned as a series in z and starts
 
         (gamma a1^2 - beta a2^2) z + (gamma a1^2 c1 - beta^2 a2^2 c2) z^2 + ...
 
@@ -175,19 +177,35 @@ def _compose_trimmed(
     return result
 
 
-def _w_tilde(q: Tuple[MultiPoly, ...], crit: MultiPoly, order: int) -> TruncSeries:
-    """The locus defining function w(u, y) = (wedge form)/u^2, recentered so
-    that y measures the offset from crit, exact through the given order and
-    trimmed to weighted degree deg_u + deg_y <= order."""
+def _charts(q: Tuple[MultiPoly, ...], crit: MultiPoly, order: int):
+    """The locus defining function w(u, y) = (wedge form)/u^2 and the chart
+    pieces it is built from, with y measuring the offset from crit.
+
+    Returns (w, h_plus, A, L_inv): w exact through the order; h_plus(u, y),
+    A = h_minus(y, a u/L) and 1/L with L = u p(y) - 1 exact through order + 2.
+    All are trimmed to weighted degree deg_u + deg_y <= their order.  crit
+    must be an order-one critical point of p (p'(crit) = 0 identically and
+    p''(crit) an invertible rational constant), and the order must be at
+    least deg p - 1, the y-degree of w(0, y) = -p'(y).
+    """
+    if order < len(q) - 1:
+        raise ValueError(f"locus series order {order} is below deg p - 1 = {len(q) - 1}")
     ring = q[0].vars
+    yv = MultiPoly.variable("y", ring)
+    recenter = {"y": crit + yv}
+    p_y = _p_of(q, "y").substitute(recenter, ring)
+    dp_y = p_y.derivative("y")  # p'(crit) + p''(crit) y + ...
+    if not dp_y.coeff_of("y", 0).is_zero():
+        raise DegenerateCriticalPoint(f"{crit!r} is not a critical point")
+    d2p_at = dp_y.coeff_of("y", 1)
+    if not (d2p_at.is_constant() and not d2p_at.is_zero()):
+        raise DegenerateCriticalPoint(
+            f"p''(crit) = {d2p_at!r} is not an invertible constant"
+        )
+
     N = order + 2  # the division by u^2 costs two orders
     one = MultiPoly.const(Fraction(1), ring)
     a = MultiPoly.variable("a", ring)
-    yv = MultiPoly.variable("y", ring)
-    recenter = {"y": crit + yv}
-
-    p_y = _p_of(q, "y").substitute(recenter, ring)
-    dp_y = p_y.derivative("y")
 
     hp = phi_series(q, "plus", N).map_coeffs(lambda p: p.substitute(recenter, ring))
     hp = _trim(hp, "y", N)
@@ -227,7 +245,21 @@ def _w_tilde(q: Tuple[MultiPoly, ...], crit: MultiPoly, order: int) -> TruncSeri
     w = T.shift_down(2).truncate(order)
     if w.coeffs[0] != -dp_y:
         raise SeriesInconsistency("w(0, y) != -p'(y): chart assembly is inconsistent")
-    return w
+    return w, hp, A, lam_inv
+
+
+def _branch(w: TruncSeries, crit: MultiPoly) -> TruncSeries:
+    """The root y = Y(u) of w(u, y - crit) with Y(0) = crit, by formal Newton
+    from Y = crit.  Arithmetic is exact, so Newton stops at the first iterate
+    whose residual is exactly zero."""
+    wy = w.map_coeffs(lambda p_: p_.derivative("y"))
+    Z = TruncSeries.from_poly(MultiPoly.zero(crit.vars), "u", w.order)
+    for _ in range(max(3, math.ceil(math.log2(w.order + 1)) + 1)):
+        resid = w.substitute_coeff_var("y", Z)
+        if resid.is_zero():
+            return Z + crit
+        Z = Z - resid * wy.substitute_coeff_var("y", Z).inverse()
+    raise SeriesInconsistency("formal Newton failed to converge")
 
 
 def locus_series(
@@ -235,34 +267,10 @@ def locus_series(
 ) -> TruncSeries:
     """The locus branch y = Y(u) through (0, crit), exact through the order.
 
-    crit must be an order-one critical point of p: p'(crit) = 0 identically
-    and p''(crit) an invertible rational constant, and the order must be at
-    least deg p - 1, the y-degree of w(0, y) = -p'(y).  Arithmetic is exact,
-    so Newton stops at the first iterate whose residual is exactly zero.
+    crit must be an order-one critical point of p and the order at least
+    deg p - 1 (see ``_charts``, which refuses otherwise).
     """
-    q = tuple(q_coeffs)
-    if order < len(q) - 1:
-        raise ValueError(f"locus series order {order} is below deg p - 1 = {len(q) - 1}")
-    ring = q[0].vars
-    p = _p_of(q, "y")
-    dp = p.derivative("y")
-    if not dp.substitute({"y": crit}, ring).is_zero():
-        raise DegenerateCriticalPoint(f"{crit!r} is not a critical point")
-    d2p_at = dp.derivative("y").substitute({"y": crit}, ring)
-    if not (d2p_at.is_constant() and not d2p_at.is_zero()):
-        raise DegenerateCriticalPoint(
-            f"p''(crit) = {d2p_at!r} is not an invertible constant"
-        )
-
-    w = _w_tilde(q, crit, order)
-    wy = w.map_coeffs(lambda p_: p_.derivative("y"))
-    Z = TruncSeries.from_poly(MultiPoly.zero(ring), "u", order)
-    for _ in range(max(3, math.ceil(math.log2(order + 1)) + 1)):
-        resid = w.substitute_coeff_var("y", Z)
-        if resid.is_zero():
-            return Z + crit
-        Z = Z - resid * wy.substitute_coeff_var("y", Z).inverse()
-    raise SeriesInconsistency("formal Newton failed to converge")
+    return _branch(_charts(tuple(q_coeffs), crit, order)[0], crit)
 
 
 # ----------------------------------------------------- charts and sigma (d=2)
@@ -282,16 +290,6 @@ class ChartSeries:
             chi_plus=self.chi_plus.truncate(order),
             chi_minus=self.chi_minus.truncate(order),
         )
-
-
-@dataclass(frozen=True)
-class DefectSeries:
-    """D(z) = sigma_g(beta z) - gamma sigma_f(z) over the six-variable ring."""
-
-    D: TruncSeries
-
-    def truncate(self, order: int) -> "DefectSeries":
-        return DefectSeries(D=self.D.truncate(order))
 
 
 def _highest_order_kept(compute):
@@ -325,26 +323,23 @@ def _highest_order_kept(compute):
 
 @_highest_order_kept
 def chart_series(order: int) -> ChartSeries:
-    """Y, chi_plus, chi_minus for the quadratic family p = x^2 + c."""
-    q = quadratic_q()
-    ring = CHART_VARS
-    one = MultiPoly.const(Fraction(1), ring)
-    a = MultiPoly.variable("a", ring)
-    c = MultiPoly.variable("c", ring)
-    N = order
+    """Y, chi_plus, chi_minus for the quadratic family p = x^2 + c.
 
-    Y = locus_series(q, MultiPoly.zero(ring), N)
+    Built from the locus pieces at crit = 0: chi_plus = u h_plus(u, Y) and
+    chi_minus = a^2 u A(u, Y) / L(u, Y).  Each piece is exact to weighted
+    degree order + 2 and Y = O(u), so truncating it to the order and then
+    substituting y = Y(u) is exact.
+    """
+    crit = MultiPoly.zero(CHART_VARS)
+    w, hp, A, lam_inv = _charts(quadratic_q(), crit, order)
+    Y = _branch(w, crit)
+    a = MultiPoly.variable("a", CHART_VARS)
 
-    hp = _trim(phi_series(q, "plus", N), "y", N)
-    chi_plus = hp.substitute_coeff_var("y", Y).shift_up()
+    def at_Y(series: TruncSeries) -> TruncSeries:
+        return series.truncate(order).substitute_coeff_var("y", Y)
 
-    p_at_Y = Y * Y + c
-    lam = p_at_Y.shift_up() - one
-    lam_inv = lam.inverse()
-    vtil = (lam_inv * a).shift_up()
-    hm = _trim(phi_series(q, "minus", N), "x", N)
-    hm_at = _compose_trimmed(hm, vtil, "x", N).substitute_coeff_var("x", Y)
-    chi_minus = (hm_at * lam_inv).shift_up() * (a * a)
+    chi_plus = at_Y(hp).shift_up()
+    chi_minus = (at_Y(A) * at_Y(lam_inv)).shift_up() * (a * a)
 
     def project(series: TruncSeries) -> TruncSeries:
         return series.map_coeffs(lambda p_: p_.substitute({}, SIGMA_VARS))
@@ -389,7 +384,7 @@ def sigma_series(order: int) -> TruncSeries:
 
 
 @_highest_order_kept
-def rigidity_defect(order: int) -> DefectSeries:
+def rigidity_defect(order: int) -> TruncSeries:
     """D(z) = sigma_g(beta z) - gamma sigma_f(z), f in (a1,c1), g in (a2,c2)."""
     sig = sigma_series(order)
     ring = DEFECT_VARS
@@ -405,12 +400,12 @@ def rigidity_defect(order: int) -> DefectSeries:
     D = TruncSeries("z", order, coeffs)
     if not D.coeffs[0].is_zero():
         raise SeriesInconsistency("the defect has a nonzero constant term")
-    return DefectSeries(D=D)
+    return D
 
 
 def defect_coefficients_text(order: int = 13) -> str:
     """Canonical text of the defect coefficients (golden-file format)."""
-    D = rigidity_defect(order).D
+    D = rigidity_defect(order)
     lines = [f"z^{k}: {D.coeffs[k]}" for k in range(1, order + 1)]
     return "\n".join(lines) + "\n"
 
@@ -466,7 +461,7 @@ def check_partial_solution() -> PartialSolutionReport:
     """gamma = (a2^2/a1^2) beta and c1 = c2 beta kill coefficients 1 and 2
     of D identically; five random rational specializations with c1 != 0
     witness that coefficient 3 survives."""
-    D = rigidity_defect(3).D
+    D = rigidity_defect(3)
     z1, z2, z3 = (_clear_partial(D.coeffs[k]) for k in (1, 2, 3))
     ok = z1.is_zero() and z2.is_zero() and not z3.is_zero()
 
@@ -594,7 +589,7 @@ def verify_table_case(case_id: str) -> CaseReport:
     """
     case = _CASES[case_id]
     n = case.order
-    D = rigidity_defect(n).D
+    D = rigidity_defect(n)
     a, c = case.trivial
     trivial = _specialization(a, a, Fraction(1), c)
     positives = [

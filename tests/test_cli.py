@@ -1,5 +1,6 @@
 """Command-line interface: config round-trips, exit codes, JSON reports."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -324,6 +325,31 @@ def test_critlocus_checks_the_tube_about_its_critical_point(capsys, c):
     assert report["tube_radius"] == 1.0  # half the gap between the critical points
     assert report["max_abs_y"] < 1e-5  # measured from c
     assert report["max_residual"] < 1e-8
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["critlocus", "--x-max", "100", "--step", "0.25"],
+        ["verify", "--suite", "locus", "--a", "0.01"],
+    ],
+)
+def test_trace_check_failure_exits_1_with_the_report(capsys, monkeypatch, argv):
+    # critlocus and the locus suite share one trace check: a residual above
+    # 1e-8 fails it, and the partial report reaches stdout
+    traced = cli.trace_primary_component
+
+    def noisy(*args, **kwargs):
+        trace = traced(*args, **kwargs)
+        first = dataclasses.replace(trace.samples[0], residual=2e-8)
+        return dataclasses.replace(trace, samples=(first,) + trace.samples[1:])
+
+    monkeypatch.setattr(cli, "trace_primary_component", noisy)
+    code, report = run_json(capsys, argv)
+    assert code == 1
+    assert report["status"] == "assertion-failed"
+    assert report["max_residual"] == 2e-8
+    assert report["max_abs_y"] < 0.25
 
 
 @pytest.mark.parametrize(

@@ -30,6 +30,7 @@ from henonlocus.locus import (
     CLOSURE_TOL,
     FD_STEP,
     NEWTON_TOL,
+    POLISH_TOL,
     _dvalue_dy,
     _frozen_ratio,
     _locus_newton_2d,
@@ -225,6 +226,80 @@ def test_trace_left_tube(monkeypatch):
     with pytest.raises(LeftTube) as err:
         trace_primary_component(H, 0.0, (10.0, 1e4))
     assert err.value.sample is not None
+
+
+def _cubic(kappa, modulus):
+    """x^3 - 3 kappa^2 x with a = modulus * e^i, rounded to six places."""
+    a = modulus * cmath.exp(1j)
+    return HenonMap(
+        Polynomial([0, -3 * kappa**2, 0, 1]), complex(round(a.real, 6), round(a.imag, 6))
+    )
+
+
+def _record_tols(monkeypatch):
+    """Record the tol of every locate_on_locus call the trace makes."""
+    tols = []
+    real = locus.locate_on_locus
+
+    def recording(henon, x, y_seed=0.0, tol=NEWTON_TOL):
+        tols.append(tol)
+        return real(henon, x, y_seed, tol)
+
+    monkeypatch.setattr(locus, "locate_on_locus", recording)
+    return tols
+
+
+@pytest.mark.parametrize("kappa, modulus", [(1.0, 0.01), (0.5, 0.03), (0.5, 0.003)])
+def test_trace_resolves_the_outer_decade_before_refusing(monkeypatch, kappa, modulus):
+    # Near |x| = 1e4, |y - c| is the size of the error NEWTON_TOL leaves in
+    # y, so the raw decay test sees an increase; resolved, |y - c| decays.
+    henon = _cubic(kappa, modulus)
+    with monkeypatch.context() as patch:
+        patch.setattr(locus, "_first_rise", lambda samples, c: None)
+        unchecked = trace_primary_component(henon, kappa)
+    tols = _record_tols(monkeypatch)
+    trace = trace_primary_component(henon, kappa)
+    assert POLISH_TOL in tols
+    # the returned samples are the traced ones, not the resolved ones
+    assert trace == unchecked
+    assert trace_to_csv(trace) == trace_to_csv(unchecked)
+
+
+@pytest.mark.parametrize("henon, c", [(H, 0.0), (_cubic(0.75, 0.06), 0.75)])
+def test_a_decaying_trace_resolves_nothing(monkeypatch, henon, c):
+    tols = _record_tols(monkeypatch)
+    trace = trace_primary_component(henon, c)
+    assert set(tols) == {NEWTON_TOL}
+    assert len(tols) == len(trace.samples)
+
+
+def test_trace_refuses_growth_that_survives_resolving(monkeypatch):
+    # every solve, resolved or not, lands 1e-8 |x| above the locus: |y|
+    # then grows across the outermost decade
+    real = locus.locate_on_locus
+    tols = []
+
+    def drifting(henon, x, y_seed=0.0, tol=NEWTON_TOL):
+        tols.append(tol)
+        pt, tv = real(henon, x, y_seed, tol)
+        return Point(pt.x, pt.y + 1e-8 * abs(x)), tv
+
+    monkeypatch.setattr(locus, "locate_on_locus", drifting)
+    with pytest.raises(LeftTube, match="grows by .* at \\|T\\| < 1e-15") as err:
+        trace_primary_component(H, 0.0)
+    assert POLISH_TOL in tols
+    assert err.value.sample.residual < POLISH_TOL
+    assert abs(err.value.sample.point.x) >= 1e3
+
+
+def test_trace_and_tangent_share_the_simple_critical_check():
+    # |p'(c)| = 1e-10 at c = 5e-11: the trace accepts it, and so does the
+    # tangent at infinity; |p'(c)| = 2e-9 is refused by both
+    assert len(trace_primary_component(H, 5e-11).samples) > 40
+    assert abs(tangent_at_infinity(H, 5e-11).slope - 0.002475) < 1e-5
+    for refused in (trace_primary_component, tangent_at_infinity):
+        with pytest.raises(NotSimpleCritical, match="p'"):
+            refused(H, 1e-9)
 
 
 def test_tube_radius_defaults():

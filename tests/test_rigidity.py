@@ -161,10 +161,10 @@ def test_locus_series_order_below_deg_p_minus_one_is_a_bad_argument():
 
 
 def _fix_w(monkeypatch, order):
-    """Pin rigidity._w_tilde for x^2 + c at this order to its true value, so
+    """Pin rigidity._charts for x^2 + c at this order to its true value, so
     that a patched TruncSeries.inverse reaches only the Newton loop."""
-    w = rigidity._w_tilde(quadratic_q(), MultiPoly.zero(CHART_VARS), order)
-    monkeypatch.setattr(rigidity, "_w_tilde", lambda q, crit, order: w)
+    pieces = rigidity._charts(quadratic_q(), MultiPoly.zero(CHART_VARS), order)
+    monkeypatch.setattr(rigidity, "_charts", lambda q, crit, order: pieces)
 
 
 def _count_updates(monkeypatch, scale):
@@ -202,7 +202,7 @@ def test_formal_newton_refuses_when_the_residual_never_vanishes(monkeypatch):
 
 
 # A plus-side unit factor whose constant term depends on y breaks the wedge
-# form's vanishing to order u^2, which _w_tilde must report with a typed
+# form's vanishing to order u^2, which _charts must report with a typed
 # error -- also under python -O, where a bare assert would be stripped.
 _BREAK_H_PLUS = """
 from henonlocus import rigidity, series
@@ -286,7 +286,7 @@ def test_sigma_numeric_composition_identity():
 
 
 def test_defect_first_three_coefficients_match_display():
-    D = rigidity_defect(3).D
+    D = rigidity_defect(3)
     assert D.coeffs[0].is_zero()
     want1 = DP({(2, 0, 0, 0, 0, 1): 1, (0, 0, 2, 0, 1, 0): -1})
     want2 = DP({(2, 1, 0, 0, 0, 1): 1, (0, 0, 2, 1, 2, 0): -1})
@@ -311,7 +311,7 @@ def fresh_defect(order):
     defect series kept from an earlier call."""
     for kept in (rigidity.chart_series, rigidity.sigma_series, rigidity.rigidity_defect):
         kept.cache_clear()
-    return rigidity_defect(order).D
+    return rigidity_defect(order)
 
 
 def test_defect_prefix_stability():
@@ -335,7 +335,20 @@ def test_lower_orders_are_truncations_of_order_13():
         assert [str(c) for c in D.coeffs] == [str(c) for c in D13.coeffs[: n + 1]]
         assert sigma == sigma13.truncate(n)
         assert chart == chart13.truncate(n)
-        assert rigidity_defect(n).D == D
+        assert rigidity_defect(n) == D
+
+
+def test_cold_defect_builds_the_charts_once(monkeypatch):
+    # one h+ and one h-, and only the builder's three compositions
+    calls = []
+    for name in ("phi_series", "_compose_trimmed"):
+        real = getattr(rigidity, name)
+        monkeypatch.setattr(
+            rigidity, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+        )
+    assert fresh_defect(13) == rigidity_defect(13)
+    assert calls.count("phi_series") == 2
+    assert calls.count("_compose_trimmed") == 3
 
 
 def test_lower_order_after_a_higher_one_makes_no_products(monkeypatch):
@@ -345,17 +358,23 @@ def test_lower_order_after_a_higher_one_makes_no_products(monkeypatch):
     monkeypatch.setattr(
         series, "_cauchy_product", lambda *args: calls.append(args[3]) or real(*args)
     )
-    D = rigidity_defect(8).D
+    D = rigidity_defect(8)
     assert calls == []
     assert D.order == 8
-    assert D == rigidity_defect(13).D.truncate(8)
+    assert D == rigidity_defect(13).truncate(8)
 
 
-def test_orders_below_the_locus_minimum_are_refused_after_a_kept_order():
+def test_orders_below_the_locus_minimum_are_refused_after_a_kept_order(monkeypatch):
     rigidity_defect(3)
+    calls = []
+    real = series._cauchy_product
+    monkeypatch.setattr(
+        series, "_cauchy_product", lambda *args: calls.append(args[3]) or real(*args)
+    )
     for refused in (rigidity.chart_series, sigma_series, rigidity_defect):
         with pytest.raises(ValueError, match="below deg p - 1"):
             refused(0)
+    assert calls == []  # refused before any series work
 
 
 def test_defect_golden_file():
@@ -371,7 +390,7 @@ def test_defect_golden_file():
 
 def test_identical_maps_give_zero_defect():
     # f = g, beta = gamma = 1: substitute a2 -> a1, c2 -> c1 symbolically
-    D = rigidity_defect(8).D
+    D = rigidity_defect(8)
     small = ("a1", "c1")
     m = {
         "a2": MultiPoly.variable("a1", small),
@@ -395,7 +414,7 @@ def test_partial_solution_annihilates_first_two_terms():
 
 def test_partial_solution_random_specializations_leave_z3():
     # directly: partial solution + random c1 != 0 keeps coefficient 3 nonzero
-    D = rigidity_defect(3).D
+    D = rigidity_defect(3)
     rng = random.Random(2)
     for _ in range(5):
         a1 = F(rng.randrange(2, 7), rng.randrange(1, 5))
@@ -418,7 +437,7 @@ def test_partial_solution_random_specializations_leave_z3():
 def test_cleared_partial_solution_is_a1_squared_times_the_substitution():
     # the denominator-free polynomial agrees with a1^2 * D_k evaluated at
     # gamma = a2^2 beta / a1^2, c1 = c2 beta, at random rational points
-    D = rigidity_defect(3).D
+    D = rigidity_defect(3)
     rng = random.Random(5)
     for k in (1, 2, 3):
         cleared = rigidity._clear_partial(D.coeffs[k])
@@ -433,10 +452,10 @@ def test_cleared_partial_solution_is_a1_squared_times_the_substitution():
 
 
 def test_partial_solution_rejects_a_gamma_squared_term(monkeypatch):
-    D = rigidity_defect(3).D
+    D = rigidity_defect(3)
     coeffs = list(D.coeffs)
     coeffs[2] = coeffs[2] + MultiPoly.variable("gamma", DEFECT_VARS) ** 2
-    defect = rigidity.DefectSeries(D=TruncSeries(D.var, D.order, coeffs))
+    defect = TruncSeries(D.var, D.order, coeffs)
     monkeypatch.setattr(rigidity, "rigidity_defect", lambda order: defect)
     with pytest.raises(SeriesInconsistency, match="gamma-degree 2"):
         check_partial_solution()

@@ -142,6 +142,19 @@ def test_one_critical_point_finder_and_one_cycle_search():
     }
 
 
+def test_one_chart_builder():
+    # The charts at infinity are built once: the unit factors h+ and h- are
+    # formed only by the builder that the locus and the charts share.
+    assert _functions_naming("phi_series") == {
+        ("rigidity.py", "_charts"),
+        ("__init__.py", "<module>"),
+    }
+    assert _functions_naming("_charts") == {
+        ("rigidity.py", "locus_series"),
+        ("rigidity.py", "chart_series"),
+    }
+
+
 def test_no_thread_pool_renders_pixels():
     # The escape kernel is pure Python, so threads share one interpreter
     # lock: grid rows go to forked processes instead.
