@@ -406,6 +406,8 @@ def _cmd_manifold(opts):
         "side": side,
         "base": _c2(m.base),
         "iterations": m.iterations,
+        "preperiod": m.preperiod,
+        "period": m.period,
         "graph_deviation": deviation,
         "index": index,
         "outputs": [],

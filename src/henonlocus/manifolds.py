@@ -16,6 +16,12 @@ only in the residual they solve and the slice they start from.  The node
 Newton is exact: each residual returns its derivative by the chain rule
 through the chart (_chart_point) and through the u-coordinate of the
 image point (_image_u), so one residual evaluation serves a Newton step.
+The graph at level k of the orbit after n transforms depends on k only
+through the base points from k on, so the deepening keeps each such graph
+once per (level key, n): on an eventually periodic base (preperiod j,
+period q) each depth is one more pass per level of the cycle and its
+preperiod, at most (j + q) D passes to reach depth D, and one pass per
+depth at a fixed point.  A base with no cycle pays D (D + 1) / 2 passes.
 Both graphs need p hyperbolic with connected Julia set: the trap's cycle
 search, run at a = 0 from each cached critical point of p, must find a
 cycle, else ValueError names the critical point.
@@ -69,7 +75,7 @@ class UVPoint:
 class LocalManifold:
     side: str  # "stable" | "unstable"
     base: complex
-    history: tuple  # forward orbit (stable) or given backward history (unstable)
+    history: tuple  # forward orbit to its first return (stable), or given backward history
     parameter_center: complex  # 0 for stable graphs, base for unstable ones
     radius: float  # parameter disk radius actually sampled
     delta: float
@@ -80,6 +86,8 @@ class LocalManifold:
     coefficients: tuple  # Taylor coefficients about parameter_center
     iterations: int  # pullback/pushforward depth actually used
     convergence: tuple  # sup-distances between successive depths
+    preperiod: int | None  # j of the base sequence's cycle, None when it has none
+    period: int | None  # q of that cycle
 
     def evaluate(self, param) -> complex:
         return horner(self.coefficients, complex(param) - self.parameter_center)
@@ -192,36 +200,89 @@ def _solve_node(residual, seed, what):
         u -= step
         if abs(step) < _NODE_TOL * max(1.0, abs(u)):
             return u
-    raise GraphTransformDiverged(f"{what} Newton stalled at a mesh node")
+    raise NewtonDivergence(f"{what} Newton stalled at a mesh node")
 
 
-def _deepen(layer, iterations, what):
+def _returns_to(later, earlier):
+    """Whether base point `later` is `earlier` again, to the node tolerance."""
+    return abs(later - earlier) < _NODE_TOL * max(1.0, abs(earlier))
+
+
+def _eventual_cycle(bases):
+    """(preperiod j, period q) of a base sequence b, or (None, None).
+
+    (j, q) is the first pair, by j + q and then j, from which b repeats:
+    b[m + q] returns to b[m] for every m >= j.  The whole tail is checked
+    because a backward history may leave a cycle.
+    """
+    for end in range(1, len(bases)):
+        for j in range(end):
+            q = end - j
+            if all(_returns_to(bases[m + q], bases[m]) for m in range(j, len(bases) - q)):
+                return j, q
+    return None, None
+
+
+def _deepen(bases, slice_at, transform, iterations, what):
     """Deepen the graph transform until successive graphs agree to _GRAPH_TOL.
 
-    layer(depth) returns the node values and Taylor coefficients of the
-    graph at the base after `depth` transforms.  Returns those of the last
-    depth tried, that depth, and the sup-distances between successive ones.
+    Level k is the block at bases[k], and slice_at(k) the Taylor
+    coefficients of the slice there.  transform(k, coeffs, seeds) maps the
+    graph `coeffs` at level k + 1 to level k, from Newton seeds that are
+    None on the level's first transform, and returns the node values,
+    Taylor coefficients and the seeds of the next transform at level k.
+
+    The graph at level k after n transforms depends on k only through the
+    bases from k on, so it is kept once per (key(k), n), with key(k) = k
+    before the preperiod j and j + (k - j) mod q from there.  Depth D then
+    costs at most (j + q) D passes on an eventually periodic base, and
+    D (D + 1) / 2 on a base with no cycle, whose spent entries are dropped
+    as it goes.
+
+    Returns the node values and coefficients at level 0 after the last
+    depth tried, that depth, the sup-distances between successive depths,
+    and (j, q).
     """
     if iterations < 1:
         raise ValueError("iterations must be positive")
+    pre, period = _eventual_cycle(bases)
+    cycle = "no cycle" if period is None else f"preperiod {pre}, period {period}"
+
+    def key(k):
+        return k if period is None or k < pre else pre + (k - pre) % period
+
+    memo = {}  # (key, n) -> node values, coefficients, next seeds
+
+    def graph(k, n):
+        return (None, slice_at(key(k)), None) if n == 0 else memo[key(k), n]
+
     prev = None
     conv = []
     try:
         for depth in range(1, iterations + 1):
-            vals, coeffs = layer(depth)
+            for k in range(depth - 1, -1, -1):
+                lk, n = key(k), depth - k
+                if (lk, n) in memo:
+                    continue
+                memo[lk, n] = transform(lk, graph(k + 1, n - 1)[1], graph(k, n - 1)[2])
+                if period is None or lk < pre:  # no other level reads these seeds
+                    memo.pop((lk, n - 1), None)
+            vals, coeffs, _ = memo[0, depth]
             if prev is not None:
                 dist = max(abs(p1 - p2) for p1, p2 in zip(vals, prev))
                 conv.append(dist)
                 if dist < _GRAPH_TOL:
                     break
-            prev = list(vals)
+            prev = vals
     except NewtonDivergence as exc:
-        raise GraphTransformDiverged(f"graph transform failed: {exc}") from exc
+        raise GraphTransformDiverged(
+            f"{what} transform failed at depth {depth} ({cycle}): {exc}"
+        ) from exc
     if conv and conv[-1] >= _GRAPH_TOL:
         raise GraphTransformDiverged(
-            f"{what} still moving by {conv[-1]:.3g} after {iterations} transforms"
+            f"{what} still moving by {conv[-1]:.3g} after {iterations} transforms ({cycle})"
         )
-    return vals, coeffs, depth, tuple(conv)
+    return vals, coeffs, depth, tuple(conv), (pre, period)
 
 
 # ---------------------------------------------------------------------------
@@ -245,45 +306,46 @@ def _stable_residual(henon, coeffs_next, v):
 
 
 def local_stable_graph(
-    henon: HenonMap, z: complex, iterations: int = 24, mesh: int = 32
+    henon: HenonMap, z: complex, iterations: int = 48, mesh: int = 32
 ) -> LocalManifold:
     """Graph v -> u of the local stable manifold over the orbit of z.
 
     Pulls the vertical slice u = p^n(z) back n times and deepens n until
     two successive graphs agree to 1e-10 in the sup norm over the mesh.
+    The orbit is computed up to its first return only: past it the orbit
+    repeats, and the float orbit of a repelling cycle would drift off.
     """
     _require_mesh(mesh)
     _require_tame_polynomial(henon.p)
-    z = complex(z)
-    orbit = [z]
-    for _ in range(iterations):
+    orbit = [complex(z)]
+    while len(orbit) <= iterations and not any(_returns_to(orbit[-1], b) for b in orbit[:-1]):
         orbit.append(henon.p(orbit[-1]))
     radius = SHRINK * DELTA
     nodes = tuple(radius * cmath.exp(2j * math.pi * j / mesh) for j in range(mesh))
-    levels = [[orbit[k]] * mesh for k in range(iterations)]  # Newton seeds
 
-    def layer(depth):
-        coeffs = (orbit[depth],)
-        for k in range(depth - 1, -1, -1):
-            vals = [
-                _solve_node(
-                    _stable_residual(henon, coeffs, nodes[i]), levels[k][i], "pullback"
-                )
-                for i in range(mesh)
-            ]
-            levels[k] = vals
-            coeffs = _taylor_from_circle(vals, radius)
-        return vals, coeffs
+    def slice_at(k):
+        return (orbit[k],)
 
-    vals0, coeffs0, used, conv = _deepen(layer, iterations, "stable graph")
-    spread = max(abs(val - z) for val in vals0)
+    def pull_back(k, coeffs, seeds):
+        if seeds is None:
+            seeds = [orbit[k]] * mesh
+        vals = [
+            _solve_node(_stable_residual(henon, coeffs, v), seed, "pullback")
+            for v, seed in zip(nodes, seeds)
+        ]
+        return vals, _taylor_from_circle(vals, radius), vals
+
+    vals0, coeffs0, used, conv, (pre, period) = _deepen(
+        orbit, slice_at, pull_back, iterations, "stable graph"
+    )
+    spread = max(abs(val - orbit[0]) for val in vals0)
     if spread >= DISK_RADIUS:
         raise GraphTransformDiverged(
             f"stable graph leaves the block: spread {spread:.3g} >= {DISK_RADIUS:.3g}"
         )
     return LocalManifold(
         side="stable",
-        base=z,
+        base=orbit[0],
         history=tuple(orbit),
         parameter_center=0j,
         radius=radius,
@@ -295,6 +357,8 @@ def local_stable_graph(
         coefficients=coeffs0,
         iterations=used,
         convergence=conv,
+        preperiod=pre,
+        period=period,
     )
 
 
@@ -338,32 +402,26 @@ def local_unstable_graph(
         raise ValueError("iterations must fit inside the history")
     radius = SHRINK * DISK_RADIUS
     rays = tuple(cmath.exp(2j * math.pi * j / mesh) for j in range(mesh))
-    sources = [
-        [hist[k + 1] + radius * ray / henon.p.derivative(hist[k + 1]) for ray in rays]
-        for k in range(iterations)
-    ]
 
-    def layer(depth):
-        coeffs = (0j,)
-        center_prev = hist[depth]
-        for k in range(depth - 1, -1, -1):
-            center = hist[k]
-            vals = []
-            for i, ray in enumerate(rays):
-                u_t = center + radius * ray
-                u_src = _solve_node(
-                    _unstable_residual(henon, coeffs, center_prev, u_t),
-                    sources[k][i],
-                    "pushforward",
-                )
-                sources[k][i] = u_src
-                w = point_from_uv(henon, u_src, horner(coeffs, u_src - center_prev))
-                vals.append(henon.a * w.y)
-            coeffs = _taylor_from_circle(vals, radius)
-            center_prev = center
-        return vals, coeffs
+    def push_forward(k, coeffs, seeds):
+        center, center_prev = hist[k], hist[k + 1]
+        if seeds is None:
+            seeds = [center_prev + radius * ray / henon.p.derivative(center_prev) for ray in rays]
+        vals, sources = [], []
+        for ray, seed in zip(rays, seeds):
+            u_src = _solve_node(
+                _unstable_residual(henon, coeffs, center_prev, center + radius * ray),
+                seed,
+                "pushforward",
+            )
+            sources.append(u_src)
+            w = point_from_uv(henon, u_src, horner(coeffs, u_src - center_prev))
+            vals.append(henon.a * w.y)
+        return vals, _taylor_from_circle(vals, radius), sources
 
-    vals0, coeffs0, used, conv = _deepen(layer, iterations, "unstable graph")
+    vals0, coeffs0, used, conv, (pre, period) = _deepen(
+        hist[: iterations + 1], lambda k: (0j,), push_forward, iterations, "unstable graph"
+    )
     spread = max(abs(val) for val in vals0)
     if spread >= DELTA:
         raise GraphTransformDiverged(
@@ -384,6 +442,8 @@ def local_unstable_graph(
         coefficients=coeffs0,
         iterations=used,
         convergence=conv,
+        preperiod=pre,
+        period=period,
     )
 
 
@@ -493,6 +553,8 @@ def manifold_to_json(manifold: LocalManifold) -> str:
         "shrink": manifold.shrink,
         "iterations": manifold.iterations,
         "convergence": list(manifold.convergence),
+        "preperiod": manifold.preperiod,
+        "period": manifold.period,
         "nodes": [c2(v) for v in manifold.nodes],
         "values": [c2(v) for v in manifold.values],
         "coefficients": [c2(v) for v in manifold.coefficients],

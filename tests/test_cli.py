@@ -433,8 +433,10 @@ def test_manifold_stable_graph_and_index(capsys, tmp_path):
     assert report["index"] == 1
     assert report["side"] == "stable"
     assert 0 < report["graph_deviation"] < 0.05
+    assert (report["preperiod"], report["period"]) == (0, 1)  # the golden ratio is fixed
     saved = json.loads((out / "manifold.json").read_text())
     assert saved["side"] == "stable"
+    assert (saved["preperiod"], saved["period"]) == (0, 1)
 
 
 def test_manifold_unstable_graph(capsys):
@@ -454,7 +456,7 @@ def test_manifold_unstable_honours_iterations(capsys):
     code, report = run_json(capsys, argv + ["--iterations", "2"])
     assert code == 1
     assert "GraphTransformDiverged" in report["error"]
-    assert "after 2 transforms" in report["error"]
+    assert "after 2 transforms (preperiod 0, period 1)" in report["error"]
     code, report = run_json(capsys, argv + ["--iterations", "999"])
     assert code == 2
     assert "iterations must fit inside the history" in report["error"]

@@ -4,7 +4,8 @@ Independent oracles: the uv chart is checked against hand values and
 round trips, stable graphs against a direct slice-preimage solved by a
 fresh 2-D Newton with its own forward tangent accumulation, the exact
 restricted gradient against central differences of g- along the graph,
-and the winding counts against the degenerate closed form log|v|/d.
+the winding counts against the degenerate closed form log|v|/d, and the
+memoised deepening against the restarting one it replaced.
 """
 
 import cmath
@@ -15,9 +16,14 @@ from dataclasses import replace
 
 import pytest
 
+from henonlocus import manifolds
+from henonlocus._kernel import horner
 from henonlocus.dynamics import HenonMap, Point, Polynomial
-from henonlocus.errors import OutsideVPrime
+from henonlocus.errors import GraphTransformDiverged, NewtonDivergence, OutsideVPrime
 from henonlocus.manifolds import (
+    DELTA,
+    DISK_RADIUS,
+    SHRINK,
     LocalManifold,
     UVPoint,
     boundary_index,
@@ -31,7 +37,13 @@ from henonlocus.manifolds import (
     uv_coords,
 )
 from henonlocus.escape import phi_minus
-from henonlocus.manifolds import _gradient_at, _stable_residual, _unstable_residual
+from henonlocus.manifolds import (
+    _gradient_at,
+    _solve_node,
+    _stable_residual,
+    _taylor_from_circle,
+    _unstable_residual,
+)
 
 SQUARE = Polynomial([0, 0, 1])  # x^2
 BASIC = Polynomial([-1, 0, 1])  # x^2 - 1
@@ -298,6 +310,189 @@ def test_unstable_graph_requires_backward_orbit():
 
 
 # ---------------------------------------------------------------------------
+# memoised deepening
+#
+# The oracle is the deepening the memo replaced: every depth pulls the
+# slice back (or pushes it forward) through every level again, seeding each
+# level from its own graph one depth earlier.
+
+
+def _restarting_deepen(layer, iterations):
+    prev, conv = None, []
+    for depth in range(1, iterations + 1):
+        vals = layer(depth)
+        if prev is not None:
+            conv.append(max(abs(p1 - p2) for p1, p2 in zip(vals, prev)))
+            if conv[-1] < 1e-10:
+                break
+        prev = vals
+    return vals, depth, conv
+
+
+def _restarting_stable(henon, z, iterations, mesh):
+    orbit = [complex(z)]
+    for _ in range(iterations):
+        orbit.append(henon.p(orbit[-1]))
+    radius = SHRINK * DELTA
+    nodes = [radius * cmath.exp(2j * math.pi * j / mesh) for j in range(mesh)]
+    levels = [[orbit[k]] * mesh for k in range(iterations)]
+
+    def layer(depth):
+        coeffs = (orbit[depth],)
+        for k in range(depth - 1, -1, -1):
+            levels[k] = [
+                _solve_node(_stable_residual(henon, coeffs, v), seed, "pullback")
+                for v, seed in zip(nodes, levels[k])
+            ]
+            coeffs = _taylor_from_circle(levels[k], radius)
+        return levels[0]
+
+    return _restarting_deepen(layer, iterations)
+
+
+def _restarting_unstable(henon, hist, mesh):
+    iterations = len(hist) - 1
+    radius = SHRINK * DISK_RADIUS
+    rays = [cmath.exp(2j * math.pi * j / mesh) for j in range(mesh)]
+    sources = [
+        [hist[k + 1] + radius * ray / henon.p.derivative(hist[k + 1]) for ray in rays]
+        for k in range(iterations)
+    ]
+
+    def layer(depth):
+        coeffs = (0j,)
+        for k in range(depth - 1, -1, -1):
+            vals = []
+            for i, ray in enumerate(rays):
+                target = hist[k] + radius * ray
+                residual = _unstable_residual(henon, coeffs, hist[k + 1], target)
+                sources[k][i] = _solve_node(residual, sources[k][i], "pushforward")
+                u_src = sources[k][i]
+                w = point_from_uv(henon, u_src, horner(coeffs, u_src - hist[k + 1]))
+                vals.append(henon.a * w.y)
+            coeffs = _taylor_from_circle(vals, radius)
+        return vals
+
+    return _restarting_deepen(layer, iterations)
+
+
+def _quadratic(c):
+    return Polynomial([c, 0, 1])
+
+
+def _beta(c):
+    """The repelling fixed point (1 + sqrt(1 - 4c)) / 2 of x^2 + c."""
+    return (1 + cmath.sqrt(1 - 4 * c)) / 2
+
+
+BULB_C = -1 + 0.12j
+CARDIOID_C = -0.3125  # multiplier -1/2
+PERIOD_TWO = (-1 + cmath.sqrt(-3.8)) / 2  # a 2-cycle point of x^2 + 0.2
+
+
+def _backward(history, length):
+    """Extend a backward history by the principal square-root branch of x^2 - 1."""
+    history = [complex(h) for h in history]
+    while len(history) < length:
+        history.append(cmath.sqrt(history[-1] + 1.0))
+    return tuple(history)
+
+
+@pytest.mark.parametrize("poly, a, base, cycle", [
+    (_quadratic(BULB_C), 0.01 * cmath.exp(2j), _beta(BULB_C), (0, 1)),
+    (_quadratic(CARDIOID_C), 0.003 * cmath.exp(1j), _beta(CARDIOID_C), (0, 1)),
+    (BASIC, 0.0, PHI, (0, 1)),
+    (BASIC, 0.005, PHI, (0, 1)),  # the CLI default
+    (_quadratic(0.2), 0.005, PERIOD_TWO, (0, 2)),
+    (BASIC, 0.005, -PHI, (1, 1)),  # p(-phi) = phi
+])
+def test_stable_memo_matches_restarting_oracle(poly, a, base, cycle):
+    henon = HenonMap(poly, a)
+    got = local_stable_graph(henon, base, iterations=24, mesh=16)
+    values, depth, conv = _restarting_stable(henon, base, 24, 16)
+    assert (got.preperiod, got.period) == cycle
+    assert got.iterations == depth
+    assert len(got.convergence) == len(conv)
+    assert max(abs(g - w) for g, w in zip(got.values, values)) <= 1e-14
+
+
+@pytest.mark.parametrize("history, cycle", [
+    ((PHI,) * 25, (0, 1)),
+    (_backward((PHI, -PHI), 22), (None, None)),
+    # sits on the fixed point, then leaves it: a first return is no cycle
+    (_backward((PHI, PHI, PHI, -PHI), 22), (None, None)),
+])
+def test_unstable_memo_matches_restarting_oracle(history, cycle):
+    henon = HenonMap(BASIC, 0.01)
+    got = local_unstable_graph(henon, history, mesh=16)
+    values, depth, conv = _restarting_unstable(henon, history, 16)
+    assert (got.preperiod, got.period) == cycle
+    assert got.iterations == depth
+    assert len(got.convergence) == len(conv)
+    assert max(abs(g - w) for g, w in zip(got.values, values)) <= 1e-14
+
+
+def _count_node_solves(monkeypatch):
+    calls = []
+    solve = manifolds._solve_node
+    monkeypatch.setattr(
+        manifolds, "_solve_node", lambda *args: calls.append(1) or solve(*args)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("poly, base, per_depth", [
+    (BASIC, PHI, 1),
+    (_quadratic(0.2), PERIOD_TWO, 2),
+])
+def test_periodic_base_costs_linear_node_solves(monkeypatch, poly, base, per_depth):
+    calls = _count_node_solves(monkeypatch)
+    m = local_stable_graph(HenonMap(poly, 0.005), base, mesh=16)
+    assert m.period == per_depth
+    if per_depth == 1:
+        assert len(calls) == m.iterations * 16
+    assert len(calls) <= per_depth * m.iterations * 16
+
+
+def test_base_without_cycle_keeps_quadratic_node_solves(monkeypatch):
+    calls = _count_node_solves(monkeypatch)
+    m = local_unstable_graph(HenonMap(BASIC, 0.01), _backward((PHI, -PHI), 22), mesh=16)
+    assert m.period is None
+    assert len(calls) == m.iterations * (m.iterations + 1) // 2 * 16
+
+
+@pytest.mark.parametrize("c", [0.128, 0.05, 0.2])
+def test_main_cardioid_graphs_converge_with_index_one(c):
+    # attracting multipliers 0.1 to 0.55: past 24 transforms, within the cap of 48
+    henon = HenonMap(_quadratic(c), 0.003 * cmath.exp(1j))
+    m = local_stable_graph(henon, _beta(c))
+    assert 24 < m.iterations <= 48
+    assert (m.preperiod, m.period) == (0, 1)
+    assert gradient_index(henon, m, 0.4) == 1
+
+
+def test_divergence_names_depth_and_cycle(monkeypatch):
+    henon = HenonMap(_quadratic(0.2), 0.003 * cmath.exp(1j))
+    moving = r"after 24 transforms \(preperiod 0, period 1\)"
+    with pytest.raises(GraphTransformDiverged, match=moving):
+        local_stable_graph(henon, _beta(0.2), iterations=24, mesh=8)
+    with pytest.raises(GraphTransformDiverged, match=r"after 3 transforms \(no cycle\)"):
+        local_unstable_graph(HenonMap(BASIC, 0.01), _backward((PHI, -PHI), 4), mesh=8)
+    calls = _count_node_solves(monkeypatch)
+    solve = manifolds._solve_node
+
+    def stall_on_the_second_pass(*args):
+        if len(calls) == 4:  # a fixed point's first pass made 4 solves
+            raise NewtonDivergence("pullback Newton stalled at a mesh node")
+        return solve(*args)
+
+    monkeypatch.setattr(manifolds, "_solve_node", stall_on_the_second_pass)
+    failed = r"transform failed at depth 2 \(preperiod 0, period 1\): pullback Newton stalled"
+    with pytest.raises(GraphTransformDiverged, match=failed):
+        local_stable_graph(HenonMap(BASIC, 0.01), PHI, mesh=4)
+
+
+# ---------------------------------------------------------------------------
 # graph-transform node residuals
 
 
@@ -430,3 +625,4 @@ def test_manifold_json_roundtrip():
     assert data["radius"] == pytest.approx(m.radius)
     rebuilt = [complex(re, im) for re, im in data["values"]]
     assert rebuilt == list(m.values)
+    assert (data["preperiod"], data["period"]) == (0, 1)
