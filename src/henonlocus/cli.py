@@ -4,10 +4,12 @@ Subcommands: green-grid, critlocus, holonomy, manifold, rigidity, verify.
 Options come from per-subcommand defaults, overridden by a key = value
 config file (--config), overridden again by explicit flags.  Values in
 config files are JSON fragments (quoted strings, numbers, [re, im]
-pairs); unknown keys are rejected.
+pairs), and list and complex values are read the same way from flags;
+unknown keys are rejected.
 
-Every run prints a single strict-JSON report to stdout: no NaN or Infinity
-tokens (green-grid takes min/max over finite pixels, null when there are
+Every run prints a single strict-JSON report to stdout, and the JSON files
+it writes under --out-dir are strict too: no NaN or Infinity tokens
+(green-grid takes min/max over finite pixels, null when there are
 none, and counts the others in nan_pixels).  Exit codes: 0 when all of the
 subcommand's assertions pass, 1 when a dynamical check fails or the library
 raises a HenonLocusError, 2 on configuration errors, including arguments
@@ -22,9 +24,9 @@ import os
 import random
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .dynamics import HenonMap, Point, Polynomial
+from .dynamics import HenonMap, Point, Polynomial, to_json
 from .errors import ConfigError, HenonLocusError
 from .escape import green, phi_minus, phi_plus
 from .gridfield import green_grid, grid_sidecar, grid_to_csv, grid_to_pgm
@@ -226,11 +228,26 @@ def _as_int(value, key):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 
+def _as_list(value, key):
+    """A JSON list, given as a config value or as a command-line string."""
+    if isinstance(value, str):
+        try:
+            value = json.loads(value)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{key} must be a JSON list: {exc}")
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a JSON list, got {value!r}")
+    return value
+
+
 def _as_complex(value, key):
-    if isinstance(value, (list, tuple)):
+    """A number or an [re, im] pair, either one also written as a string."""
+    if isinstance(value, str) and value.lstrip().startswith("["):
+        value = _as_list(value, key)
+    if isinstance(value, list):
         if len(value) != 2:
             raise ConfigError(f"{key} pair must be [re, im], got {value!r}")
-        return complex(float(value[0]), float(value[1]))
+        return complex(_as_float(value[0], key), _as_float(value[1], key))
     try:
         return complex(str(value).replace(" ", ""))
     except ValueError:
@@ -238,14 +255,9 @@ def _as_complex(value, key):
 
 
 def _parse_poly(spec) -> Polynomial:
-    if isinstance(spec, (list, tuple)):
-        return Polynomial(spec)
     s = str(spec).strip()
-    if s.startswith("["):
-        try:
-            return Polynomial(json.loads(s))
-        except (ValueError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"bad coefficient list: {exc}")
+    if isinstance(spec, list) or s.startswith("["):
+        return Polynomial([_as_complex(c, "p coefficient") for c in _as_list(spec, "p")])
     if s == "x2":
         return Polynomial([0, 0, 1])
     m = re.fullmatch(r"x2([+-][0-9.eE]+)", s)
@@ -256,11 +268,6 @@ def _parse_poly(spec) -> Polynomial:
 
 def _build_map(opts) -> HenonMap:
     return HenonMap(_parse_poly(opts["p"]), _as_complex(opts["a"], "a"))
-
-
-def _c2(z):
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 def _write(out_dir, name, payload):
@@ -351,7 +358,7 @@ def _cmd_holonomy(opts):
     psi_values = []
     for j, pt in enumerate(orbit):
         value = psi_pair(henon, pt).psi_plus
-        psi_values.append(_c2(value))
+        psi_values.append(value)
         expected = base * cmath.exp(2j * math.pi * j / count)
         deviation = max(deviation, abs(value - expected) / abs(base))
     witness = None
@@ -359,12 +366,12 @@ def _cmd_holonomy(opts):
         witness = same_leaf_plus(henon, orbit[0], orbit[count // 2])
     report = {
         "orbit_size": len(orbit),
-        "points": [{"x": _c2(p.x), "y": _c2(p.y)} for p in orbit],
+        "points": [{"x": p.x, "y": p.y} for p in orbit],
         "psi_plus": psi_values,
         "equivariance_deviation": deviation,
         "witness": None
         if witness is None
-        else {"omega": _c2(witness.omega), "order_exponent": witness.order_exponent},
+        else {"omega": witness.omega, "order_exponent": witness.order_exponent},
     }
     ok = len(orbit) == count and deviation < 1e-6
     if count > 1:
@@ -390,13 +397,7 @@ def _cmd_manifold(opts):
     elif side == "unstable":
         if not opts["history"]:
             raise ConfigError("unstable side needs --history as a JSON list")
-        raw = opts["history"]
-        if isinstance(raw, str):
-            try:
-                raw = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"bad history: {exc}")
-        history = [_as_complex(h, "history") for h in raw]
+        history = [_as_complex(h, "history") for h in _as_list(opts["history"], "history")]
         m = local_unstable_graph(henon, history, mesh=mesh, **depth)
         index = None
         deviation = max(abs(v) for v in m.values)
@@ -404,7 +405,7 @@ def _cmd_manifold(opts):
         raise ConfigError(f"side must be stable or unstable, got {side!r}")
     report = {
         "side": side,
-        "base": _c2(m.base),
+        "base": m.base,
         "iterations": m.iterations,
         "preperiod": m.preperiod,
         "period": m.period,
@@ -439,7 +440,7 @@ def _cmd_rigidity(opts):
             "name": case.case_id,
             "ok": case.ok,
             "order": case.order,
-            "positive_checks": [list(pair) for pair in case.positive_checks],
+            "positive_checks": case.positive_checks,
             "random_trials": case.random_trials,
             "violations_detected": case.violations_detected,
         }
@@ -447,11 +448,7 @@ def _cmd_rigidity(opts):
     if opts["partial"]:
         ran_anything = True
         partial = check_partial_solution()
-        report["partial"] = {
-            "ok": partial.ok,
-            "annihilated": list(partial.annihilated),
-            "witnesses": partial.witnesses,
-        }
+        report["partial"] = asdict(partial)
         ok = ok and partial.ok
     if opts["defect_order"] is not None:
         ran_anything = True
@@ -557,7 +554,7 @@ _HANDLERS = {
 
 def _emit(report) -> None:
     """Print one report as strict JSON (no NaN or Infinity tokens)."""
-    print(json.dumps(report, sort_keys=True, allow_nan=False))
+    print(to_json(report, None))
 
 
 def run(argv=None) -> int:

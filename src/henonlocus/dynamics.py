@@ -36,6 +36,7 @@ it is bounded and, when every B_i lies in |x|, |y| < alpha, never enters V+.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, prod
@@ -51,6 +52,19 @@ R_BIG = 0.125  # R, the Jacobian radius
 class Point(NamedTuple):
     x: complex
     y: complex
+
+
+def _pair(value):
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def to_json(data, indent) -> str:
+    """The package's one JSON writer: strict (NaN or an infinity, also inside
+    a complex, raises ValueError), keys sorted, complex values as [re, im]
+    and tuples as lists.  indent 2 for files, None for the one-line report."""
+    return json.dumps(data, default=_pair, allow_nan=False, sort_keys=True, indent=indent)
 
 
 class Polynomial:

@@ -13,7 +13,6 @@ Exports: binary 16-bit PGM (P5, big-endian, row-major, affine scaling
 recorded in a JSON sidecar) and CSV rows (x, y, value).
 """
 
-import json
 import math
 import multiprocessing
 import os
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import HenonMap, Point
+from .dynamics import HenonMap, Point, to_json
 from .errors import HenonLocusError
 from .escape import green
 from .locus import tangency_value
@@ -176,30 +175,25 @@ def grid_sidecar(grid: GridField) -> str:
 
     `min`/`max` span the finite pixels and are null when there are none.
     """
-
-    def c2(z):
-        z = complex(z)
-        return [z.real, z.imag]
-
     lo, hi = grid.finite_span or (None, None)
     ny, nx = grid.values.shape
     data = {
         "kind": grid.kind,
         "width": nx,
         "height": ny,
-        "re_range": list(grid.re_range),
-        "im_range": list(grid.im_range),
+        "re_range": grid.re_range,
+        "im_range": grid.im_range,
         "slice_axis": grid.slice_axis,
-        "slice_value": c2(grid.slice_value),
-        "p_coefficients": [c2(c) for c in grid.p_coefficients],
-        "a": c2(grid.a),
+        "slice_value": grid.slice_value,
+        "p_coefficients": grid.p_coefficients,
+        "a": grid.a,
         "min": lo,
         "max": hi,
         "maxval": PGM_MAXVAL,
         "nan_pixel": grid.nan_pixels,
         "row0": "lowest imaginary coordinate",
     }
-    return json.dumps(data, indent=2, sort_keys=True)
+    return to_json(data, 2)
 
 
 def grid_to_csv(grid: GridField) -> str:

@@ -30,12 +30,11 @@ from __future__ import annotations
 import cmath
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Tuple
 
-from .dynamics import HenonMap, Point, Polynomial
+from .dynamics import HenonMap, Point, Polynomial, to_json
 from .errors import (
     ContinuationFailure,
     LeafParameterizationFailed,
@@ -210,7 +209,7 @@ def trace_primary_component(
     prev: tuple[float, complex] | None = None  # (t, y) one sample back
     prev2: tuple[float, complex] | None = None
     while True:
-        x = cmath.exp(t) if isinstance(c, complex) and c.imag else math.exp(t)
+        x = math.exp(t)
         if prev is None:
             y_pred = complex(c)
         elif prev2 is None:
@@ -362,10 +361,11 @@ def contact_order(henon: HenonMap, z: Point) -> int:
             mu -= 1j * quantum * jump
         mus.append(mu)
 
-    import numpy as np
-
-    coeffs = np.fft.fft(np.array(mus)) / _PROBE_SAMPLES
-    amps = [abs(coeffs[k]) for k in range(1, 6)]
+    turn = -2j * math.pi / _PROBE_SAMPLES
+    amps = [
+        abs(sum(mu * cmath.exp(turn * j * k) for j, mu in enumerate(mus))) / _PROBE_SAMPLES
+        for k in range(1, 6)
+    ]
     peak = max(amps)
     if peak < 1e-9 * max(1.0, abs(mus[0])):
         raise LeafParameterizationFailed("phi- is flat along the leaf probe")
@@ -576,25 +576,25 @@ def classify_component(henon: HenonMap, z: Point) -> Tuple[complex, int]:
 
 def trace_to_json(trace: CurveTrace) -> str:
     blob = {
-        "critical_point": [trace.critical_point.real, trace.critical_point.imag],
+        "critical_point": trace.critical_point,
         "iterate_index": trace.iterate_index,
         "chart": trace.chart,
         "tube_radius": trace.tube_radius,
         "step": trace.step,
         "samples": [
             {
-                "x": [s.point.x.real, s.point.x.imag],
-                "y": [s.point.y.real, s.point.y.imag],
+                "x": s.point.x,
+                "y": s.point.y,
                 "residual": s.residual,
                 "n": s.tangency.n,
                 "m": s.tangency.m,
-                "value": [s.tangency.value.real, s.tangency.value.imag],
+                "value": s.tangency.value,
                 "scale": s.tangency.scale,
             }
             for s in trace.samples
         ],
     }
-    return json.dumps(blob, indent=2, sort_keys=True)
+    return to_json(blob, 2)
 
 
 def trace_to_csv(trace: CurveTrace) -> str:

@@ -37,14 +37,13 @@ derivative of the stored graph.
 """
 
 import cmath
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ._kernel import horner, horner_with_deriv
-from .dynamics import CYCLE_STEPS, HenonMap, Point, Polynomial, _attracting_cycle
+from .dynamics import CYCLE_STEPS, HenonMap, Point, Polynomial, _attracting_cycle, to_json
 from .errors import (
     GradientVanishesOnLoop,
     GraphTransformDiverged,
@@ -538,25 +537,4 @@ def boundary_index(
 
 
 def manifold_to_json(manifold: LocalManifold) -> str:
-    def c2(z):
-        z = complex(z)
-        return [z.real, z.imag]
-
-    data = {
-        "side": manifold.side,
-        "base": c2(manifold.base),
-        "history": [c2(h) for h in manifold.history],
-        "parameter_center": c2(manifold.parameter_center),
-        "radius": manifold.radius,
-        "delta": manifold.delta,
-        "disk_radius": manifold.disk_radius,
-        "shrink": manifold.shrink,
-        "iterations": manifold.iterations,
-        "convergence": list(manifold.convergence),
-        "preperiod": manifold.preperiod,
-        "period": manifold.period,
-        "nodes": [c2(v) for v in manifold.nodes],
-        "values": [c2(v) for v in manifold.values],
-        "coefficients": [c2(v) for v in manifold.coefficients],
-    }
-    return json.dumps(data, indent=2, sort_keys=True)
+    return to_json(asdict(manifold), 2)

@@ -402,18 +402,28 @@ class MultiPoly:
         return max(((key >> shift) & _FIELD for key in self._nums), default=0)
 
     def evaluate(self, values: Mapping[str, object]):
-        """Plug numbers (Fraction, float, complex) in for every variable."""
-        total = None
+        """Plug numbers (Fraction, float, complex) in for every variable.
+
+        A rational value top/bottom enters as top^e * bottom^(E - e), E its
+        variable's highest degree, so at a rational point the terms are ints
+        and the sum is divided once, by den times every bottom^E."""
         n = len(self.vars)
+        highest = [self.max_power(name) for name in self.vars]
+        top, bottom = [1] * n, [1] * n
+        den = self.den
+        for i, name in enumerate(self.vars):
+            if highest[i]:
+                value = values[name]
+                top[i] = getattr(value, "numerator", value)
+                bottom[i] = getattr(value, "denominator", 1)
+                den *= bottom[i] ** highest[i]
+        total = 0
         for key, num in self._nums.items():
-            acc = Fraction(num, self.den)
-            for name, e in zip(self.vars, _unpack(key, n)):
-                if e:
-                    acc = acc * values[name] ** e
-            total = acc if total is None else total + acc
-        if total is None:
-            return Fraction(0)
-        return total
+            for i, e in enumerate(_unpack(key, n)):
+                if highest[i]:
+                    num = num * top[i] ** e * bottom[i] ** (highest[i] - e)
+            total = total + num
+        return total * Fraction(1, den)
 
     def substitute(self, mapping: Mapping[str, object], target_vars: Sequence[str]):
         """Map variables to values (rationals or MultiPolys over the target

@@ -117,6 +117,92 @@ def test_missing_config_file_exits_2(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# JSON inputs: lists and [re, im] pairs read the same from a flag or a file
+
+
+def _run_flag_and_file(capsys, tmp_path, argv, key, value):
+    """The (exit code, report) pairs of argv with `key` given as a flag and
+    in a config file."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f'subcommand = "{argv[0]}"\n{key} = {value}\n')
+    flag = "--" + key.replace("_", "-")
+    return [
+        run_json(capsys, argv + [flag, value]),
+        run_json(capsys, argv + ["--config", str(cfg)]),
+    ]
+
+
+@pytest.mark.parametrize("history", ["5", "{}", '"phi"', "[1.0, [2.0]]"])
+def test_history_that_is_not_a_list_of_numbers_exits_2(capsys, tmp_path, history):
+    argv = ["manifold", "--side", "unstable"]
+    for code, report in _run_flag_and_file(capsys, tmp_path, argv, "history", history):
+        assert code == 2
+        assert report["status"] == "config-error"
+        assert "history" in report["error"]
+
+
+def test_listed_polynomial_reads_complex_coefficients_as_pairs(capsys, tmp_path):
+    expected = cli._parse_poly("x2").coefficients[1:]
+    reports = _run_flag_and_file(capsys, tmp_path, ["verify"], "p", "[[0.1, 0.2], 0, 1]")
+    for code, report in reports:
+        assert code == 0
+    assert reports[0] == reports[1]
+    assert cli._parse_poly("[[0.1, 0.2], 0, 1]").coefficients == (0.1 + 0.2j, *expected)
+    assert cli._parse_poly([[0.1, 0.2], 0, 1]).coefficients == (0.1 + 0.2j, *expected)
+
+
+@pytest.mark.parametrize("p", ["[[0.1, 0.2, 0.3], 0, 1]", '[["re", 0.2], 0, 1]', "[{}, 0, 1]"])
+def test_listed_polynomial_with_a_bad_coefficient_exits_2(capsys, tmp_path, p):
+    for code, report in _run_flag_and_file(capsys, tmp_path, ["verify"], "p", p):
+        assert code == 2
+        assert report["status"] == "config-error"
+        assert "p coefficient" in report["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["manifold", "--side", "unstable", "--history", "5"],
+        ["verify", "--p", "[[0.1, 0.2, 0.3], 0, 1]"],
+        ["verify", "--a", "[0.001]"],
+    ],
+)
+def test_bad_json_inputs_exit_2_with_one_line_and_no_traceback(tmp_path, argv):
+    code, report = _run_module(argv, tmp_path)
+    assert code == 2
+    assert report["status"] == "config-error"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--a"],
+        ["critlocus", "--a"],
+        ["critlocus", "--c"],
+        ["holonomy", "--c"],
+        ["manifold", "--z", "1.2", "--a"],
+        ["green-grid", "--nx", "4", "--ny", "3", "--workers", "1", "--slice-value"],
+    ],
+)
+def test_every_complex_option_takes_a_pair_string(capsys, argv):
+    # the same number as a Python complex literal and as a JSON [re, im] pair
+    assert run(argv + ["0.001+0.002j"]) in (0, 1)
+    literal = capsys.readouterr().out
+    assert run(argv + ["[0.001, 0.002]"]) in (0, 1)
+    assert capsys.readouterr().out == literal
+
+
+def test_manifold_z_and_history_take_pair_strings(capsys):
+    code, report = run_json(capsys, ["manifold", "--z", f"[{PHI!r}, 0]"])
+    assert code == 0
+    assert report["base"] == [PHI, 0.0]
+    history = json.dumps([[PHI, 0.0]] + [f"[{PHI!r}, 0]"] * 12)
+    code, report = run_json(capsys, ["manifold", "--side", "unstable", "--history", history])
+    assert code == 0
+    assert report["base"] == [PHI, 0.0]
+
+
+# ---------------------------------------------------------------------------
 # verify
 
 
@@ -556,11 +642,116 @@ def test_rigidity_stdout_is_pinned(capsys, args):
 
 
 # ---------------------------------------------------------------------------
+# pinned reports and exports
+
+# sha256 of the stdout of `henonlocus ARGV --out-dir out` (run in an empty
+# directory, so the report's output paths are relative) and of each file it
+# writes: the JSON writer and readers must not move a byte of either
+_SMALL_GRID = ["--nx", "12", "--ny", "10", "--workers", "1"]
+_PINNED_RUNS = {
+    "critlocus-x2-1": (
+        ["critlocus"],
+        "1084ee953569f5d89bbb4d1f50f22573610265120a6053610323102dea3c64c5",
+        {
+            "trace.csv": "d955eb2817d2c26bb3f7b856e63063625b8502853c0f47cd14a8ad204f48e661",
+            "trace.json": "fb6ed211004bfbec867de3da3dc0dfae4a81fff01525e79f46603bd13f7968a6",
+        },
+    ),
+    "critlocus-cubic": (
+        ["critlocus", "--p", "[0, 0.3, 0, 1]", "--a", "0.004", "--c", "0.31622776601683794j"],
+        "8feabf25ad2f7df091ba4383ee909efd327eb833a44c038fab438233629fd5e9",
+        {
+            "trace.csv": "a4ae431d9c856c3d00d2d388bdaa8d9c6dc211991e11a8b3084d28ecf122f9b0",
+            "trace.json": "4c0c3176718d490a23d0f6adc01b012912d0836595a04c8b32f96fb1261e54bc",
+        },
+    ),
+    "critlocus-complex-a": (
+        ["critlocus", "--a", "0.004+0.003j"],
+        "f5aeaeffda64493394d614746d8e3676c509b3ae892d6100dd1399d68982474e",
+        {
+            "trace.csv": "f323183cd73b868ce013c72e6bbc1b43d047bd511bdd4cf0ce2cf05c77a36e91",
+            "trace.json": "159abf1ee0b1bdb69a040d7dd1e595b61ac0f6b47ce730bfa048cd96a2fd9fa0",
+        },
+    ),
+    "manifold-stable": (
+        ["manifold", "--z", repr(PHI)],
+        "d9191255186a3512a1a10b8a524caa868af3be500ba9f12e19768491408c8fab",
+        {
+            "manifold.json": "ab67c868ce39e4ec27dbf60ef54ff81c9074a3d39bdfb7abb01f397f2ad0dc01",
+        },
+    ),
+    "manifold-unstable": (
+        ["manifold", "--side", "unstable", "--history", json.dumps([PHI] * 25)],
+        "5933462403bc1136c4f2a169ba85599648dccf2b118a5f68bde22aee07572911",
+        {
+            "manifold.json": "9cb58c6bb1f9e28186005ff7497358db548215629f3973fdb60aa7f0decafa28",
+        },
+    ),
+    "manifold-complex-a": (
+        ["manifold", "--a", "0.003+0.002j", "--z", repr(PHI)],
+        "1cdcf9ef8a8ce5ec54d4488b7ac94eb2ac31e6b383ca72e5e7a0a48b8eee5bb3",
+        {
+            "manifold.json": "39fde7ae4275b496c646a7aeca849b98f9ba3c35da13758c719115738c9e98af",
+        },
+    ),
+    "grid-tangency": (
+        ["green-grid", "--kind", "tangency", "--a", "0.01", "--p", "x2-1", *_SMALL_GRID],
+        "09fe671c6aecf6e1261ce076474f7f93bfd0cea2a2c80c896691b53e71998faa",
+        {
+            "grid.csv": "d716dba0a232079b4246432b760b9cdb51f56cc73d079300883257ddfe33490b",
+            "grid.json": "5828a0029c3af91f8fe1522fb7d9ce2d025d4d04c82b1376b4e723b3ce5b30c8",
+            "grid.pgm": "1b872314a0e6571d489e10810eb5b2ff1e2e0b4f914951e27b3cf814f66f0a27",
+        },
+    ),
+    "grid-green-plus-sliced": (
+        ["green-grid", "--kind", "green-plus", "--a", "0.01+0.02j", "--slice-axis", "x",
+         "--slice-value", "0.3+0.1j", *_SMALL_GRID],
+        "4b5bfe2b722d7b3d2ef2739af5693e408ed7d9afaf6b324756944fe1a54383c2",
+        {
+            "grid.csv": "455ea1ebe78aa8af3ee728e28a6ef9b104cb2fc4334351b52d2118b47b725f32",
+            "grid.json": "81b2133a37fdb39dba91e35cad4d2978b317f3bbbcceae5bb9b0195a441ae927",
+            "grid.pgm": "50737c403074f28667a2d9f95c89ce1a34010eb8e6c9d9e9aa021fe348c92ddd",
+        },
+    ),
+    "holonomy-n1": (
+        ["holonomy"],
+        "9fadcc4b61cd3ad9181965dc873598919f39d19b999cc6030c152ecfd0e90c7e",
+        {},
+    ),
+    "holonomy-n2": (
+        ["holonomy", "--n", "2"],
+        "2fafb480cf684c113509c6e6d80ff07bb3acd6c5934314bcc9c53fa1860a0167",
+        {},
+    ),
+    "rigidity-case-defect": (
+        ["rigidity", "--case", "beta_ratio", "--defect-order", "3"],
+        "57f04843a1fef4d8ae787258df4611243ffb7161334ce017ada8666e51cb7175",
+        {
+            "defect.txt": "12c5d7f0ad5772b239e172e9ada87b7f9ea195e5b10d7ee95780de172af9074f",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_RUNS))
+def test_reports_and_exports_are_pinned(capsys, tmp_path, monkeypatch, name):
+    argv, stdout_sha256, file_sha256 = _PINNED_RUNS[name]
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + ["--out-dir", "out"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == stdout_sha256
+    written = sorted(tmp_path.glob("out/*"))
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in written} == (
+        file_sha256
+    )
+
+
+# ---------------------------------------------------------------------------
 # python3 -m henonlocus
 
 
 def _run_module(args, cwd):
-    """`python3 -m henonlocus ARGS` with only the source tree on the path."""
+    """`python3 -m henonlocus ARGS` with only the source tree on the path;
+    it must print one line to stdout and nothing to stderr."""
     src = str(pathlib.Path(henonlocus.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -571,6 +762,8 @@ def _run_module(args, cwd):
         env=dict(os.environ, PYTHONPATH=path),
         timeout=120,
     )
+    assert proc.stderr == ""
+    assert proc.stdout.count("\n") == 1
     return proc.returncode, json.loads(proc.stdout, parse_constant=_reject_constant)
 
 

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 
@@ -18,6 +19,7 @@ from henonlocus.dynamics import (
     domain_params,
     in_v_minus,
     in_v_plus,
+    to_json,
 )
 from henonlocus.errors import DegenerateJacobian
 
@@ -333,3 +335,33 @@ def test_map_is_read_only_after_its_domain_is_cached():
         h.p = X2
     assert h.a == 0.01 and h.p is X2M1
     assert h != HenonMap(X2M1, 0.01) and h == h  # equality is identity
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+
+
+def test_to_json_writes_nested_tuples_of_complex_values_as_lists_of_pairs():
+    data = {"b": (1 + 2j, (3j, -0.5)), "a": [Point(0.25 + 0j, -1j)], "n": (1, None, True)}
+    text = to_json(data, None)
+    assert text == (
+        '{"a": [[[0.25, 0.0], [-0.0, -1.0]]], "b": [[1.0, 2.0], [[0.0, 3.0], -0.5]], '
+        '"n": [1, null, true]}'
+    )
+    assert to_json(data, 2) == json.dumps(json.loads(text), indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [math.nan, math.inf, -math.inf, complex(math.nan, 0), complex(1, math.inf), [(0j, -math.inf)]],
+)
+def test_to_json_refuses_nan_and_infinities(value):
+    with pytest.raises(ValueError):
+        to_json({"value": value}, None)
+    with pytest.raises(ValueError):
+        to_json({"value": value}, 2)
+
+
+def test_to_json_refuses_what_json_cannot_hold():
+    with pytest.raises(TypeError, match="set"):
+        to_json({"value": {1j}}, None)

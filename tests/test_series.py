@@ -546,6 +546,19 @@ def test_substitute_commutes_with_evaluation(p, va, vc, point):
     assert q.evaluate(point) == p.evaluate(at)
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_polys[TARGET], points)
+def test_evaluate_matches_the_sum_of_its_terms(p, point):
+    expected = F(0)
+    for exps, c in p.terms.items():
+        expected += c * math.prod(point[name] ** e for name, e in zip(TARGET, exps))
+    got = p.evaluate(point)
+    assert type(got) is F and got == expected
+    # a variable no term uses needs no value
+    unused = [name for i, name in enumerate(TARGET) if all(e[i] == 0 for e in p.terms)]
+    assert p.evaluate({k: v for k, v in point.items() if k not in unused}) == expected
+
+
 def test_substitute_rejects_values_outside_the_target_ring():
     p = MultiPoly.variable("a", AC)
     with pytest.raises(ValueError):

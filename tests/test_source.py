@@ -96,8 +96,9 @@ def test_every_private_definition_is_used():
     assert not found, f"private definitions nothing references: {found}"
 
 
-def _functions_naming(name):
-    """(module, enclosing function or "<module>") of every read or import of name."""
+def _enclosing_functions(predicate):
+    """(module, enclosing function or "<module>") of every AST node in the
+    package that satisfies predicate."""
     found = set()
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -106,12 +107,20 @@ def _functions_naming(name):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for node in ast.walk(fn):
                     enclosing.setdefault(node, fn.name)
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Name) and node.id == name) or (
-                isinstance(node, ast.alias) and node.name == name
-            ):
-                found.add((path.name, enclosing.get(node, "<module>")))
+        found |= {
+            (path.name, enclosing.get(node, "<module>"))
+            for node in ast.walk(tree)
+            if predicate(node)
+        }
     return found
+
+
+def _functions_naming(name):
+    """(module, enclosing function or "<module>") of every read or import of name."""
+    return _enclosing_functions(
+        lambda node: (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.alias) and node.name == name)
+    )
 
 
 def test_one_theta_continuation():
@@ -167,15 +176,37 @@ def test_no_thread_pool_renders_pixels():
 
 
 def test_dynamics_imports_no_numpy():
-    dynamics = PACKAGE / "dynamics.py"
-    tree = ast.parse(dynamics.read_text(encoding="utf-8"), filename=str(dynamics))
+    # dynamics.py, and locus.py with it, down to function-local imports
     imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported |= {alias.name for alias in node.names}
-        elif isinstance(node, ast.ImportFrom):
-            imported.add(node.module or "")
+    for module in ("dynamics.py", "locus.py"):
+        path = PACKAGE / module
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
     assert not [name for name in imported if name.split(".")[0] == "numpy"]
+
+
+def _is_real_imag_pair(node):
+    return (
+        isinstance(node, ast.List)
+        and len(node.elts) == 2
+        and [getattr(elt, "attr", None) for elt in node.elts] == ["real", "imag"]
+    )
+
+
+def test_one_json_writer():
+    # Every JSON output goes through dynamics.to_json (strict, complex values
+    # as [re, im]); config_to_text keeps json.dumps so that a NaN in a config
+    # file round-trips.
+    assert _enclosing_functions(
+        lambda node: (isinstance(node, ast.Attribute) and node.attr == "dumps")
+        or (isinstance(node, ast.alias) and node.name == "dumps")
+    ) == {("dynamics.py", "to_json"), ("cli.py", "config_to_text")}
+    assert _find(lambda node: getattr(node, "name", None) in ("c2", "_c2")) == []
+    assert _enclosing_functions(_is_real_imag_pair) == {("dynamics.py", "_pair")}
 
 
 def test_exact_products_stay_in_packed_integers():
