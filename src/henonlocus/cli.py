@@ -93,7 +93,6 @@ _OPTION_DEFAULTS = {
         "c": 0.0,
         "x": 4.2,
         "n": 1,
-        "out_dir": None,
     },
     "manifold": {
         "p": "x2-1",
@@ -120,7 +119,6 @@ _OPTION_DEFAULTS = {
         "samples": 50,
         "tol": 1e-9,
         "seed": 20240817,
-        "out_dir": None,
     },
 }
 _FLAG_OPTIONS = {"golden", "partial"}

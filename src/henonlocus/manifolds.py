@@ -313,10 +313,14 @@ def local_stable_graph(
     two successive graphs agree to 1e-10 in the sup norm over the mesh.
     The orbit is computed up to its first return only: past it the orbit
     repeats, and the float orbit of a repelling cycle would drift off.
+    z must be finite (ValueError).
     """
     _require_mesh(mesh)
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"z {z!r} must be finite")
     _require_tame_polynomial(henon.p)
-    orbit = [complex(z)]
+    orbit = [z]
     while len(orbit) <= iterations and not any(_returns_to(orbit[-1], b) for b in orbit[:-1]):
         orbit.append(henon.p(orbit[-1]))
     radius = SHRINK * DELTA
@@ -385,11 +389,15 @@ def local_unstable_graph(
 
     history = (y0, y-1, y-2, ...) with p(y-(j+1)) = y-j; the horizontal
     slice v = 0 at the history tail is pushed forward and the depth grows
-    until successive graphs agree to 1e-10.
+    until successive graphs agree to 1e-10.  Every entry must be finite
+    (ValueError): a NaN would pass the backward-orbit check.
     """
     _require_mesh(mesh)
-    _require_tame_polynomial(henon.p)
     hist = tuple(complex(h) for h in history)
+    for h in hist:
+        if not cmath.isfinite(h):
+            raise ValueError(f"history entry {h!r} must be finite")
+    _require_tame_polynomial(henon.p)
     if len(hist) < 2:
         raise ValueError("history needs at least two points")
     for later, earlier in zip(hist, hist[1:]):

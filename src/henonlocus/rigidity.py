@@ -164,17 +164,34 @@ def _trim(series: TruncSeries, name: str, budget: int) -> TruncSeries:
     )
 
 
-def _compose_trimmed(
-    outer: TruncSeries, inner: TruncSeries, name: str, budget: int
-) -> TruncSeries:
-    """Horner composition with weighted truncation at every step."""
-    result = TruncSeries.from_poly(
-        outer.coeffs[-1].truncate_var(name, budget), inner.var, inner.order
-    )
-    for k in range(outer.order - 1, -1, -1):
-        step = result.mul_weighted(inner, name, budget)
-        result = step + outer.coeffs[k].truncate_var(name, budget)
-    return result
+def _compose_shared(
+    outers: Sequence[TruncSeries], inner: TruncSeries, name: str, budget: int
+) -> list:
+    """outer(inner) with weighted truncation for every outer series, from one
+    set of powers of inner.
+
+    The trimmed powers inner^k (k = 0..N) are formed once by
+    ``mul_weighted``, and each composition is the sum of c_k inner^k over
+    the coefficients c_k of its outer series, each taken as a constant
+    series.  Weighted truncation (budget >= 0) drops a monomial ideal, so
+    this is the same series as Horner's rule truncated at every step: N
+    products by inner in all, where Horner makes N per outer series.
+    """
+    ring = inner.coeffs[0].vars
+    zero = MultiPoly.zero(ring)
+    power = TruncSeries.from_poly(MultiPoly.const(1, ring), inner.var, inner.order)
+    powers = [power]
+    for _ in range(inner.order):
+        power = power.mul_weighted(inner, name, budget)
+        powers.append(power)
+    pieces = []
+    for outer in outers:
+        total = TruncSeries.from_poly(zero, inner.var, inner.order)
+        for c, power in zip(outer.coeffs, powers):
+            if not c.is_zero():
+                total = total + power.mul_weighted(c, name, budget)
+        pieces.append(total)
+    return pieces
 
 
 def _charts(q: Tuple[MultiPoly, ...], crit: MultiPoly, order: int):
@@ -183,7 +200,11 @@ def _charts(q: Tuple[MultiPoly, ...], crit: MultiPoly, order: int):
 
     Returns (w, h_plus, A, L_inv): w exact through the order; h_plus(u, y),
     A = h_minus(y, a u/L) and 1/L with L = u p(y) - 1 exact through order + 2.
-    All are trimmed to weighted degree deg_u + deg_y <= their order.  crit
+    All are trimmed to weighted degree deg_u + deg_y <= their order.  The
+    backward pieces h_minus, d h_minus/dy and d h_minus/dv are composed with
+    v~ = a u / L by one ``_compose_shared`` call, from one set of trimmed
+    powers of v~, exact for the same reason as every other weighted
+    truncation here (it drops a monomial ideal).  crit
     must be an order-one critical point of p (p'(crit) = 0 identically and
     p''(crit) an invertible rational constant), and the order must be at
     least deg p - 1, the y-degree of w(0, y) = -p'(y).
@@ -223,9 +244,9 @@ def _charts(q: Tuple[MultiPoly, ...], crit: MultiPoly, order: int):
     li3 = li2.mul_weighted(lam_inv, "y", N)
     vtil = (lam_inv * a).shift_up()
 
-    A = _compose_trimmed(hm, vtil, "y", N)
-    Bx = _compose_trimmed(hm_x, vtil, "y", N)
-    Bv = _compose_trimmed(hm_v, vtil, "y", N)
+    # A = h_minus(y, vtil) and the two partials B_x, B_v at the same point,
+    # from one set of powers of vtil
+    A, Bx, Bv = _compose_shared((hm, hm_x, hm_v), vtil, "y", N)
 
     P_u = hp + hp.derivative().shift_up()
     P_y = hp.map_coeffs(lambda p: p.derivative("y")).shift_up()

@@ -26,7 +26,8 @@ by a polynomial clears the denominator first (see
 
 Every exact product of MultiPolys -- a single ``MultiPoly * MultiPoly`` as
 well as the Cauchy product of two series -- runs through one integer
-kernel, ``_cauchy_product``, on the packed operands as stored (Kronecker
+kernel, ``_cauchy_product``, unless one operand has a single term (below).
+The kernel works on the packed operands as stored (Kronecker
 substitution; von zur Gathen & Gerhard, *Modern Computer Algebra*,
 section 8.4).  It refuses with ``ExponentOverflow`` when an operand has an
 exponent whose field's top bit is set, the one case in which the sum of two
@@ -37,8 +38,14 @@ dict per output index and divides each output coefficient through by one
 gcd.
 
 ``TruncSeries.inverse`` is Newton's iteration over whole-series products
-(von zur Gathen & Gerhard, section 9.1), so a reciprocal costs
-2 * order.bit_length() calls of the kernel, not one per coefficient pair.
+at doubling precision (Brent & Kung, J. ACM 1978; von zur Gathen &
+Gerhard, section 9.1), so a reciprocal costs 2 * order.bit_length() calls
+of the kernel, at orders 1, 1, 3, 3, 7, 7, ... up to the truncation order,
+not one per coefficient pair.
+
+A ``MultiPoly`` product with a single-term operand skips the kernel: the
+other operand's keys are shifted by the term's key and its numerators
+scaled, under the same ExponentOverflow check.
 
 ``TruncSeries.mul_weighted`` is the same kernel with weighted truncation:
 at output index k it drops every pair whose exponent in one named
@@ -119,6 +126,21 @@ def _canonical(vars: tuple, den: int, nums: dict) -> "MultiPoly":
     return _packed(vars, den, nums)
 
 
+def _check_fields(operands, ring) -> None:
+    """Raise ExponentOverflow if some operand exponent has its field's top
+    bit set, the one case in which adding two keys could carry."""
+    bits = 0
+    for p in operands:
+        bits = reduce(or_, p._nums, bits)
+    top = bits & (_TOP * ((1 << (WIDTH * len(ring))) - 1) // _FIELD)
+    if top:
+        name = ring[(top.bit_length() - 1) // WIDTH]
+        raise ExponentOverflow(
+            f"a product operand has an exponent of {name!r} of at least {_TOP}, "
+            f"so the product could overflow its {WIDTH}-bit field"
+        )
+
+
 def _cauchy_product(left, right, ring, order, weight_at=None, budget=0):
     """Exact Cauchy product of two lists of MultiPolys over ring.
 
@@ -129,17 +151,7 @@ def _cauchy_product(left, right, ring, order, weight_at=None, budget=0):
     max(budget - k, 0).  Raises ExponentOverflow before multiplying if some
     operand exponent has its field's top bit set.
     """
-    bits = 0
-    for side in (left, right):
-        for p in side:
-            bits = reduce(or_, p._nums, bits)
-    top = bits & (_TOP * ((1 << (WIDTH * len(ring))) - 1) // _FIELD)
-    if top:
-        name = ring[(top.bit_length() - 1) // WIDTH]
-        raise ExponentOverflow(
-            f"a product operand has an exponent of {name!r} of at least {_TOP}, "
-            f"so the product could overflow its {WIDTH}-bit field"
-        )
+    _check_fields((*left, *right), ring)
     shift = None if weight_at is None else WIDTH * weight_at
     cap = max(budget, 0)
     sides = []
@@ -185,6 +197,16 @@ def _cauchy_product(left, right, ring, order, weight_at=None, budget=0):
                             acc[key] = get(key, 0) + nl * nr
         out.append(_canonical(ring, den, {key: num for key, num in acc.items() if num}))
     return out
+
+
+def _shifted(poly, term) -> "MultiPoly":
+    """poly * term for a single-term term: shift poly's keys by the term's key
+    and scale its numerators, in poly's term order, as ``_cauchy_product``
+    would (and with its ExponentOverflow check)."""
+    _check_fields((poly, term), poly.vars)
+    ((shift, n),) = term._nums.items()
+    nums = {key + shift: num * n for key, num in poly._nums.items()}
+    return _canonical(poly.vars, poly.den * term.den, nums)
 
 
 class _Terms(Mapping):
@@ -335,6 +357,10 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_ring(other)
+        if len(other._nums) == 1:
+            return _shifted(self, other)
+        if len(self._nums) == 1:
+            return _shifted(other, self)
         (product,) = _cauchy_product([self], [other], self.vars, 0)
         return product
 
@@ -700,16 +726,21 @@ class TruncSeries:
     def inverse(self) -> "TruncSeries":
         """Reciprocal series; the constant term must be a nonzero rational.
 
-        Newton's iteration g <- g - g (f g - 1) from g = 1/f(0): each round
-        doubles the number of correct coefficients, so order.bit_length()
-        rounds reach the truncation order."""
+        Newton's iteration g <- g - g (f g - 1) from g = 1/f(0) at doubling
+        precision: g exact through order n - 1 becomes exact through 2n - 1,
+        so round i runs at order min(2^(i+1), N + 1) - 1 on f truncated
+        there and g extended by zeros, and order.bit_length() rounds reach
+        the truncation order N."""
         c0 = self.coeffs[0]
         inv0 = _unit_inverse(c0)
         if inv0 is None:
             raise NotUnitSeries(f"constant term {c0!r} is not invertible")
-        g = TruncSeries.from_poly(inv0, self.var, self.order)
-        for _ in range(self.order.bit_length()):
-            g = g - g * (self * g - 1)
+        zero = self._zero_coeff()
+        g = TruncSeries.from_poly(inv0, self.var, 0)
+        while g.order < self.order:
+            m = min(2 * g.order + 1, self.order)
+            g = TruncSeries(self.var, m, g.coeffs + (zero,) * (m - g.order))
+            g = g - g * (self.truncate(m) * g - 1)
         return g
 
     def pow_rational(self, exponent: Fraction) -> "TruncSeries":

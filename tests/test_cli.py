@@ -566,6 +566,36 @@ def test_manifold_history_not_backward_orbit_exits_2(capsys):
     assert "backward orbit" in report["error"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--z", "nan"],
+        ["--z", "[1e400, 0]"],
+        ["--side", "unstable", "--history", json.dumps([PHI, "nan"])],
+        ["--side", "unstable", "--history", f"[{PHI!r}, NaN, {PHI!r}]"],
+    ],
+)
+def test_manifold_non_finite_input_exits_2(capsys, argv):
+    code, report = run_json(capsys, ["manifold", *argv])
+    assert code == 2
+    assert report["status"] == "config-error"
+    assert "must be finite" in report["error"]
+
+
+@pytest.mark.parametrize("subcommand", ["holonomy", "verify"])
+def test_out_dir_is_refused_where_nothing_is_written(capsys, tmp_path, subcommand):
+    # holonomy and verify write no file, so they take no --out-dir
+    code, report = run_json(capsys, [subcommand, "--out-dir", "x"])
+    assert code == 2
+    assert report["status"] == "config-error"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f'subcommand = "{subcommand}"\nout_dir = "x"\n')
+    code, report = run_json(capsys, [subcommand, "--config", str(cfg)])
+    assert code == 2
+    assert "out_dir" in report["error"]
+    assert not (tmp_path / "x").exists()
+
+
 def test_manifold_bad_side_exits_2(capsys):
     code, report = run_json(capsys, ["manifold", "--side", "sideways"])
     assert code == 2
@@ -644,9 +674,10 @@ def test_rigidity_stdout_is_pinned(capsys, args):
 # ---------------------------------------------------------------------------
 # pinned reports and exports
 
-# sha256 of the stdout of `henonlocus ARGV --out-dir out` (run in an empty
-# directory, so the report's output paths are relative) and of each file it
-# writes: the JSON writer and readers must not move a byte of either
+# sha256 of the stdout of `henonlocus ARGV`, with `--out-dir out` for the
+# subcommands that write files (run in an empty directory, so the report's
+# output paths are relative), and of each file it writes: the JSON writer and
+# readers must not move a byte of either
 _SMALL_GRID = ["--nx", "12", "--ny", "10", "--workers", "1"]
 _PINNED_RUNS = {
     "critlocus-x2-1": (
@@ -737,7 +768,9 @@ _PINNED_RUNS = {
 def test_reports_and_exports_are_pinned(capsys, tmp_path, monkeypatch, name):
     argv, stdout_sha256, file_sha256 = _PINNED_RUNS[name]
     monkeypatch.chdir(tmp_path)
-    assert run(argv + ["--out-dir", "out"]) == 0
+    if "out_dir" in cli._OPTION_DEFAULTS[argv[0]]:
+        argv = argv + ["--out-dir", "out"]
+    assert run(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == stdout_sha256
     written = sorted(tmp_path.glob("out/*"))
     assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in written} == (

@@ -22,6 +22,8 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import henonlocus
 from henonlocus import rigidity, series
@@ -339,16 +341,87 @@ def test_lower_orders_are_truncations_of_order_13():
 
 
 def test_cold_defect_builds_the_charts_once(monkeypatch):
-    # one h+ and one h-, and only the builder's three compositions
-    calls = []
-    for name in ("phi_series", "_compose_trimmed"):
-        real = getattr(rigidity, name)
-        monkeypatch.setattr(
-            rigidity, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
-        )
+    # one h+ and one h-, and one composition call that forms the powers
+    # vtil^1 .. vtil^N once for all three chart pieces (N = 13 + 2)
+    calls, powers = [], []
+    real_phi = rigidity.phi_series
+    monkeypatch.setattr(
+        rigidity, "phi_series", lambda *args: calls.append("phi_series") or real_phi(*args)
+    )
+    real_compose = rigidity._compose_shared
+    mul_weighted = TruncSeries.mul_weighted
+
+    def compose(outers, inner, name, budget):
+        calls.append(len(outers))
+
+        def counted(self, other, *rest):
+            if other is inner:
+                powers.append(self.order)
+            return mul_weighted(self, other, *rest)
+
+        monkeypatch.setattr(TruncSeries, "mul_weighted", counted)
+        try:
+            return real_compose(outers, inner, name, budget)
+        finally:
+            monkeypatch.setattr(TruncSeries, "mul_weighted", mul_weighted)
+
+    monkeypatch.setattr(rigidity, "_compose_shared", compose)
     assert fresh_defect(13) == rigidity_defect(13)
     assert calls.count("phi_series") == 2
-    assert calls.count("_compose_trimmed") == 3
+    assert [c for c in calls if c != "phi_series"] == [3]
+    assert powers == [15] * 15
+
+
+def horner_compose(outer, inner, name, budget):
+    """outer(inner) by Horner's rule with weighted truncation at every step:
+    the oracle for the shared-power composition."""
+    result = TruncSeries.from_poly(
+        outer.coeffs[-1].truncate_var(name, budget), inner.var, inner.order
+    )
+    for k in range(outer.order - 1, -1, -1):
+        step = result.mul_weighted(inner, name, budget)
+        result = step + outer.coeffs[k].truncate_var(name, budget)
+    return result
+
+
+def test_shared_powers_equal_horner_on_the_order_13_charts(monkeypatch):
+    # the real (hm, hm_x, hm_v) and vtil of the order-13 charts
+    seen = []
+    real = rigidity._compose_shared
+    monkeypatch.setattr(
+        rigidity, "_compose_shared", lambda *args: seen.append(args) or real(*args)
+    )
+    rigidity._charts(quadratic_q(), MultiPoly.zero(CHART_VARS), 13)
+    ((outers, inner, name, budget),) = seen
+    assert (len(outers), inner.order, name, budget) == (3, 15, "y", 15)
+    got = real(outers, inner, name, budget)
+    assert got == [horner_compose(outer, inner, name, budget) for outer in outers]
+
+
+small_chart_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * len(CHART_VARS)),
+    st.builds(F, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3, 7])),
+    max_size=3,
+).map(lambda terms: MultiPoly(CHART_VARS, terms))
+
+
+@st.composite
+def compositions(draw):
+    """(outers, inner) at one order; the inner series has zero constant term."""
+    order = draw(st.integers(0, 4))
+    coeffs = st.lists(small_chart_polys, min_size=order + 1, max_size=order + 1)
+    outers = [TruncSeries("v", order, c) for c in draw(st.lists(coeffs, min_size=1, max_size=3))]
+    tail = draw(st.lists(small_chart_polys, min_size=order, max_size=order))
+    inner = TruncSeries("u", order, [MultiPoly.zero(CHART_VARS)] + tail)
+    return outers, inner
+
+
+@settings(max_examples=80, deadline=None)
+@given(compositions(), st.sampled_from(CHART_VARS), st.integers(0, 6))
+def test_shared_powers_equal_horner_on_random_series(case, name, budget):
+    outers, inner = case
+    got = rigidity._compose_shared(outers, inner, name, budget)
+    assert got == [horner_compose(outer, inner, name, budget) for outer in outers]
 
 
 def test_lower_order_after_a_higher_one_makes_no_products(monkeypatch):

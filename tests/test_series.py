@@ -370,6 +370,35 @@ def test_exponent_overflow_is_refused():
     assert (x ** (top - 1)).max_power("x") == top - 1  # the largest that still multiplies
 
 
+def test_single_term_products_refuse_overflow_as_the_kernel_does():
+    ring = ("c", "x")
+    x_top = MultiPoly(ring, {(0, 2 ** (series.WIDTH - 1)): F(-1, 3)})
+    two_terms = MultiPoly(ring, {(1, 0): 1, (0, 1): F(2, 5)})
+    with pytest.raises(ExponentOverflow) as kernel:
+        series._cauchy_product([two_terms], [x_top], ring, 0)
+    for left, right in ((two_terms, x_top), (x_top, two_terms), (x_top, x_top)):
+        with pytest.raises(ExponentOverflow) as shifted:
+            left * right
+        assert str(shifted.value) == str(kernel.value)
+
+
+single_terms = st.builds(
+    lambda exps, coeff: MultiPoly(RING, {exps: coeff}),
+    st.tuples(*[exponents] * len(RING)),
+    st.builds(F, st.integers(-30, 30).filter(bool), st.sampled_from([2, 3, 7, 10, 64])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys, single_terms)
+def test_single_term_product_equals_the_kernel_in_both_orders(p, t):
+    for left, right in ((p, t), (t, p)):
+        (want,) = series._cauchy_product([left], [right], RING, 0)
+        got = left * right
+        # the same canonical fields, numerators in the same order
+        assert (got.den, list(got._nums.items())) == (want.den, list(want._nums.items()))
+
+
 _OVERFLOW_UNDER_O = """
 from henonlocus.errors import ExponentOverflow
 from henonlocus.series import WIDTH, MultiPoly
@@ -377,6 +406,10 @@ from henonlocus.series import WIDTH, MultiPoly
 x = MultiPoly.variable("x", ("x",))
 try:
     x ** (2**WIDTH)
+except ExponentOverflow as exc:
+    print("ExponentOverflow:", exc)
+try:
+    (x + 1) * x ** (2 ** (WIDTH - 1))
 except ExponentOverflow as exc:
     print("ExponentOverflow:", exc)
 """
@@ -393,7 +426,10 @@ def test_exponent_overflow_is_refused_under_O():
         check=True,
         timeout=120,
     ).stdout
-    assert out.startswith("ExponentOverflow: a product operand has an exponent of 'x'")
+    lines = out.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        assert line.startswith("ExponentOverflow: a product operand has an exponent of 'x'")
 
 
 def draw_series(draw, order):
@@ -504,7 +540,8 @@ def test_newton_inverse_makes_two_series_products_per_round(monkeypatch):
     monkeypatch.setattr(series, "_cauchy_product", counted)
     s = const_series("z", 13, [2, -1, 0, 3])
     g = s.inverse()
-    assert calls == [13] * 8  # 13 has 4 bits: 4 rounds of f*g and g*(f*g - 1)
+    # 13 has 4 bits: 4 rounds of f*g and g*(f*g - 1), each at doubling order
+    assert calls == [1, 1, 3, 3, 7, 7, 13, 13]
     assert s * g == const_series("z", 13, [1])
 
 

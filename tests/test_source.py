@@ -164,6 +164,20 @@ def test_one_chart_builder():
     }
 
 
+def test_one_composition_routine():
+    # The three chart pieces A, Bx and Bv are composed by one routine from
+    # one set of powers of vtil, and only the chart builder calls it.
+    path = PACKAGE / "rigidity.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    composers = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and "compose" in node.name
+    ]
+    assert composers == ["_compose_shared"]
+    assert _functions_naming("_compose_shared") == {("rigidity.py", "_charts")}
+
+
 def test_no_thread_pool_renders_pixels():
     # The escape kernel is pure Python, so threads share one interpreter
     # lock: grid rows go to forked processes instead.
