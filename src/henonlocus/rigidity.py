@@ -18,10 +18,12 @@ and the objects computed are the ones the numeric modules approximate:
     for an order-one critical point crit of p.  The locus is the vanishing
     of w(u,y) = [the wedge of the two foliation differentials] / u^2, which
     takes the form -p'(y) - u * H(u,y); Y is found by a formal Newton
-    iteration from Y = crit, which returns at the first iterate whose
-    residual is exactly zero (the arithmetic is exact, so that is the
-    convergence test) and refuses once the quadratic-convergence step
-    bound is spent.  One builder forms w together with the chart pieces it
+    iteration from Y = crit at doubling precision (rounds at orders 1, 3,
+    7, 13 at order 13, as ``TruncSeries.inverse`` runs), followed by one
+    check that the residual is exactly zero at the full order; the
+    arithmetic is exact and w_y(0, crit) = -p''(crit) is a nonzero
+    rational, so that check identifies the branch, and a nonzero residual
+    is refused.  One builder forms w together with the chart pieces it
     is made of, h_plus(u, y), A = h_minus(y, au/L) and 1/L with
     L = u p(y) - 1, so the locus and the charts are derived once.
 
@@ -55,7 +57,6 @@ and the objects computed are the ones the numeric modules approximate:
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -271,16 +272,26 @@ def _charts(q: Tuple[MultiPoly, ...], crit: MultiPoly, order: int):
 
 def _branch(w: TruncSeries, crit: MultiPoly) -> TruncSeries:
     """The root y = Y(u) of w(u, y - crit) with Y(0) = crit, by formal Newton
-    from Y = crit.  Arithmetic is exact, so Newton stops at the first iterate
-    whose residual is exactly zero."""
+    from Y = crit at doubling precision, checked once.
+
+    Z = Y - crit exact through order n - 1 becomes exact through 2n - 1 in
+    one Newton step, so round i runs at order min(2 prev + 1, N) (1, 3, 7,
+    13 at N = 13) on w and w_y truncated there, with Z extended by zeros.
+    w_y(0, crit) = -p''(crit) is a nonzero rational, so w(u, Z) = 0 has one
+    root with Z(0) = 0; the arithmetic is exact, so one zero-residual check
+    at the full order N identifies it, and anything else is refused."""
+    N = w.order
     wy = w.map_coeffs(lambda p_: p_.derivative("y"))
-    Z = TruncSeries.from_poly(MultiPoly.zero(crit.vars), "u", w.order)
-    for _ in range(max(3, math.ceil(math.log2(w.order + 1)) + 1)):
-        resid = w.substitute_coeff_var("y", Z)
-        if resid.is_zero():
-            return Z + crit
-        Z = Z - resid * wy.substitute_coeff_var("y", Z).inverse()
-    raise SeriesInconsistency("formal Newton failed to converge")
+    zero = MultiPoly.zero(crit.vars)
+    Z = TruncSeries.from_poly(zero, "u", 0)
+    while Z.order < N:
+        m = min(2 * Z.order + 1, N)
+        Z = TruncSeries("u", m, Z.coeffs + (zero,) * (m - Z.order))
+        resid = w.truncate(m).substitute_coeff_var("y", Z)
+        Z = Z - resid * wy.truncate(m).substitute_coeff_var("y", Z).inverse()
+    if not w.substitute_coeff_var("y", Z).is_zero():
+        raise SeriesInconsistency("formal Newton failed to converge")
+    return Z + crit
 
 
 def locus_series(

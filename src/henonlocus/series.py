@@ -45,7 +45,14 @@ not one per coefficient pair.
 
 A ``MultiPoly`` product with a single-term operand skips the kernel: the
 other operand's keys are shifted by the term's key and its numerators
-scaled, under the same ExponentOverflow check.
+scaled, under the same ExponentOverflow check.  ``MultiPoly.substitute``
+maps a monomial the same way through values with at most one term
+(renames, projections, rationals, zero, c x^k): its image key is
+sum e_i key_i and its coefficient the product of (n_i/d_i)^e_i, with no
+product at all; only a value with two or more terms is raised to its
+powers and multiplied in.  An image exponent of 2^39 or more raises
+ExponentOverflow with the kernel's message, never carrying into the next
+field.
 
 ``TruncSeries.mul_weighted`` is the same kernel with weighted truncation:
 at output index k it drops every pair whose exponent in one named
@@ -126,6 +133,13 @@ def _canonical(vars: tuple, den: int, nums: dict) -> "MultiPoly":
     return _packed(vars, den, nums)
 
 
+def _overflow(name: str) -> ExponentOverflow:
+    return ExponentOverflow(
+        f"a product operand has an exponent of {name!r} of at least {_TOP}, "
+        f"so the product could overflow its {WIDTH}-bit field"
+    )
+
+
 def _check_fields(operands, ring) -> None:
     """Raise ExponentOverflow if some operand exponent has its field's top
     bit set, the one case in which adding two keys could carry."""
@@ -134,11 +148,24 @@ def _check_fields(operands, ring) -> None:
         bits = reduce(or_, p._nums, bits)
     top = bits & (_TOP * ((1 << (WIDTH * len(ring))) - 1) // _FIELD)
     if top:
-        name = ring[(top.bit_length() - 1) // WIDTH]
-        raise ExponentOverflow(
-            f"a product operand has an exponent of {name!r} of at least {_TOP}, "
-            f"so the product could overflow its {WIDTH}-bit field"
-        )
+        raise _overflow(ring[(top.bit_length() - 1) // WIDTH])
+
+
+def _check_image(key, singles, ring) -> None:
+    """Raise ExponentOverflow if the image of the monomial key under the
+    single-term values singles has an exponent of _TOP or more, summing
+    each field exactly (a packed sum could carry into the next field).  A
+    zero value kills the term, which then has no image."""
+    sums = [0] * len(ring)
+    for shift, value_key, num, _den in singles:
+        e = (key >> shift) & _FIELD
+        if e and not num:
+            return
+        for j, f in enumerate(_unpack(value_key, len(ring))):
+            sums[j] += e * f
+    for j in reversed(range(len(ring))):
+        if sums[j] >= _TOP:
+            raise _overflow(ring[j])
 
 
 def _cauchy_product(left, right, ring, order, weight_at=None, budget=0):
@@ -454,11 +481,24 @@ class MultiPoly:
     def substitute(self, mapping: Mapping[str, object], target_vars: Sequence[str]):
         """Map variables to values (rationals or MultiPolys over the target
         ring); unmapped variables are carried over by name and must exist in
-        the target ring.  The terms are summed into one dict."""
+        the target ring.
+
+        A value with at most one term (a rename, a rational, zero, c x^k)
+        maps a monomial by key arithmetic: the image key is the sum of
+        e_i key_i and the coefficient the product of (n_i/d_i)^e_i, and a
+        zero value kills the term.  Only a value with two or more terms is
+        raised to its powers and multiplied in.  An image exponent of 2^39
+        or more raises ExponentOverflow, as a product operand's would.  The
+        terms are summed into one dict."""
         target_vars = tuple(target_vars)
-        values = {}
-        for name in self.vars:
-            if not self.uses(name):
+        used = reduce(or_, self._nums, 0)
+        singles = []  # (source shift, key, numerator, denominator) of each value
+        multis = []  # (source shift, value) of each value with two or more terms
+        bound = [0] * len(target_vars)  # field sums at the largest exponents
+        for i, name in enumerate(self.vars):
+            shift = WIDTH * i
+            highest = (used >> shift) & _FIELD  # at least the largest exponent
+            if not highest:
                 continue
             if name in mapping:
                 v = mapping[name]
@@ -466,33 +506,61 @@ class MultiPoly:
                     v = MultiPoly.const(v, target_vars)
                 elif v.vars != target_vars:
                     raise ValueError(f"value of {name!r} is not over {target_vars}")
-                values[name] = v
+            elif name in target_vars:
+                v = MultiPoly.variable(name, target_vars)
             else:
-                if name not in target_vars:
-                    raise ValueError(
-                        f"variable {name!r} is not mapped and not in the target ring"
-                    )
-                values[name] = MultiPoly.variable(name, target_vars)
-        unit = MultiPoly.const(1, target_vars)
-        n = len(self.vars)
+                raise ValueError(
+                    f"variable {name!r} is not mapped and not in the target ring"
+                )
+            if len(v._nums) > 1:
+                multis.append((shift, v))
+                continue
+            key, num = next(iter(v._nums.items()), (0, 0))  # zero has numerator 0
+            singles.append((shift, key, num, v.den))
+            for j, f in enumerate(_unpack(key, len(target_vars))):
+                bound[j] += highest * f
+        exact = max(bound, default=0) >= _TOP  # some image field might reach _TOP
         powers: dict = {}
-        images = []  # (numerator, image of the monomial) per term
+        images = []  # (numerator, denominator, key shift, multi-term factor) per term
         for key, num in self._nums.items():
-            acc = None
-            for name, e in zip(self.vars, _unpack(key, n)):
+            if exact:  # before any coefficient is raised to a huge power
+                _check_image(key, singles, target_vars)
+            mono, top, bottom = 0, num, 1
+            for shift, value_key, n, d in singles:
+                e = (key >> shift) & _FIELD
                 if e:
-                    pk = (name, e)
+                    mono += e * value_key
+                    if n != 1:
+                        top *= n**e
+                    if d != 1:
+                        bottom *= d**e
+            if not top:
+                continue
+            factor = None
+            for shift, v in multis:
+                e = (key >> shift) & _FIELD
+                if e:
+                    pk = (shift, e)
                     if pk not in powers:
-                        powers[pk] = values[name] ** e
-                    acc = powers[pk] if acc is None else acc * powers[pk]
-            images.append((num, unit if acc is None else acc))
-        den = math.lcm(*(image.den for _, image in images))
+                        powers[pk] = v**e
+                    factor = powers[pk] if factor is None else factor * powers[pk]
+            if factor is not None:
+                if mono:
+                    factor = _shifted(factor, _packed(target_vars, 1, {mono: 1}))
+                    mono = 0
+                _check_fields((factor,), target_vars)
+                bottom *= factor.den
+            images.append((top, bottom, mono, factor))
+        den = math.lcm(*(bottom for _, bottom, _, _ in images))
         total: dict = {}
         get = total.get
-        for num, image in images:
-            scale = num * (den // image.den)
-            for mono, c in image._nums.items():
-                total[mono] = get(mono, 0) + scale * c
+        for top, bottom, mono, factor in images:
+            scale = top * (den // bottom)
+            if factor is None:
+                total[mono] = get(mono, 0) + scale
+            else:
+                for k, c in factor._nums.items():
+                    total[k] = get(k, 0) + scale * c
         nums = {key: num for key, num in total.items() if num}
         return _canonical(target_vars, self.den * den, nums)
 
@@ -814,16 +882,30 @@ class TruncSeries:
 
     def substitute_coeff_var(self, name: str, series: "TruncSeries") -> "TruncSeries":
         """Substitute a series for a coefficient-ring variable (Horner in the
-        highest power of that variable that occurs)."""
+        highest power of that variable that occurs).  Each coefficient is
+        split into its layers c = sum_e name^e c_e in one pass over its
+        terms."""
         self._check(series)
-        m = max(c.max_power(name) for c in self.coeffs)
-        layers = []
-        for power in range(m + 1):
-            layers.append(
-                TruncSeries(
-                    self.var, self.order, [c.coeff_of(name, power) for c in self.coeffs]
-                )
+        splits = []  # per coefficient: {power: {key with that field zeroed: num}}
+        for c in self.coeffs:
+            shift, unit = c._field(name)
+            split: dict = {}
+            for key, num in c._nums.items():
+                e = (key >> shift) & _FIELD
+                split.setdefault(e, {})[key - e * unit] = num
+            splits.append(split)
+        m = max(max(split, default=0) for split in splits)
+        layers = [
+            TruncSeries(
+                self.var,
+                self.order,
+                [
+                    _canonical(c.vars, c.den, split.get(power, {}))
+                    for c, split in zip(self.coeffs, splits)
+                ],
             )
+            for power in range(m + 1)
+        ]
         result = layers[m]
         for power in range(m - 1, -1, -1):
             result = result * series + layers[power]

@@ -14,6 +14,7 @@ pipeline was written:
 """
 
 import hashlib
+import math
 import os
 import pathlib
 import random
@@ -183,24 +184,65 @@ def _count_updates(monkeypatch, scale):
 
 
 def test_formal_newton_returns_at_the_first_zero_residual(monkeypatch):
-    # exact Newton from Y = 0 is done after two updates at order 8, where
-    # the step bound max(3, ceil(log2(9)) + 1) = 5 would allow four
+    # Newton at doubling precision from Y = 0: one update per round, at
+    # orders 1, 3, 7 and then the full order 8, after which the one
+    # full-order check finds the residual exactly zero and returns
     _fix_w(monkeypatch, 8)
     updates = _count_updates(monkeypatch, 1)
     locus_series(quadratic_q(), MultiPoly.zero(CHART_VARS), 8)
-    assert len(updates) == 2
+    assert [s.order for s in updates] == [1, 3, 7, 8]
 
 
 def test_formal_newton_refuses_when_the_residual_never_vanishes(monkeypatch):
     # twice the Newton correction flips the sign of the error, so the
-    # residual never vanishes; the refusal comes after the step bound
-    # max(3, ceil(log2(5)) + 1) = 4 of residual checks, each followed by
-    # an update
+    # rounds at orders 1, 3 and 4 never reach the root and the one
+    # full-order residual check refuses
     _fix_w(monkeypatch, 4)
     updates = _count_updates(monkeypatch, 2)
     with pytest.raises(SeriesInconsistency, match="formal Newton failed to converge"):
         locus_series(quadratic_q(), MultiPoly.zero(CHART_VARS), 4)
-    assert len(updates) == 4
+    assert [s.order for s in updates] == [1, 3, 4]
+
+
+def _restarting_branch(w, crit):
+    """The locus Newton with every round at the full order, returning at the
+    first exactly-zero residual: the oracle for rigidity._branch."""
+    wy = w.map_coeffs(lambda p_: p_.derivative("y"))
+    Z = TruncSeries.from_poly(MultiPoly.zero(crit.vars), "u", w.order)
+    for _ in range(max(3, math.ceil(math.log2(w.order + 1)) + 1)):
+        resid = w.substitute_coeff_var("y", Z)
+        if resid.is_zero():
+            return Z + crit
+        Z = Z - resid * wy.substitute_coeff_var("y", Z).inverse()
+    raise SeriesInconsistency("formal Newton failed to converge")
+
+
+def test_doubling_newton_matches_the_restarting_oracle():
+    zero = MultiPoly.zero(CHART_VARS)
+    for order in range(1, 14):
+        w = rigidity._charts(quadratic_q(), zero, order)[0]
+        assert rigidity._branch(w, zero) == _restarting_branch(w, zero), order
+    cubic = (zero, MultiPoly.const(F(-3), CHART_VARS), zero)  # x^3 - 3x
+    for crit in (MultiPoly.const(F(1), CHART_VARS), MultiPoly.const(F(-1), CHART_VARS)):
+        for order in range(2, 9):
+            w = rigidity._charts(cubic, crit, order)[0]
+            assert rigidity._branch(w, crit) == _restarting_branch(w, crit), (crit, order)
+
+
+def test_formal_newton_checks_the_full_order_once(monkeypatch):
+    # one residual and one derivative substitution per round, at the round's
+    # order, then one residual check at the full order 13
+    _fix_w(monkeypatch, 13)
+    orders = []
+    substitute = TruncSeries.substitute_coeff_var
+
+    def counted(series, name, inner):
+        orders.append(series.order)
+        return substitute(series, name, inner)
+
+    monkeypatch.setattr(TruncSeries, "substitute_coeff_var", counted)
+    locus_series(quadratic_q(), MultiPoly.zero(CHART_VARS), 13)
+    assert orders == [1, 1, 3, 3, 7, 7, 13, 13, 13]
 
 
 # A plus-side unit factor whose constant term depends on y breaks the wedge

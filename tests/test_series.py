@@ -432,6 +432,38 @@ def test_exponent_overflow_is_refused_under_O():
         assert line.startswith("ExponentOverflow: a product operand has an exponent of 'x'")
 
 
+_SUBSTITUTION_OVERFLOW_UNDER_O = """
+from henonlocus.errors import ExponentOverflow
+from henonlocus.series import WIDTH, MultiPoly
+
+ring = ("x", "y", "z")
+z = MultiPoly.variable("z", ring)
+half = 2 ** (WIDTH - 2)
+for exps, value in (((2 * half, 0, 0), z), ((half, half, 0), z), ((2 * half, 0, 0), z * z)):
+    try:
+        MultiPoly(ring, {exps: 1}).substitute({"x": value, "y": value}, ring)
+    except ExponentOverflow as exc:
+        print("ExponentOverflow:", exc)
+"""
+
+
+def test_substitution_overflow_is_refused_under_O():
+    src = str(pathlib.Path(henonlocus.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _SUBSTITUTION_OVERFLOW_UNDER_O],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+        timeout=120,
+    ).stdout
+    lines = out.splitlines()
+    assert len(lines) == 3
+    for line in lines:
+        assert line.startswith("ExponentOverflow: a product operand has an exponent of 'z'")
+
+
 def draw_series(draw, order):
     sparse = st.one_of(st.just(MultiPoly.zero(RING)), polys)
     coeffs = st.lists(sparse, min_size=order + 1, max_size=order + 1)
@@ -602,3 +634,112 @@ def test_substitute_rejects_values_outside_the_target_ring():
         p.substitute({"a": MultiPoly.variable("a", AC)}, TARGET)
     with pytest.raises(TypeError):
         p.substitute({"a": 0.5}, TARGET)
+
+
+# ------------------------------------------- substitution vs a Fraction oracle
+
+SUB_TARGETS = (("a", "c", "y", "beta"), ("a", "c"))
+
+
+def _product_terms(left, right):
+    out = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, F(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def oracle_substitute(p, mapping, target):
+    """p under mapping, term by term over dicts of Fractions."""
+    one = (0,) * len(target)
+    out = {}
+    for exps, coeff in p.terms.items():
+        image = {one: coeff}
+        for name, e in zip(p.vars, exps):
+            if not e:
+                continue
+            value = mapping.get(name, MultiPoly.variable(name, target) if name in target else None)
+            if value is None:
+                raise ValueError(f"{name!r} is unmapped")
+            if not isinstance(value, MultiPoly):
+                value = MultiPoly.const(value, target)
+            for _ in range(e):
+                image = _product_terms(image, dict(value.terms))
+        for e, c in image.items():
+            out[e] = out.get(e, F(0)) + c
+    return MultiPoly(target, {e: c for e, c in out.items() if c})
+
+
+@st.composite
+def substitutions(draw):
+    """A polynomial over RING, a map that mixes renames, rationals, zero,
+    single terms with den != 1 and multi-term values, and its target ring."""
+    target = draw(st.sampled_from(SUB_TARGETS))
+    target_exps = st.tuples(*[st.integers(0, 2)] * len(target))
+    values = st.one_of(
+        st.builds(MultiPoly.variable, st.sampled_from(target), st.just(target)),
+        rationals,
+        st.just(F(0)),
+        st.just(MultiPoly.zero(target)),
+        st.builds(
+            lambda exps, c: MultiPoly(target, {exps: c}),
+            target_exps,
+            st.builds(F, st.integers(-9, 9).filter(bool), st.sampled_from([2, 3, 7, 10])),
+        ),
+        st.dictionaries(target_exps, rationals, min_size=2, max_size=3)
+        .map(lambda terms: MultiPoly(target, terms))
+        .filter(lambda v: len(v.terms) >= 2),
+    )
+    mapping = {}
+    for name in RING:
+        if name not in target or draw(st.booleans()):
+            mapping[name] = draw(values)
+    p = draw(
+        st.dictionaries(st.tuples(*[st.integers(0, 3)] * len(RING)), rationals, max_size=6)
+    )
+    return MultiPoly(RING, p), mapping, target
+
+
+@settings(max_examples=150, deadline=None)
+@given(substitutions())
+def test_substitute_equals_the_term_by_term_oracle(case):
+    p, mapping, target = case
+    assert p.substitute(mapping, target) == oracle_substitute(p, mapping, target)
+
+
+def test_substitute_refuses_an_unmapped_variable_missing_from_the_target():
+    p = P(RING, {(1, 0, 0, 2): 3, (0, 1, 0, 0): 1})  # 3 a y^2 + c
+    with pytest.raises(ValueError, match="'y' is not mapped and not in the target ring"):
+        p.substitute({}, AC)
+    # a variable no term uses needs no value
+    assert p.substitute({"y": F(1, 2)}, AC) == P(AC, {(1, 0): F(3, 4), (0, 1): 1})
+
+
+def test_substitute_refuses_an_image_exponent_at_the_top_bit():
+    ring = ("x", "y", "z")
+    z = MultiPoly.variable("z", ring)
+    top = 2 ** (series.WIDTH - 1)
+    with pytest.raises(ExponentOverflow) as kernel:
+        series._cauchy_product([MultiPoly(ring, {(0, 0, top): 1})], [z], ring, 0)
+
+    def image(exps, mapping):
+        return MultiPoly(ring, {exps: F(2, 3)}).substitute(mapping, ring)
+
+    renamed = {"x": z, "y": z}
+    scaled = {"x": MultiPoly(ring, {(0, 0, 1): F(-5, 7)}), "y": z}
+    for exps, mapping in (
+        ((top, 0, 0), renamed),  # a rename
+        ((top // 2, top // 2, 0), renamed),  # two fields that sum to the top bit
+        ((top // 2, top // 2, 0), scaled),  # a single term with den != 1
+        ((top // 2, 0, top // 2), {"x": z}),  # a carried-over variable
+        ((top, 0, 0), {"x": z * z}),  # a sum that would carry into the next field
+        ((1, 0, top - 1), {"x": z + 1}),  # a multi-term value, shifted
+    ):
+        with pytest.raises(ExponentOverflow) as refused:
+            image(exps, mapping)
+        assert str(refused.value) == str(kernel.value), exps
+    # one below the top bit is fine, and a zero value kills the term first
+    assert image((top // 2, top // 2 - 1, 0), renamed) == MultiPoly(ring, {(0, 0, top - 1): F(2, 3)})
+    assert image((top, 0, 0), {"x": F(0)}).is_zero()
+

@@ -164,18 +164,64 @@ def test_one_chart_builder():
     }
 
 
+def _function_names(module, predicate):
+    """Names of the functions defined in module that satisfy predicate."""
+    path = PACKAGE / module
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and predicate(node)
+    ]
+
+
 def test_one_composition_routine():
     # The three chart pieces A, Bx and Bv are composed by one routine from
     # one set of powers of vtil, and only the chart builder calls it.
-    path = PACKAGE / "rigidity.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    composers = [
-        node.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and "compose" in node.name
-    ]
+    composers = _function_names("rigidity.py", lambda fn: "compose" in fn.name)
     assert composers == ["_compose_shared"]
     assert _functions_naming("_compose_shared") == {("rigidity.py", "_charts")}
+
+
+def test_one_substitution_routine():
+    # A polynomial is substituted into by one routine, whatever its values
+    # (renames, rationals, single terms and sums alike): there is no
+    # _substitute_* fork beside it.  substitute_coeff_var is the series
+    # layer's Horner over a coefficient variable.
+    assert _function_names("series.py", lambda fn: "substitut" in fn.name) == [
+        "substitute",
+        "substitute_coeff_var",
+    ]
+
+
+def _divides_by_the_derivative_at_the_iterate(node):
+    """`<series>.substitute_coeff_var(...).inverse()`: a Newton update."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "inverse"
+        and isinstance(node.func.value, ast.Call)
+        and isinstance(node.func.value.func, ast.Attribute)
+        and node.func.value.func.attr == "substitute_coeff_var"
+    )
+
+
+def test_one_formal_newton_loop():
+    # The locus branch comes from one formal Newton, _branch, which has one
+    # loop, and only the locus and the chart builders call it.
+    assert _enclosing_functions(_divides_by_the_derivative_at_the_iterate) == {
+        ("rigidity.py", "_branch")
+    }
+    loops = _function_names(
+        "rigidity.py",
+        lambda fn: fn.name == "_branch"
+        and sum(isinstance(node, (ast.For, ast.While)) for node in ast.walk(fn)) == 1,
+    )
+    assert loops == ["_branch"]
+    assert _functions_naming("_branch") == {
+        ("rigidity.py", "locus_series"),
+        ("rigidity.py", "chart_series"),
+    }
 
 
 def test_no_thread_pool_renders_pixels():
