@@ -249,14 +249,6 @@ def domain_params(p: Polynomial) -> DomainParams:
     return DomainParams(r=r, R=R, alpha=1.05 * hi, degree=p.degree)
 
 
-def in_v_plus(z: Point, dp: DomainParams) -> bool:
-    return abs(z[0]) > abs(z[1]) and abs(z[0]) > dp.alpha
-
-
-def in_v_minus(z: Point, dp: DomainParams) -> bool:
-    return abs(z[1]) > abs(z[0]) and abs(z[1]) > dp.alpha
-
-
 # ---------------------------------------------------------------------------
 # certified trap around the attracting cycle (plus side)
 

@@ -130,7 +130,13 @@ def tangency_value(henon: HenonMap, z: Point) -> TangencyValue:
     """
     z = Point(complex(z[0]), complex(z[1]))
     alpha = DEPTH_FACTOR * henon.domain_params().alpha
-    evp, (g1x, g1y) = phi_with_gradient(henon, z, "plus", alpha=alpha)
+    return _tangency(henon, z, phi_with_gradient(henon, z, "plus", alpha=alpha), alpha)
+
+
+def _tangency(henon: HenonMap, z: Point, plus, alpha: float) -> TangencyValue:
+    """tangency_value at z from `plus`, the phi_with_gradient plus-side
+    evaluation at z with V+ threshold alpha, which the caller already has."""
+    evp, (g1x, g1y) = plus
     evm, (g2x, g2y) = phi_with_gradient(henon, z, "minus", alpha=alpha)
     det = g1x * g2y - g2x * g1y
     scale = henon.degree * abs(z.x) * abs(henon.p(z.y) - z.x)
@@ -155,9 +161,9 @@ def locate_on_locus(
     """Newton in y at fixed x onto the tangency zero set, at most 16 steps.
 
     The raw determinant is holomorphic in y, so a central finite
-    difference of it drives the correction (_locus_newton_2d takes the same
-    differences in x and y for its second row); the convergence test uses
-    the normalized value.  x and y_seed must be finite (ValueError).
+    difference of it drives the correction (_locus_newton_2d's chord row
+    takes one-sided differences instead); the convergence test uses the
+    normalized value.  x and y_seed must be finite (ValueError).
     """
     y = complex(y_seed)
     if not (cmath.isfinite(x) and cmath.isfinite(y)):
@@ -299,8 +305,15 @@ def _frozen_ratio(henon: HenonMap, x: complex, y: complex, n: int, log_target: c
     """(R, dR/dx, dR/dy), R = exp(d^n log phi+(z) - log_target) at z = (x, y):
     phi+(f^n(z)) / e^log_target by the d^n lift.  Refused with `error` unless
     f^n(z) is in V+ (entry depth <= n), or if the exp overflows."""
+    return _lift(henon, phi_with_gradient(henon, Point(x, y), "plus"), n, log_target, error)
+
+
+def _lift(henon: HenonMap, plus, n: int, log_target: complex, error):
+    """_frozen_ratio from `plus`, a phi_with_gradient plus-side evaluation
+    at z with any V+ threshold: its entry depth must be <= n, and the d^n
+    lift kills the branch of log phi+ that depth picked."""
     scale = henon.degree**n
-    ev, (glx, gly) = phi_with_gradient(henon, Point(x, y), "plus")
+    ev, (glx, gly) = plus
     if ev.depth > n:
         raise error(f"f^{n} of the Newton iterate left V+ (entry depth {ev.depth})")
     try:
@@ -387,35 +400,36 @@ def _locus_newton_2d(
 ) -> Tuple[complex, complex, complex]:
     """Solve (phi+ = e^{log_target}, tangency = 0) jointly for (x, y).
 
-    The phi+ row is exp(d^depth (log phi+ - log_target)) - 1 and its exact
-    gradient, by the d^depth lift (_frozen_ratio; f^depth(x, y) must stay in
-    V+, else NewtonDivergence), branch-free because 2 pi i jumps die under
-    exp, and fresh every iteration.  The tangency row takes central
-    differences (eight kernel calls), so it is a chord row: taken at the
-    start (x, y) and kept while each correction at least halves the residual
-    max(|F1|, |F2| * scale), retaken where a correction does not.  An
-    iterate whose orbit a kernel call refuses (NotInEscapeRegion, as when a
-    forward orbit enters the attracting trap) is a NewtonDivergence naming
-    the iterate.  Returns (x, y, phi+ at the frozen depth)."""
+    Each iteration makes one plus-side kernel call, at the tangency depth
+    threshold DEPTH_FACTOR * alpha, and it feeds both rows.  The phi+ row is
+    exp(d^depth (log phi+ - log_target)) - 1 and its exact gradient, by the
+    d^depth lift (_lift; the entry depth at that threshold must be <= depth,
+    else NewtonDivergence), branch-free because 2 pi i jumps die under exp,
+    and fresh every iteration.  The tangency row takes forward differences
+    from the tangency value at the iterate (_chord_row, four kernel calls),
+    so it is a chord row: taken at the start (x, y) and kept while each
+    correction at least halves the residual max(|F1|, |F2| * scale),
+    retaken where a correction does not.  An iterate whose orbit a kernel
+    call refuses (NotInEscapeRegion, as when a forward orbit enters the
+    attracting trap) is a NewtonDivergence naming the iterate.  Returns
+    (x, y, phi+ at the frozen depth)."""
     deep_target = henon.degree**depth * log_target
+    alpha = DEPTH_FACTOR * henon.domain_params().alpha
     row = None
     residual = math.inf
     try:
         for _ in range(25):
-            ratio, a11, a12 = _frozen_ratio(henon, x, y, depth, deep_target, NewtonDivergence)
-            tv = tangency_value(henon, Point(x, y))
+            z = Point(x, y)
+            plus = phi_with_gradient(henon, z, "plus", alpha=alpha)
+            ratio, a11, a12 = _lift(henon, plus, depth, deep_target, NewtonDivergence)
+            tv = _tangency(henon, z, plus, alpha)
             F1 = ratio - 1.0
             F2 = tv.det
             if abs(F1) < 1e-11 and abs(F2) * tv.scale < 10.0 * NEWTON_TOL:
                 return x, y, ratio * cmath.exp(deep_target)
             previous, residual = residual, max(abs(F1), abs(F2) * tv.scale)
             if row is None or residual > 0.5 * previous:
-                h = FD_STEP * max(1.0, abs(x))
-                a21 = (
-                    tangency_value(henon, Point(x + h, y)).det
-                    - tangency_value(henon, Point(x - h, y)).det
-                ) / (2 * h)
-                row = a21, _dvalue_dy(henon, x, y)
+                row = _chord_row(henon, x, y, F2)
             a21, a22 = row
             det = a11 * a22 - a12 * a21
             if det == 0:
@@ -426,6 +440,18 @@ def _locus_newton_2d(
         raise NewtonDivergence(f"2-D Newton iterate (x, y) = ({x:.6g}, {y:.6g}): {err}") from err
     raise NewtonDivergence(
         f"2-D Newton stalled: |F1| = {abs(F1):.2e}, |F2| = {abs(F2):.2e}"
+    )
+
+
+def _chord_row(henon: HenonMap, x: complex, y: complex, det: complex) -> Tuple[complex, complex]:
+    """Forward differences (dT/dx, dT/dy) of the raw tangency determinant
+    from its value `det` at (x, y), with steps FD_STEP * max(1, |x|) and
+    FD_STEP * max(1, |y|)."""
+    h = FD_STEP * max(1.0, abs(x))
+    k = FD_STEP * max(1.0, abs(y))
+    return (
+        (tangency_value(henon, Point(x + h, y)).det - det) / h,
+        (tangency_value(henon, Point(x, y + k)).det - det) / k,
     )
 
 

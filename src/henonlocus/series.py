@@ -325,9 +325,6 @@ class MultiPoly:
         shift = WIDTH * self.vars.index(name)
         return shift, 1 << shift
 
-    def uses(self, name: str) -> bool:
-        return self.max_power(name) > 0
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         n = len(self.vars)

@@ -746,12 +746,12 @@ _PINNED_RUNS = {
     ),
     "holonomy-n1": (
         ["holonomy"],
-        "9fadcc4b61cd3ad9181965dc873598919f39d19b999cc6030c152ecfd0e90c7e",
+        "52349314cdf7f32d9326890d200567d844c8e7ac1624f9bab20fd05fea6310dc",
         {},
     ),
     "holonomy-n2": (
         ["holonomy", "--n", "2"],
-        "2fafb480cf684c113509c6e6d80ff07bb3acd6c5934314bcc9c53fa1860a0167",
+        "fa88c1d77fbd03ea57a161d9f71729cf23d409f817dbafbaddab195d0bc5953d",
         {},
     ),
     "rigidity-case-defect": (

@@ -17,14 +17,22 @@ from henonlocus.dynamics import (
     Polynomial,
     attracting_trap,
     domain_params,
-    in_v_minus,
-    in_v_plus,
     to_json,
 )
 from henonlocus.errors import DegenerateJacobian
 
 X2 = Polynomial([0, 0, 1])
 X2M1 = Polynomial([-1, 0, 1])
+
+
+def _in_v_plus(z, dp):
+    """z in V+ = {|x| > max(|y|, alpha)}."""
+    return abs(z[0]) > abs(z[1]) and abs(z[0]) > dp.alpha
+
+
+def _in_v_minus(z, dp):
+    """z in V- = {|y| > max(|x|, alpha)}."""
+    return abs(z[1]) > abs(z[0]) and abs(z[1]) > dp.alpha
 
 
 def test_polynomial_requires_monic():
@@ -124,9 +132,9 @@ def test_domain_params_scan_oracle():
 
 def test_v_membership_examples():
     dp = DomainParams(r=0.5, R=0.125, alpha=2.3625, degree=2)
-    assert in_v_plus(Point(10, 1), dp) and not in_v_minus(Point(10, 1), dp)
-    assert in_v_minus(Point(1, 10), dp)
-    assert not in_v_plus(Point(1, 1), dp) and not in_v_minus(Point(1, 1), dp)
+    assert _in_v_plus(Point(10, 1), dp) and not _in_v_minus(Point(10, 1), dp)
+    assert _in_v_minus(Point(1, 10), dp)
+    assert not _in_v_plus(Point(1, 1), dp) and not _in_v_minus(Point(1, 1), dp)
 
 
 def _sample_v_plus(rng, dp, rmax=50.0):
@@ -145,7 +153,7 @@ def test_forward_invariance(p):
         h = HenonMap(p, a)
         z = _sample_v_plus(rng, dp)
         w = h.apply(z)
-        assert in_v_plus(w, dp)
+        assert _in_v_plus(w, dp)
         assert abs(w.x) > (dp.R + 1) * abs(z.x)
 
 
@@ -159,7 +167,7 @@ def test_backward_invariance(p):
         zp = _sample_v_plus(rng, dp)
         z = Point(zp.y, zp.x)  # reflect into V-
         w = h.apply_inverse(z)
-        assert in_v_minus(w, dp)
+        assert _in_v_minus(w, dp)
         assert abs(w.y) > 2 * abs(z.y)
 
 

@@ -28,11 +28,13 @@ from henonlocus.errors import (
 from henonlocus.escape import phi_with_gradient
 from henonlocus.locus import (
     CLOSURE_TOL,
+    DEPTH_FACTOR,
     FD_STEP,
     NEWTON_TOL,
     POLISH_TOL,
     _dvalue_dy,
     _frozen_ratio,
+    _lift,
     _locus_newton_2d,
     classify_component,
     contact_order,
@@ -410,15 +412,21 @@ def _gap(p, q):
 @pytest.mark.parametrize("rho", (2.0, 8.0, 32.0))
 def test_covering_kernel_calls_per_theta_step(monkeypatch, rho):
     # the restarting loop made 47-59 calls per step on this map
-    calls = []
-    for name in ("phi_plus_eval", "phi_minus_eval"):
+    calls = {"phi_plus_eval": 0, "phi_minus_eval": 0}
+    for name in calls:
         evaluate = getattr(_kernel, name)
-        monkeypatch.setattr(
-            _kernel, name, lambda *args, evaluate=evaluate: calls.append(1) or evaluate(*args)
-        )
+
+        def counting(*args, name=name, evaluate=evaluate):
+            calls[name] += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(_kernel, name, counting)
     item = verify_biholomorphism(H, 0.0, radii=(rho,)).items[0]
     assert item.ok
-    assert len(calls) <= 24 * item.n_theta
+    assert sum(calls.values()) <= 14 * item.n_theta
+    # one plus call feeds both rows at every Newton point; the extra one is
+    # the seed's depth
+    assert calls["phi_plus_eval"] == calls["phi_minus_eval"] + 1
 
 
 @pytest.mark.parametrize("rho", (2.0, 8.0, 32.0))
@@ -454,9 +462,8 @@ def test_chord_row_is_retaken_far_from_the_solution(monkeypatch):
     # With no predictor, one theta step away needs one row on this map; the
     # seed (rho, c) and a start two steps away need the row retaken.
     rows = []
-    monkeypatch.setattr(
-        locus, "_dvalue_dy", lambda *args: rows.append(1) or _dvalue_dy(*args)
-    )
+    chord_row = locus._chord_row
+    monkeypatch.setattr(locus, "_chord_row", lambda *args: rows.append(1) or chord_row(*args))
     rho, c = 2.0, 0.0
     depth = phi_with_gradient(H, Point(rho, c), "plus")[0].depth + 1
     steps = max(64, 8 * H.degree**depth)  # as verify_biholomorphism chooses
@@ -624,6 +631,42 @@ def test_frozen_ratio_matches_iterated_oracle(henon, c):
             assert abs(got[2] - want[2]) <= 1e-10 * gradient
             checked += 1
     assert checked >= 18
+
+
+@pytest.mark.parametrize("henon, c", _LIFT_MAPS)
+def test_lift_of_the_tangency_evaluation_matches_frozen_ratio(henon, c):
+    # The 2-D Newton lifts the plus evaluation it makes for the tangency row,
+    # at the V+ threshold DEPTH_FACTOR * alpha, not _frozen_ratio's alpha.
+    # That entry depth is never shallower, so the lift refuses wherever
+    # _frozen_ratio does; past it, the two lifts agree.  Locus points with
+    # alpha < |x| < DEPTH_FACTOR * alpha enter V+ one step apart at the two
+    # thresholds.
+    alpha = henon.domain_params().alpha
+    between = [locate_on_locus(henon, f * alpha, c)[0] for f in (1.2, 1.9)]
+    offset = 0.05 - 0.1j  # keeps the ratio away from 1
+    checked, stricter = 0, 0
+    for z in _traced_points(henon, c) + between:
+        k = phi_with_gradient(henon, z, "plus")[0].depth
+        plus = phi_with_gradient(henon, z, "plus", alpha=DEPTH_FACTOR * alpha)
+        deep = plus[0].depth
+        assert deep >= k
+        for n in range(k, deep):
+            with pytest.raises(NewtonDivergence, match="left V\\+"):
+                _lift(henon, plus, n, 0j, NewtonDivergence)
+            stricter += 1
+        for n in (deep, deep + 1, deep + 2):
+            w = z
+            for _ in range(n):
+                w = henon.apply(w)
+            log_target = phi_with_gradient(henon, w, "plus")[0].log_value + offset
+            got = _lift(henon, plus, n, log_target, NewtonDivergence)
+            want = _frozen_ratio(henon, *z, n, log_target, NewtonDivergence)
+            assert abs(got[0] - want[0]) <= 1e-10 * abs(want[0])
+            gradient = max(abs(want[1]), abs(want[2]))
+            assert abs(got[1] - want[1]) <= 1e-10 * gradient
+            assert abs(got[2] - want[2]) <= 1e-10 * gradient
+            checked += 1
+    assert checked >= 24 and stricter >= 2
 
 
 @pytest.mark.parametrize("henon, c", _LIFT_MAPS)
