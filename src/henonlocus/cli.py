@@ -28,27 +28,10 @@ from dataclasses import asdict, dataclass
 
 from .dynamics import HenonMap, Point, Polynomial, to_json
 from .errors import ConfigError, HenonLocusError
-from .escape import green, phi_minus, phi_plus
-from .gridfield import green_grid, grid_sidecar, grid_to_csv, grid_to_pgm
-from .holonomy import monodromy_orbit, psi_pair, require_exponent, same_leaf_plus
-from .locus import (
-    contact_order,
-    locate_on_locus,
-    trace_primary_component,
-    trace_to_csv,
-    trace_to_json,
-)
-from .manifolds import (
-    gradient_index,
-    local_stable_graph,
-    local_unstable_graph,
-    manifold_to_json,
-)
-from .rigidity import (
-    check_partial_solution,
-    defect_coefficients_text,
-    verify_table_case,
-)
+
+# Each subcommand imports the modules it runs inside its handler, so that a
+# run loads only what it uses: numpy comes only with green-grid and manifold,
+# and multiprocessing only with green-grid.
 
 
 class _CheckFailed(Exception):
@@ -282,6 +265,8 @@ def _write(out_dir, name, payload):
 
 
 def _cmd_green_grid(opts):
+    from .gridfield import green_grid, grid_sidecar, grid_to_csv, grid_to_pgm
+
     grid = green_grid(
         _build_map(opts),
         str(opts["kind"]),
@@ -319,6 +304,8 @@ def _trace_check(trace):
 
 
 def _cmd_critlocus(opts):
+    from .locus import trace_primary_component, trace_to_csv, trace_to_json
+
     henon = _build_map(opts)
     trace = trace_primary_component(
         henon,
@@ -344,6 +331,9 @@ def _cmd_critlocus(opts):
 
 
 def _cmd_holonomy(opts):
+    from .holonomy import monodromy_orbit, psi_pair, require_exponent, same_leaf_plus
+    from .locus import locate_on_locus
+
     henon = _build_map(opts)
     n = _as_int(opts["n"], "n")
     require_exponent(n)
@@ -382,6 +372,13 @@ def _cmd_holonomy(opts):
 
 
 def _cmd_manifold(opts):
+    from .manifolds import (
+        gradient_index,
+        local_stable_graph,
+        local_unstable_graph,
+        manifold_to_json,
+    )
+
     henon = _build_map(opts)
     side = str(opts["side"])
     depth = {}  # unset: each builder's own default depth
@@ -425,6 +422,8 @@ def _golden_text() -> str:
 
 
 def _cmd_rigidity(opts):
+    from .rigidity import check_partial_solution, defect_coefficients_text, verify_table_case
+
     report = {}
     ok = True
     ran_anything = False
@@ -472,6 +471,8 @@ def _sample_escaping(henon, rng):
 
 
 def _suite_core(henon, opts):
+    from .escape import green, phi_minus, phi_plus
+
     tol = _as_float(opts["tol"], "tol")
     samples = _as_int(opts["samples"], "samples")
     if samples < 1:
@@ -508,6 +509,8 @@ def _suite_core(henon, opts):
 
 
 def _suite_locus(henon, opts):
+    from .locus import contact_order, trace_primary_component
+
     if henon.a == 0:
         raise ConfigError("the locus suite needs a nonzero Jacobian (--a)")
     trace = trace_primary_component(henon, 0.0, x_range=(10.0, 100.0), step=0.25)

@@ -93,14 +93,6 @@ class NotUnitSeries(HenonLocusError):
     """Rational power of a series whose constant term is not 1."""
 
 
-class NonzeroConstantInner(HenonLocusError):
-    """Series composition with an inner series of nonzero constant term."""
-
-
-class NonInvertibleLinearTerm(HenonLocusError):
-    """Series reversion needs an invertible linear coefficient."""
-
-
 class DegenerateCriticalPoint(HenonLocusError):
     """Formal locus solve requires p'(c) = 0 with p''(c) invertible."""
 

@@ -40,8 +40,6 @@ import cmath
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from ._kernel import horner, horner_with_deriv
 from .dynamics import CYCLE_STEPS, HenonMap, Point, Polynomial, _attracting_cycle, to_json
 from .errors import (
@@ -159,7 +157,11 @@ def graph_point(henon: HenonMap, manifold: LocalManifold, param) -> Point:
 
 
 def _taylor_from_circle(values, radius: float):
-    """Taylor coefficients from equispaced circle samples, noise floored."""
+    """Taylor coefficients from equispaced circle samples, noise floored.
+    numpy is imported here, its one use in the module, so that the graph
+    builders load it only when they run."""
+    import numpy as np
+
     arr = np.fft.fft(np.asarray(values, dtype=complex)) / len(values)
     top = float(np.max(np.abs(arr)))
     floor = 1e-13 * max(top, 1e-300)

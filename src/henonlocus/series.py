@@ -17,8 +17,8 @@ Two layers over one coefficient ring, all immutable by convention and exact
 ``TruncSeries``
     a formal power series in one named variable truncated at a fixed order
     N, with MultiPoly coefficients over one ring.  Arithmetic never exceeds
-    the order.  Composition and reversion assume what they classically
-    assume (zero inner constant term; invertible linear coefficient).
+    the order.  Composition and reversion are not here: the exact pipeline
+    needs neither, and the tests keep them as oracles.
 
 There are no rational-function coefficients: a caller that needs to divide
 by a polynomial clears the denominator first (see
@@ -72,13 +72,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterator, Mapping, Sequence
 
-from .errors import (
-    ExponentOverflow,
-    NonInvertibleLinearTerm,
-    NonzeroConstantInner,
-    NotUnitSeries,
-    OrderMismatch,
-)
+from .errors import ExponentOverflow, NotUnitSeries, OrderMismatch
 
 # Bits per packed exponent field, the same in every ring.  A product refuses
 # an operand exponent of 2^39 or more (the field's top bit), far above the
@@ -826,53 +820,10 @@ class TruncSeries:
             result = result + power * binom
         return result
 
-    def compose(self, inner: "TruncSeries") -> "TruncSeries":
-        """self(inner); the inner series must have zero constant term.  The
-        result is a series in the inner variable (the outer variable name may
-        differ), at the common truncation order."""
-        if self.order != inner.order:
-            raise OrderMismatch(
-                f"compose order mismatch: {self.order} vs {inner.order}"
-            )
-        if not inner.coeffs[0].is_zero():
-            raise NonzeroConstantInner("inner series has a nonzero constant term")
-        result = TruncSeries.from_poly(self.coeffs[-1], inner.var, inner.order)
-        for k in range(self.order - 1, -1, -1):
-            result = result * inner + self.coeffs[k]
-        return result
-
-    def reverse(self) -> "TruncSeries":
-        """Compositional inverse through the truncation order."""
-        if not self.coeffs[0].is_zero():
-            raise NonInvertibleLinearTerm("reversion needs zero constant term")
-        c1 = self.coeffs[1] if self.order >= 1 else self._zero_coeff()
-        inv1 = _unit_inverse(c1)
-        if inv1 is None:
-            raise NonInvertibleLinearTerm(
-                f"linear coefficient {c1!r} is not invertible"
-            )
-        ident = TruncSeries.monomial(
-            self._zero_coeff() + Fraction(1), 1, self.var, self.order
-        )
-        # fixed point g <- g - (f(g) - z) / f1; each pass gains one order
-        g = ident * inv1
-        for _ in range(self.order):
-            err = self.compose(g) - ident
-            if err.is_zero():
-                break
-            g = g - err * inv1
-        return g
-
     def derivative(self) -> "TruncSeries":
         zero = self._zero_coeff()
         out = [self.coeffs[k] * Fraction(k) for k in range(1, self.order + 1)]
         return TruncSeries(self.var, self.order, out + [zero])
-
-    def integrate(self) -> "TruncSeries":
-        out = [self._zero_coeff()]
-        for k in range(self.order):
-            out.append(self.coeffs[k] * Fraction(1, k + 1))
-        return TruncSeries(self.var, self.order, out)
 
     def map_coeffs(self, fn) -> "TruncSeries":
         return TruncSeries(self.var, self.order, [fn(c) for c in self.coeffs])

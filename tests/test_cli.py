@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import henonlocus
-from henonlocus import cli, holonomy
+from henonlocus import cli, holonomy, locus
 from henonlocus.cli import RunConfig, config_from_text, config_to_text, run
 from henonlocus.errors import ConfigError
 
@@ -422,15 +422,16 @@ def test_critlocus_checks_the_tube_about_its_critical_point(capsys, c):
 )
 def test_trace_check_failure_exits_1_with_the_report(capsys, monkeypatch, argv):
     # critlocus and the locus suite share one trace check: a residual above
-    # 1e-8 fails it, and the partial report reaches stdout
-    traced = cli.trace_primary_component
+    # 1e-8 fails it, and the partial report reaches stdout (each handler
+    # imports the trace when it runs, so the patch goes on locus)
+    traced = locus.trace_primary_component
 
     def noisy(*args, **kwargs):
         trace = traced(*args, **kwargs)
         first = dataclasses.replace(trace.samples[0], residual=2e-8)
         return dataclasses.replace(trace, samples=(first,) + trace.samples[1:])
 
-    monkeypatch.setattr(cli, "trace_primary_component", noisy)
+    monkeypatch.setattr(locus, "trace_primary_component", noisy)
     code, report = run_json(capsys, argv)
     assert code == 1
     assert report["status"] == "assertion-failed"
@@ -483,7 +484,7 @@ def test_holonomy_exponent_past_the_witness_range_exits_2(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("the locus or the monodromy orbit started")
 
-    monkeypatch.setattr(cli, "locate_on_locus", no_work)
+    monkeypatch.setattr(locus, "locate_on_locus", no_work)
     monkeypatch.setattr(holonomy, "_theta_continuation", no_work)
     for n in ("40", "-1"):
         code, report = run_json(capsys, ["holonomy", "--n", n])
