@@ -197,15 +197,15 @@ def _merged_options(args, name: str) -> dict:
 
 def _as_float(value, key):
     try:
-        return float(value)
-    except (TypeError, ValueError):
+        return float(str(value))  # as the flag's text: a config file's true is refused
+    except ValueError:
         raise ConfigError(f"{key} must be a number, got {value!r}")
 
 
 def _as_int(value, key):
     try:
-        return int(value)
-    except (TypeError, ValueError):
+        return int(str(value))  # as the flag's text: 3.9, 64.0 and true are refused
+    except ValueError:
         raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 

@@ -312,21 +312,13 @@ def locus_series(
 class ChartSeries:
     """Leaf-space charts along the locus branch at infinity (d = 2)."""
 
-    Y: TruncSeries
     chi_plus: TruncSeries
     chi_minus: TruncSeries
 
-    def truncate(self, order: int) -> "ChartSeries":
-        return ChartSeries(
-            Y=self.Y.truncate(order),
-            chi_plus=self.chi_plus.truncate(order),
-            chi_minus=self.chi_minus.truncate(order),
-        )
-
 
 def _highest_order_kept(compute):
-    """Keep the highest order computed in the process and serve every lower
-    order as its truncation.
+    """Keep the highest-order series computed in the process and serve every
+    lower order as its truncation (only ``rigidity_defect``'s is kept).
 
     Exact, because every coefficient through order n is independent of the
     truncation order.  Orders below 1 (under deg p - 1 for the quadratic
@@ -340,10 +332,8 @@ def _highest_order_kept(compute):
         nonlocal kept
         if kept is not None and 1 <= order <= kept[0]:
             return kept[1] if order == kept[0] else kept[1].truncate(order)
-        value = compute(order)
-        if kept is None or order > kept[0]:
-            kept = (order, value)
-        return value
+        kept = (order, compute(order))  # a higher order: compute refuses those below 1
+        return kept[1]
 
     def cache_clear():
         nonlocal kept
@@ -353,14 +343,13 @@ def _highest_order_kept(compute):
     return serve
 
 
-@_highest_order_kept
 def chart_series(order: int) -> ChartSeries:
-    """Y, chi_plus, chi_minus for the quadratic family p = x^2 + c.
+    """chi_plus and chi_minus for the quadratic family p = x^2 + c, in (a, c).
 
-    Built from the locus pieces at crit = 0: chi_plus = u h_plus(u, Y) and
-    chi_minus = a^2 u A(u, Y) / L(u, Y).  Each piece is exact to weighted
-    degree order + 2 and Y = O(u), so truncating it to the order and then
-    substituting y = Y(u) is exact.
+    Built from the locus pieces at crit = 0 along the branch y = Y(u):
+    chi_plus = u h_plus(u, Y) and chi_minus = a^2 u A(u, Y) / L(u, Y).  Each
+    piece is exact to weighted degree order + 2 and Y = O(u), so truncating
+    it to the order and then substituting y = Y(u) is exact.
     """
     crit = MultiPoly.zero(CHART_VARS)
     w, hp, A, lam_inv = _charts(quadratic_q(), crit, order)
@@ -376,7 +365,7 @@ def chart_series(order: int) -> ChartSeries:
     def project(series: TruncSeries) -> TruncSeries:
         return series.map_coeffs(lambda p_: p_.substitute({}, SIGMA_VARS))
 
-    Y, chi_plus, chi_minus = project(Y), project(chi_plus), project(chi_minus)
+    chi_plus, chi_minus = project(chi_plus), project(chi_minus)
     a2 = MultiPoly.variable("a", SIGMA_VARS) ** 2
     if not (
         chi_plus.coeffs[0].is_zero()
@@ -385,10 +374,9 @@ def chart_series(order: int) -> ChartSeries:
         raise SeriesInconsistency("chi_plus does not start u + O(u^2)")
     if not (chi_minus.coeffs[0].is_zero() and chi_minus.coeffs[1] == -a2):
         raise SeriesInconsistency("chi_minus does not start -a^2 u + O(u^2)")
-    return ChartSeries(Y=Y, chi_plus=chi_plus, chi_minus=chi_minus)
+    return ChartSeries(chi_plus=chi_plus, chi_minus=chi_minus)
 
 
-@_highest_order_kept
 def sigma_series(order: int) -> TruncSeries:
     """sigma = chi_minus o chi_plus^(-1) for p = x^2 + c, exact through order.
 
@@ -433,6 +421,11 @@ def rigidity_defect(order: int) -> TruncSeries:
     if not D.coeffs[0].is_zero():
         raise SeriesInconsistency("the defect has a nonzero constant term")
     return D
+
+
+# The chart and sigma series are reached only on a defect miss and keep
+# nothing; cache_clear stays for callers that clear every stage (perfbench).
+chart_series.cache_clear = sigma_series.cache_clear = lambda: None
 
 
 def defect_coefficients_text(order: int = 13) -> str:

@@ -691,14 +691,7 @@ class TruncSeries:
         return TruncSeries(self.var, self.order, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, TruncSeries):
-            self._check(other)
-            return TruncSeries(
-                self.var, self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-            )
-        coeffs = list(self.coeffs)
-        coeffs[0] = coeffs[0] - other
-        return TruncSeries(self.var, self.order, coeffs)
+        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
@@ -729,22 +722,6 @@ class TruncSeries:
             budget,
         )
         return TruncSeries(self.var, self.order, coeffs)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("use inverse() and a positive power")
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        if result is None:
-            one = self._zero_coeff() + Fraction(1)
-            return TruncSeries.from_poly(one, self.var, self.order)
-        return result
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):

@@ -160,6 +160,26 @@ def test_listed_polynomial_with_a_bad_coefficient_exits_2(capsys, tmp_path, p):
 
 
 @pytest.mark.parametrize(
+    "argv, key, value, kind",
+    [
+        (["green-grid"], "nx", "64.0", "an integer"),
+        (["green-grid"], "nx", "true", "an integer"),
+        (["verify"], "samples", "3.9", "an integer"),
+        (["verify"], "samples", "true", "an integer"),
+        (["manifold"], "mesh", "32.0", "an integer"),
+        (["manifold"], "mesh", "false", "an integer"),
+        (["verify"], "tol", "true", "a number"),
+    ],
+)
+def test_non_integer_counts_and_boolean_numbers_exit_2(capsys, tmp_path, argv, key, value, kind):
+    # a config file's 3.9 is not truncated to 3, nor its true read as 1
+    for code, report in _run_flag_and_file(capsys, tmp_path, argv, key, value):
+        assert code == 2
+        assert report["status"] == "config-error"
+        assert f"{key} must be {kind}" in report["error"]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["manifold", "--side", "unstable", "--history", "5"],

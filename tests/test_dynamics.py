@@ -251,6 +251,18 @@ def test_trap_certificate_refuses_radii_that_do_not_map_inward():
     # a centre off the cycle leaves a residual larger than the radius
     moved = tuple(Point(c.x + 0.5 * trap.rho[0], c.y) for c in trap.centres)
     assert not dynamics._trap_holds(FIELD_QUADRATIC, moved, trap.rho, trap.sigma)
+    # the y step maps B_0 onto |y - x_0| <= rho_0, so sigma_1 must exceed
+    # rho_0 + |x_0 - y_1|; shrinking sigma only eases the x inequality
+    q = len(trap.centres)
+    z0, z1 = trap.centres[0], trap.centres[1 % q]
+    sigma = list(trap.sigma)
+    sigma[1 % q] = 0.99 * (trap.rho[0] + abs(z0.x - z1.y))
+    for i, z in enumerate(trap.centres):
+        j = (i + 1) % q
+        nxt = trap.centres[j]
+        image = dynamics._x_image_radius(FIELD_QUADRATIC, z, nxt, trap.rho[i], sigma[i])
+        assert image <= (1 - TRAP_MARGIN) * trap.rho[j]
+    assert not dynamics._trap_holds(FIELD_QUADRATIC, trap.centres, trap.rho, tuple(sigma))
 
 
 def test_no_cycle_no_trap():

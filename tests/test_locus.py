@@ -294,6 +294,56 @@ def test_trace_refuses_growth_that_survives_resolving(monkeypatch):
     assert abs(err.value.sample.point.x) >= 1e3
 
 
+def _failing_solves(monkeypatch, fails):
+    """Make the trace's locate_on_locus raise NewtonDivergence on the calls
+    whose 1-based index satisfies fails; return the log x of every call."""
+    real = locus.locate_on_locus
+    seen = []
+
+    def failing(henon, x, y_seed=0.0, tol=NEWTON_TOL):
+        seen.append(math.log(x))
+        if fails(len(seen)):
+            raise NewtonDivergence(f"forced failure at x = {x}")
+        return real(henon, x, y_seed, tol)
+
+    monkeypatch.setattr(locus, "locate_on_locus", failing)
+    return seen
+
+
+def test_trace_halves_its_step_after_a_failed_solve(monkeypatch):
+    seen = _failing_solves(monkeypatch, lambda call: call == 2)
+    trace = trace_primary_component(H, 0.0, (10.0, 20.0), step=0.1)
+    # the second station fails at step 0.1 and is retaken at 0.05
+    assert seen[1] == pytest.approx(seen[0] - 0.1)
+    assert seen[2] == pytest.approx(seen[0] - 0.05)
+    xs = [abs(s.point.x) for s in trace.samples]
+    assert xs == sorted(xs)
+    assert math.log(xs[-2]) == pytest.approx(math.log(xs[-1]) - 0.05)
+    assert math.log(xs[0]) == pytest.approx(math.log(10.0))
+    assert all(s.residual < NEWTON_TOL for s in trace.samples)
+
+
+def test_trace_reraises_a_failure_at_the_first_station(monkeypatch):
+    seen = _failing_solves(monkeypatch, lambda call: call == 1)
+    with pytest.raises(NewtonDivergence, match="forced failure"):
+        trace_primary_component(H, 0.0, (10.0, 20.0), step=0.1)
+    assert len(seen) == 1
+
+
+def test_trace_reraises_a_failure_that_persists_to_a_64th_of_the_step(monkeypatch):
+    seen = _failing_solves(monkeypatch, lambda call: call >= 2)
+    with pytest.raises(NewtonDivergence, match="forced failure"):
+        trace_primary_component(H, 0.0, (10.0, 20.0), step=0.1)
+    offsets = [seen[0] - t for t in seen[1:]]
+    assert offsets == pytest.approx([0.1 / 2**k for k in range(7)])
+
+
+def test_locate_on_locus_refuses_after_16_iterations():
+    # |T| < 0 never holds, so the loop runs out
+    with pytest.raises(NewtonDivergence, match="after 16 iterations at x = 20"):
+        locate_on_locus(H, 20.0, tol=0.0)
+
+
 def test_trace_and_tangent_share_the_simple_critical_check():
     # |p'(c)| = 1e-10 at c = 5e-11: the trace accepts it, and so does the
     # tangent at infinity; |p'(c)| = 2e-9 is refused by both

@@ -19,7 +19,12 @@ import pytest
 from henonlocus import manifolds
 from henonlocus._kernel import horner
 from henonlocus.dynamics import HenonMap, Point, Polynomial
-from henonlocus.errors import GraphTransformDiverged, NewtonDivergence, OutsideVPrime
+from henonlocus.errors import (
+    GradientVanishesOnLoop,
+    GraphTransformDiverged,
+    NewtonDivergence,
+    OutsideVPrime,
+)
 from henonlocus.manifolds import (
     DELTA,
     DISK_RADIUS,
@@ -547,6 +552,46 @@ def test_gradient_index_rejects_unstable_graph():
     m = local_unstable_graph(henon, (PHI,) * 8, mesh=16)
     with pytest.raises(ValueError):
         gradient_index(henon, m, 0.4)
+
+
+def _winding_from(monkeypatch, resolved_at):
+    """Stub gradient_winding: ValueError below resolved_at nodes, else 1;
+    return the node counts it was called with."""
+    sizes = []
+
+    def winding(henon, manifold, params):
+        sizes.append(len(params))
+        if len(params) < resolved_at:
+            raise ValueError("loop sampling too coarse to track the gradient direction")
+        return 1
+
+    monkeypatch.setattr(manifolds, "gradient_winding", winding)
+    return sizes
+
+
+def test_gradient_index_doubles_the_loop_until_resolved(monkeypatch):
+    henon = HenonMap(SQUARE, 0.0)
+    m = local_stable_graph(henon, 1.0, iterations=8, mesh=16)
+    sizes = _winding_from(monkeypatch, 256)
+    assert gradient_index(henon, m, 0.4) == 1
+    assert sizes == [64, 128, 256]
+
+
+def test_gradient_index_gives_up_past_2048_nodes(monkeypatch):
+    henon = HenonMap(SQUARE, 0.0)
+    m = local_stable_graph(henon, 1.0, iterations=8, mesh=16)
+    sizes = _winding_from(monkeypatch, math.inf)
+    with pytest.raises(GradientVanishesOnLoop, match="could not be resolved"):
+        gradient_index(henon, m, 0.4)
+    assert sizes == [64, 128, 256, 512, 1024, 2048]
+
+
+def test_gradient_winding_needs_16_loop_nodes():
+    henon = HenonMap(SQUARE, 0.0)
+    m = local_stable_graph(henon, 1.0, iterations=8, mesh=16)
+    loop = [0.1 * cmath.exp(2j * math.pi * k / 15) for k in range(15)]
+    with pytest.raises(ValueError, match="at least 16 loop nodes"):
+        gradient_winding(henon, m, loop)
 
 
 def _central_difference_gradient(henon, m, t, step=1e-6):

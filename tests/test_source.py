@@ -368,6 +368,49 @@ def test_knob_ledger():
     assert sorted(KNOBS - set(found)) == [], "ledger entries with no parameter left"
 
 
+_MEMOS = {"lru_cache", "cache", "cached_property", "_highest_order_kept"}
+
+
+def _memos(tree, owner):
+    """`owner.name` of every function under tree decorated with a memo;
+    a method's owner is its class, a module function's its module."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            found += _memos(node, node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                fn = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if getattr(fn, "id", getattr(fn, "attr", None)) in _MEMOS:
+                    found.append(f"{owner}.{node.name}")
+            found += _memos(node, owner)
+    return found
+
+
+# Every result the package keeps between calls.  A new one belongs here only
+# with traffic that hits it: rigidity_defect serves orders 3, 7 and 8 from
+# order 13, while the chart and sigma series below it are reached only on
+# its misses and keep nothing.
+MEMOS = {
+    "escape.truncation_K",
+    "escape.tail_bound",
+    "Polynomial._critical_points",
+    "HenonMap.trap",
+    "CycleTrap.reach",
+    "rigidity.rigidity_defect",
+}
+
+
+def test_memo_ledger():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += _memos(tree, path.stem)
+    assert len(found) == len(set(found))
+    assert sorted(set(found) - MEMOS) == [], "new memos"
+    assert sorted(MEMOS - set(found)) == [], "ledger entries with no memo left"
+
+
 def _henon_names(tree):
     """Names that hold a HenonMap: `henon`, and any annotated HenonMap."""
     names = {"henon"}
