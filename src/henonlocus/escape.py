@@ -14,14 +14,17 @@ everything is carried in log space so the a^(e_m) factors never underflow.
 At a = 0 the minus function has the closed form phi- = (p(y) - x)^(1/d).
 
 Both sides go through one function, `_run`: one kernel call returns log
-phi and its exact gradient, and `_run` enforces the certificate behind the
-tail bound (every factor |s_k| < r) with CertificateViolation, so the check
-also holds under `python -O`; a non-finite log phi or gradient (e.g. 1/a
-overflowing for a subnormal a) is refused the same way. The domain is the
-map's own (`HenonMap.domain_params()`, which refuses |a| >= R with
-ValueError); a non-finite point (a blown-up Newton iterate, say) is refused
-with CoordinateOverflow before iterating, and an iterate past the kernel's
-overflow guard with CoordinateOverflow naming the depth.
+phi, and its exact gradient only for `phi_with_gradient` (`phi_plus`,
+`phi_minus` and `green` read the value alone, and the kernel then carries
+no Jacobian).  `_run` enforces the certificate behind the tail bound (every
+factor |s_k| < r) with CertificateViolation, so the check also holds under
+`python -O`; a non-finite log phi (e.g. 1/a overflowing for a subnormal a)
+is refused the same way, and so is a non-finite gradient where one is
+computed. The domain is the map's own (`HenonMap.domain_params()`, which
+refuses |a| >= R with ValueError); a non-finite point (a blown-up Newton
+iterate, say) is refused with CoordinateOverflow before iterating, and an
+iterate past the kernel's overflow guard with CoordinateOverflow naming
+the depth.
 
 On the plus side `_run` also hands the kernel the map's certified trap
 around f's attracting cycle (`HenonMap.trap`, computed on the first
@@ -92,8 +95,11 @@ def tail_bound(d: int, r: float, K: int) -> float:
     return -math.log(1.0 - r) / (d**K * (d - 1))
 
 
-def _run(henon, z, side, tol, alpha):
-    """(EscapeValue, gradient of log phi) on one side, from one kernel call."""
+def _run(henon, z, side, tol, alpha, gradient):
+    """(EscapeValue, gradient of log phi) on one side, from one kernel call.
+
+    With `gradient` false the kernel skips the Jacobian, and the gradient
+    returned is (0j, 0j) (the closed form's at a = 0 on the minus side)."""
     if side == "plus":
         evaluate, iterate, domain = kernel.phi_plus_eval, "forward", "V+"
     elif side == "minus":
@@ -127,7 +133,7 @@ def _run(henon, z, side, tol, alpha):
         cycle_trap = henon.trap
         trap = None if cycle_trap is None else cycle_trap.kernel_trap(alpha)
         args += (trap,)
-    status, depth, logphi, glx, gly, smax = evaluate(*args)
+    status, depth, logphi, glx, gly, smax = evaluate(*args, gradient)
     if status == kernel.NO_ESCAPE:
         if depth < DEFAULT_CAP:
             raise NotInEscapeRegion(
@@ -171,11 +177,11 @@ def _run(henon, z, side, tol, alpha):
 
 
 def phi_plus(henon: HenonMap, z: Point, tol: float = DEFAULT_TOL) -> EscapeValue:
-    return _run(henon, z, "plus", tol, None)[0]
+    return _run(henon, z, "plus", tol, None, False)[0]
 
 
 def phi_minus(henon: HenonMap, z: Point, tol: float = DEFAULT_TOL) -> EscapeValue:
-    return _run(henon, z, "minus", tol, None)[0]
+    return _run(henon, z, "minus", tol, None, False)[0]
 
 
 def phi_with_gradient(henon: HenonMap, z: Point, side: str, alpha: float | None = None):
@@ -184,7 +190,7 @@ def phi_with_gradient(henon: HenonMap, z: Point, side: str, alpha: float | None 
     `alpha` overrides the V+/V- entry threshold (the locus code pushes
     deeper, to 2*alpha, before trusting leaf geometry).
     """
-    return _run(henon, z, side, DEFAULT_TOL, alpha)
+    return _run(henon, z, side, DEFAULT_TOL, alpha, True)
 
 
 def green(henon: HenonMap, z: Point, side: str) -> GreenValue:

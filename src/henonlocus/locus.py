@@ -44,7 +44,7 @@ from .errors import (
     NotInEscapeRegion,
     NotSimpleCritical,
 )
-from .escape import phi_with_gradient
+from .escape import phi_minus, phi_plus, phi_with_gradient
 
 NEWTON_TOL = 1e-10
 DEPTH_FACTOR = 2.0  # push V+/V- entry past 2*alpha before trusting leaves
@@ -366,7 +366,7 @@ def contact_order(henon: HenonMap, z: Point) -> int:
         theta = 2.0 * math.pi * j / _PROBE_SAMPLES
         y = z.y + 1e-2 * cmath.exp(1j * theta)
         x = _leaf_x(henon, x, y, n, log_target)
-        ev, _ = phi_with_gradient(henon, Point(x, y), "minus")
+        ev = phi_minus(henon, Point(x, y))
         mu = ev.log_value
         if mus:
             quantum = 2.0 * math.pi / henon.degree ** max(ev.depth, 1)
@@ -509,7 +509,7 @@ def verify_biholomorphism(
     items = []
     for rho in radii:
         x, y = complex(rho), complex(c)
-        seed, _ = phi_with_gradient(henon, Point(x, y), "plus")
+        seed = phi_plus(henon, Point(x, y))
         depth = seed.depth + 1  # margin: the frozen iterate stays deep in V+
         sheets = henon.degree**depth
         steps = max(64, 8 * sheets)  # keep deep-value arg steps < pi/2

@@ -18,9 +18,10 @@ import time
 import numpy as np
 import pytest
 
-from henonlocus import dynamics, gridfield
+from henonlocus import _kernel, dynamics, gridfield
 from henonlocus.dynamics import HenonMap, Point, Polynomial
 from henonlocus.errors import CoordinateOverflow
+from henonlocus.escape import green, phi_minus, phi_plus
 from henonlocus.gridfield import (
     GridField,
     green_grid,
@@ -281,6 +282,33 @@ def test_trap_is_computed_once_in_the_caller(monkeypatch):
     assert calls.value == 1
     assert henon.trap is not None
     assert calls.value == 1
+
+
+def test_only_tangency_pixels_carry_the_jacobian(monkeypatch):
+    # g+ and g- read log phi alone, so their kernel entry steps take p from
+    # horner and skip p' and the Jacobian; the tangency determinant reads
+    # both gradients.  The kernel looks both routines up at call time.
+    calls = {"horner": 0, "horner_with_deriv": 0}
+    for name in calls:
+        routine = getattr(_kernel, name)
+
+        def counting(*args, name=name, routine=routine):
+            calls[name] += 1
+            return routine(*args)
+
+        monkeypatch.setattr(_kernel, name, counting)
+    henon = HenonMap(BASIC, 0.01)
+    box = ((-2.5, 2.5), (-2.5, 2.5), 8, 8)
+    green_grid(henon, "green-plus", *box, slice_value=0.3, workers=1)
+    green_grid(henon, "green-minus", *box, slice_axis="y", slice_value=0.3, workers=1)
+    z = Point(1.8, 0.3)
+    phi_plus(henon, z)
+    phi_minus(henon, z)
+    green(henon, z, "plus")
+    green(henon, z, "minus")
+    assert calls["horner"] > 0 and calls["horner_with_deriv"] == 0
+    green_grid(henon, "tangency", *box, slice_value=0.3, workers=1)
+    assert calls["horner_with_deriv"] > 0
 
 
 def test_worker_count_explicit_else_cpu_count():

@@ -288,6 +288,37 @@ def test_exact_products_stay_in_packed_integers():
     assert "Fraction" not in names
 
 
+def _calls_phi_with_gradient(node):
+    return isinstance(node, ast.Call) and "phi_with_gradient" in (
+        getattr(node.func, "id", None),
+        getattr(node.func, "attr", None),
+    )
+
+
+def _discards_the_gradient(node):
+    """`value, _ = phi_with_gradient(...)` or `phi_with_gradient(...)[0]`."""
+    if isinstance(node, ast.Assign) and _calls_phi_with_gradient(node.value):
+        return any(
+            isinstance(target, ast.Tuple)
+            and len(target.elts) == 2
+            and getattr(target.elts[1], "id", None) == "_"
+            for target in node.targets
+        )
+    return (
+        isinstance(node, ast.Subscript)
+        and _calls_phi_with_gradient(node.value)
+        and getattr(node.slice, "value", None) == 0
+    )
+
+
+def test_gradient_discard_ledger():
+    # phi_with_gradient carries the Jacobian through the kernel; a caller
+    # that reads only the value calls phi_plus or phi_minus instead.  The
+    # contact-order depth probe stays: it takes its V+ entry depth past
+    # 2 alpha, and phi_plus takes no alpha.
+    assert _enclosing_functions(_discards_the_gradient) == {("locus.py", "contact_order")}
+
+
 def _is_dataclass(cls):
     for decorator in cls.decorator_list:
         fn = decorator.func if isinstance(decorator, ast.Call) else decorator
@@ -326,7 +357,6 @@ def _knobs(node, module, prefix=""):
 # Every setting a caller can leave out.  A new one is a knob: it belongs here
 # only with a caller outside the tests that sets it.
 KNOBS = {
-    "_kernel:phi_plus_eval:trap",
     "cli:config_from_text:subcommand",
     "cli:run:argv",
     "errors:CertificateViolation.__init__:depth",
