@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "cli": ("RunConfig", "config_from_text", "config_to_text"),
+        "cli": ("RunConfig", "config_from_text"),
         "dynamics": ("DomainParams", "HenonMap", "Point", "Polynomial", "domain_params"),
         "errors": (
             "CertificateViolation",
@@ -53,7 +53,6 @@ _EXPORTS = {
             "eta_constant",
             "monodromy_orbit",
             "psi_pair",
-            "same_leaf_minus",
             "same_leaf_plus",
         ),
         "locus": (
@@ -61,14 +60,11 @@ _EXPORTS = {
             "CurveTrace",
             "RadiusReport",
             "TangencyValue",
-            "TangentAtInfinity",
             "TraceSample",
             "classify_component",
             "contact_order",
             "locate_on_locus",
             "tangency_value",
-            "tangent_at_infinity",
-            "to_u_chart",
             "trace_primary_component",
             "trace_to_csv",
             "trace_to_json",
@@ -77,16 +73,13 @@ _EXPORTS = {
         ),
         "manifolds": (
             "LocalManifold",
-            "UVPoint",
             "boundary_index",
             "gradient_index",
             "gradient_winding",
-            "graph_point",
             "local_stable_graph",
             "local_unstable_graph",
             "manifold_to_json",
             "point_from_uv",
-            "uv_coords",
         ),
         "rigidity": (
             "CaseReport",

@@ -142,13 +142,6 @@ def config_from_text(text: str, subcommand: str | None = None) -> RunConfig:
     return RunConfig(sub, opts)
 
 
-def config_to_text(config: RunConfig) -> str:
-    lines = [f"subcommand = {json.dumps(config.subcommand)}"]
-    for key in sorted(config.options):
-        lines.append(f"{key} = {json.dumps(config.options[key])}")
-    return "\n".join(lines) + "\n"
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)

@@ -73,10 +73,6 @@ class NotSimpleCritical(HenonLocusError):
     """p''(c) vanishes; the tangent computation requires a simple critical point."""
 
 
-class OutsideVPrime(HenonLocusError):
-    """Point is outside the (u, v) coordinate chart."""
-
-
 class GraphTransformDiverged(HenonLocusError):
     """Stable/unstable graph iteration failed to settle."""
 

@@ -210,6 +210,10 @@ def green(henon: HenonMap, z: Point, side: str) -> GreenValue:
     except OnDegenerateCurve:
         return GreenValue(-math.inf, True)
     except NotInEscapeRegion:
-        interior = 0.0 if side == "plus" else math.log(abs(henon.a)) / (henon.degree - 1)
-        return GreenValue(interior, True)
+        return GreenValue(_interior_green(henon, side), True)
     return GreenValue(ev.log_value.real, False)
+
+
+def _interior_green(henon: HenonMap, side: str) -> float:
+    """g+ or g- on K+/K- away from the collapse curve: 0, and log|a|/(d-1)."""
+    return 0.0 if side == "plus" else math.log(abs(henon.a)) / (henon.degree - 1)

@@ -5,9 +5,22 @@ pinned (a horizontal or vertical slice of C^2).  Pixels are independent,
 so rows are rendered by `workers` processes (default: the machine's CPU
 count), forked so that each inherits the map with its escape domain and
 trap already computed; where the platform cannot fork, or one process is
-asked for, the rows are rendered in-process.  Every process runs the same
-scalar code and rows are assembled in order, so outputs are
-byte-reproducible for a given configuration whatever the worker count.
+asked for, the rows are rendered in-process.
+
+g+ tiles, and g- tiles at a != 0, are cut into one block of contiguous rows
+per process, and each block is one call of the batch kernel (`_batch`); a
+block of one row would cost more than the scalar loop.  The batch carries
+each complex operation of the scalar kernel's value path as CPython's own
+float64 formula on separate real and imaginary arrays, and takes its logs
+and exps from cmath, so every pixel's (status, k, log phi, smax) is
+bitwise the scalar kernel's, whichever block it falls in.  A pixel the
+batch leaves in K+/K- takes `green`'s interior value, an escaping pixel
+the real part of its log phi.  A pixel whose scalar evaluation raises is
+recomputed by `green` itself, in row order, so the first error a block
+meets is the scalar path's own.  Tangency tiles, and g- at a = 0 (a closed
+form), run `tangency_value` or `green` pixel by pixel.  Either way rows
+are assembled in order, so outputs are byte-reproducible for a given
+configuration whatever the worker count.
 
 Exports: binary 16-bit PGM (P5, big-endian, row-major, affine scaling
 recorded in a JSON sidecar) and CSV rows (x, y, value).
@@ -20,9 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _batch
+from ._kernel import NO_ESCAPE, OK, OVERFLOW
 from .dynamics import HenonMap, Point, to_json
 from .errors import HenonLocusError
-from .escape import green
+from .escape import DEFAULT_CAP, GREEN_TOL, _interior_green, green, truncation_K
 from .locus import tangency_value
 
 _KINDS = ("green-plus", "green-minus", "tangency")
@@ -64,17 +79,48 @@ def worker_count(requested):
     return os.cpu_count() or 1
 
 
-# The grid a forked worker renders, set by _adopt in the worker only
-_job = None
+# (render function, grid) of a forked worker, set by _adopt in the worker only
+_work = None
 
 
-def _adopt(job):
-    global _job
-    _job = job
+def _adopt(work):
+    global _work
+    _work = work
 
 
-def _forked_row(iy):
-    return _row(_job, iy)
+def _forked(task):
+    render, job = _work
+    return render(job, task)
+
+
+def _block(job, rows):
+    """Rows `rows` (a range) of a g+ or g- tile, from one batch kernel call."""
+    henon, kind, res, ims, pin, slice_axis = job
+    side = "plus" if kind == "green-plus" else "minus"
+    nx = len(res)
+    c = (np.tile(res, len(rows)), np.repeat(ims[rows.start : rows.stop], nx))
+    p = (np.full(c[0].shape, pin.real), np.full(c[0].shape, pin.imag))
+    x, y = (c, p) if slice_axis == "x" else (p, c)
+    dp = henon.domain_params()
+    K = truncation_K(henon.degree, dp.r, GREEN_TOL)
+    args = (henon.p.coefficients, henon.a, *x, *y, K, dp.alpha, DEFAULT_CAP)
+    if side == "plus":
+        trap = henon.trap
+        kernel_trap = None if trap is None else trap.kernel_trap(dp.alpha)
+        status, _, logphi, logphi_im, smax = _batch.phi_plus_batch(*args, kernel_trap)
+    else:
+        status, _, logphi, logphi_im, smax = _batch.phi_minus_batch(*args)
+    values = np.where(status == NO_ESCAPE, _interior_green(henon, side), logphi)
+    # every pixel where the scalar path raises: the kernel raises or
+    # overflows, or escape._run refuses its smax or log phi, or its point
+    fine = (smax < dp.r) & np.isfinite(logphi) & np.isfinite(logphi_im)
+    scalar = (status == _batch.RAISES) | (status == OVERFLOW) | ((status == OK) & ~fine)
+    for part in (*x, *y):
+        scalar |= ~np.isfinite(part)
+    for i in np.flatnonzero(scalar).tolist():
+        point = Point(complex(x[0][i], x[1][i]), complex(y[0][i], y[1][i]))
+        values[i] = green(henon, point, side).value
+    return values.reshape(len(rows), nx)
 
 
 def _row(job, iy):
@@ -128,16 +174,20 @@ def green_grid(
         henon.trap
     job = (henon, kind, res, ims, pin, slice_axis)
     processes = min(worker_count(workers), ny)
+    if kind == "tangency" or (kind == "green-minus" and henon.a == 0):
+        render, tasks, chunk = _row, range(ny), -(-ny // (4 * processes))
+    else:
+        cuts = [ny * i // processes for i in range(processes + 1)]
+        render, tasks, chunk = _block, [range(*cut) for cut in zip(cuts, cuts[1:])], 1
     if processes == 1 or "fork" not in multiprocessing.get_all_start_methods():
-        rows = [_row(job, iy) for iy in range(ny)]
+        rows = [render(job, task) for task in tasks]
     else:
         # The job reaches the workers by fork, unpickled.  imap, in chunks
-        # as map takes them, raises the lowest failing row's error, as the
+        # as map takes them, raises the lowest failing task's error, as the
         # in-process loop does; leaving the block stops every worker.
-        chunk = -(-ny // (4 * processes))
         fork = multiprocessing.get_context("fork")
-        with fork.Pool(processes, initializer=_adopt, initargs=(job,)) as pool:
-            rows = list(pool.imap(_forked_row, range(ny), chunk))
+        with fork.Pool(processes, initializer=_adopt, initargs=((render, job),)) as pool:
+            rows = list(pool.imap(_forked, tasks, chunk))
     values = np.vstack(rows)
     return GridField(
         kind=kind,

@@ -88,14 +88,6 @@ def same_leaf_plus(
     return _nearest_root_witness(ratio, henon.degree)
 
 
-def same_leaf_minus(
-    henon: HenonMap, z1: Point, z2: Point
-) -> Optional[RootOfUnityWitness]:
-    """Minus-side twin of same_leaf_plus (eta cancels from the ratio)."""
-    ratio = phi_minus(henon, z1).value / phi_minus(henon, z2).value
-    return _nearest_root_witness(ratio, henon.degree)
-
-
 def require_exponent(n: int) -> None:
     """ValueError unless 0 <= n <= MAX_EXPONENT, checked before any locus work."""
     if not 0 <= n <= MAX_EXPONENT:

@@ -76,16 +76,10 @@ class TraceSample:
 class CurveTrace:
     critical_point: complex
     iterate_index: int
-    chart: str  # "standard" (x, y) or "u-chart" (1/x, y)
+    chart: str  # "standard": the samples are (x, y) points
     samples: Tuple[TraceSample, ...]
     tube_radius: float
     step: float
-
-
-@dataclass(frozen=True)
-class TangentAtInfinity:
-    c: complex
-    slope: complex  # dy/du at u = 0 along the component
 
 
 @dataclass(frozen=True)
@@ -277,25 +271,6 @@ def _first_rise(samples: Sequence[TraceSample], c: complex):
         if abs(s2.point.y - c) > abs(s1.point.y - c) + DECAY_SLACK:
             return abs(s2.point.y - c) - abs(s1.point.y - c), s2
     return None
-
-
-def tangent_at_infinity(henon: HenonMap, c: complex) -> TangentAtInfinity:
-    """Slope dy/du of the component at u = 1/x = 0, by Richardson
-    extrapolation of (y(1/u) - c)/u over u = 1e-3, 1e-3/2, ..., 1e-3/16."""
-    _require_simple_critical(henon.p, c)
-    quotients: list[complex] = []
-    y = complex(c)
-    for j in range(5):
-        u = 1e-3 * 0.5**j
-        pt, _ = locate_on_locus(henon, 1.0 / u, y, 1e-11)
-        y = pt.y
-        quotients.append((pt.y - c) / u)
-    row = quotients
-    for k in range(1, len(quotients)):
-        row = [
-            (2**k * row[i + 1] - row[i]) / (2**k - 1) for i in range(len(row) - 1)
-        ]
-    return TangentAtInfinity(c=complex(c), slope=row[0])
 
 
 # --------------------------------------------------------------- leaf probes
@@ -646,23 +621,3 @@ def trace_to_csv(trace: CurveTrace) -> str:
             ]
         )
     return buf.getvalue()
-
-
-def to_u_chart(trace: CurveTrace) -> CurveTrace:
-    """The same trace with first coordinate u = 1/x."""
-    samples = tuple(
-        TraceSample(
-            point=Point(1.0 / s.point.x, s.point.y),
-            tangency=s.tangency,
-            residual=s.residual,
-        )
-        for s in trace.samples
-    )
-    return CurveTrace(
-        critical_point=trace.critical_point,
-        iterate_index=trace.iterate_index,
-        chart="u-chart",
-        samples=samples,
-        tube_radius=trace.tube_radius,
-        step=trace.step,
-    )

@@ -48,24 +48,16 @@ from .errors import (
     NewtonDivergence,
     NotInEscapeRegion,
     OnDegenerateCurve,
-    OutsideVPrime,
 )
 from .escape import phi_with_gradient
 
 DELTA = 0.05  # radius of the v-disk of a block
 DISK_RADIUS = 0.05  # radius of the u-disk about a Julia point
 SHRINK = 0.5  # graphs are sampled on this fraction of the disk radius
-BETA = 0.8  # separation scale of the preimage branches of p near J(p)
 
 _ROOT_TOL = 1e-14
 _NODE_TOL = 1e-13
 _GRAPH_TOL = 1e-10  # sup distance at which two successive graphs agree
-
-
-@dataclass(frozen=True)
-class UVPoint:
-    u: complex
-    v: complex
 
 
 @dataclass(frozen=True)
@@ -104,20 +96,6 @@ def _root_near(p: Polynomial, target: complex, seed: complex) -> complex:
     raise NewtonDivergence("polynomial inversion did not converge")
 
 
-def uv_coords(henon: HenonMap, z: Point, delta: float = DELTA, beta: float = BETA) -> UVPoint:
-    """Block coordinates (u, v); requires |v| < delta and a branch near y."""
-    x, y = complex(z[0]), complex(z[1])
-    v = henon.p(y) - x
-    if abs(v) >= delta:
-        raise OutsideVPrime(f"|v| = {abs(v):.6g} is not below delta = {delta:.6g}")
-    u = _root_near(henon.p, x, y)
-    if abs(u - y) >= 0.5 * beta:
-        raise OutsideVPrime(
-            f"preimage branch is {abs(u - y):.6g} from y, past beta/2 = {0.5 * beta:.6g}"
-        )
-    return UVPoint(u, v)
-
-
 def point_from_uv(henon: HenonMap, u: complex, v: complex) -> Point:
     """Inverse chart: x = p(u) and y the preimage of x + v next to u."""
     u = complex(u)
@@ -146,14 +124,6 @@ def _image_u(henon, w, dx, dy):
     px, dpx = horner_with_deriv(p.coefficients, w.x)
     u_img = _root_near(p, px - henon.a * w.y, w.x)
     return u_img, (dpx * dx - henon.a * dy) / p.derivative(u_img)
-
-
-def graph_point(henon: HenonMap, manifold: LocalManifold, param) -> Point:
-    """The plane point of a manifold graph at the given disk parameter."""
-    t = complex(param)
-    if manifold.side == "stable":
-        return point_from_uv(henon, manifold.evaluate(t), t)
-    return point_from_uv(henon, t, manifold.evaluate(t))
 
 
 def _taylor_from_circle(values, radius: float):

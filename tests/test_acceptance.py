@@ -31,7 +31,6 @@ from henonlocus.manifolds import (
     boundary_index,
     gradient_index,
     gradient_winding,
-    graph_point,
     local_stable_graph,
     local_unstable_graph,
 )
@@ -41,6 +40,7 @@ from henonlocus.rigidity import (
     sigma_series,
     verify_table_case,
 )
+from test_manifolds import graph_point
 
 SQUARE = Polynomial([0, 0, 1])
 BASIC = Polynomial([-1, 0, 1])

@@ -14,10 +14,19 @@ import pytest
 
 import henonlocus
 from henonlocus import cli, holonomy, locus
-from henonlocus.cli import RunConfig, config_from_text, config_to_text, run
+from henonlocus.cli import RunConfig, config_from_text, run
 from henonlocus.errors import ConfigError
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def config_to_text(config: RunConfig) -> str:
+    """Oracle writer of the config format that config_from_text reads:
+    one `key = <JSON value>` line per option, sorted, after the subcommand."""
+    lines = [f"subcommand = {json.dumps(config.subcommand)}"]
+    for key in sorted(config.options):
+        lines.append(f"{key} = {json.dumps(config.options[key])}")
+    return "\n".join(lines) + "\n"
 
 
 def _reject_constant(token):

@@ -6,6 +6,7 @@ own evaluation loop; the PGM bytes are checked against a hand-built
 2x2 image.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -20,7 +21,7 @@ import pytest
 
 from henonlocus import _kernel, dynamics, gridfield
 from henonlocus.dynamics import HenonMap, Point, Polynomial
-from henonlocus.errors import CoordinateOverflow
+from henonlocus.errors import CertificateViolation, CoordinateOverflow
 from henonlocus.escape import green, phi_minus, phi_plus
 from henonlocus.gridfield import (
     GridField,
@@ -191,16 +192,23 @@ def test_csv_shape_and_values():
 # tile around the origin lies in the basin of its attracting fixed point
 TRAPPED = (Polynomial([-0.6 + 0.01j, 0, 1]), 0.034 + 0.029j)
 
+# The field workload's cubic at a = 0: its fixed point 0 is parabolic, so
+# the map has no trap and interior pixels run to the 200-step cap
+UNTRAPPED_CUBIC = (Polynomial([0.01, -1, 0, 1]), 0.0)
+
 PARITY_TILES = (
     # (kind, map, geometry); the tangency tile has some NaN pixels
     ("green-plus", TRAPPED, dict(re_range=(-1.5, 1.5), slice_value=0.05j)),
+    ("green-plus", UNTRAPPED_CUBIC, dict(re_range=(-1.5, 1.5), slice_value=0.05j)),
     ("green-minus", (BASIC, 0.01), dict(re_range=(-2.0, 2.0), slice_axis="y")),
+    ("green-minus", (UNTRAPPED_CUBIC[0], 0.045j), dict(re_range=(-1.5, 1.5), slice_axis="y")),
     ("tangency", TRAPPED, dict(re_range=(-1.5, 1.5), slice_value=0.05j)),
 )
 
 
 def test_grid_deterministic_across_worker_counts():
-    # ny is not a multiple of the worker count, or is smaller than it
+    # ny is not a multiple of the worker count, or is smaller than it; the
+    # green tiles are cut into one batch block per worker
     for kind, spec, geometry in PARITY_TILES:
         for workers, ny in ((2, 5), (3, 7), (8, 3)):
             henon = HenonMap(*spec)
@@ -211,7 +219,8 @@ def test_grid_deterministic_across_worker_counts():
             assert grid_to_pgm(one) == grid_to_pgm(many)
             assert grid_sidecar(one) == grid_sidecar(many)
             if kind == "green-plus":
-                assert henon.trap is not None and (one.values == 0).any()
+                assert (henon.trap is not None) == (spec is TRAPPED)
+                assert (one.values == 0).any()
             if kind == "tangency":
                 assert 0 < one.nan_pixels < one.values.size
 
@@ -236,7 +245,8 @@ def test_worker_error_reaches_the_caller_typed():
 
 def test_lowest_failing_row_raises_whichever_worker_fails_first(monkeypatch):
     # Row 1 fails slowly and rows 2 and 3 at once; the in-process loop meets
-    # row 1 first.  Forked workers inherit the patched pixel function.
+    # row 1 first.  Forked workers inherit the patched pixel function, which
+    # tangency tiles call pixel by pixel.
     def pixel(henon, kind, point):
         row = round(point.x.imag)
         if row == 1:
@@ -248,9 +258,73 @@ def test_lowest_failing_row_raises_whichever_worker_fails_first(monkeypatch):
     monkeypatch.setattr(gridfield, "_pixel_value", pixel)
     for workers in (1, 2):
         with pytest.raises(CoordinateOverflow) as caught:
-            green_grid(HenonMap(BASIC, 0.01), "green-plus", (0, 1), (0, 3), 2, 4, workers=workers)
+            green_grid(HenonMap(BASIC, 0.01), "tangency", (0, 1), (0, 3), 2, 4, workers=workers)
         assert caught.value.step == 1
     assert multiprocessing.active_children() == []
+
+
+def _first_scalar_failure(henon, kind, re_range, im_range, nx, ny):
+    """The error, and its pixel, that green() raises first in row order."""
+    side = "plus" if kind == "green-plus" else "minus"
+    for im in np.linspace(*im_range, ny):
+        for re in np.linspace(*re_range, nx):
+            point = Point(complex(re, im), 0j)
+            try:
+                green(henon, point, side)
+            except Exception as exc:
+                return exc, point
+    raise AssertionError("no pixel fails")
+
+
+def _entering_at_one(spec):
+    # alpha = 1 lies below the certified radius, so product factors reach
+    # |s| >= r, as in test_escape's certificate tests
+    henon = HenonMap(*spec)
+    henon._domain = dataclasses.replace(henon.domain_params(), alpha=1.0)
+    return henon
+
+
+@pytest.mark.parametrize(
+    "geometry, error",
+    (
+        # x = 2 enters at once with s = -4/x^2 = -1: cmath.log(0); every
+        # other pixel has |s| >= r
+        (((2.0, 2.5), (0.0, -1.5), 3, 4), ValueError),
+        (((2.25, 2.5), (0.0, -1.5), 3, 4), CertificateViolation),
+    ),
+)
+def test_batch_tiles_raise_the_first_scalar_error(monkeypatch, geometry, error):
+    # Every pixel of both blocks fails; the batch hands its failing pixels
+    # to green() in row order, and the lowest block's error reaches the
+    # caller, with the pixel the scalar loop meets first
+    spec = (Polynomial([-4, 0, 1]), 0.0)
+    expected, point = _first_scalar_failure(_entering_at_one(spec), "green-plus", *geometry)
+    assert type(expected) is error
+
+    def spy(henon, point, side):
+        try:
+            return green(henon, point, side)
+        except Exception as exc:
+            exc.pixel = point
+            raise
+
+    monkeypatch.setattr(gridfield, "green", spy)
+    for workers in (1, 2):
+        with pytest.raises(error) as caught:
+            green_grid(_entering_at_one(spec), "green-plus", *geometry, workers=workers)
+        assert caught.value.args == expected.args
+        assert caught.value.pixel == point
+        if error is CertificateViolation:
+            assert (caught.value.smax, caught.value.depth) == (expected.smax, expected.depth)
+    assert multiprocessing.active_children() == []
+
+
+def test_non_finite_log_phi_from_the_batch_is_refused_by_green():
+    # A subnormal a: 1/a is inf, and the minus kernel's log phi is NaN
+    henon = HenonMap(BASIC, 1e-309)
+    for workers in (1, 2):
+        with pytest.raises(CertificateViolation, match="non-finite .* minus side"):
+            green_grid(henon, "green-minus", (1.5, 2.0), (0.0, 0.3), 3, 4, workers=workers)
 
 
 def test_no_worker_outlives_the_call():
@@ -338,6 +412,18 @@ def test_non_finite_geometry_rejected(geometry):
     kwargs = {"re_range": (0.0, 1.0), "im_range": (0.0, 1.0), "nx": 4, "ny": 4, **geometry}
     with pytest.raises(ValueError, match="must be finite"):
         green_grid(HenonMap(BASIC, 0.01), "green-plus", **kwargs)
+
+
+@pytest.mark.parametrize("kind", ("green-plus", "green-minus"))
+def test_pixels_past_the_float_range_are_refused_typed(kind):
+    # A range wider than the largest float samples NaN and inf pixels; the
+    # batch hands them to green(), which refuses the first, as it refuses
+    # any non-finite point
+    henon = HenonMap(BASIC, 0.01)
+    for workers in (1, 2):
+        with np.errstate(all="ignore"), pytest.raises(CoordinateOverflow) as caught:
+            green_grid(henon, kind, (-1.7e308, 1.7e308), (0, 1), 3, 2, workers=workers)
+        assert caught.value.args == ("non-finite point ((nan+0j), 0j)",)
 
 
 # sha256 of PGM + sidecar + CSV of 64x64 tiles of the field workload's

@@ -9,12 +9,7 @@ from henonlocus import holonomy
 from henonlocus.dynamics import HenonMap, Point, Polynomial
 from henonlocus.errors import ContinuationFailure, DegenerateJacobian
 from henonlocus.escape import phi_minus, phi_with_gradient
-from henonlocus.holonomy import (
-    monodromy_orbit,
-    psi_pair,
-    same_leaf_minus,
-    same_leaf_plus,
-)
+from henonlocus.holonomy import _nearest_root_witness, monodromy_orbit, psi_pair, same_leaf_plus
 from henonlocus.locus import locate_on_locus
 
 SQUARE = Polynomial([0, 0, 1])
@@ -22,6 +17,13 @@ BASIC = Polynomial([-1, 0, 1])
 HSQ = HenonMap(SQUARE, 0.01)
 H = HenonMap(BASIC, 0.01)
 H0 = HenonMap(SQUARE, 0.0)
+
+
+def same_leaf_minus(henon, z1, z2):
+    """Oracle: the minus-side twin of same_leaf_plus (eta cancels from the
+    ratio), through the package's root-of-unity witness."""
+    ratio = phi_minus(henon, z1).value / phi_minus(henon, z2).value
+    return _nearest_root_witness(ratio, henon.degree)
 
 
 def leaf_partner_minus(henon, z, x2):

@@ -7,6 +7,7 @@ and classification inputs are produced by explicit forward/backward maps.
 """
 
 import cmath
+import dataclasses
 import json
 import math
 import random
@@ -39,9 +40,9 @@ from henonlocus.locus import (
     classify_component,
     contact_order,
     locate_on_locus,
+    TraceSample,
+    _require_simple_critical,
     tangency_value,
-    tangent_at_infinity,
-    to_u_chart,
     trace_primary_component,
     trace_to_csv,
     trace_to_json,
@@ -53,6 +54,35 @@ SQUARE = Polynomial([0, 0, 1])  # x^2
 BASIC = Polynomial([-1, 0, 1])  # x^2 - 1
 H0 = HenonMap(SQUARE, 0.0)
 H = HenonMap(BASIC, 0.01)
+
+
+def tangent_at_infinity(henon, c):
+    """Oracle slope dy/du of the component at u = 1/x = 0, by Richardson
+    extrapolation of (y(1/u) - c)/u over u = 1e-3, 1e-3/2, ..., 1e-3/16,
+    behind the package's simple-critical-point check."""
+    _require_simple_critical(henon.p, c)
+    quotients = []
+    y = complex(c)
+    for j in range(5):
+        u = 1e-3 * 0.5**j
+        pt, _ = locate_on_locus(henon, 1.0 / u, y, 1e-11)
+        y = pt.y
+        quotients.append((pt.y - c) / u)
+    row = quotients
+    for k in range(1, len(quotients)):
+        row = [(2**k * row[i + 1] - row[i]) / (2**k - 1) for i in range(len(row) - 1)]
+    return row[0]
+
+
+def to_u_chart(trace):
+    """Oracle: the same trace with first coordinate u = 1/x."""
+    samples = tuple(
+        TraceSample(
+            point=Point(1.0 / s.point.x, s.point.y), tangency=s.tangency, residual=s.residual
+        )
+        for s in trace.samples
+    )
+    return dataclasses.replace(trace, chart="u-chart", samples=samples)
 
 
 def scan_locus_y(henon, x, lo=-0.5, hi=0.5, step=1e-3):
@@ -155,13 +185,13 @@ def test_tangent_slope_matches_series_engine():
     Y = locus_series(quadratic_q(), MultiPoly.zero(CHART_VARS), 2)
     exact = Y.coeffs[1].evaluate({"a": Fraction(1, 100), "c": Fraction(-1)})
     assert exact == Fraction(2475, 1_000_000)  # (a - a^2)/4
-    t = tangent_at_infinity(H, 0.0)
-    assert abs(t.slope - float(exact)) < 1e-5
+    slope = tangent_at_infinity(H, 0.0)
+    assert abs(slope - float(exact)) < 1e-5
 
 
 def test_tangent_slope_degenerate_is_zero():
-    t = tangent_at_infinity(H0, 0.0)
-    assert abs(t.slope) < 1e-9
+    slope = tangent_at_infinity(H0, 0.0)
+    assert abs(slope) < 1e-9
 
 
 def test_tangent_requires_simple_critical_point():
@@ -348,7 +378,7 @@ def test_trace_and_tangent_share_the_simple_critical_check():
     # |p'(c)| = 1e-10 at c = 5e-11: the trace accepts it, and so does the
     # tangent at infinity; |p'(c)| = 2e-9 is refused by both
     assert len(trace_primary_component(H, 5e-11).samples) > 40
-    assert abs(tangent_at_infinity(H, 5e-11).slope - 0.002475) < 1e-5
+    assert abs(tangent_at_infinity(H, 5e-11) - 0.002475) < 1e-5
     for refused in (trace_primary_component, tangent_at_infinity):
         with pytest.raises(NotSimpleCritical, match="p'"):
             refused(H, 1e-9)

@@ -12,7 +12,7 @@ import cmath
 import json
 import math
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -22,28 +22,26 @@ from henonlocus.dynamics import HenonMap, Point, Polynomial
 from henonlocus.errors import (
     GradientVanishesOnLoop,
     GraphTransformDiverged,
+    HenonLocusError,
     NewtonDivergence,
-    OutsideVPrime,
 )
 from henonlocus.manifolds import (
     DELTA,
     DISK_RADIUS,
     SHRINK,
     LocalManifold,
-    UVPoint,
     boundary_index,
     gradient_index,
     gradient_winding,
-    graph_point,
     local_stable_graph,
     local_unstable_graph,
     manifold_to_json,
     point_from_uv,
-    uv_coords,
 )
 from henonlocus.escape import phi_minus
 from henonlocus.manifolds import (
     _gradient_at,
+    _root_near,
     _solve_node,
     _stable_residual,
     _taylor_from_circle,
@@ -55,6 +53,47 @@ BASIC = Polynomial([-1, 0, 1])  # x^2 - 1
 
 # beta fixed point of x^2 - 1; it lies on the Julia set boundary.
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+# ---------------------------------------------------------------------------
+# oracles: the uv chart forward, and the plane point of a graph
+
+
+BETA = 0.8  # separation scale of the preimage branches of p near J(p)
+
+
+class OutsideVPrime(HenonLocusError):
+    """Point is outside the (u, v) coordinate chart."""
+
+
+@dataclass(frozen=True)
+class UVPoint:
+    u: complex
+    v: complex
+
+
+def uv_coords(henon, z, delta=DELTA, beta=BETA):
+    """Block coordinates (u, v), the inverse of point_from_uv: v = p(y) - x
+    with |v| < delta, and u the preimage of x under p next to y, within
+    beta/2 of it."""
+    x, y = complex(z[0]), complex(z[1])
+    v = henon.p(y) - x
+    if abs(v) >= delta:
+        raise OutsideVPrime(f"|v| = {abs(v):.6g} is not below delta = {delta:.6g}")
+    u = _root_near(henon.p, x, y)
+    if abs(u - y) >= 0.5 * beta:
+        raise OutsideVPrime(
+            f"preimage branch is {abs(u - y):.6g} from y, past beta/2 = {0.5 * beta:.6g}"
+        )
+    return UVPoint(u, v)
+
+
+def graph_point(henon, manifold, param):
+    """The plane point of a manifold graph at the given disk parameter."""
+    t = complex(param)
+    if manifold.side == "stable":
+        return point_from_uv(henon, manifold.evaluate(t), t)
+    return point_from_uv(henon, t, manifold.evaluate(t))
 
 
 # ---------------------------------------------------------------------------

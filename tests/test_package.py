@@ -21,7 +21,7 @@ SRC = pathlib.Path(henonlocus.__file__).resolve().parents[1]
 
 # Every exported name, by defining module.
 EXPORTS = {
-    "cli": ["RunConfig", "config_from_text", "config_to_text"],
+    "cli": ["RunConfig", "config_from_text"],
     "dynamics": ["DomainParams", "HenonMap", "Point", "Polynomial", "domain_params"],
     "errors": [
         "CertificateViolation",
@@ -59,7 +59,6 @@ EXPORTS = {
         "eta_constant",
         "monodromy_orbit",
         "psi_pair",
-        "same_leaf_minus",
         "same_leaf_plus",
     ],
     "locus": [
@@ -67,14 +66,11 @@ EXPORTS = {
         "CurveTrace",
         "RadiusReport",
         "TangencyValue",
-        "TangentAtInfinity",
         "TraceSample",
         "classify_component",
         "contact_order",
         "locate_on_locus",
         "tangency_value",
-        "tangent_at_infinity",
-        "to_u_chart",
         "trace_primary_component",
         "trace_to_csv",
         "trace_to_json",
@@ -83,16 +79,13 @@ EXPORTS = {
     ],
     "manifolds": [
         "LocalManifold",
-        "UVPoint",
         "boundary_index",
         "gradient_index",
         "gradient_winding",
-        "graph_point",
         "local_stable_graph",
         "local_unstable_graph",
         "manifold_to_json",
         "point_from_uv",
-        "uv_coords",
     ],
     "rigidity": [
         "CaseReport",
@@ -164,6 +157,22 @@ def test_the_rigidity_pipeline_loads_only_rigidity_and_series():
     }
     assert "numpy" not in loaded
     assert "multiprocessing" not in loaded
+
+
+def test_green_tiles_load_nothing_past_gridfield():
+    # Forked grid workers exit after each tile, so a module the batch kernel
+    # loaded lazily would be imported again by every worker of every tile
+    grid = (
+        "from henonlocus.dynamics import HenonMap, Polynomial\n"
+        "from henonlocus.gridfield import green_grid\n"
+        "henon = HenonMap(Polynomial([-0.6, 0, 1]), 0.03)\n"
+        "henon.domain_params(), henon.trap\n"
+    )
+    tiles = (
+        "for kind in ('green-plus', 'green-minus'):\n"
+        "    green_grid(henon, kind, (-2, 2), (-2, 2), 8, 8, workers=1)\n"
+    )
+    assert _loaded_after(grid + tiles) == _loaded_after(grid)
 
 
 def _imported_by(*argv):

@@ -240,13 +240,69 @@ def _imports_numpy(node):
 
 
 def test_numpy_import_ledger():
-    # numpy is imported at module level only by gridfield, and otherwise only
-    # inside the manifold graphs' FFT, so that importing any other module --
-    # the package itself, the CLI, rigidity -- does not load it.
+    # numpy is imported at module level only by gridfield and the batch
+    # kernel that only gridfield imports, and otherwise only inside the
+    # manifold graphs' FFT, so that importing any other module -- the
+    # package itself, the CLI, rigidity -- does not load it.
     assert _enclosing_functions(_imports_numpy) == {
+        ("_batch.py", "<module>"),
         ("gridfield.py", "<module>"),
         ("manifolds.py", "_taylor_from_circle"),
     }
+    assert {module for module, _ in _functions_naming("_batch")} == {"gridfield.py"}
+
+
+# numpy routines that are not bitwise CPython's complex arithmetic or its
+# cmath/math functions on every host, and numpy's complex dtypes
+_NOT_CPYTHONS = {"log", "log1p", "exp", "arctan2"}
+_COMPLEX_DTYPES = {"complex64", "complex128", "complex_", "csingle", "cdouble", "clongdouble"}
+
+
+def _is_complex_dtype(node):
+    """`complex`, np.complex128 and kin, or a complex dtype string."""
+    if isinstance(node, ast.Name):
+        return node.id in {"complex"} | _COMPLEX_DTYPES
+    if isinstance(node, ast.Attribute):
+        return node.attr in _COMPLEX_DTYPES
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return "complex" in node.value or node.value.lstrip("<>=") in {"c8", "c16", "F", "D", "G"}
+    return False
+
+
+def _leaves_cpython_arithmetic(node):
+    """np.log/log1p/exp/arctan2 (also imported bare), or a complex dtype
+    passed as `dtype=` or to `astype`."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in _NOT_CPYTHONS | _COMPLEX_DTYPES and getattr(
+            node.value, "id", None
+        ) in ("np", "numpy")
+    if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+        return any(alias.name in _NOT_CPYTHONS | _COMPLEX_DTYPES for alias in node.names)
+    if isinstance(node, ast.keyword) and node.arg == "dtype":
+        return _is_complex_dtype(node.value)
+    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "astype":
+        return any(map(_is_complex_dtype, node.args))
+    return False
+
+
+def test_batch_kernel_stays_split_real():
+    # numpy's complex * and /, log, log1p, exp and arctan2 differ from
+    # CPython's in the last bit on some inputs, so the batch kernel holds
+    # real and imaginary parts apart and calls cmath for its logs and exps.
+    for bad in (
+        "np.log(x)",
+        "numpy.arctan2(y, x)",
+        "from numpy import exp",
+        "np.zeros(3, dtype=complex)",
+        "np.empty(3, dtype='complex128')",
+        "np.ones(2, dtype=np.complex64)",
+        "x.astype(complex)",
+        "x.astype(np.complex128)",
+    ):
+        assert any(map(_leaves_cpython_arithmetic, ast.walk(ast.parse(bad)))), bad
+    tree = ast.parse((PACKAGE / "_batch.py").read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree) if _leaves_cpython_arithmetic(node)]
+    assert found == [], f"_batch.py leaves CPython's arithmetic at lines {found}"
 
 
 def _is_real_imag_pair(node):
@@ -259,12 +315,11 @@ def _is_real_imag_pair(node):
 
 def test_one_json_writer():
     # Every JSON output goes through dynamics.to_json (strict, complex values
-    # as [re, im]); config_to_text keeps json.dumps so that a NaN in a config
-    # file round-trips.
+    # as [re, im]).
     assert _enclosing_functions(
         lambda node: (isinstance(node, ast.Attribute) and node.attr == "dumps")
         or (isinstance(node, ast.alias) and node.name == "dumps")
-    ) == {("dynamics.py", "to_json"), ("cli.py", "config_to_text")}
+    ) == {("dynamics.py", "to_json")}
     assert _find(lambda node: getattr(node, "name", None) in ("c2", "_c2")) == []
     assert _enclosing_functions(_is_real_imag_pair) == {("dynamics.py", "_pair")}
 
@@ -380,8 +435,6 @@ KNOBS = {
     "manifolds:local_stable_graph:mesh",
     "manifolds:local_unstable_graph:iterations",
     "manifolds:local_unstable_graph:mesh",
-    "manifolds:uv_coords:beta",
-    "manifolds:uv_coords:delta",
     "rigidity:defect_coefficients_text:order",
     "series:_cauchy_product:budget",
     "series:_cauchy_product:weight_at",
