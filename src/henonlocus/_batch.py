@@ -2,8 +2,9 @@
 
 `phi_plus_batch` and `phi_minus_batch` compute, for every point of a block,
 what `_kernel.phi_plus_eval` and `phi_minus_eval` return with `gradient`
-false: (status, k, logphi, smax), bit for bit.  `gridfield` renders
-Green's-function tiles through them, one call per block of rows.
+false: (status, k, logphi, smax), bit for bit.  `gridfield` renders every
+g+ and g- tile through them, one call per block of rows, with the
+arguments `escape._call_args` prepares for the scalar call.
 
 Split-real: a complex quantity is a pair of float64 arrays, its real and
 imaginary parts, and each operation is CPython's own float64 formula for it

@@ -56,11 +56,12 @@ is never -0.0, so status, k, logphi and smax are bitwise the gradient
 path's.
 
 The value-only path has a batch twin, `_batch.phi_plus_batch` and
-`phi_minus_batch`, which `gridfield` runs over blocks of Green's-function
-pixels: split-real numpy arrays with CPython's own complex formulas and
-cmath's log and exp, so that every point's (status, k, logphi, smax) is
-bitwise the one these functions return (`tests/test_batch.py`).  A change
-to the value path here must be made there too.
+`phi_minus_batch`, which `gridfield` runs once per block of rows of every
+g+ and g- tile, with the arguments `escape._call_args` prepares for the
+scalar call: split-real numpy arrays with CPython's own complex formulas
+and cmath's log and exp, so that every point's (status, k, logphi, smax)
+is bitwise the one these functions return (`tests/test_batch.py`).  A
+change to the value path here must be made there too.
 """
 
 import cmath

@@ -26,15 +26,15 @@ iterate, say) is refused with CoordinateOverflow before iterating, and an
 iterate past the kernel's overflow guard with CoordinateOverflow naming
 the depth.
 
-On the plus side `_run` also hands the kernel the map's certified trap
-around f's attracting cycle (`HenonMap.trap`, computed on the first
-plus-side call and cached on the map), when every bidisk of the trap lies
-in |x|, |y| < alpha for the call's alpha.  An orbit
-that enters it is certified bounded, and NotInEscapeRegion then names the
-trap step and radius; an orbit that neither escapes nor meets the trap is
-refused by the 200-step cap, as on the minus side.  Which of the two
-refuses changes no value: the kernel returns the plain loop's status either
-way.
+Every kernel call, `_run`'s and those of `gridfield`'s batch blocks, takes
+its domain, K, alpha and trap from `_call_args`.  On the plus side the trap
+is the map's certified one around f's attracting cycle (`HenonMap.trap`,
+computed on first use and cached on the map), handed over when every
+bidisk lies in |x|, |y| < alpha for the call's alpha.  An orbit that enters
+it is certified bounded, and NotInEscapeRegion then names the trap step
+and radius; an orbit that neither escapes nor meets the trap is refused by
+the 200-step cap, as on the minus side.  Which of the two refuses changes
+no value: the kernel returns the plain loop's status either way.
 
 Green's functions: g+ = log|phi+| on the escape side, 0 on K+;
 g- = log|phi-| on the escape side, log|a|/(d-1) on K-.
@@ -95,6 +95,16 @@ def tail_bound(d: int, r: float, K: int) -> float:
     return -math.log(1.0 - r) / (d**K * (d - 1))
 
 
+def _call_args(henon, side, tol, alpha):
+    """(domain, K for `tol`, alpha or the domain's, kernel trap or None) of a
+    kernel call on `side`; the map's trap on the plus side, if sound at alpha."""
+    dp = henon.domain_params()
+    K = truncation_K(henon.degree, dp.r, tol)
+    alpha = dp.alpha if alpha is None else alpha
+    trap = henon.trap if side == "plus" else None
+    return dp, K, alpha, None if trap is None else trap.kernel_trap(alpha)
+
+
 def _run(henon, z, side, tol, alpha, gradient):
     """(EscapeValue, gradient of log phi) on one side, from one kernel call.
 
@@ -106,9 +116,8 @@ def _run(henon, z, side, tol, alpha, gradient):
         evaluate, iterate, domain = kernel.phi_minus_eval, "backward", "V-"
     else:
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-    dp = henon.domain_params()
+    dp, K, alpha, trap = _call_args(henon, side, tol, alpha)
     d = henon.degree
-    K = truncation_K(d, dp.r, tol)
     x, y = complex(z[0]), complex(z[1])
     if not (cmath.isfinite(x) and cmath.isfinite(y)):
         raise CoordinateOverflow(f"non-finite point ({x!r}, {y!r})", point=Point(x, y))
@@ -127,18 +136,15 @@ def _run(henon, z, side, tol, alpha, gradient):
             smax=0.0,
         )
         return ev, (-1.0 / (d * v), henon.p.derivative(y) / (d * v))
-    alpha = dp.alpha if alpha is None else alpha
     args = (henon.p.coefficients, henon.a, x, y, K, alpha, DEFAULT_CAP)
     if side == "plus":
-        cycle_trap = henon.trap
-        trap = None if cycle_trap is None else cycle_trap.kernel_trap(alpha)
         args += (trap,)
     status, depth, logphi, glx, gly, smax = evaluate(*args, gradient)
     if status == kernel.NO_ESCAPE:
         if depth < DEFAULT_CAP:
             raise NotInEscapeRegion(
                 f"{iterate} iterate {depth} entered the certified trap (radius "
-                f"{trap[2]:.3g}) around the attracting {cycle_trap.period}-cycle, "
+                f"{trap[2]:.3g}) around the attracting {henon.trap.period}-cycle, "
                 f"so no {iterate} iterate ever enters {domain}"
             )
         raise NotInEscapeRegion(

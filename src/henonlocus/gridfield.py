@@ -1,26 +1,20 @@
 """Rectangular grids of escape-rate and tangency magnitudes, with exports.
 
 A grid samples one complex coordinate over a rectangle while the other is
-pinned (a horizontal or vertical slice of C^2).  Pixels are independent,
-so rows are rendered by `workers` processes (default: the machine's CPU
-count), forked so that each inherits the map with its escape domain and
-trap already computed; where the platform cannot fork, or one process is
-asked for, the rows are rendered in-process.
+pinned (a horizontal or vertical slice of C^2).  Every tile is cut into
+blocks of contiguous rows, rendered by `workers` processes (default: the
+CPU count) forked so that each inherits the map with its escape domain and
+trap computed, or in-process where the platform cannot fork or one process
+is asked for.  Blocks are assembled in row order, so outputs are
+byte-reproducible whatever the worker count.
 
-g+ tiles, and g- tiles at a != 0, are cut into one block of contiguous rows
-per process, and each block is one call of the batch kernel (`_batch`); a
-block of one row would cost more than the scalar loop.  The batch carries
-each complex operation of the scalar kernel's value path as CPython's own
-float64 formula on separate real and imaginary arrays, and takes its logs
-and exps from cmath, so every pixel's (status, k, log phi, smax) is
-bitwise the scalar kernel's, whichever block it falls in.  A pixel the
-batch leaves in K+/K- takes `green`'s interior value, an escaping pixel
-the real part of its log phi.  A pixel whose scalar evaluation raises is
-recomputed by `green` itself, in row order, so the first error a block
-meets is the scalar path's own.  Tangency tiles, and g- at a = 0 (a closed
-form), run `tangency_value` or `green` pixel by pixel.  Either way rows
-are assembled in order, so outputs are byte-reproducible for a given
-configuration whatever the worker count.
+A g+ or g- block (one per process) is one call of the batch kernel
+`_batch`, whose every pixel's (status, k, log phi, smax) is bitwise the
+scalar kernel's: K+/K- pixels take `green`'s interior value, escaping ones
+the real part of log phi, and every other pixel (one whose scalar
+evaluation raises, and g- at a = 0, a closed form) goes to `green` itself
+in row order, so a block's first error is the scalar path's own.  A
+tangency block (four per process) runs `tangency_value` pixel by pixel.
 
 Exports: binary 16-bit PGM (P5, big-endian, row-major, affine scaling
 recorded in a JSON sidecar) and CSV rows (x, y, value).
@@ -34,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _batch
-from ._kernel import NO_ESCAPE, OK, OVERFLOW
+from ._kernel import NO_ESCAPE, OK
 from .dynamics import HenonMap, Point, to_json
 from .errors import HenonLocusError
-from .escape import DEFAULT_CAP, GREEN_TOL, _interior_green, green, truncation_K
+from .escape import DEFAULT_CAP, GREEN_TOL, _call_args, _interior_green, green
 from .locus import tangency_value
 
 _KINDS = ("green-plus", "green-minus", "tangency")
@@ -93,54 +87,55 @@ def _forked(task):
     return render(job, task)
 
 
+def _pixels(job, rows):
+    """(x, y) of the pixels of rows `rows` (a range), row-major; each
+    coordinate is a pair of float64 arrays, its real and imaginary parts."""
+    henon, kind, res, ims, pin, slice_axis = job
+    c = (np.tile(res, len(rows)), np.repeat(ims[rows.start : rows.stop], len(res)))
+    p = (np.full(c[0].shape, pin.real), np.full(c[0].shape, pin.imag))
+    return (c, p) if slice_axis == "x" else (p, c)
+
+
+def _point(x, y, i):
+    return Point(complex(x[0][i], x[1][i]), complex(y[0][i], y[1][i]))
+
+
 def _block(job, rows):
     """Rows `rows` (a range) of a g+ or g- tile, from one batch kernel call."""
-    henon, kind, res, ims, pin, slice_axis = job
+    henon, kind = job[:2]
     side = "plus" if kind == "green-plus" else "minus"
-    nx = len(res)
-    c = (np.tile(res, len(rows)), np.repeat(ims[rows.start : rows.stop], nx))
-    p = (np.full(c[0].shape, pin.real), np.full(c[0].shape, pin.imag))
-    x, y = (c, p) if slice_axis == "x" else (p, c)
-    dp = henon.domain_params()
-    K = truncation_K(henon.degree, dp.r, GREEN_TOL)
-    args = (henon.p.coefficients, henon.a, *x, *y, K, dp.alpha, DEFAULT_CAP)
+    x, y = _pixels(job, rows)
+    dp, K, alpha, trap = _call_args(henon, side, GREEN_TOL, None)
+    args = (henon.p.coefficients, henon.a, *x, *y, K, alpha, DEFAULT_CAP)
     if side == "plus":
-        trap = henon.trap
-        kernel_trap = None if trap is None else trap.kernel_trap(dp.alpha)
-        status, _, logphi, logphi_im, smax = _batch.phi_plus_batch(*args, kernel_trap)
+        status, _, values, logphi_im, smax = _batch.phi_plus_batch(*args, trap)
     else:
-        status, _, logphi, logphi_im, smax = _batch.phi_minus_batch(*args)
-    values = np.where(status == NO_ESCAPE, _interior_green(henon, side), logphi)
-    # every pixel where the scalar path raises: the kernel raises or
-    # overflows, or escape._run refuses its smax or log phi, or its point
-    fine = (smax < dp.r) & np.isfinite(logphi) & np.isfinite(logphi_im)
-    scalar = (status == _batch.RAISES) | (status == OVERFLOW) | ((status == OK) & ~fine)
-    for part in (*x, *y):
-        scalar |= ~np.isfinite(part)
-    for i in np.flatnonzero(scalar).tolist():
-        point = Point(complex(x[0][i], x[1][i]), complex(y[0][i], y[1][i]))
-        values[i] = green(henon, point, side).value
-    return values.reshape(len(rows), nx)
+        status, _, values, logphi_im, smax = _batch.phi_minus_batch(*args)
+    # the batch value stands where the scalar path returns it: a pixel in
+    # K+/K-, or an escaping one whose smax and log phi _run accepts
+    interior = status == NO_ESCAPE
+    fine = (smax < dp.r) & np.isfinite(values) & np.isfinite(logphi_im)
+    kept = (interior | ((status == OK) & fine)) & np.isfinite([*x, *y]).all(0)
+    if interior.any():
+        values[interior] = _interior_green(henon, side)
+    # every other pixel raises in the scalar path, or takes its closed form
+    # (g- at a = 0): green gives its value or its error, in row order
+    for i in np.flatnonzero(~kept).tolist():
+        values[i] = green(henon, _point(x, y, i), side).value
+    return values.reshape(len(rows), -1)
 
 
-def _row(job, iy):
-    henon, kind, res, ims, pin, slice_axis = job
-    out = np.empty(len(res), dtype=float)
-    for ix, re in enumerate(res):
-        c = complex(re, ims[iy])
-        point = Point(c, pin) if slice_axis == "x" else Point(pin, c)
-        out[ix] = _pixel_value(henon, kind, point)
-    return out
-
-
-def _pixel_value(henon, kind, point):
-    if kind == "tangency":
+def _tangency_rows(job, rows):
+    """Rows `rows` (a range) of a tangency tile, pixel by pixel: |tangency|,
+    NaN where it is refused."""
+    x, y = _pixels(job, rows)
+    values = np.empty(len(x[0]))
+    for i in range(len(values)):
         try:
-            return abs(tangency_value(henon, point).value)
+            values[i] = abs(tangency_value(job[0], _point(x, y, i)).value)
         except HenonLocusError:
-            return math.nan
-    side = "plus" if kind == "green-plus" else "minus"
-    return green(henon, point, side).value
+            values[i] = math.nan
+    return values.reshape(len(rows), -1)
 
 
 def green_grid(
@@ -166,6 +161,8 @@ def green_grid(
     pin = complex(slice_value)
     if not all(map(math.isfinite, (*bounds, pin.real, pin.imag))):
         raise ValueError("grid ranges and slice value must be finite")
+    if not (math.isfinite(bounds[1] - bounds[0]) and math.isfinite(bounds[3] - bounds[2])):
+        raise ValueError("grid range widths must be finite floats")
     res = np.linspace(*bounds[:2], nx)
     ims = np.linspace(*bounds[2:], ny)
     # computed here, so that forked workers inherit them and the map keeps them
@@ -174,20 +171,20 @@ def green_grid(
         henon.trap
     job = (henon, kind, res, ims, pin, slice_axis)
     processes = min(worker_count(workers), ny)
-    if kind == "tangency" or (kind == "green-minus" and henon.a == 0):
-        render, tasks, chunk = _row, range(ny), -(-ny // (4 * processes))
-    else:
-        cuts = [ny * i // processes for i in range(processes + 1)]
-        render, tasks, chunk = _block, [range(*cut) for cut in zip(cuts, cuts[1:])], 1
+    # a green block is one batch call; tangency pixels, dearer and uneven, are cut finer
+    render = _tangency_rows if kind == "tangency" else _block
+    blocks = min(4 * processes, ny) if kind == "tangency" else processes
+    cuts = [ny * i // blocks for i in range(blocks + 1)]
+    tasks = [range(*cut) for cut in zip(cuts, cuts[1:])]
     if processes == 1 or "fork" not in multiprocessing.get_all_start_methods():
         rows = [render(job, task) for task in tasks]
     else:
-        # The job reaches the workers by fork, unpickled.  imap, in chunks
-        # as map takes them, raises the lowest failing task's error, as the
+        # The job reaches the workers by fork, unpickled.  imap, one block
+        # at a time, raises the lowest failing block's error, as the
         # in-process loop does; leaving the block stops every worker.
         fork = multiprocessing.get_context("fork")
         with fork.Pool(processes, initializer=_adopt, initargs=((render, job),)) as pool:
-            rows = list(pool.imap(_forked, tasks, chunk))
+            rows = list(pool.imap(_forked, tasks, 1))
     values = np.vstack(rows)
     return GridField(
         kind=kind,
@@ -249,12 +246,9 @@ def grid_sidecar(grid: GridField) -> str:
 def grid_to_csv(grid: GridField) -> str:
     """Rows x,y,value with x the real and y the imaginary pixel coordinate."""
     ny, nx = grid.values.shape
-    res = np.linspace(grid.re_range[0], grid.re_range[1], nx)
-    ims = np.linspace(grid.im_range[0], grid.im_range[1], ny)
+    res = np.linspace(*grid.re_range, nx).tolist()
+    ims = np.linspace(*grid.im_range, ny).tolist()
     lines = ["x,y,value"]
-    for iy in range(ny):
-        for ix in range(nx):
-            lines.append(
-                f"{float(res[ix])!r},{float(ims[iy])!r},{float(grid.values[iy, ix])!r}"
-            )
+    for im, row in zip(ims, grid.values.tolist()):
+        lines += [f"{re!r},{im!r},{value!r}" for re, value in zip(res, row)]
     return "\n".join(lines) + "\n"

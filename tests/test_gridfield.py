@@ -15,11 +15,12 @@ import os
 import struct
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
 
-from henonlocus import _kernel, dynamics, gridfield
+from henonlocus import _kernel, cli, dynamics, gridfield
 from henonlocus.dynamics import HenonMap, Point, Polynomial
 from henonlocus.errors import CertificateViolation, CoordinateOverflow
 from henonlocus.escape import green, phi_minus, phi_plus
@@ -202,6 +203,8 @@ PARITY_TILES = (
     ("green-plus", UNTRAPPED_CUBIC, dict(re_range=(-1.5, 1.5), slice_value=0.05j)),
     ("green-minus", (BASIC, 0.01), dict(re_range=(-2.0, 2.0), slice_axis="y")),
     ("green-minus", (UNTRAPPED_CUBIC[0], 0.045j), dict(re_range=(-1.5, 1.5), slice_axis="y")),
+    # a = 0: the batch refuses every pixel, and green gives the closed form
+    ("green-minus", (BASIC, 0.0), dict(re_range=(-2.0, 2.0), slice_axis="y", slice_value=0.3)),
     ("tangency", TRAPPED, dict(re_range=(-1.5, 1.5), slice_value=0.05j)),
 )
 
@@ -245,21 +248,22 @@ def test_worker_error_reaches_the_caller_typed():
 
 def test_lowest_failing_row_raises_whichever_worker_fails_first(monkeypatch):
     # Row 1 fails slowly and rows 2 and 3 at once; the in-process loop meets
-    # row 1 first.  Forked workers inherit the patched pixel function, which
-    # tangency tiles call pixel by pixel.
-    def pixel(henon, kind, point):
+    # row 1 first.  Forked workers inherit the patched tangency function,
+    # which tangency tiles call pixel by pixel; its error is not a
+    # HenonLocusError, so it is raised rather than read as a NaN pixel.
+    def tangency(henon, point):
         row = round(point.x.imag)
         if row == 1:
             time.sleep(0.3)
         if row >= 1:
-            raise CoordinateOverflow(f"row {row}", step=row, point=point)
-        return 0.0
+            raise RuntimeError(f"row {row}")
+        return types.SimpleNamespace(value=0j)
 
-    monkeypatch.setattr(gridfield, "_pixel_value", pixel)
+    monkeypatch.setattr(gridfield, "tangency_value", tangency)
     for workers in (1, 2):
-        with pytest.raises(CoordinateOverflow) as caught:
+        with pytest.raises(RuntimeError) as caught:
             green_grid(HenonMap(BASIC, 0.01), "tangency", (0, 1), (0, 3), 2, 4, workers=workers)
-        assert caught.value.step == 1
+        assert caught.value.args == ("row 1",)
     assert multiprocessing.active_children() == []
 
 
@@ -415,15 +419,29 @@ def test_non_finite_geometry_rejected(geometry):
 
 
 @pytest.mark.parametrize("kind", ("green-plus", "green-minus"))
-def test_pixels_past_the_float_range_are_refused_typed(kind):
-    # A range wider than the largest float samples NaN and inf pixels; the
-    # batch hands them to green(), which refuses the first, as it refuses
-    # any non-finite point
+def test_pixels_past_the_float_range_are_refused_typed(kind, capsys):
+    # A range wider than the largest float would sample NaN and inf pixels:
+    # it is refused where it enters, which the CLI reports as a
+    # configuration error
     henon = HenonMap(BASIC, 0.01)
     for workers in (1, 2):
-        with np.errstate(all="ignore"), pytest.raises(CoordinateOverflow) as caught:
-            green_grid(henon, kind, (-1.7e308, 1.7e308), (0, 1), 3, 2, workers=workers)
-        assert caught.value.args == ("non-finite point ((nan+0j), 0j)",)
+        for ranges in (((-1.7e308, 1.7e308), (0, 1)), ((0, 1), (-1.7e308, 1.7e308))):
+            with pytest.raises(ValueError, match="widths must be finite"):
+                green_grid(henon, kind, *ranges, 3, 2, workers=workers)
+    argv = ["green-grid", "--kind", kind, "--re-min=-1.7e308", "--re-max", "1.7e308"]
+    assert cli.run([*argv, "--nx", "3", "--ny", "2"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "config-error"
+    assert "widths must be finite" in report["error"]
+
+
+def test_blocks_hand_non_finite_pixels_to_green():
+    # green_grid refuses such ranges; a block that meets a non-finite pixel
+    # all the same hands it to green(), which refuses it typed
+    job = (HenonMap(BASIC, 0.01), "green-plus", np.array([0.5, math.inf]), np.zeros(2), 0j, "x")
+    with pytest.raises(CoordinateOverflow) as caught:
+        gridfield._block(job, range(2))
+    assert caught.value.args == ("non-finite point ((inf+0j), 0j)",)
 
 
 # sha256 of PGM + sidecar + CSV of 64x64 tiles of the field workload's

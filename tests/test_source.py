@@ -222,6 +222,20 @@ def test_one_formal_newton_loop():
     }
 
 
+def _prepares_a_kernel_call(node):
+    """A call of truncation_K, bare or as an attribute, or of .kernel_trap."""
+    return isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == "truncation_K"
+        or getattr(node.func, "attr", None) in ("truncation_K", "kernel_trap")
+    )
+
+
+def test_one_kernel_call_preparation():
+    # The scalar path and the batch blocks take their truncation K and the
+    # trap's kernel form from one helper, so the two cannot drift apart.
+    assert _enclosing_functions(_prepares_a_kernel_call) == {("escape.py", "_call_args")}
+
+
 def test_no_thread_pool_renders_pixels():
     # The escape kernel is pure Python, so threads share one interpreter
     # lock: grid rows go to forked processes instead.
