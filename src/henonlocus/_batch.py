@@ -1,10 +1,11 @@
 """Value-only escape kernels over blocks of points: `_kernel`'s batch twin.
 
 `phi_plus_batch` and `phi_minus_batch` compute, for every point of a block,
-what `_kernel.phi_plus_eval` and `phi_minus_eval` return with `gradient`
-false: (status, k, logphi, smax), bit for bit.  `gridfield` renders every
-g+ and g- tile through them, one call per block of rows, with the
-arguments `escape._call_args` prepares for the scalar call.
+the value slots of what `_kernel.phi_plus_eval` and `phi_minus_eval` return:
+(status, k, logphi, smax), bit for bit, without the Jacobian or the
+gradient.  They are the package's only value-only loops.  `gridfield`
+renders every g+ and g- tile through them, one call per block of rows,
+with the arguments `escape._call_args` prepares for the scalar call.
 
 Split-real: a complex quantity is a pair of float64 arrays, its real and
 imaginary parts, and each operation is CPython's own float64 formula for it
@@ -30,7 +31,7 @@ iterating has made k steps; each step drops the points that escape, reach
 the cap, enter the trap or pass the overflow guard.  The product loop runs
 the escaped points factor by factor (factor j divides by d^j whatever the
 entry step) and drops each point at its dead tail, u = w = 0 (v = t = 0),
-as the value-only kernel leaves its loop there.
+past which the scalar kernel adds only +-0 to the log sum (see `_kernel`).
 
 Where the scalar kernel raises instead of returning (abs of finite parts
 overflowing, an infinite `**`, `cmath.log(0)` with its 1/t, `cmath.exp`
@@ -300,8 +301,8 @@ def _finish(block, d, idx, xr, xi, lsr, lsi, ok, log_a):
 
 
 def phi_plus_batch(coeffs, a, xr, xi, yr, yi, K, alpha, cap, trap):
-    """`_kernel.phi_plus_eval(coeffs, a, x, y, K, alpha, cap, trap, False)`
-    for every point (xr + i xi, yr + i yi) of the float64 arrays.
+    """The value slots of `_kernel.phi_plus_eval(coeffs, a, x, y, K, alpha,
+    cap, trap)` for every point (xr + i xi, yr + i yi) of the float64 arrays.
 
     Returns arrays (status, k, logphi_re, logphi_im, smax), one entry per
     point; status RAISES marks a point where the scalar kernel raises.
@@ -320,9 +321,9 @@ def phi_plus_batch(coeffs, a, xr, xi, yr, yi, K, alpha, cap, trap):
 
 
 def phi_minus_batch(coeffs, a, xr, xi, yr, yi, K, alpha, cap):
-    """`_kernel.phi_minus_eval(coeffs, a, x, y, K, alpha, cap, False)` for
-    every point (xr + i xi, yr + i yi) of the float64 arrays; a = 0 raises
-    at every point, as 1/a does in the scalar kernel.
+    """The value slots of `_kernel.phi_minus_eval(coeffs, a, x, y, K, alpha,
+    cap)` for every point (xr + i xi, yr + i yi) of the float64 arrays; a = 0
+    raises at every point, as 1/a does in the scalar kernel.
 
     Returns arrays (status, k, logphi_re, logphi_im, smax) as
     `phi_plus_batch` does.

@@ -4,9 +4,9 @@ The two routines below are the hot per-point computations everything else
 builds on: iterate a point of C^2 into the forward (resp. backward) escape
 domain while propagating the 2x2 complex Jacobian, then accumulate the
 truncated telescoping product for log phi+ (resp. log phi-) together with
-its holomorphic gradient.  The Jacobian and the gradient are carried only
-when the caller asks for them (`gradient` true); otherwise both slots of
-the result are 0j.
+its holomorphic gradient.  Every call carries the Jacobian and the
+gradient: the paper's critical locus is where the gradients of log phi+
+and log phi- are parallel, and every scalar caller reads them.
 
 Their entry loops are the package's only Jacobian-carrying iteration of f,
 and `horner` / `horner_with_deriv` its only Horner routines. The product
@@ -25,7 +25,7 @@ whose recursions only involve the factor terms s_j themselves:
     s_j  = sum_i q_i u^(d-i) - a w u^(d-1),   u <- u^d/(1+s),  w <- u^(d-1)/(1+s)
     s_j- = sum_i q_i v^(d-i) - t v^(d-1),     v <- a v^d/(1+s), t <- a v^(d-1)/(1+s)
 
-Four shortcuts change the work done but not one bit of the result. Each
+Three shortcuts change the work done but not one bit of the result. Each
 entry step takes |x| and |y| once and p, p' from one Horner pass. The
 product leaves its loop at its dead tail: once the carriers (u, w and their
 gradients, or v, t and theirs) are all exactly zero, every later factor has
@@ -44,24 +44,18 @@ would have returned NO_ESCAPE at the cap with the same zero values; only
 the returned step count differs, k < cap. The minus side has no trap: f^-1
 expands volume by 1/|a| and has no attracting cycle.
 
-The fourth is the value-only path (`gradient` false). The entry loop takes
-p alone from `horner` (bitwise the p of `horner_with_deriv`) and skips the
-Jacobian update; the product loop skips
-acc2, ds/du and ds/dw (ds/dv, ds/dt), the gradient sums and the carrier
-updates. The value operations and their order are those of the gradient
-path. The gradient carriers and sums start at 0j, so the dead-tail test is
-the same line and leaves once u and w (v and t) are exactly zero; past that
-point the gradient path runs only factors that add +-0 to a log sum that
-is never -0.0, so status, k, logphi and smax are bitwise the gradient
-path's.
-
-The value-only path has a batch twin, `_batch.phi_plus_batch` and
+The value-only loops live in the batch twin, `_batch.phi_plus_batch` and
 `phi_minus_batch`, which `gridfield` runs once per block of rows of every
 g+ and g- tile, with the arguments `escape._call_args` prepares for the
 scalar call: split-real numpy arrays with CPython's own complex formulas
-and cmath's log and exp, so that every point's (status, k, logphi, smax)
-is bitwise the one these functions return (`tests/test_batch.py`).  A
-change to the value path here must be made there too.
+and cmath's log and exp.  They skip p', the Jacobian, acc2, ds/du and ds/dw
+(ds/dv, ds/dt), the gradient sums and the carrier updates, and perform the
+value operations here in the same order.  Their dead-tail test leaves once
+u and w (v and t) are exactly zero; past that point the loops here run only
+factors that add +-0 to a log sum that is never -0.0, so every point's
+(status, k, logphi, smax) is bitwise the one these functions return
+(`tests/test_batch.py`).  A change to the value operations here must be
+made there too.
 """
 
 import cmath
@@ -104,15 +98,15 @@ def _no_negative_zero(*values):
     return all(part or copysign(1.0, part) > 0.0 for z in values for part in (z.real, z.imag))
 
 
-def phi_plus_eval(coeffs, a, x, y, K, alpha, cap, trap, gradient):
-    """log phi+ at (x, y), with its gradient if `gradient` is true.
+def phi_plus_eval(coeffs, a, x, y, K, alpha, cap, trap):
+    """log phi+ at (x, y), with its gradient.
 
     coeffs: coefficients of the monic p, lowest degree first (len d+1).
     Returns (status, k, logphi, dlog_dx, dlog_dy, smax) where
     logphi = d^-k * Log(phi+(f^k(x,y))) with principal Log, k the first
     entry time into V+ = {|x| > |y|, |x| > alpha}, and smax the largest
     |s_j| met in the product (``escape._run`` raises CertificateViolation
-    unless smax < r).  With `gradient` false, dlog_dx = dlog_dy = 0j.
+    unless smax < r).
 
     trap: None, or (x0, y0, rho, sigma) from ``CycleTrap.kernel_trap(alpha)``;
     an iterate with |x - x0| < rho and |y - y0| < sigma ends the loop with
@@ -135,26 +129,21 @@ def phi_plus_eval(coeffs, a, x, y, K, alpha, cap, trap, gradient):
             return (NO_ESCAPE, k, 0j, 0j, 0j, 0.0)
         if ax > safe or ay > safe:
             return (OVERFLOW, k, 0j, 0j, 0j, 0.0)
-        if gradient:
-            px, dpx = horner_with_deriv(coeffs, x)
-            njxx = dpx * jxx - a * jyx
-            njxy = dpx * jxy - a * jyy
-            jyx, jyy = jxx, jxy
-            jxx, jxy = njxx, njxy
-        else:
-            px = horner(coeffs, x)
+        px, dpx = horner_with_deriv(coeffs, x)
+        njxx = dpx * jxx - a * jyx
+        njxy = dpx * jxy - a * jyy
+        jyx, jyy = jxx, jxy
+        jxx, jxy = njxx, njxy
         x, y = px - a * y, x
         k += 1
 
     u = 1.0 / x
     w = y * u
-    gux = guy = gwx = gwy = glx = gly = 0j
-    if gradient:
-        uu = u * u
-        gux, guy = -jxx * uu, -jxy * uu
-        gwx = (jyx * x - y * jxx) * uu
-        gwy = (jyy * x - y * jxy) * uu
-        glx, gly = jxx * u, jxy * u  # gradient of Log x_k
+    uu = u * u
+    gux, guy = -jxx * uu, -jxy * uu
+    gwx = (jyx * x - y * jxx) * uu
+    gwy = (jyy * x - y * jxy) * uu
+    glx, gly = jxx * u, jxy * u  # gradient of Log x_k
     logsum = 0j
     smax = 0.0
     dj = 1
@@ -163,15 +152,10 @@ def phi_plus_eval(coeffs, a, x, y, K, alpha, cap, trap, gradient):
             break  # dead tail: see the module docstring
         dj *= d
         # acc = sum_i q_i u^(d-1-i), acc2 = sum_i (d-i) q_i u^(d-1-i)
-        acc = 0j
-        if gradient:
-            acc2 = 0j
-            for i in range(d):
-                acc = acc * u + coeffs[i]
-                acc2 = acc2 * u + (d - i) * coeffs[i]
-        else:
-            for i in range(d):
-                acc = acc * u + coeffs[i]
+        acc = acc2 = 0j
+        for i in range(d):
+            acc = acc * u + coeffs[i]
+            acc2 = acc2 * u + (d - i) * coeffs[i]
         u_dm2 = u ** (d - 2)
         u_dm1 = u_dm2 * u
         s = u * acc - a * w * u_dm1
@@ -182,18 +166,17 @@ def phi_plus_eval(coeffs, a, x, y, K, alpha, cap, trap, gradient):
         logsum += cmath.log(t) / dj
         u_d = u_dm1 * u
         inv_t = 1.0 / t
-        if gradient:
-            dsdu = acc2 - a * w * (d - 1) * u_dm2
-            dsdw = -a * u_dm1
-            gsx = dsdu * gux + dsdw * gwx
-            gsy = dsdu * guy + dsdw * gwy
-            glx += gsx / (t * dj)
-            gly += gsy / (t * dj)
-            ngux = (d * u_dm1 * gux - u_d * gsx * inv_t) * inv_t
-            nguy = (d * u_dm1 * guy - u_d * gsy * inv_t) * inv_t
-            ngwx = ((d - 1) * u_dm2 * gux - u_dm1 * gsx * inv_t) * inv_t
-            ngwy = ((d - 1) * u_dm2 * guy - u_dm1 * gsy * inv_t) * inv_t
-            gux, guy, gwx, gwy = ngux, nguy, ngwx, ngwy
+        dsdu = acc2 - a * w * (d - 1) * u_dm2
+        dsdw = -a * u_dm1
+        gsx = dsdu * gux + dsdw * gwx
+        gsy = dsdu * guy + dsdw * gwy
+        glx += gsx / (t * dj)
+        gly += gsy / (t * dj)
+        ngux = (d * u_dm1 * gux - u_d * gsx * inv_t) * inv_t
+        nguy = (d * u_dm1 * guy - u_d * gsy * inv_t) * inv_t
+        ngwx = ((d - 1) * u_dm2 * gux - u_dm1 * gsx * inv_t) * inv_t
+        ngwy = ((d - 1) * u_dm2 * guy - u_dm1 * gsy * inv_t) * inv_t
+        gux, guy, gwx, gwy = ngux, nguy, ngwx, ngwy
         u = u_d * inv_t
         w = u_dm1 * inv_t
 
@@ -203,9 +186,8 @@ def phi_plus_eval(coeffs, a, x, y, K, alpha, cap, trap, gradient):
     return (OK, k, logphi, glx / dk, gly / dk, smax)
 
 
-def phi_minus_eval(coeffs, a, x, y, K, alpha, cap, gradient):
-    """log phi- at (x, y), with its gradient if `gradient` is true;
-    requires a != 0.
+def phi_minus_eval(coeffs, a, x, y, K, alpha, cap):
+    """log phi- at (x, y), with its gradient; requires a != 0.
 
     Returns (status, m, logphi, dlog_dx, dlog_dy, smax) with
     logphi = d^-m * (e_m Log(a) + Log(phi-(f^-m(x,y)))), e_m = (d^m-1)/(d-1),
@@ -224,26 +206,21 @@ def phi_minus_eval(coeffs, a, x, y, K, alpha, cap, gradient):
             return (NO_ESCAPE, m, 0j, 0j, 0j, 0.0)
         if ax > safe or ay > safe:
             return (OVERFLOW, m, 0j, 0j, 0j, 0.0)
-        if gradient:
-            py, dpy = horner_with_deriv(coeffs, y)
-            njxx, njxy = jyx, jyy
-            njyx = (dpy * jyx - jxx) * inv_a
-            njyy = (dpy * jyy - jxy) * inv_a
-            jxx, jxy, jyx, jyy = njxx, njxy, njyx, njyy
-        else:
-            py = horner(coeffs, y)
+        py, dpy = horner_with_deriv(coeffs, y)
+        njxx, njxy = jyx, jyy
+        njyx = (dpy * jyx - jxx) * inv_a
+        njyy = (dpy * jyy - jxy) * inv_a
+        jxx, jxy, jyx, jyy = njxx, njxy, njyx, njyy
         x, y = y, (py - x) * inv_a
         m += 1
 
     v = 1.0 / y
     t = x * v
-    gvx = gvy = gtx = gty = glx = gly = 0j
-    if gradient:
-        vv = v * v
-        gvx, gvy = -jyx * vv, -jyy * vv
-        gtx = (jxx * y - x * jyx) * vv
-        gty = (jxy * y - x * jyy) * vv
-        glx, gly = jyx * v, jyy * v  # gradient of Log y_-m
+    vv = v * v
+    gvx, gvy = -jyx * vv, -jyy * vv
+    gtx = (jxx * y - x * jyx) * vv
+    gty = (jxy * y - x * jyy) * vv
+    glx, gly = jyx * v, jyy * v  # gradient of Log y_-m
     logsum = 0j
     smax = 0.0
     dj = 1
@@ -251,15 +228,10 @@ def phi_minus_eval(coeffs, a, x, y, K, alpha, cap, gradient):
         if not (v or t or gvx or gvy or gtx or gty) and _no_negative_zero(glx, gly):
             break  # dead tail: see the module docstring
         dj *= d
-        acc = 0j
-        if gradient:
-            acc2 = 0j
-            for i in range(d):
-                acc = acc * v + coeffs[i]
-                acc2 = acc2 * v + (d - i) * coeffs[i]
-        else:
-            for i in range(d):
-                acc = acc * v + coeffs[i]
+        acc = acc2 = 0j
+        for i in range(d):
+            acc = acc * v + coeffs[i]
+            acc2 = acc2 * v + (d - i) * coeffs[i]
         v_dm2 = v ** (d - 2)
         v_dm1 = v_dm2 * v
         s = v * acc - t * v_dm1
@@ -270,18 +242,17 @@ def phi_minus_eval(coeffs, a, x, y, K, alpha, cap, gradient):
         logsum += cmath.log(tau) / dj
         v_d = v_dm1 * v
         inv_tau = 1.0 / tau
-        if gradient:
-            dsdv = acc2 - t * (d - 1) * v_dm2
-            dsdt = -v_dm1
-            gsx = dsdv * gvx + dsdt * gtx
-            gsy = dsdv * gvy + dsdt * gty
-            glx += gsx / (tau * dj)
-            gly += gsy / (tau * dj)
-            ngvx = a * (d * v_dm1 * gvx - v_d * gsx * inv_tau) * inv_tau
-            ngvy = a * (d * v_dm1 * gvy - v_d * gsy * inv_tau) * inv_tau
-            ngtx = a * ((d - 1) * v_dm2 * gvx - v_dm1 * gsx * inv_tau) * inv_tau
-            ngty = a * ((d - 1) * v_dm2 * gvy - v_dm1 * gsy * inv_tau) * inv_tau
-            gvx, gvy, gtx, gty = ngvx, ngvy, ngtx, ngty
+        dsdv = acc2 - t * (d - 1) * v_dm2
+        dsdt = -v_dm1
+        gsx = dsdv * gvx + dsdt * gtx
+        gsy = dsdv * gvy + dsdt * gty
+        glx += gsx / (tau * dj)
+        gly += gsy / (tau * dj)
+        ngvx = a * (d * v_dm1 * gvx - v_d * gsx * inv_tau) * inv_tau
+        ngvy = a * (d * v_dm1 * gvy - v_d * gsy * inv_tau) * inv_tau
+        ngtx = a * ((d - 1) * v_dm2 * gvx - v_dm1 * gsx * inv_tau) * inv_tau
+        ngty = a * ((d - 1) * v_dm2 * gvy - v_dm1 * gsy * inv_tau) * inv_tau
+        gvx, gvy, gtx, gty = ngvx, ngvy, ngtx, ngty
         v = a * v_d * inv_tau
         t = a * v_dm1 * inv_tau
 

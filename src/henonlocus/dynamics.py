@@ -36,6 +36,7 @@ it is bounded and, when every B_i lies in |x|, |y| < alpha, never enters V+.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -68,8 +69,8 @@ def to_json(data, indent) -> str:
 
 
 class Polynomial:
-    """Monic polynomial, coefficients lowest degree first.  Read-only, so the
-    critical points cached on it stay its own."""
+    """Monic polynomial, finite coefficients lowest degree first.  Read-only,
+    so the critical points cached on it stay its own."""
 
     def __init__(self, coefficients):
         coeffs = tuple(complex(c) for c in coefficients)
@@ -77,6 +78,8 @@ class Polynomial:
             raise ValueError("degree must be >= 2")
         if coeffs[-1] != 1:
             raise ValueError("polynomial must be monic (leading coefficient 1)")
+        if not all(map(cmath.isfinite, coeffs)):
+            raise ValueError(f"polynomial coefficients must be finite, got {coeffs}")
         self._coefficients = coeffs
         # coefficients of p' and p'', from the products i*c_i and i*(i-1)*c_i
         self._d1 = tuple(i * coeffs[i] for i in range(1, len(coeffs)))

@@ -14,17 +14,16 @@ everything is carried in log space so the a^(e_m) factors never underflow.
 At a = 0 the minus function has the closed form phi- = (p(y) - x)^(1/d).
 
 Both sides go through one function, `_run`: one kernel call returns log
-phi, and its exact gradient only for `phi_with_gradient` (`phi_plus`,
-`phi_minus` and `green` read the value alone, and the kernel then carries
-no Jacobian).  `_run` enforces the certificate behind the tail bound (every
-factor |s_k| < r) with CertificateViolation, so the check also holds under
-`python -O`; a non-finite log phi (e.g. 1/a overflowing for a subnormal a)
-is refused the same way, and so is a non-finite gradient where one is
-computed. The domain is the map's own (`HenonMap.domain_params()`, which
-refuses |a| >= R with ValueError); a non-finite point (a blown-up Newton
-iterate, say) is refused with CoordinateOverflow before iterating, and an
-iterate past the kernel's overflow guard with CoordinateOverflow naming
-the depth.
+phi and its exact gradient.  `_run` enforces the certificate behind the
+tail bound (every factor |s_k| < r) with CertificateViolation, so the check
+also holds under `python -O`; a non-finite log phi (e.g. 1/a overflowing
+for a subnormal a) is refused the same way.  Only `phi_with_gradient` reads
+the gradient, so only it refuses a non-finite one: `phi_plus`, `phi_minus`
+and `green` never refuse over a gradient they do not read.  The domain is
+the map's own (`HenonMap.domain_params()`, which refuses |a| >= R with
+ValueError); a non-finite point (a blown-up Newton iterate, say) is refused
+with CoordinateOverflow before iterating, and an iterate past the kernel's
+overflow guard with CoordinateOverflow naming the depth.
 
 Every kernel call, `_run`'s and those of `gridfield`'s batch blocks, takes
 its domain, K, alpha and trap from `_call_args`.  On the plus side the trap
@@ -105,11 +104,10 @@ def _call_args(henon, side, tol, alpha):
     return dp, K, alpha, None if trap is None else trap.kernel_trap(alpha)
 
 
-def _run(henon, z, side, tol, alpha, gradient):
-    """(EscapeValue, gradient of log phi) on one side, from one kernel call.
-
-    With `gradient` false the kernel skips the Jacobian, and the gradient
-    returned is (0j, 0j) (the closed form's at a = 0 on the minus side)."""
+def _run(henon, z, side, tol, alpha):
+    """(EscapeValue, gradient of log phi) on one side, from one kernel call;
+    the gradient is the closed form's at a = 0 on the minus side, and is
+    returned unchecked."""
     if side == "plus":
         evaluate, iterate, domain = kernel.phi_plus_eval, "forward", "V+"
     elif side == "minus":
@@ -127,19 +125,13 @@ def _run(henon, z, side, tol, alpha, gradient):
             raise OnDegenerateCurve("a = 0 and p(y) = x")
         # g- reads the real part: math.log(abs(v)), which cmath.log differs from near |v| = 1
         logphi = complex(math.log(abs(v)), cmath.phase(v)) / d
-        ev = EscapeValue(
-            value=cmath.exp(logphi),
-            log_value=logphi,
-            truncation_terms=0,
-            tail_bound=0.0,
-            depth=0,
-            smax=0.0,
-        )
+        # no product: no factors, no tail, depth 0, smax 0
+        ev = EscapeValue(cmath.exp(logphi), logphi, 0, 0.0, 0, 0.0)
         return ev, (-1.0 / (d * v), henon.p.derivative(y) / (d * v))
     args = (henon.p.coefficients, henon.a, x, y, K, alpha, DEFAULT_CAP)
     if side == "plus":
         args += (trap,)
-    status, depth, logphi, glx, gly, smax = evaluate(*args, gradient)
+    status, depth, logphi, glx, gly, smax = evaluate(*args)
     if status == kernel.NO_ESCAPE:
         if depth < DEFAULT_CAP:
             raise NotInEscapeRegion(
@@ -163,14 +155,8 @@ def _run(henon, z, side, tol, alpha, gradient):
             r=dp.r,
             depth=depth,
         )
-    if not (cmath.isfinite(logphi) and cmath.isfinite(glx) and cmath.isfinite(gly)):
-        raise CertificateViolation(
-            f"non-finite log phi or gradient on the {side} side "
-            f"at {domain} entry depth {depth}",
-            smax=smax,
-            r=dp.r,
-            depth=depth,
-        )
+    if not cmath.isfinite(logphi):
+        raise _non_finite(side, depth, smax, dp.r)
     ev = EscapeValue(
         value=cmath.exp(logphi),
         log_value=logphi,
@@ -183,20 +169,30 @@ def _run(henon, z, side, tol, alpha, gradient):
 
 
 def phi_plus(henon: HenonMap, z: Point, tol: float = DEFAULT_TOL) -> EscapeValue:
-    return _run(henon, z, "plus", tol, None, False)[0]
+    return _run(henon, z, "plus", tol, None)[0]
 
 
 def phi_minus(henon: HenonMap, z: Point, tol: float = DEFAULT_TOL) -> EscapeValue:
-    return _run(henon, z, "minus", tol, None, False)[0]
+    return _run(henon, z, "minus", tol, None)[0]
 
 
 def phi_with_gradient(henon: HenonMap, z: Point, side: str, alpha: float | None = None):
     """(EscapeValue, gradient of log phi w.r.t. (x, y)), forward-mode exact.
 
     `alpha` overrides the V+/V- entry threshold (the locus code pushes
-    deeper, to 2*alpha, before trusting leaf geometry).
+    deeper, to 2*alpha, before trusting leaf geometry).  A non-finite
+    gradient is refused with CertificateViolation.
     """
-    return _run(henon, z, side, DEFAULT_TOL, alpha, True)
+    ev, gradient = _run(henon, z, side, DEFAULT_TOL, alpha)
+    if not (cmath.isfinite(gradient[0]) and cmath.isfinite(gradient[1])):
+        raise _non_finite(side, ev.depth, ev.smax, henon.domain_params().r)
+    return ev, gradient
+
+
+def _non_finite(side, depth, smax, r):
+    domain = "V+" if side == "plus" else "V-"
+    message = f"non-finite log phi or gradient on the {side} side at {domain} entry depth {depth}"
+    return CertificateViolation(message, smax=smax, r=r, depth=depth)
 
 
 def green(henon: HenonMap, z: Point, side: str) -> GreenValue:

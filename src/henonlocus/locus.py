@@ -477,10 +477,12 @@ def verify_biholomorphism(
     cover of each circle |phi+| = rho: continuation of phi+^{-1}(rho e^{i
     theta}) around the full circle must close up (< CLOSURE_TOL), wind
     exactly once, and visit points pairwise more than CLOSURE_TOL apart.
-    Every radius must be finite and > 1 (ValueError before any continuation)."""
+    There must be at least one radius, and every radius must be finite and
+    > 1 (ValueError before any continuation)."""
+    radii = tuple(radii)  # read once: a spent iterator would certify nothing
     bad = [rho for rho in radii if not 1.0 < rho < math.inf]
-    if bad:
-        raise ValueError(f"radii must be finite and exceed 1, got {bad}")
+    if bad or not radii:
+        raise ValueError(f"radii must be finite and exceed 1, got {bad or 'no radius'}")
     items = []
     for rho in radii:
         x, y = complex(rho), complex(c)

@@ -1,11 +1,11 @@
-"""The batch kernel is bitwise the scalar kernel's value path, point by point.
+"""The batch kernel is bitwise the scalar kernel's value slots, point by point.
 
 `_batch.phi_plus_batch` / `phi_minus_batch` must return, for every point of
 every block, the (status, k, log phi, smax) of `_kernel.phi_plus_eval` /
-`phi_minus_eval` with `gradient` false, signed zeros included, and status
-RAISES exactly where the scalar call raises.  The maps, points, K and alpha
-come from `test_kernels`' strategies; the points of one example are cut
-into blocks at drawn positions, one batch call per block.
+`phi_minus_eval`, signed zeros included, and status RAISES exactly where
+the scalar call raises.  The maps, points, K and alpha come from
+`test_kernels`' strategies; the points of one example are cut into blocks
+at drawn positions, one batch call per block.
 """
 
 import math
@@ -37,12 +37,10 @@ def _scalar(side, coeffs, a, x, y, K, alpha, cap, trap):
     try:
         if side == "plus":
             status, k, logphi, _, _, smax = _kernel.phi_plus_eval(
-                coeffs, a, x, y, K, alpha, cap, trap, False
+                coeffs, a, x, y, K, alpha, cap, trap
             )
         else:
-            status, k, logphi, _, _, smax = _kernel.phi_minus_eval(
-                coeffs, a, x, y, K, alpha, cap, False
-            )
+            status, k, logphi, _, _, smax = _kernel.phi_minus_eval(coeffs, a, x, y, K, alpha, cap)
     except (ValueError, ZeroDivisionError, OverflowError):
         return "raises"
     return status, k, _bits(logphi) + struct.pack("<d", smax)

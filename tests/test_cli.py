@@ -117,6 +117,18 @@ def test_bad_polynomial_spec_exits_2(capsys):
     assert "polynomial" in report["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["critlocus", "--p", "[NaN, 0, 1]"],
+    ["critlocus", "--p", "x2+1e999"],
+    ["green-grid", "--p", "[NaN, 0, 1]"],
+])
+def test_non_finite_polynomial_exits_2(capsys, argv):
+    code, report = run_json(capsys, argv)
+    assert code == 2
+    assert report["status"] == "config-error"
+    assert "coefficients must be finite" in report["error"]
+
+
 def test_missing_config_file_exits_2(capsys, tmp_path):
     code, report = run_json(
         capsys, ["verify", "--config", str(tmp_path / "missing.cfg")]
@@ -773,6 +785,16 @@ _PINNED_RUNS = {
             "grid.json": "81b2133a37fdb39dba91e35cad4d2978b317f3bbbcceae5bb9b0195a441ae927",
             "grid.pgm": "50737c403074f28667a2d9f95c89ce1a34010eb8e6c9d9e9aa021fe348c92ddd",
         },
+    ),
+    "verify": (
+        ["verify"],
+        "4526cbcb8e3881af473a26d1e02ebb5b14a665e441cfd17bdd6d22211ce5c63c",
+        {},
+    ),
+    "verify-x2-1": (
+        ["verify", "--a", "0.01", "--p", "x2-1"],
+        "d7d28c6a77f295ed0c3ee5a0c4521b0ed75feb43ad85da9d1a92acd25812a4f8",
+        {},
     ),
     "holonomy-n1": (
         ["holonomy"],

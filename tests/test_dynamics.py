@@ -42,6 +42,16 @@ def test_polynomial_requires_monic():
         Polynomial([1, 1])  # degree 1
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [[math.nan, 0, 1], [0, math.inf, 1], [complex(0, -math.inf), 0, 0, 1], [1e999, 0, 1]],
+)
+def test_polynomial_requires_finite_coefficients(coeffs):
+    # the alpha search would otherwise run out before any escape call
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        Polynomial(coeffs)
+
+
 def test_apply_formula():
     h = HenonMap(X2, 0.1)
     z = h.apply(Point(3, 2))

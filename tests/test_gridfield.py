@@ -23,7 +23,7 @@ import pytest
 from henonlocus import _kernel, cli, dynamics, gridfield
 from henonlocus.dynamics import HenonMap, Point, Polynomial
 from henonlocus.errors import CertificateViolation, CoordinateOverflow
-from henonlocus.escape import green, phi_minus, phi_plus
+from henonlocus.escape import green
 from henonlocus.gridfield import (
     GridField,
     green_grid,
@@ -363,10 +363,11 @@ def test_trap_is_computed_once_in_the_caller(monkeypatch):
 
 
 def test_only_tangency_pixels_carry_the_jacobian(monkeypatch):
-    # g+ and g- read log phi alone, so their kernel entry steps take p from
-    # horner and skip p' and the Jacobian; the tangency determinant reads
-    # both gradients.  The kernel looks both routines up at call time.
-    calls = {"horner": 0, "horner_with_deriv": 0}
+    # g+ and g- read log phi alone, so their tiles run the batch's value-only
+    # loops and make no scalar kernel call; the tangency determinant reads
+    # both gradients, from scalar kernel calls that carry the Jacobian.
+    # escape and the kernel look these routines up at call time.
+    calls = {"phi_plus_eval": 0, "phi_minus_eval": 0, "horner_with_deriv": 0}
     for name in calls:
         routine = getattr(_kernel, name)
 
@@ -379,14 +380,9 @@ def test_only_tangency_pixels_carry_the_jacobian(monkeypatch):
     box = ((-2.5, 2.5), (-2.5, 2.5), 8, 8)
     green_grid(henon, "green-plus", *box, slice_value=0.3, workers=1)
     green_grid(henon, "green-minus", *box, slice_axis="y", slice_value=0.3, workers=1)
-    z = Point(1.8, 0.3)
-    phi_plus(henon, z)
-    phi_minus(henon, z)
-    green(henon, z, "plus")
-    green(henon, z, "minus")
-    assert calls["horner"] > 0 and calls["horner_with_deriv"] == 0
+    assert calls == dict.fromkeys(calls, 0)
     green_grid(henon, "tangency", *box, slice_value=0.3, workers=1)
-    assert calls["horner_with_deriv"] > 0
+    assert calls["phi_plus_eval"] > 0 and calls["horner_with_deriv"] > 0
 
 
 def test_worker_count_explicit_else_cpu_count():

@@ -29,11 +29,9 @@ def test_backend_reports_its_name():
 # ---------------------------------------------------------------------------
 # bitwise oracle: the plain loops, run for all K factors with two Horner passes
 #
-# The kernel leaves its product loop at its dead tail, takes p, p' in one
-# pass, and on its value-only path (gradient false) carries no Jacobian.  No
-# shortcut may change a bit of the result, signed zeros included, so the
-# oracle below keeps the plain form; on the value-only path the gradient
-# slots read 0j.
+# The kernel leaves its product loop at its dead tail and takes p, p' in one
+# pass.  No shortcut may change a bit of the result, signed zeros included,
+# so the oracle below keeps the plain form.
 
 
 def _oracle_horner(coeffs, z):
@@ -193,14 +191,6 @@ def _outcome(kernel, *args):
     return head + _bits(logphi) + _bits(glx) + _bits(gly)
 
 
-def _oracle_outcome(oracle, args, gradient):
-    """The plain loop's outcome; without the gradient its two slots read 0j."""
-    expected = _outcome(oracle, *args)
-    if gradient or isinstance(expected, str):
-        return expected
-    return expected[:-32] + _bits(0j) + _bits(0j)
-
-
 _ZERO = st.sampled_from((0.0, -0.0))
 
 
@@ -233,14 +223,12 @@ def _kernel_args(draw):
     return tuple(q) + (1 + 0j,), a, x, y, K, alpha, CAP
 
 
-def _untrapped_plus(coeffs, a, x, y, K, alpha, cap, gradient):
-    return _kernel.phi_plus_eval(coeffs, a, x, y, K, alpha, cap, None, gradient)
+def _untrapped_plus(coeffs, a, x, y, K, alpha, cap):
+    return _kernel.phi_plus_eval(coeffs, a, x, y, K, alpha, cap, None)
 
 
 _PLUS = (_untrapped_plus, _oracle_phi_plus)
 _MINUS = (_kernel.phi_minus_eval, _oracle_phi_minus)
-# every input runs through both paths: gradient carried, and value only
-_GRADIENT = (True, False)
 _QUADRATIC = (0j, 0.5 + 0j, 1 + 0j)
 _QUARTIC = (-0.5 + 0j, -0.3 - 0.25j, -0.45 + 0.5j, 0j, 1 + 0j)
 
@@ -259,8 +247,7 @@ _QUARTIC = (-0.5 + 0j, -0.3 - 0.25j, -0.45 + 0.5j, 0j, 1 + 0j)
 @example(kernels=_MINUS, args=(_QUADRATIC, 0.05 + 0j, 0.5j, 3.5 + 0j, 3, 3.0, CAP))
 def test_kernel_is_bitwise_the_plain_loops(kernels, args):
     kernel, oracle = kernels
-    for gradient in _GRADIENT:
-        assert _outcome(kernel, *args, gradient) == _oracle_outcome(oracle, args, gradient)
+    assert _outcome(kernel, *args) == _outcome(oracle, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +295,14 @@ def _trapped_args(draw):
 @given(case=_trapped_args())
 def test_trapped_kernel_is_the_plain_loop_except_for_the_step_count(case):
     args, trap = case
-    for gradient in _GRADIENT:
-        expected = _oracle_outcome(_oracle_phi_plus, args, gradient)
-        got = _outcome(_kernel.phi_plus_eval, *args, trap, gradient)
-        if isinstance(expected, bytes) and struct.unpack("<q", expected[:8])[0] == _kernel.NO_ESCAPE:
-            status, k, logphi, glx, gly, smax = _kernel.phi_plus_eval(*args, trap, gradient)
-            assert status == _kernel.NO_ESCAPE and 0 <= k <= CAP
-            assert _bits(logphi) + _bits(glx) + _bits(gly) == bytes(48) and smax == 0.0
-        else:
-            assert got == expected
+    expected = _outcome(_oracle_phi_plus, *args)
+    got = _outcome(_kernel.phi_plus_eval, *args, trap)
+    if isinstance(expected, bytes) and struct.unpack("<q", expected[:8])[0] == _kernel.NO_ESCAPE:
+        status, k, logphi, glx, gly, smax = _kernel.phi_plus_eval(*args, trap)
+        assert status == _kernel.NO_ESCAPE and 0 <= k <= CAP
+        assert _bits(logphi) + _bits(glx) + _bits(gly) == bytes(48) and smax == 0.0
+    else:
+        assert got == expected
 
 
 _BULB = HenonMap(Polynomial([-1 + 0.1j, 0, 1]), 0.01)
@@ -328,17 +314,16 @@ def test_trap_boundary_point_iterates_to_the_plain_result():
     args = (_BULB.p.coefficients, _BULB.a)
     inside = (x0 + 0.999 * rho, y0)
     outside = (x0 + rho, y0)  # |x - x0| = rho exactly: not in the open bidisk
-    for gradient in _GRADIENT:
-        assert _kernel.phi_plus_eval(*args, *inside, 41, ALPHA, CAP, trap, gradient)[:2] == (
-            _kernel.NO_ESCAPE,
-            0,
-        )
-        for point in (outside, (x0, y0 + sigma), (x0 - 1.001 * rho, y0 + 1j * 1.001 * sigma)):
-            plain = _oracle_phi_plus(*args, *point, 41, ALPHA, CAP)
-            status, k = _kernel.phi_plus_eval(*args, *point, 41, ALPHA, CAP, trap, gradient)[:2]
-            # a basin point: the plain loop runs to the cap, the trap stops it later than step 0
-            assert plain[:2] == (_kernel.NO_ESCAPE, CAP)
-            assert status == _kernel.NO_ESCAPE and 1 <= k < CAP
+    assert _kernel.phi_plus_eval(*args, *inside, 41, ALPHA, CAP, trap)[:2] == (
+        _kernel.NO_ESCAPE,
+        0,
+    )
+    for point in (outside, (x0, y0 + sigma), (x0 - 1.001 * rho, y0 + 1j * 1.001 * sigma)):
+        plain = _oracle_phi_plus(*args, *point, 41, ALPHA, CAP)
+        status, k = _kernel.phi_plus_eval(*args, *point, 41, ALPHA, CAP, trap)[:2]
+        # a basin point: the plain loop runs to the cap, the trap stops it later than step 0
+        assert plain[:2] == (_kernel.NO_ESCAPE, CAP)
+        assert status == _kernel.NO_ESCAPE and 1 <= k < CAP
 
 
 # A saddle fixed point of f for p = x^2 - 1, a = 0.01: its backward orbit
@@ -354,9 +339,8 @@ _FIXED = (1.01 + (1.01**2 + 4.0) ** 0.5) / 2.0 + 0j
 ])
 def test_statuses_are_bitwise_the_plain_loops(kernels, args, status):
     kernel, oracle = kernels
-    for gradient in _GRADIENT:
-        assert kernel(*args, gradient)[0] == status
-        assert _outcome(kernel, *args, gradient) == _oracle_outcome(oracle, args, gradient)
+    assert kernel(*args)[0] == status
+    assert _outcome(kernel, *args) == _outcome(oracle, *args)
 
 
 @settings(max_examples=200, deadline=None)

@@ -417,6 +417,8 @@ def test_biholomorphism_degenerate():
     report = verify_biholomorphism(H0, 0.0, radii=(5.0,))
     assert report.ok
     assert report.items[0].winding == 1
+    # radii are read once, so an iterator certifies the same circles
+    assert verify_biholomorphism(H0, 0.0, radii=iter((5.0,))) == report
 
 
 def test_biholomorphism_radii():
@@ -428,7 +430,7 @@ def test_biholomorphism_radii():
         assert item.min_separation > CLOSURE_TOL
 
 
-@pytest.mark.parametrize("radii", [(math.nan,), (math.inf,), (2.0, 0.5), (8.0, 1.0)])
+@pytest.mark.parametrize("radii", [(math.nan,), (math.inf,), (2.0, 0.5), (8.0, 1.0), ()])
 def test_biholomorphism_refuses_bad_radii_before_any_continuation(monkeypatch, radii):
     def no_work(*args, **kwargs):
         raise AssertionError("a circle was computed")

@@ -357,35 +357,27 @@ def test_exact_products_stay_in_packed_integers():
     assert "Fraction" not in names
 
 
-def _calls_phi_with_gradient(node):
-    return isinstance(node, ast.Call) and "phi_with_gradient" in (
-        getattr(node.func, "id", None),
-        getattr(node.func, "attr", None),
-    )
+def test_one_scalar_kernel_path():
+    # Every scalar kernel call carries the Jacobian: the eval functions take
+    # no flag to skip it, and evaluate p only through horner_with_deriv.
+    # The value-only loops are the batch's.
+    path = PACKAGE / "_kernel.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    parameters = {
+        node.name: [arg.arg for arg in node.args.args]
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.endswith("_eval")
+    }
+    assert parameters == {
+        "phi_plus_eval": ["coeffs", "a", "x", "y", "K", "alpha", "cap", "trap"],
+        "phi_minus_eval": ["coeffs", "a", "x", "y", "K", "alpha", "cap"],
+    }
 
+    def in_kernel(name):
+        return {fn for module, fn in _functions_naming(name) if module == "_kernel.py"}
 
-def _discards_the_gradient(node):
-    """`value, _ = phi_with_gradient(...)` or `phi_with_gradient(...)[0]`."""
-    if isinstance(node, ast.Assign) and _calls_phi_with_gradient(node.value):
-        return any(
-            isinstance(target, ast.Tuple)
-            and len(target.elts) == 2
-            and getattr(target.elts[1], "id", None) == "_"
-            for target in node.targets
-        )
-    return (
-        isinstance(node, ast.Subscript)
-        and _calls_phi_with_gradient(node.value)
-        and getattr(node.slice, "value", None) == 0
-    )
-
-
-def test_gradient_discard_ledger():
-    # phi_with_gradient carries the Jacobian through the kernel; a caller
-    # that reads only the value calls phi_plus or phi_minus instead.  The
-    # contact-order depth probe stays: it takes its V+ entry depth past
-    # 2 alpha, and phi_plus takes no alpha.
-    assert _enclosing_functions(_discards_the_gradient) == {("locus.py", "contact_order")}
+    assert in_kernel("horner") == set()
+    assert in_kernel("horner_with_deriv") == {"phi_plus_eval", "phi_minus_eval"}
 
 
 def _is_dataclass(cls):
