@@ -44,18 +44,21 @@ would have returned NO_ESCAPE at the cap with the same zero values; only
 the returned step count differs, k < cap. The minus side has no trap: f^-1
 expands volume by 1/|a| and has no attracting cycle.
 
-The value-only loops live in the batch twin, `_batch.phi_plus_batch` and
-`phi_minus_batch`, which `gridfield` runs once per block of rows of every
-g+ and g- tile, with the arguments `escape._call_args` prepares for the
-scalar call: split-real numpy arrays with CPython's own complex formulas
-and cmath's log and exp.  They skip p', the Jacobian, acc2, ds/du and ds/dw
-(ds/dv, ds/dt), the gradient sums and the carrier updates, and perform the
-value operations here in the same order.  Their dead-tail test leaves once
-u and w (v and t) are exactly zero; past that point the loops here run only
-factors that add +-0 to a log sum that is never -0.0, so every point's
-(status, k, logphi, smax) is bitwise the one these functions return
-(`tests/test_batch.py`).  A change to the value operations here must be
-made there too.
+The batch twin, `_batch.phi_plus_batch` and `phi_minus_batch`, runs these
+loops over blocks of points, with the arguments `escape._call_args`
+prepares for the scalar call: split-real numpy arrays with CPython's own
+complex formulas and cmath's log and exp.  `gridfield` runs it once per
+side and block of rows of every tile.  For g+ and g- tiles it skips p',
+the Jacobian, acc2, ds/du and ds/dw (ds/dv, ds/dt), the gradient sums and
+the carrier updates, and performs the value operations here in the same
+order; its dead-tail test then leaves once u and w (v and t) are exactly
+zero, and past that point the loops here run only factors that add +-0 to
+a log sum that is never -0.0.  For tangency tiles it carries the Jacobian
+and the gradients too, with every operation here in the same order and
+this dead-tail test.  Either way every point's slots are bitwise the ones
+these functions return, up to the sign of a NaN gradient part
+(`tests/test_batch.py`).  A change to the operations here must be made
+there too.
 """
 
 import cmath

@@ -2,19 +2,28 @@
 
 A grid samples one complex coordinate over a rectangle while the other is
 pinned (a horizontal or vertical slice of C^2).  Every tile is cut into
-blocks of contiguous rows, rendered by `workers` processes (default: the
-CPU count) forked so that each inherits the map with its escape domain and
-trap computed, or in-process where the platform cannot fork or one process
-is asked for.  Blocks are assembled in row order, so outputs are
-byte-reproducible whatever the worker count.
+one block of contiguous rows per process, rendered by `workers` processes
+(default: the CPU count) forked so that each inherits the map with its
+escape domain and trap computed, or in-process where the platform cannot
+fork or one process is asked for.  Blocks are assembled in row order, so
+outputs are byte-reproducible whatever the worker count.
 
-A g+ or g- block (one per process) is one call of the batch kernel
-`_batch`, whose every pixel's (status, k, log phi, smax) is bitwise the
+A g+ or g- block is one call of the batch kernel `_batch` without the
+gradient, whose every pixel's (status, k, log phi, smax) is bitwise the
 scalar kernel's: K+/K- pixels take `green`'s interior value, escaping ones
 the real part of log phi, and every other pixel (one whose scalar
 evaluation raises, and g- at a = 0, a closed form) goes to `green` itself
-in row order, so a block's first error is the scalar path's own.  A
-tangency block (four per process) runs `tangency_value` pixel by pixel.
+in row order, so a block's first error is the scalar path's own.
+
+A tangency block is one plus-side batch call with the gradient, at
+`tangency_value`'s depth, then one minus-side call over the pixels the
+plus side accepts; the determinant and scale are formed split-real, as
+`locus._tangency` forms them.  A pixel that the scalar path refuses with
+a HenonLocusError (no escape, overflow, |s| >= r, a non-finite log phi or
+gradient) is NaN, and every pixel the batch cannot vouch for (the scalar
+kernel raises, an abs overflows, a coordinate is not finite, or the minus
+side at a = 0 takes its closed form) goes to `tangency_value` itself, in
+row order.
 
 Exports: binary 16-bit PGM (P5, big-endian, row-major, affine scaling
 recorded in a JSON sidecar) and CSV rows (x, y, value).
@@ -22,6 +31,7 @@ recorded in a JSON sidecar) and CSV rows (x, y, value).
 
 import math
 import multiprocessing
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -31,8 +41,8 @@ from . import _batch
 from ._kernel import NO_ESCAPE, OK
 from .dynamics import HenonMap, Point, to_json
 from .errors import HenonLocusError
-from .escape import DEFAULT_CAP, GREEN_TOL, _call_args, _interior_green, green
-from .locus import tangency_value
+from .escape import DEFAULT_CAP, DEFAULT_TOL, GREEN_TOL, _call_args, _interior_green, green
+from .locus import DEPTH_FACTOR, tangency_value
 
 _KINDS = ("green-plus", "green-minus", "tangency")
 PGM_MAXVAL = 65535
@@ -64,13 +74,15 @@ class GridField:
 
 
 def worker_count(requested):
-    """Explicit request, else the machine's CPU count."""
-    if requested is not None:
-        n = int(requested)
-        if n < 1:
-            raise ValueError("worker count must be positive")
-        return n
-    return os.cpu_count() or 1
+    """Explicit request, else the machine's CPU count.  A request must be an
+    integer: a bool or a float (2.7, or even 2.0) is refused, not rounded."""
+    if requested is None:
+        return os.cpu_count() or 1
+    if isinstance(requested, bool) or not isinstance(requested, numbers.Integral):
+        raise ValueError(f"worker count must be an integer, got {requested!r}")
+    if requested < 1:
+        raise ValueError("worker count must be positive")
+    return int(requested)
 
 
 # (render function, grid) of a forked worker, set by _adopt in the worker only
@@ -100,6 +112,12 @@ def _point(x, y, i):
     return Point(complex(x[0][i], x[1][i]), complex(y[0][i], y[1][i]))
 
 
+def _escaped(status, smax, r, *parts):
+    """Where the scalar path accepts a batch escape value as it stands:
+    status OK, every factor |s| < r, and every part finite."""
+    return (status == OK) & (smax < r) & np.isfinite(parts).all(0)
+
+
 def _block(job, rows):
     """Rows `rows` (a range) of a g+ or g- tile, from one batch kernel call."""
     henon, kind = job[:2]
@@ -108,14 +126,14 @@ def _block(job, rows):
     dp, K, alpha, trap = _call_args(henon, side, GREEN_TOL, None)
     args = (henon.p.coefficients, henon.a, *x, *y, K, alpha, DEFAULT_CAP)
     if side == "plus":
-        status, _, values, logphi_im, smax = _batch.phi_plus_batch(*args, trap)
+        status, _, (values, logphi_im), _, _, smax = _batch.phi_plus_batch(*args, trap, False)
     else:
-        status, _, values, logphi_im, smax = _batch.phi_minus_batch(*args)
+        status, _, (values, logphi_im), _, _, smax = _batch.phi_minus_batch(*args, False)
     # the batch value stands where the scalar path returns it: a pixel in
     # K+/K-, or an escaping one whose smax and log phi _run accepts
     interior = status == NO_ESCAPE
-    fine = (smax < dp.r) & np.isfinite(values) & np.isfinite(logphi_im)
-    kept = (interior | ((status == OK) & fine)) & np.isfinite([*x, *y]).all(0)
+    escaped = _escaped(status, smax, dp.r, values, logphi_im)
+    kept = (interior | escaped) & np.isfinite([*x, *y]).all(0)
     if interior.any():
         values[interior] = _interior_green(henon, side)
     # every other pixel raises in the scalar path, or takes its closed form
@@ -126,13 +144,46 @@ def _block(job, rows):
 
 
 def _tangency_rows(job, rows):
-    """Rows `rows` (a range) of a tangency tile, pixel by pixel: |tangency|,
-    NaN where it is refused."""
+    """Rows `rows` (a range) of a tangency tile, from one gradient batch
+    call per side: |tangency|, NaN where the scalar path refuses it."""
+    henon = job[0]
+    coeffs, a = henon.p.coefficients, henon.a
     x, y = _pixels(job, rows)
-    values = np.empty(len(x[0]))
-    for i in range(len(values)):
+    # tangency_value's depth: both sides enter past DEPTH_FACTOR * alpha
+    dp, K, alpha, trap = _call_args(
+        henon, "plus", DEFAULT_TOL, DEPTH_FACTOR * henon.domain_params().alpha
+    )
+    status, _, logphi, g1x, g1y, smax = _batch.phi_plus_batch(
+        coeffs, a, *x, *y, K, alpha, DEFAULT_CAP, trap, True
+    )
+    # NaN stays where the scalar path raises a HenonLocusError on either
+    # side; `scalar` marks the pixels tangency_value itself must give
+    scalar = (status == _batch.RAISES) | ~np.isfinite([*x, *y]).all(0)
+    plus = np.flatnonzero(_escaped(status, smax, dp.r, *logphi, *g1x, *g1y))
+    values = np.full(len(status), math.nan)
+    if a == 0:
+        scalar[plus] = True
+    elif plus.size:
+        (xr, xi), (yr, yi), g1x, g1y = [[part[plus] for part in z] for z in (x, y, g1x, g1y)]
+        dp, K, alpha, _ = _call_args(henon, "minus", DEFAULT_TOL, alpha)
+        status, _, logphi, g2x, g2y, smax = _batch.phi_minus_batch(
+            coeffs, a, xr, xi, yr, yi, K, alpha, DEFAULT_CAP, True
+        )
+        scalar[plus[status == _batch.RAISES]] = True
+        both = _escaped(status, smax, dp.r, *logphi, *g2x, *g2y)
+        # det = g1x g2y - g2x g1y, scale = d |x| |p(y) - x|, pixel |det scale|
+        dr, di = _batch._mul(*g1x, *g2y)
+        er, ei = _batch._mul(*g2x, *g1y)
+        ax, over_x = _batch._abs(xr, xi)
+        pr, pi = _batch._horner(coeffs, yr, yi)
+        ap, over_p = _batch._abs(pr - xr, pi - xi)
+        scale = henon.degree * ax * ap
+        pixel, over = _batch._abs(*_batch._mul(dr - er, di - ei, scale, 0.0))
+        values[plus[both]] = pixel[both]
+        scalar[plus[both & (over_x | over_p | over)]] = True
+    for i in np.flatnonzero(scalar).tolist():
         try:
-            values[i] = abs(tangency_value(job[0], _point(x, y, i)).value)
+            values[i] = abs(tangency_value(henon, _point(x, y, i)).value)
         except HenonLocusError:
             values[i] = math.nan
     return values.reshape(len(rows), -1)
@@ -171,10 +222,9 @@ def green_grid(
         henon.trap
     job = (henon, kind, res, ims, pin, slice_axis)
     processes = min(worker_count(workers), ny)
-    # a green block is one batch call; tangency pixels, dearer and uneven, are cut finer
+    # one block of rows per process, each a batch call (a pair for tangency)
     render = _tangency_rows if kind == "tangency" else _block
-    blocks = min(4 * processes, ny) if kind == "tangency" else processes
-    cuts = [ny * i // blocks for i in range(blocks + 1)]
+    cuts = [ny * i // processes for i in range(processes + 1)]
     tasks = [range(*cut) for cut in zip(cuts, cuts[1:])]
     if processes == 1 or "fork" not in multiprocessing.get_all_start_methods():
         rows = [render(job, task) for task in tasks]

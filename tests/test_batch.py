@@ -1,11 +1,12 @@
-"""The batch kernel is bitwise the scalar kernel's value slots, point by point.
+"""The batch kernel is bitwise the scalar kernel, point by point.
 
 `_batch.phi_plus_batch` / `phi_minus_batch` must return, for every point of
 every block, the (status, k, log phi, smax) of `_kernel.phi_plus_eval` /
-`phi_minus_eval`, signed zeros included, and status RAISES exactly where
-the scalar call raises.  The maps, points, K and alpha come from
-`test_kernels`' strategies; the points of one example are cut into blocks
-at drawn positions, one batch call per block.
+`phi_minus_eval`, and with `gradient` its (dlog_dx, dlog_dy) too, signed
+zeros included (a NaN gradient part may have either sign), and status
+RAISES exactly where the scalar call raises.  The maps, points, K and
+alpha come from `test_kernels`' strategies; the points of one example are
+cut into blocks at drawn positions, one batch call per block.
 """
 
 import math
@@ -33,20 +34,34 @@ from henonlocus import _batch, _kernel
 from henonlocus.dynamics import attracting_trap
 
 
-def _scalar(side, coeffs, a, x, y, K, alpha, cap, trap):
+def _scalar(side, coeffs, a, x, y, K, alpha, cap, trap, gradient):
+    """The scalar kernel's outcome: its slots as bytes (the gradient slots
+    only with `gradient`), or "raises"."""
     try:
         if side == "plus":
-            status, k, logphi, _, _, smax = _kernel.phi_plus_eval(
+            status, k, logphi, glx, gly, smax = _kernel.phi_plus_eval(
                 coeffs, a, x, y, K, alpha, cap, trap
             )
         else:
-            status, k, logphi, _, _, smax = _kernel.phi_minus_eval(coeffs, a, x, y, K, alpha, cap)
+            status, k, logphi, glx, gly, smax = _kernel.phi_minus_eval(
+                coeffs, a, x, y, K, alpha, cap
+            )
     except (ValueError, ZeroDivisionError, OverflowError):
         return "raises"
-    return status, k, _bits(logphi) + struct.pack("<d", smax)
+    gradients = _gradient_bits(glx) + _gradient_bits(gly) if gradient else b""
+    return status, k, _bits(logphi) + gradients + struct.pack("<d", smax)
 
 
-def _batched(side, coeffs, a, points, K, alpha, cap, trap, cuts):
+def _gradient_bits(z):
+    """`_bits`, but every NaN part reads as one NaN.  Which operand's NaN an
+    addition of two NaNs keeps, and so its sign, is up to how numpy's loops
+    and CPython's complex arithmetic were compiled; every other bit must
+    match, and no caller reads a NaN gradient's sign (gridfield refuses a
+    pixel with a non-finite gradient)."""
+    return _bits(complex(*(math.nan if math.isnan(part) else part for part in (z.real, z.imag))))
+
+
+def _batched(side, coeffs, a, points, K, alpha, cap, trap, cuts, gradient):
     """The batch's outcome per point, one call per block between cuts."""
     outcomes = []
     bounds = [0, *sorted(cuts), len(points)]
@@ -57,14 +72,23 @@ def _batched(side, coeffs, a, points, K, alpha, cap, trap, cuts):
             for part in ("real", "imag")
         ]
         if side == "plus":
-            result = _batch.phi_plus_batch(coeffs, a, *parts, K, alpha, cap, trap)
+            result = _batch.phi_plus_batch(coeffs, a, *parts, K, alpha, cap, trap, gradient)
         else:
-            result = _batch.phi_minus_batch(coeffs, a, *parts, K, alpha, cap)
-        for status, k, re, im, smax in zip(*(column.tolist() for column in result)):
+            result = _batch.phi_minus_batch(coeffs, a, *parts, K, alpha, cap, gradient)
+        status, k, logphi, dlog_dx, dlog_dy, smax = result
+        if gradient:
+            slots = (logphi, dlog_dx, dlog_dy)
+        else:
+            assert dlog_dx is None and dlog_dy is None
+            slots = (logphi,)
+        columns = (status, k, *(part for slot in slots for part in slot), smax)
+        for status, k, *values, smax in zip(*(column.tolist() for column in columns)):
             if status == _batch.RAISES:
                 outcomes.append("raises")
-            else:
-                outcomes.append((status, k, _bits(complex(re, im)) + struct.pack("<d", smax)))
+                continue
+            logphi, *gradients = map(complex, values[0::2], values[1::2])
+            parts = _bits(logphi) + b"".join(map(_gradient_bits, gradients))
+            outcomes.append((status, k, parts + struct.pack("<d", smax)))
     return outcomes
 
 
@@ -154,9 +178,13 @@ _MIXED = (0j, complex(0.5, -0.0), complex(1.0, -0.0))  # signed-zero coefficient
 # a = 0: the minus side raises at 1/a everywhere
 @example(case=_case("minus", CUBIC, 0j, [(0j, 3.5 + 0j), (1.0 + 0j, 0j)], 19, 3.0))
 def test_batch_is_bitwise_the_scalar_kernel(case):
+    # the value slots alone, as green tiles ask for them, and every slot
+    # with the gradient, as tangency tiles do
     side, coeffs, a, points, K, alpha, cap, trap, cuts = case
-    expected = [_scalar(side, coeffs, a, x, y, K, alpha, cap, trap) for x, y in points]
-    assert _batched(side, coeffs, a, points, K, alpha, cap, trap, cuts) == expected
+    for gradient in (False, True):
+        args = (side, coeffs, a)
+        expected = [_scalar(*args, x, y, K, alpha, cap, trap, gradient) for x, y in points]
+        assert _batched(*args, points, K, alpha, cap, trap, cuts, gradient) == expected
 
 
 # parts that exercise CPython's special cases: signed zeros, subnormals,
@@ -195,8 +223,17 @@ def test_split_real_operations_are_cpythons():
         _check(operator.truediv, _batch._div(zr, zi, wr, wi), z, w)
         _check(lambda v: 1.0 / v, _batch._div(1.0, 0.0, wr, wi), w)
         _check(lambda v: 1.0 + v, (1.0 + zr, 0.0 + zi), z)
+        _check(operator.neg, (-zr, -zi), z)
+        # the gradient path's int and float operands, which CPython 3.11
+        # promotes to complex with a +0.0 imaginary part (3.14 no longer
+        # does, and these checks fail there): d * u^(d-1), t * d^j and
+        # gradient sums / d^k with ints, det * scale with floats
         for n in (1, 2, 3, 7):
+            _check(lambda v: n * v, _batch._mul(float(n), 0.0, zr, zi), z)
+            _check(lambda v: v * n, _batch._mul(zr, zi, float(n), 0.0), z)
             _check(lambda v: v / n, _batch._div_real(zr, zi, float(n)), z)
+        for f in _PARTS:
+            _check(lambda v: v * f, _batch._mul(zr, zi, f, 0.0), z)
         for n in (0, 1, 2, 3, 5):
             pr, pi, raises = _batch._pow(zr, zi, n)
             _check(lambda v: v**n, (pr, pi), z)

@@ -20,7 +20,7 @@ import types
 import numpy as np
 import pytest
 
-from henonlocus import _kernel, cli, dynamics, gridfield
+from henonlocus import _batch, _kernel, cli, dynamics, gridfield
 from henonlocus.dynamics import HenonMap, Point, Polynomial
 from henonlocus.errors import CertificateViolation, CoordinateOverflow
 from henonlocus.escape import green
@@ -32,9 +32,11 @@ from henonlocus.gridfield import (
     grid_to_pgm,
     worker_count,
 )
+from henonlocus.locus import tangency_value
 
 SQUARE = Polynomial([0, 0, 1])
 BASIC = Polynomial([-1, 0, 1])
+CUBIC_3X = Polynomial([0, -3, 0, 1])
 
 
 def test_degenerate_minus_grid_matches_closed_form():
@@ -198,7 +200,7 @@ TRAPPED = (Polynomial([-0.6 + 0.01j, 0, 1]), 0.034 + 0.029j)
 UNTRAPPED_CUBIC = (Polynomial([0.01, -1, 0, 1]), 0.0)
 
 PARITY_TILES = (
-    # (kind, map, geometry); the tangency tile has some NaN pixels
+    # (kind, map, geometry); the tangency tiles have some NaN pixels
     ("green-plus", TRAPPED, dict(re_range=(-1.5, 1.5), slice_value=0.05j)),
     ("green-plus", UNTRAPPED_CUBIC, dict(re_range=(-1.5, 1.5), slice_value=0.05j)),
     ("green-minus", (BASIC, 0.01), dict(re_range=(-2.0, 2.0), slice_axis="y")),
@@ -206,6 +208,8 @@ PARITY_TILES = (
     # a = 0: the batch refuses every pixel, and green gives the closed form
     ("green-minus", (BASIC, 0.0), dict(re_range=(-2.0, 2.0), slice_axis="y", slice_value=0.3)),
     ("tangency", TRAPPED, dict(re_range=(-1.5, 1.5), slice_value=0.05j)),
+    # a = 0: the minus side is the closed form
+    ("tangency", (BASIC, 0.0), dict(re_range=(-1.5, 1.5), slice_value=0.3)),
 )
 
 
@@ -249,7 +253,8 @@ def test_worker_error_reaches_the_caller_typed():
 def test_lowest_failing_row_raises_whichever_worker_fails_first(monkeypatch):
     # Row 1 fails slowly and rows 2 and 3 at once; the in-process loop meets
     # row 1 first.  Forked workers inherit the patched tangency function,
-    # which tangency tiles call pixel by pixel; its error is not a
+    # which tangency tiles call for every pixel that escapes forward when
+    # a = 0 (the minus side's closed form); its error is not a
     # HenonLocusError, so it is raised rather than read as a NaN pixel.
     def tangency(henon, point):
         row = round(point.x.imag)
@@ -262,7 +267,7 @@ def test_lowest_failing_row_raises_whichever_worker_fails_first(monkeypatch):
     monkeypatch.setattr(gridfield, "tangency_value", tangency)
     for workers in (1, 2):
         with pytest.raises(RuntimeError) as caught:
-            green_grid(HenonMap(BASIC, 0.01), "tangency", (0, 1), (0, 3), 2, 4, workers=workers)
+            green_grid(HenonMap(BASIC, 0.0), "tangency", (0, 1), (0, 3), 2, 4, workers=workers)
         assert caught.value.args == ("row 1",)
     assert multiprocessing.active_children() == []
 
@@ -323,6 +328,25 @@ def test_batch_tiles_raise_the_first_scalar_error(monkeypatch, geometry, error):
     assert multiprocessing.active_children() == []
 
 
+def test_tangency_tiles_raise_the_first_scalar_error():
+    # Entered past 2 alpha = 1.8, x = 2 (row 0, column 0) has s = -4/x^2 =
+    # -1 at once, and 1 + s = 0: the plus batch marks the pixel as one the
+    # scalar kernel raises at, and the block hands it to tangency_value,
+    # whose ValueError reaches the caller before any other pixel's value
+    def henon():
+        henon = HenonMap(Polynomial([-4, 0, 1]), 0.01)
+        henon._domain = dataclasses.replace(henon.domain_params(), alpha=0.9)
+        return henon
+
+    with pytest.raises(ValueError) as expected:
+        tangency_value(henon(), Point(2 + 0j, 0j))
+    for workers in (1, 2):
+        with pytest.raises(ValueError) as caught:
+            green_grid(henon(), "tangency", (2.0, 2.5), (0.0, 1.5), 3, 4, workers=workers)
+        assert caught.value.args == expected.value.args
+    assert multiprocessing.active_children() == []
+
+
 def test_non_finite_log_phi_from_the_batch_is_refused_by_green():
     # A subnormal a: 1/a is inf, and the minus kernel's log phi is NaN
     henon = HenonMap(BASIC, 1e-309)
@@ -363,16 +387,25 @@ def test_trap_is_computed_once_in_the_caller(monkeypatch):
 
 
 def test_only_tangency_pixels_carry_the_jacobian(monkeypatch):
-    # g+ and g- read log phi alone, so their tiles run the batch's value-only
-    # loops and make no scalar kernel call; the tangency determinant reads
-    # both gradients, from scalar kernel calls that carry the Jacobian.
-    # escape and the kernel look these routines up at call time.
-    calls = {"phi_plus_eval": 0, "phi_minus_eval": 0, "horner_with_deriv": 0}
-    for name in calls:
+    # g+ and g- read log phi alone, so their blocks ask the batch kernel for
+    # no gradient; the tangency determinant reads both gradients, so its
+    # blocks ask for them, and a tile whose every pixel escapes both ways
+    # makes no scalar kernel call.  gridfield, escape and the kernel look
+    # these routines up at call time.
+    batches, scalar = [], {"phi_plus_eval": 0, "phi_minus_eval": 0}
+    for name in ("phi_plus_batch", "phi_minus_batch"):
+        routine = getattr(_batch, name)
+
+        def recording(*args, name=name, routine=routine):
+            batches.append((name, args[-1]))
+            return routine(*args)
+
+        monkeypatch.setattr(_batch, name, recording)
+    for name in scalar:
         routine = getattr(_kernel, name)
 
         def counting(*args, name=name, routine=routine):
-            calls[name] += 1
+            scalar[name] += 1
             return routine(*args)
 
         monkeypatch.setattr(_kernel, name, counting)
@@ -380,9 +413,15 @@ def test_only_tangency_pixels_carry_the_jacobian(monkeypatch):
     box = ((-2.5, 2.5), (-2.5, 2.5), 8, 8)
     green_grid(henon, "green-plus", *box, slice_value=0.3, workers=1)
     green_grid(henon, "green-minus", *box, slice_axis="y", slice_value=0.3, workers=1)
-    assert calls == dict.fromkeys(calls, 0)
-    green_grid(henon, "tangency", *box, slice_value=0.3, workers=1)
-    assert calls["phi_plus_eval"] > 0 and calls["horner_with_deriv"] > 0
+    assert set(batches) == {("phi_plus_batch", False), ("phi_minus_batch", False)}
+    assert scalar == dict.fromkeys(scalar, 0)
+    batches.clear()
+    grid = green_grid(
+        HenonMap(CUBIC_3X, 0.03 + 0.02j), "tangency", *box, slice_value=0.2, workers=1
+    )
+    assert grid.nan_pixels == 0
+    assert set(batches) == {("phi_plus_batch", True), ("phi_minus_batch", True)}
+    assert scalar == dict.fromkeys(scalar, 0)
 
 
 def test_worker_count_explicit_else_cpu_count():
@@ -390,6 +429,17 @@ def test_worker_count_explicit_else_cpu_count():
     with pytest.raises(ValueError):
         worker_count(0)
     assert worker_count(None) == (os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("requested", (2.7, 1.9, 2.0, True, False, "2"))
+def test_worker_count_refuses_what_is_not_an_integer(requested):
+    # int() would round 2.7 down to 2 and read True as 1, and green_grid
+    # would render at that count without a word
+    with pytest.raises(ValueError, match="must be an integer"):
+        worker_count(requested)
+    with pytest.raises(ValueError, match="must be an integer"):
+        green_grid(HenonMap(BASIC, 0.01), "green-plus", (0, 1), (0, 1), 2, 2, workers=requested)
+    assert worker_count(np.int64(3)) == 3
 
 
 def test_unknown_kind_rejected():
@@ -440,25 +490,60 @@ def test_blocks_hand_non_finite_pixels_to_green():
     assert caught.value.args == ("non-finite point ((inf+0j), 0j)",)
 
 
-# sha256 of PGM + sidecar + CSV of 64x64 tiles of the field workload's
-# quadratic, recorded before the kernel stopped trapped orbits early: about
-# a quarter of the pixels lie in the basin of the attracting fixed point
-PINNED_TILES = {
+# sha256 of PGM + sidecar + CSV of 64x64 tiles over [-1.5, 1.5]^2 on the
+# x-slice, with each tile's kind, map, slice value and count of interior
+# (g+ = 0) or NaN pixels.  The field workload's trapped quadratic was
+# recorded before the kernel stopped trapped orbits early; about a quarter
+# of its pixels lie in the basin of the attracting fixed point.  The two
+# tangency tiles after it were recorded while tangency tiles still rendered
+# pixel by pixel through the scalar kernel: x^2 - 1 at a = 0, whose minus
+# side is the closed form, and the untrapped cubic x^3 - 3x, whose every
+# pixel escapes both ways.
+_TRAPPED_DIGESTS = {
     "green-plus": "6e2bda3212d52c9dd784352bdb40d3b5227c8edac83907508f948a87e0ff4519",
     "tangency": "7d1d212fed334ce5fd326ba7da0edec4d9e2e9609fc9f5b01605ed9d6b91b0eb",
 }
+PINNED_TILES = {
+    **{kind: (kind, TRAPPED, 0.05j, 1111, sha) for kind, sha in _TRAPPED_DIGESTS.items()},
+    "tangency-x2-1-a0": (
+        "tangency",
+        (BASIC, 0.0),
+        0.3,
+        624,
+        "1ad1beb75e1d3b356666d8753180a48452626d4654659a3705f896dc28eaeff9",
+    ),
+    "tangency-cubic": (
+        "tangency",
+        (CUBIC_3X, 0.03 + 0.02j),
+        0.2,
+        0,
+        "6b6b6bf0cccd1598f60241943dda1cc90bff4ac151eb52ede8e765aad32a45d3",
+    ),
+}
 
 
-@pytest.mark.parametrize("kind", sorted(PINNED_TILES))
-def test_trapped_tiles_keep_their_bytes(kind):
-    henon = HenonMap(*TRAPPED)
+def _pinned_tile(name):
+    """The map of tile `name`, after rendering the tile and checking its
+    pixel count and digest."""
+    kind, spec, slice_value, count, expected = PINNED_TILES[name]
+    henon = HenonMap(*spec)
     grid = green_grid(
-        henon, kind, (-1.5, 1.5), (-1.5, 1.5), 64, 64, slice_axis="x", slice_value=0.05j
+        henon, kind, (-1.5, 1.5), (-1.5, 1.5), 64, 64, slice_axis="x", slice_value=slice_value
     )
-    assert henon.trap is not None
     interior = grid.nan_pixels if kind == "tangency" else int((grid.values == 0).sum())
-    assert interior == 1111
+    assert interior == count
     digest = hashlib.sha256()
     for part in (grid_to_pgm(grid), grid_sidecar(grid).encode(), grid_to_csv(grid).encode()):
         digest.update(part)
-    assert digest.hexdigest() == PINNED_TILES[kind]
+    assert digest.hexdigest() == expected
+    return henon
+
+
+@pytest.mark.parametrize("name", sorted(_TRAPPED_DIGESTS))
+def test_trapped_tiles_keep_their_bytes(name):
+    assert _pinned_tile(name).trap is not None
+
+
+@pytest.mark.parametrize("name", ("tangency-cubic", "tangency-x2-1-a0"))
+def test_tangency_tiles_keep_their_bytes(name):
+    _pinned_tile(name)
