@@ -39,6 +39,11 @@ CPython's on every host, so none of them is used here
 own: `cmath.log` once per live factor of every point, and `cmath.exp` and
 the final `cmath.log` once per escaping point.
 
+Both sides run one `_entry`, one `_product` and one `_finish`, as both
+scalar entries run `_kernel._eval`: the minus side runs on the swapped pair
+(y, x) with a <-> 1/a in the entry step and the carriers multiplied by a,
+so each operation here has one counterpart there.
+
 The entry loop runs all points in lockstep, so at step k every point still
 iterating has made k steps; each step drops the points that escape, reach
 the cap, enter the trap or pass the overflow guard.  The product loop runs

@@ -8,11 +8,14 @@ its holomorphic gradient.  Every call carries the Jacobian and the
 gradient: the paper's critical locus is where the gradients of log phi+
 and log phi- are parallel, and every scalar caller reads them.
 
-Their entry loops are the package's only Jacobian-carrying iteration of f,
-and `horner` / `horner_with_deriv` its only Horner routines. The product
-loop keeps an inline Horner in u (resp. v): it runs once per factor of every
-call, where a function call costs time, and stays bit for bit the loop the
-oracle tests pin.
+Both run one loop, `_eval`: phi- is built from f^-1 as phi+ is from f, so
+the minus side is the plus side's entry and product loops on the swapped
+pair (y, x), with a <-> 1/a where f^-1 divides by a.  That entry loop is the
+package's only scalar Jacobian-carrying iteration of f, and `horner` /
+`horner_with_deriv` its only Horner routines.  The product loop keeps an
+inline Horner in u (resp. v): it runs once per factor of every call, where
+a function call costs time, and stays bit for bit the loop the oracle tests
+pin.
 
 To avoid overflowing doubles (iterates grow like |x|^(d^k)) the product
 phase works entirely in the bounded reciprocal variables
@@ -44,20 +47,9 @@ would have returned NO_ESCAPE at the cap with the same zero values; only
 the returned step count differs, k < cap. The minus side has no trap: f^-1
 expands volume by 1/|a| and has no attracting cycle.
 
-The batch twin, `_batch.phi_plus_batch` and `phi_minus_batch`, runs these
-loops over blocks of points, with the arguments `escape._call_args`
-prepares for the scalar call: split-real numpy arrays with CPython's own
-complex formulas and cmath's log and exp.  `gridfield` runs it once per
-side and block of rows of every tile.  For g+ and g- tiles it skips p',
-the Jacobian, acc2, ds/du and ds/dw (ds/dv, ds/dt), the gradient sums and
-the carrier updates, and performs the value operations here in the same
-order; its dead-tail test then leaves once u and w (v and t) are exactly
-zero, and past that point the loops here run only factors that add +-0 to
-a log sum that is never -0.0.  For tangency tiles it carries the Jacobian
-and the gradients too, with every operation here in the same order and
-this dead-tail test.  Either way every point's slots are bitwise the ones
-these functions return, up to the sign of a NaN gradient part
-(`tests/test_batch.py`).  A change to the operations here must be made
+The batch twin, `_batch.phi_plus_batch` and `phi_minus_batch`, runs the
+same loops over blocks of points, bitwise (see its docstring and
+`tests/test_batch.py`).  A change to the operations here must be made
 there too.
 """
 
@@ -115,12 +107,38 @@ def phi_plus_eval(coeffs, a, x, y, K, alpha, cap, trap):
     an iterate with |x - x0| < rho and |y - y0| < sigma ends the loop with
     NO_ESCAPE at its step k (see the module docstring).
     """
+    return _eval(coeffs, a, x, y, K, alpha, cap, trap, True)
+
+
+def phi_minus_eval(coeffs, a, x, y, K, alpha, cap):
+    """log phi- at (x, y), with its gradient; requires a != 0.
+
+    Returns (status, m, logphi, dlog_dx, dlog_dy, smax) with
+    logphi = d^-m * (e_m Log(a) + Log(phi-(f^-m(x,y)))), e_m = (d^m-1)/(d-1),
+    m the first entry time into V- = {|y| > |x|, |y| > alpha}.
+    """
+    return _eval(coeffs, a, y, x, K, alpha, cap, None, False)
+
+
+def _eval(coeffs, a, x, y, K, alpha, cap, trap, plus):
+    """Both sides' loops; the minus side runs on the swapped pair (y, x).
+
+    Plus side: x, y = p(x) - a y, x until |x| > |y|, |x| > alpha, then the
+    product in u = 1/x, w = y/x.  Minus side: x, y = (p(x) - y)/a, x on the
+    swapped pair, then the product in v = 1/x, t = y/x with the carriers
+    multiplied by a.  The Jacobian's rows follow the pair, so its columns
+    stay d/dx0 and d/dy0: the minus side starts from the swapped rows.
+    """
     d = len(coeffs) - 1
     safe = OVERFLOW_CAP ** (1.0 / d)
     trapping = trap is not None
     if trapping:
         tx, ty, trho, tsigma = trap
-    jxx, jxy, jyx, jyy = 1.0 + 0j, 0j, 0j, 1.0 + 0j
+    if plus:
+        jxx, jxy, jyx, jyy = 1.0 + 0j, 0j, 0j, 1.0 + 0j
+    else:
+        inv_a = 1.0 / a
+        jxx, jxy, jyx, jyy = 0j, 1.0 + 0j, 1.0 + 0j, 0j
     k = 0
     while True:
         ax, ay = abs(x), abs(y)
@@ -133,11 +151,16 @@ def phi_plus_eval(coeffs, a, x, y, K, alpha, cap, trap):
         if ax > safe or ay > safe:
             return (OVERFLOW, k, 0j, 0j, 0j, 0.0)
         px, dpx = horner_with_deriv(coeffs, x)
-        njxx = dpx * jxx - a * jyx
-        njxy = dpx * jxy - a * jyy
+        if plus:
+            njxx = dpx * jxx - a * jyx
+            njxy = dpx * jxy - a * jyy
+            x, y = px - a * y, x
+        else:
+            njxx = (dpx * jxx - jyx) * inv_a
+            njxy = (dpx * jxy - jyy) * inv_a
+            x, y = (px - y) * inv_a, x
         jyx, jyy = jxx, jxy
         jxx, jxy = njxx, njxy
-        x, y = px - a * y, x
         k += 1
 
     u = 1.0 / x
@@ -147,6 +170,8 @@ def phi_plus_eval(coeffs, a, x, y, K, alpha, cap, trap):
     gwx = (jyx * x - y * jxx) * uu
     gwy = (jyy * x - y * jxy) * uu
     glx, gly = jxx * u, jxy * u  # gradient of Log x_k
+    # q_i and (d-i) q_i for the inline Horner, lowest degree first
+    terms = [(c, (d - i) * c) for i, c in enumerate(coeffs[:d])]
     logsum = 0j
     smax = 0.0
     dj = 1
@@ -156,12 +181,16 @@ def phi_plus_eval(coeffs, a, x, y, K, alpha, cap, trap):
         dj *= d
         # acc = sum_i q_i u^(d-1-i), acc2 = sum_i (d-i) q_i u^(d-1-i)
         acc = acc2 = 0j
-        for i in range(d):
-            acc = acc * u + coeffs[i]
-            acc2 = acc2 * u + (d - i) * coeffs[i]
+        for q, dq in terms:
+            acc = acc * u + q
+            acc2 = acc2 * u + dq
         u_dm2 = u ** (d - 2)
         u_dm1 = u_dm2 * u
-        s = u * acc - a * w * u_dm1
+        if plus:
+            aw, dsdw = a * w, -a * u_dm1
+        else:
+            aw, dsdw = w, -u_dm1
+        s = u * acc - aw * u_dm1
         t = 1.0 + s
         ms = abs(s)
         if ms > smax:
@@ -169,98 +198,26 @@ def phi_plus_eval(coeffs, a, x, y, K, alpha, cap, trap):
         logsum += cmath.log(t) / dj
         u_d = u_dm1 * u
         inv_t = 1.0 / t
-        dsdu = acc2 - a * w * (d - 1) * u_dm2
-        dsdw = -a * u_dm1
+        dsdu = acc2 - aw * (d - 1) * u_dm2
         gsx = dsdu * gux + dsdw * gwx
         gsy = dsdu * guy + dsdw * gwy
-        glx += gsx / (t * dj)
-        gly += gsy / (t * dj)
-        ngux = (d * u_dm1 * gux - u_d * gsx * inv_t) * inv_t
-        nguy = (d * u_dm1 * guy - u_d * gsy * inv_t) * inv_t
-        ngwx = ((d - 1) * u_dm2 * gux - u_dm1 * gsx * inv_t) * inv_t
-        ngwy = ((d - 1) * u_dm2 * guy - u_dm1 * gsy * inv_t) * inv_t
-        gux, guy, gwx, gwy = ngux, nguy, ngwx, ngwy
+        tdj = t * dj
+        glx += gsx / tdj
+        gly += gsy / tdj
+        # d u^(d-1) and (d-1) u^(d-2): the factors of grad u and grad w
+        fu, fw = d * u_dm1, (d - 1) * u_dm2
+        ngux = fu * gux - u_d * gsx * inv_t
+        nguy = fu * guy - u_d * gsy * inv_t
+        ngwx = fw * gux - u_dm1 * gsx * inv_t
+        ngwy = fw * guy - u_dm1 * gsy * inv_t
+        if not plus:
+            ngux, nguy, ngwx, ngwy = a * ngux, a * nguy, a * ngwx, a * ngwy
+            u_d, u_dm1 = a * u_d, a * u_dm1
+        gux, guy, gwx, gwy = ngux * inv_t, nguy * inv_t, ngwx * inv_t, ngwy * inv_t
         u = u_d * inv_t
         w = u_dm1 * inv_t
 
     phi_w = x * cmath.exp(logsum)
     dk = d**k
-    logphi = cmath.log(phi_w) / dk
-    return (OK, k, logphi, glx / dk, gly / dk, smax)
-
-
-def phi_minus_eval(coeffs, a, x, y, K, alpha, cap):
-    """log phi- at (x, y), with its gradient; requires a != 0.
-
-    Returns (status, m, logphi, dlog_dx, dlog_dy, smax) with
-    logphi = d^-m * (e_m Log(a) + Log(phi-(f^-m(x,y)))), e_m = (d^m-1)/(d-1),
-    m the first entry time into V- = {|y| > |x|, |y| > alpha}.
-    """
-    d = len(coeffs) - 1
-    safe = OVERFLOW_CAP ** (1.0 / d)
-    inv_a = 1.0 / a
-    jxx, jxy, jyx, jyy = 1.0 + 0j, 0j, 0j, 1.0 + 0j
-    m = 0
-    while True:
-        ax, ay = abs(x), abs(y)
-        if ay > ax and ay > alpha:
-            break
-        if m >= cap:
-            return (NO_ESCAPE, m, 0j, 0j, 0j, 0.0)
-        if ax > safe or ay > safe:
-            return (OVERFLOW, m, 0j, 0j, 0j, 0.0)
-        py, dpy = horner_with_deriv(coeffs, y)
-        njxx, njxy = jyx, jyy
-        njyx = (dpy * jyx - jxx) * inv_a
-        njyy = (dpy * jyy - jxy) * inv_a
-        jxx, jxy, jyx, jyy = njxx, njxy, njyx, njyy
-        x, y = y, (py - x) * inv_a
-        m += 1
-
-    v = 1.0 / y
-    t = x * v
-    vv = v * v
-    gvx, gvy = -jyx * vv, -jyy * vv
-    gtx = (jxx * y - x * jyx) * vv
-    gty = (jxy * y - x * jyy) * vv
-    glx, gly = jyx * v, jyy * v  # gradient of Log y_-m
-    logsum = 0j
-    smax = 0.0
-    dj = 1
-    for _ in range(K):
-        if not (v or t or gvx or gvy or gtx or gty) and _no_negative_zero(glx, gly):
-            break  # dead tail: see the module docstring
-        dj *= d
-        acc = acc2 = 0j
-        for i in range(d):
-            acc = acc * v + coeffs[i]
-            acc2 = acc2 * v + (d - i) * coeffs[i]
-        v_dm2 = v ** (d - 2)
-        v_dm1 = v_dm2 * v
-        s = v * acc - t * v_dm1
-        tau = 1.0 + s
-        ms = abs(s)
-        if ms > smax:
-            smax = ms
-        logsum += cmath.log(tau) / dj
-        v_d = v_dm1 * v
-        inv_tau = 1.0 / tau
-        dsdv = acc2 - t * (d - 1) * v_dm2
-        dsdt = -v_dm1
-        gsx = dsdv * gvx + dsdt * gtx
-        gsy = dsdv * gvy + dsdt * gty
-        glx += gsx / (tau * dj)
-        gly += gsy / (tau * dj)
-        ngvx = a * (d * v_dm1 * gvx - v_d * gsx * inv_tau) * inv_tau
-        ngvy = a * (d * v_dm1 * gvy - v_d * gsy * inv_tau) * inv_tau
-        ngtx = a * ((d - 1) * v_dm2 * gvx - v_dm1 * gsx * inv_tau) * inv_tau
-        ngty = a * ((d - 1) * v_dm2 * gvy - v_dm1 * gsy * inv_tau) * inv_tau
-        gvx, gvy, gtx, gty = ngvx, ngvy, ngtx, ngty
-        v = a * v_d * inv_tau
-        t = a * v_dm1 * inv_tau
-
-    phi_w = y * cmath.exp(logsum)
-    dm = d**m
-    em = (dm - 1) // (d - 1)
-    logphi = (em * cmath.log(a) + cmath.log(phi_w)) / dm
-    return (OK, m, logphi, glx / dm, gly / dm, smax)
+    logphi = cmath.log(phi_w) if plus else (dk - 1) // (d - 1) * cmath.log(a) + cmath.log(phi_w)
+    return (OK, k, logphi / dk, glx / dk, gly / dk, smax)

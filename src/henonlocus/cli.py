@@ -467,6 +467,8 @@ def _suite_core(henon, opts):
     from .escape import green, phi_minus, phi_plus
 
     tol = _as_float(opts["tol"], "tol")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     samples = _as_int(opts["samples"], "samples")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")

@@ -21,9 +21,10 @@ plus side accepts; the determinant and scale are formed split-real, as
 `locus._tangency` forms them.  A pixel that the scalar path refuses with
 a HenonLocusError (no escape, overflow, |s| >= r, a non-finite log phi or
 gradient) is NaN, and every pixel the batch cannot vouch for (the scalar
-kernel raises, an abs overflows, a coordinate is not finite, or the minus
-side at a = 0 takes its closed form) goes to `tangency_value` itself, in
-row order.
+kernel raises, an abs overflows, or a coordinate is not finite) goes to
+`tangency_value` itself, in row order.  At a = 0 that is every pixel the
+plus side accepts: the minus batch raises there, as 1/a does, and
+`tangency_value` takes the minus side's closed form.
 
 Exports: binary 16-bit PGM (P5, big-endian, row-major, affine scaling
 recorded in a JSON sidecar) and CSV rows (x, y, value).
@@ -161,9 +162,7 @@ def _tangency_rows(job, rows):
     scalar = (status == _batch.RAISES) | ~np.isfinite([*x, *y]).all(0)
     plus = np.flatnonzero(_escaped(status, smax, dp.r, *logphi, *g1x, *g1y))
     values = np.full(len(status), math.nan)
-    if a == 0:
-        scalar[plus] = True
-    elif plus.size:
+    if plus.size:
         (xr, xi), (yr, yi), g1x, g1y = [[part[plus] for part in z] for z in (x, y, g1x, g1y)]
         dp, K, alpha, _ = _call_args(henon, "minus", DEFAULT_TOL, alpha)
         status, _, logphi, g2x, g2y, smax = _batch.phi_minus_batch(

@@ -200,6 +200,19 @@ def test_non_integer_counts_and_boolean_numbers_exit_2(capsys, tmp_path, argv, k
         assert f"{key} must be {kind}" in report["error"]
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verify_tol_outside_zero_to_infinity_exits_2(capsys, tmp_path, tol):
+    # the residuals are compared against tol: max(res) >= nan is never true.
+    # A config file holds nan and inf only as strings.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f'subcommand = "verify"\ntol = "{tol}"\n')
+    for argv in (["verify", "--tol", tol], ["verify", "--config", str(cfg)]):
+        code, report = run_json(capsys, argv)
+        assert code == 2
+        assert report["status"] == "config-error"
+        assert "tol must be positive and finite" in report["error"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -245,6 +245,9 @@ _QUARTIC = (-0.5 + 0j, -0.3 - 0.25j, -0.45 + 0.5j, 0j, 1 + 0j)
 # a direct entry near alpha: the carriers live through all K = 3 factors
 @example(kernels=_PLUS, args=(CUBIC, 0.05 + 0j, 3.5 + 0j, 0.5j, 3, 3.0, CAP))
 @example(kernels=_MINUS, args=(_QUADRATIC, 0.05 + 0j, 0.5j, 3.5 + 0j, 3, 3.0, CAP))
+# a = 0: the plus side never divides by a, the minus side raises on 1/a
+@example(kernels=_PLUS, args=(_QUADRATIC, 0j, 3.5 + 0j, 0.5j, 3, 3.0, CAP))
+@example(kernels=_MINUS, args=(_QUADRATIC, 0j, 0.5j, 3.5 + 0j, 3, 3.0, CAP))
 def test_kernel_is_bitwise_the_plain_loops(kernels, args):
     kernel, oracle = kernels
     assert _outcome(kernel, *args) == _outcome(oracle, *args)

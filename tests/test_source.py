@@ -358,15 +358,17 @@ def test_exact_products_stay_in_packed_integers():
 
 
 def test_one_scalar_kernel_path():
-    # Every scalar kernel call carries the Jacobian: the eval functions take
+    # Every scalar kernel call carries the Jacobian: the public entries take
     # no flag to skip it, and evaluate p only through horner_with_deriv.
-    # The value-only loops are the batch's.
+    # Both sides run one loop: exactly one function calls horner_with_deriv,
+    # and it holds the only entry `while` loop.  The value-only loops are the
+    # batch's.
     path = PACKAGE / "_kernel.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     parameters = {
-        node.name: [arg.arg for arg in node.args.args]
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name.endswith("_eval")
+        name: [arg.arg for arg in functions[name].args.args]
+        for name in ("phi_plus_eval", "phi_minus_eval")
     }
     assert parameters == {
         "phi_plus_eval": ["coeffs", "a", "x", "y", "K", "alpha", "cap", "trap"],
@@ -377,7 +379,13 @@ def test_one_scalar_kernel_path():
         return {fn for module, fn in _functions_naming(name) if module == "_kernel.py"}
 
     assert in_kernel("horner") == set()
-    assert in_kernel("horner_with_deriv") == {"phi_plus_eval", "phi_minus_eval"}
+    entry_loops = {
+        name
+        for name, node in functions.items()
+        if any(isinstance(child, ast.While) for child in ast.walk(node))
+    }
+    assert len(in_kernel("horner_with_deriv")) == 1
+    assert in_kernel("horner_with_deriv") == entry_loops
 
 
 def _is_dataclass(cls):
