@@ -6,43 +6,26 @@ what `_kernel.phi_plus_eval` and `phi_minus_eval` return, bit for bit:
 caller asks for it with `gradient`.  (The one exception: a NaN gradient
 part may differ in sign, since which of two NaNs an addition keeps is up
 to how numpy's loops and CPython were compiled; callers refuse
-non-finite gradients.)
-
-Without the gradient they skip p', the Jacobian, acc2, ds/du and ds/dw
-(ds/dv, ds/dt), the gradient sums and the carriers' gradients, and are the
-package's only value-only loops; with it they carry the Jacobian and the
-gradients in `_kernel`'s order.  `gridfield` renders every tile through
+non-finite gradients.)  Without the gradient they skip p', the Jacobian,
+acc2, ds/du and ds/dw (ds/dv, ds/dt) and every gradient, and are the
+package's only value-only loops.  `gridfield` renders every tile through
 them, one call per side and block of rows, with the arguments
 `escape._call_args` prepares for the scalar call: g+ and g- blocks without
 the gradient, tangency blocks with it.
 
-Split-real: a complex quantity is a pair of float64 arrays, its real and
-imaginary parts, and each operation is CPython's own float64 formula for it
-(Objects/complexobject.c), so every element rounds as the scalar kernel
-rounds:
-
-    z * w      _Py_c_prod: (zr wr - zi wi, zr wi + zi wr)
-    z / w      _Py_c_quot: Smith's quotient, dividing through by the larger
-               of |wr| and |wi| (wr on a tie); NaN parts if w has one
-    z ** n     c_powu: square-and-multiply from 1 + 0j (n = d - 2 >= 0)
-    1.0 + z    the float promoted to 1.0 + 0j: (1.0 + zr, 0.0 + zi)
-    n * z      an int or float promoted to n + 0j, then _Py_c_prod; so are
-               z * n and z / n (d u^(d-1), t d^j, det * scale, sums / d^k)
-    abs(z)     hypot (np.hypot is the C library's on every input tried)
-
-The promotions are CPython 3.11's (3.14 multiplies a float into a complex
-without the + 0j, which rounds signed zeros and infinities differently;
-`tests/test_batch.py` fails there).  numpy's complex dtypes, its complex
-`*` and `/`, and its `log`, `log1p`, `exp` and `arctan2` are not bitwise
-CPython's on every host, so none of them is used here
-(`tests/test_source.py` keeps that so).  The transcendentals are CPython's
-own: `cmath.log` once per live factor of every point, and `cmath.exp` and
-the final `cmath.log` once per escaping point.
-
-Both sides run one `_entry`, one `_product` and one `_finish`, as both
-scalar entries run `_kernel._eval`: the minus side runs on the swapped pair
-(y, x) with a <-> 1/a in the entry step and the carriers multiplied by a,
-so each operation here has one counterpart there.
+Split-real: a block of complex values is a `_Z`, float64 arrays of real
+and imaginary parts whose operators are CPython's own complex formulas, so
+every element rounds as the scalar kernel rounds.  `_entry`, `_product`
+and `_finish` are `_kernel._eval`'s own statements on `_Z` values, for
+both sides (the minus side on the swapped pair (y, x), as there), and p
+comes from `_kernel.horner` and `horner_with_deriv` themselves;
+`tests/test_source.py` holds each mirrored assignment to its counterpart
+in `_eval`.  numpy's complex dtypes, its complex `*` and `/`, and its
+`log`, `log1p`, `exp` and `arctan2` are not bitwise CPython's on every
+host, so none of them is used here (`tests/test_source.py` keeps that so).
+The transcendentals are CPython's own: `cmath.log` once per live factor of
+every point, and `cmath.exp` and the final `cmath.log` once per escaping
+point.
 
 The entry loop runs all points in lockstep, so at step k every point still
 iterating has made k steps; each step drops the points that escape, reach
@@ -68,7 +51,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from ._kernel import NO_ESCAPE, OK, OVERFLOW, OVERFLOW_CAP
+from ._kernel import NO_ESCAPE, OK, OVERFLOW, OVERFLOW_CAP, horner, horner_with_deriv
 
 # the scalar kernel raises at this point; see the module docstring
 RAISES = 3
@@ -76,11 +59,96 @@ RAISES = 3
 _REAL, _IMAG = attrgetter("real"), attrgetter("imag")
 
 
-def _mul(ar, ai, br, bi):
-    return ar * br - ai * bi, ar * bi + ai * br
+def _parts(v):
+    """An operand's real and imaginary parts: an int, a float or a real
+    array is promoted to v + 0j, as CPython 3.11 promotes it."""
+    if type(v) is _Z:
+        return v.re, v.im
+    if isinstance(v, complex):
+        return v.real, v.imag
+    return (float(v) if isinstance(v, int) else v), 0.0
 
 
-def _div(ar, ai, br, bi):
+class _Z:
+    """A block of complex numbers: float64 arrays of real and imaginary
+    parts, whose operators are CPython 3.11's complex formulas
+    (Objects/complexobject.c), elementwise:
+
+        z + w, z - w  _Py_c_sum, _Py_c_diff: part by part
+        z * w      _Py_c_prod: (zr wr - zi wi, zr wi + zi wr)
+        z / w      _Py_c_quot: Smith's quotient, dividing through by the
+                   larger of |wr| and |wi| (wr on a tie); NaN parts if w
+                   has one.  By a positive float or int n, whose ratio is
+                   0.0 and denominator n: ((zr + zi 0.0)/n, (zi - zr 0.0)/n)
+        n op z     an int, a float or a real array promoted to n + 0j, on
+                   either side (1.0 + s, d u^(d-1), t d^j, det * scale)
+
+    The promotions are CPython 3.11's (3.14 multiplies a float into a
+    complex without the + 0j, which rounds signed zeros and infinities
+    differently; `tests/test_batch.py` fails there).  `__array_ufunc__ =
+    None` makes an ndarray operand defer to the reflected operator, so no
+    expression here becomes a numpy complex array.
+    """
+
+    __slots__ = ("re", "im")
+    __array_ufunc__ = None
+
+    def __init__(self, re, im):
+        self.re = re
+        self.im = im
+
+    def __iter__(self):
+        return iter((self.re, self.im))
+
+    def __getitem__(self, key):
+        return _Z(self.re[key], self.im[key])
+
+    def __setitem__(self, key, value):
+        self.re[key], self.im[key] = value
+
+    def __neg__(self):
+        return _Z(-self.re, -self.im)
+
+    def __add__(self, other):
+        if type(other) is _Z:
+            return _Z(self.re + other.re, self.im + other.im)
+        wr, wi = _parts(other)
+        return _Z(self.re + wr, self.im + wi)
+
+    def __radd__(self, other):
+        wr, wi = _parts(other)
+        return _Z(wr + self.re, wi + self.im)
+
+    def __sub__(self, other):
+        if type(other) is _Z:
+            return _Z(self.re - other.re, self.im - other.im)
+        wr, wi = _parts(other)
+        return _Z(self.re - wr, self.im - wi)
+
+    def __mul__(self, other):
+        zr, zi = self.re, self.im
+        wr, wi = (other.re, other.im) if type(other) is _Z else _parts(other)
+        return _Z(zr * wr - zi * wi, zr * wi + zi * wr)
+
+    def __rmul__(self, other):
+        wr, wi = _parts(other)
+        return _Z(wr * self.re - wi * self.im, wr * self.im + wi * self.re)
+
+    def __truediv__(self, other):
+        if type(other) in (int, float) and other > 0:
+            n = float(other)
+            return _Z((self.re + self.im * 0.0) / n, (self.im - self.re * 0.0) / n)
+        return _quot(self.re, self.im, *_parts(other))
+
+    def __rtruediv__(self, other):
+        return _quot(*_parts(other), self.re, self.im)
+
+
+def _zeros(n):
+    return _Z(np.zeros(n), np.zeros(n))
+
+
+def _quot(ar, ai, br, bi):
     """_Py_c_quot for a nonzero divisor."""
     swap = np.abs(bi) > np.abs(br)
     p = np.where(swap, bi, br)
@@ -95,73 +163,55 @@ def _div(ar, ai, br, bi):
     nan = np.isnan(br) | np.isnan(bi)
     if nan.any():
         re, im = np.where(nan, np.nan, re), np.where(nan, np.nan, im)
-    return re, im
+    return _Z(re, im)
 
 
-def _div_real(ar, ai, b):
-    """z / b for positive floats b (an int divisor's float), promoted to
-    b + 0j as CPython promotes them."""
-    return (ar + ai * 0.0) / b, (ai - ar * 0.0) / b
-
-
-def _abs(re, im):
+def _abs(z):
     """abs(z) and where it raises: finite parts whose modulus overflows.
     A NaN modulus is CPython's own positive NaN, as `_Py_c_abs` returns it."""
-    h = np.hypot(re, im)
+    h = np.hypot(z.re, z.im)
     odd = ~np.isfinite(h)
     if not odd.any():
         return h, odd
-    raises = np.isinf(h) & np.isfinite(re) & np.isfinite(im)
+    raises = np.isinf(h) & np.isfinite(z.re) & np.isfinite(z.im)
     return np.where(np.isnan(h), np.nan, h), raises
 
 
-def _pow(re, im, n):
-    """z ** n for an int n >= 0 (CPython's c_powi), and where it raises:
-    an infinite part."""
-    rr, ri = np.ones_like(re), np.zeros_like(im)
-    pr, pi = re, im
-    mask = 1
+def _pow(z, n):
+    """z ** n for an int n >= 0 (CPython's c_powi, from 1 + 0j), and where
+    it raises: an infinite part."""
+    r, p, mask = _Z(1.0, 0.0), z, 1
     while mask <= n:
         if n & mask:
-            rr, ri = _mul(rr, ri, pr, pi)
+            r = r * p
         mask <<= 1
         if mask <= n:
-            pr, pi = _mul(pr, pi, pr, pi)
-    return rr, ri, np.isinf(rr) | np.isinf(ri)
+            p = p * p
+    return r, np.isinf(r.re) | np.isinf(r.im)
 
 
-def _horner(coeffs, zr, zi):
-    """sum_i coeffs[i] z^i by Horner from the highest degree, as
-    `_kernel.horner` runs it."""
-    accr, acci = np.zeros_like(zr), np.zeros_like(zi)
-    for c in reversed(coeffs):
-        accr, acci = _mul(accr, acci, zr, zi)
-        accr, acci = accr + c.real, acci + c.imag
-    return accr, acci
-
-
-def _cmath(fn, re, im):
-    """cmath.log or cmath.exp of each element: (real parts, imaginary
-    parts, where it raises)."""
-    points = list(map(complex, re.tolist(), im.tolist()))
+def _cmath(fn, z):
+    """cmath.log or cmath.exp of each element, and where it raises."""
+    points = list(map(complex, z.re.tolist(), z.im.tolist()))
     raises = np.zeros(len(points), dtype=bool)
     try:
         values = list(map(fn, points))
     except (ValueError, OverflowError):
         values = []
-        for i, z in enumerate(points):
+        for i, point in enumerate(points):
             try:
-                values.append(fn(z))
+                values.append(fn(point))
             except (ValueError, OverflowError):
                 values.append(0j)
                 raises[i] = True
     n = len(values)
     re = np.fromiter(map(_REAL, values), float, n)
-    return re, np.fromiter(map(_IMAG, values), float, n), raises
+    return _Z(re, np.fromiter(map(_IMAG, values), float, n)), raises
 
 
-def _negative_zero(v):
-    return (v == 0) & np.signbit(v)
+def _negative_zero(*values):
+    """Where some part of one of the values is -0.0."""
+    return np.logical_or.reduce([(v == 0) & np.signbit(v) for z in values for v in z])
 
 
 class _Block:
@@ -170,66 +220,50 @@ class _Block:
     def __init__(self, n, gradient):
         self.status = np.full(n, OK, dtype=np.int8)
         self.k = np.zeros(n, dtype=np.int64)
-        self.logphi = np.zeros(n), np.zeros(n)
+        self.logphi = _zeros(n)
         self.smax = np.zeros(n)
-        # parts of d log phi / dx and d log phi / dy
-        self.gradient = [np.zeros(n) for _ in range(4)] if gradient else None
+        self.gradient = (_zeros(n), _zeros(n)) if gradient else (None, None)  # d/dx, d/dy
 
     def stop(self, idx, status, k):
         self.status[idx] = status
         self.k[idx] = k
 
     def result(self):
-        g = self.gradient
-        dx, dy = (None, None) if g is None else (tuple(g[:2]), tuple(g[2:]))
-        return self.status, self.k, self.logphi, dx, dy, self.smax
-
-
-def _step(vr, vi, yr, yi, a, plus):
-    """One entry step's new first coordinate from v = p(x) and the second
-    coordinate y: v - a y on the plus side, (v - y) a on the minus side
-    (where a is 1/a).  With v = p'(x) times a Jacobian column entry of x
-    and y that of the second coordinate, the same step gives the new
-    entry, as `_kernel` forms it."""
-    if plus:
-        ar, ai = _mul(a.real, a.imag, yr, yi)
-        return vr - ar, vi - ai
-    return _mul(vr - yr, vi - yi, a.real, a.imag)
+        return self.status, self.k, self.logphi, *self.gradient, self.smax
 
 
 def _entry(block, coeffs, a, x, y, alpha, cap, trap, plus, gradient):
-    """Lockstep entry loop; returns the escaped points as (index, x, y),
-    followed, with `gradient`, by the Jacobian of (x, y) in the order
-    d x/d x0, d x/d y0, d y/d x0, d y/d y0 (each a pair of parts), or None
-    when none escapes.
+    """Lockstep entry loop; returns the escaped points as [index, x, y],
+    followed, with `gradient`, by the Jacobian jxx, jxy, jyx, jyy of
+    (x, y), or None when none escapes.
 
     Plus side: x, y = p(x) - a y, x until |x| > |y|, |x| > alpha.  Minus
-    side, on the swapped pair (y, x) with a = 1/a: x, y = y, (p(y) - x)/a
-    until |y| > |x|, |y| > alpha; the caller hands in (y, x) and inv_a,
-    and the Jacobian rows are swapped with them.
+    side, on the swapped pair (y, x): x, y = y, (p(y) - x)/a until
+    |y| > |x|, |y| > alpha; the caller hands in (y, x), and the Jacobian
+    rows are swapped with them.
     """
     d = len(coeffs) - 1
     safe = OVERFLOW_CAP ** (1.0 / d)
-    n = len(x[0])
+    n = len(x.re)
     idx = np.arange(n)
-    state = [*x, *y]
+    state = [x, y]
     if gradient:
-        one, zero = np.ones(n), np.zeros(n)
-        rows = [[one, zero, zero, zero], [zero, zero, one, zero]]
-        state += rows[0] + rows[1] if plus else rows[1] + rows[0]
-        slopes = [i * c for i, c in enumerate(coeffs)][1:]  # p' as CPython forms i * c_i
+        one, zero = _Z(np.ones(n), np.zeros(n)), _zeros(n)
+        state += [one, zero, zero, one] if plus else [zero, one, one, zero]
+    if not plus:
+        inv_a = 1.0 / a
     escaped = []
     k = 0
     with np.errstate(all="ignore"):
         while idx.size:
-            xr, xi, yr, yi = state[:4]
-            ax, rx = _abs(xr, xi)
-            ay, ry = _abs(yr, yi)
+            x, y = state[:2]
+            ax, rx = _abs(x)
+            ay, ry = _abs(y)
             raises = rx | ry
             out = (ax > ay) & (ax > alpha) & ~raises
             if out.any():
                 block.k[idx[out]] = k
-                escaped.append([idx[out]] + [v[out] for v in state])
+                escaped.append([idx[out], *(part[out] for z in state for part in z)])
             if k >= cap:
                 stay = ~(out | raises)
                 block.stop(idx[stay], NO_ESCAPE, k)
@@ -238,9 +272,9 @@ def _entry(block, coeffs, a, x, y, alpha, cap, trap, plus, gradient):
             done = out | raises
             if trap is not None:
                 tx, ty, trho, tsigma = trap
-                dx, rdx = _abs(xr - tx.real, xi - tx.imag)
+                dx, rdx = _abs(x - tx)
                 near = dx < trho
-                dy, rdy = _abs(yr - ty.real, yi - ty.imag)
+                dy, rdy = _abs(y - ty)
                 trapped = near & (dy < tsigma) & ~done
                 traise = (rdx | (near & rdy)) & ~done
                 block.stop(idx[trapped], NO_ESCAPE, k)
@@ -253,212 +287,178 @@ def _entry(block, coeffs, a, x, y, alpha, cap, trap, plus, gradient):
             if done.any():
                 keep = ~done
                 idx = idx[keep]
-                state = [v[keep] for v in state]
-            xr, xi, yr, yi, *jac = state
-            pr, pi = _horner(coeffs, xr, xi)
-            state = [*_step(pr, pi, yr, yi, a, plus), xr, xi]
+                state = [z[keep] for z in state]
+            x, y, *jac = state
             if gradient:
-                dpr, dpi = _horner(slopes, xr, xi)
-                for col in (0, 2):
-                    vr, vi = _mul(dpr, dpi, jac[col], jac[col + 1])
-                    state += _step(vr, vi, jac[4 + col], jac[5 + col], a, plus)
-                state += jac[:4]
+                jxx, jxy, jyx, jyy = jac
+                px, dpx = horner_with_deriv(coeffs, x)
+                if plus:
+                    njxx = dpx * jxx - a * jyx
+                    njxy = dpx * jxy - a * jyy
+                else:
+                    njxx = (dpx * jxx - jyx) * inv_a
+                    njxy = (dpx * jxy - jyy) * inv_a
+                jac = [njxx, njxy, jxx, jxy]
+            else:
+                px = horner(coeffs, x)
+            state = [px - a * y if plus else (px - y) * inv_a, x, *jac]
             k += 1
     if not escaped:
         return None
-    return [np.concatenate(part) for part in zip(*escaped)]
+    idx, *parts = map(np.concatenate, zip(*escaped))
+    return [idx, *map(_Z, parts[0::2], parts[1::2])]
 
 
 def _product(block, coeffs, a, K, entered, plus, gradient):
-    """The product loop over the escaped points: the parts of each log
-    sum, with `gradient` those of the gradient sums d Log x_k/d(x, y) +
-    sum_j (ds_j/d(x, y)) / ((1 + s_j) d^j) (else None), and where the point
-    did not raise.
+    """The product loop over the escaped points: each log sum, with
+    `gradient` the gradient sums d Log x_k/d(x, y) + sum_j (ds_j/d(x, y)) /
+    ((1 + s_j) d^j) (else None), and where the point did not raise.
 
     Plus side: s = u acc - a w u^(d-1), u <- u^d/(1+s), w <- u^(d-1)/(1+s).
     Minus side: s = v acc - t v^(d-1), v <- a v^d/(1+s), t <- a v^(d-1)/(1+s).
-    With `gradient` the carriers' gradients go along, in `_kernel`'s order.
+    A point that raises runs on to its dead tail or K, and is marked.
     """
     d = len(coeffs) - 1
-    idx, xr, xi, yr, yi, *jac = entered
+    idx, x, y, *jac = entered
     n = len(idx)
-    lsr, lsi = np.zeros(n), np.zeros(n)
-    smax = np.zeros(n)
-    ok = np.ones(n, dtype=bool)
-    pos = np.arange(n)
-    lead = coeffs[d - 1 :: -1]  # acc = sum_i q_i u^(d-1-i)
+    logsum, smax = _zeros(n), np.zeros(n)
+    ok, pos = np.ones(n, dtype=bool), np.arange(n)
+    lead = coeffs[d - 1 :: -1]  # acc = sum_i q_i u^(d-1-i), by Horner from q_0
     with np.errstate(all="ignore"):
-        ur, ui = _div(1.0, 0.0, xr, xi)
-        carriers = [ur, ui, *_mul(yr, yi, ur, ui)]
-        sums = None
+        u = 1.0 / x
+        w = y * u
+        carriers = [u, w]
         if gradient:
             # acc2 = sum_i (d - i) q_i u^(d-1-i), as CPython forms (d - i) * q_i
             slopes = [(d - i) * c for i, c in enumerate(coeffs[:d])][::-1]
-            uur, uui = _mul(ur, ui, ur, ui)
-            xx, xy, yx, yy = zip(jac[0::2], jac[1::2])
-            for row in (xx, xy):  # grad u = -(grad x) u^2
-                carriers += _mul(-row[0], -row[1], uur, uui)
-            for ry, rx in ((yx, xx), (yy, xy)):  # grad w = (grad y x - y grad x) u^2
-                vr, vi = _mul(*ry, xr, xi)
-                er, ei = _mul(yr, yi, *rx)
-                carriers += _mul(vr - er, vi - ei, uur, uui)
-            sums = [*_mul(*xx, ur, ui), *_mul(*xy, ur, ui)]  # grad Log x = (grad x) u
+            jxx, jxy, jyx, jyy = jac
+            uu = u * u
+            gux, guy = -jxx * uu, -jxy * uu
+            gwx = (jyx * x - y * jxx) * uu
+            gwy = (jyy * x - y * jxy) * uu
+            glx, gly = jxx * u, jxy * u  # gradient of Log x_k
+            carriers += [gux, guy, gwx, gwy]
         dj = 1
         for _ in range(K):
-            alive = carriers[0] != 0
-            for v in carriers[1:]:
-                alive |= v != 0
+            alive = carriers[0].re != 0
+            for part in [part for z in carriers for part in z][1:]:
+                alive |= part != 0
             if gradient:
-                for g in sums:
-                    alive |= _negative_zero(g[pos])
+                alive |= _negative_zero(glx[pos], gly[pos])
             if not alive.all():
                 pos = pos[alive]
-                carriers = [v[alive] for v in carriers]
+                carriers = [z[alive] for z in carriers]
                 if not pos.size:
                     break
             dj *= d
             try:
-                dj_float = float(dj)
+                float(dj)
             except OverflowError:  # the scalar's log(t) / dj raises
                 ok[pos] = False
                 break
-            ur, ui, wr, wi = carriers[:4]
-            accr, acci = _horner(lead, ur, ui)
-            m2r, m2i, raises = _pow(ur, ui, d - 2)
-            m1r, m1i = _mul(m2r, m2i, ur, ui)
-            sr, si = _mul(ur, ui, accr, acci)
-            # s = u acc - (a w) u^(d-1), or u acc - w u^(d-1) on the minus side
-            awr, awi = _mul(a.real, a.imag, wr, wi) if plus else (wr, wi)
-            br, bi = _mul(awr, awi, m1r, m1i)
-            sr, si = sr - br, si - bi
-            tr, ti = 1.0 + sr, 0.0 + si
-            ms, over = _abs(sr, si)
+            u, w, *grads = carriers
+            acc = horner(lead, u)
+            u_dm2, raises = _pow(u, d - 2)
+            u_dm1 = u_dm2 * u
+            aw = a * w if plus else w
+            s = u * acc - aw * u_dm1
+            t = 1.0 + s
+            ms, over = _abs(s)
             smax[pos] = np.where(ms > smax[pos], ms, smax[pos])
-            lr, li, zero = _cmath(cmath.log, tr, ti)  # raises at t = 0, as 1/t would
+            log_t, zero = _cmath(cmath.log, t)  # raises at t = 0, as 1/t would
             raises |= over | zero
-            live = [m1r, m1i, m2r, m2i, tr, ti, lr, li, awr, awi]
             if raises.any():
                 ok[pos[raises]] = False
-                keep = ~raises
-                pos = pos[keep]
-                carriers = [v[keep] for v in carriers]
-                live = [v[keep] for v in live]
-            m1r, m1i, m2r, m2i, tr, ti, lr, li, awr, awi = live
-            ur, ui, wr, wi = carriers[:4]
-            lr, li = _div_real(lr, li, dj_float)
-            lsr[pos] += lr
-            lsi[pos] += li
-            udr, udi = _mul(m1r, m1i, ur, ui)
-            itr, iti = _div(1.0, 0.0, tr, ti)
+            logsum[pos] += log_t / dj
+            u_d = u_dm1 * u
+            inv_t = 1.0 / t
             if gradient:
-                acc2r, acc2i = _horner(slopes, ur, ui)
-                # ds/du = acc2 - (a w) (d - 1) u^(d-2) and ds/dw = -a u^(d-1); on
-                # the minus side ds/dv = acc2 - t (d - 1) v^(d-2) and ds/dt = -v^(d-1)
-                cr, ci = _mul(*_mul(awr, awi, float(d - 1), 0.0), m2r, m2i)
-                dur, dui = acc2r - cr, acc2i - ci
-                dwr, dwi = _mul(-a.real, -a.imag, m1r, m1i) if plus else (-m1r, -m1i)
-                tdr, tdi = _mul(tr, ti, dj_float, 0.0)  # t * dj
-                # d u^(d-1) and (d - 1) u^(d-2): the factors of grad u and grad w
-                factors = (
-                    (_mul(float(d), 0.0, m1r, m1i), (udr, udi)),
-                    (_mul(float(d - 1), 0.0, m2r, m2i), (m1r, m1i)),
-                )
-                grads = carriers[4:]
-                new = ([], [])
-                for axis in (0, 1):
-                    gur, gui = grads[2 * axis : 2 * axis + 2]
-                    gwr, gwi = grads[4 + 2 * axis : 6 + 2 * axis]
-                    vr, vi = _mul(dur, dui, gur, gui)
-                    er, ei = _mul(dwr, dwi, gwr, gwi)
-                    gsr, gsi = vr + er, vi + ei  # ds/dx or ds/dy
-                    qr, qi = _div(gsr, gsi, tdr, tdi)
-                    sums[2 * axis][pos] += qr
-                    sums[2 * axis + 1][pos] += qi
-                    # grad u <- (d u^(d-1) grad u - u^d grad s / t) / t, grad w
-                    # <- ((d - 1) u^(d-2) grad u - u^(d-1) grad s / t) / t; times a
-                    # on the minus side
-                    for carrier, ((fr, fi), (hr, hi)) in zip(new, factors):
-                        vr, vi = _mul(fr, fi, gur, gui)
-                        er, ei = _mul(*_mul(hr, hi, gsr, gsi), itr, iti)
-                        vr, vi = vr - er, vi - ei
-                        if not plus:
-                            vr, vi = _mul(a.real, a.imag, vr, vi)
-                        carrier += _mul(vr, vi, itr, iti)
-                carriers[4:] = new[0] + new[1]
+                gux, guy, gwx, gwy = grads
+                acc2 = horner(slopes, u)
+                # ds/du and ds/dw; ds/dv and ds/dt on the minus side
+                dsdu = acc2 - aw * (d - 1) * u_dm2
+                dsdw = -a * u_dm1 if plus else -u_dm1
+                gsx = dsdu * gux + dsdw * gwx
+                gsy = dsdu * guy + dsdw * gwy
+                tdj = t * dj
+                glx[pos] += gsx / tdj
+                gly[pos] += gsy / tdj
+                # d u^(d-1) and (d-1) u^(d-2): the factors of grad u and grad w
+                fu, fw = d * u_dm1, (d - 1) * u_dm2
+                ngux = fu * gux - u_d * gsx * inv_t
+                nguy = fu * guy - u_d * gsy * inv_t
+                ngwx = fw * gux - u_dm1 * gsx * inv_t
+                ngwy = fw * guy - u_dm1 * gsy * inv_t
+                if not plus:
+                    ngux, nguy, ngwx, ngwy = a * ngux, a * nguy, a * ngwx, a * ngwy
+                gux, guy, gwx, gwy = ngux * inv_t, nguy * inv_t, ngwx * inv_t, ngwy * inv_t
             if not plus:
-                udr, udi = _mul(a.real, a.imag, udr, udi)
-                m1r, m1i = _mul(a.real, a.imag, m1r, m1i)
-            carriers[:4] = [*_mul(udr, udi, itr, iti), *_mul(m1r, m1i, itr, iti)]
+                u_d, u_dm1 = a * u_d, a * u_dm1
+            u = u_d * inv_t
+            w = u_dm1 * inv_t
+            carriers = [u, w, gux, guy, gwx, gwy] if gradient else [u, w]
     block.smax[idx] = smax
     block.status[idx[~ok]] = RAISES
-    return lsr, lsi, sums, ok
+    return logsum, (glx, gly) if gradient else None, ok
 
 
-def _finish(block, d, entered, lsr, lsi, sums, ok, log_a):
+def _finish(block, d, entered, logsum, sums, ok, log_a):
     """log phi at the escaped points, and with `sums` its gradient: the
-    scalar kernel's last lines, elementwise.  Plus side: Log(x e^(log sum))
-    / d^k and (gradient sum) / d^k; minus side, on y with log_a = Log a:
-    (e_m Log a + Log(y e^(log sum))) / d^m and (gradient sum) / d^m."""
-    idx, xr, xi, lsr, lsi = (v[ok] for v in (entered[0], *entered[1:3], lsr, lsi))
+    scalar kernel's last lines, for the points of each entry step k at once.
+    Log(x e^(log sum)) / d^k, or on the minus side (e_m Log a + Log(y e^(log
+    sum))) / d^m with log_a = Log a; (gradient sum) / d^k."""
+    idx, x = entered[0][ok], entered[1][ok]
     k = block.k[idx]
-    er, ei, raises = _cmath(cmath.exp, lsr, lsi)
+    exp_sum, raises = _cmath(cmath.exp, logsum[ok])
     with np.errstate(all="ignore"):
-        pr, pi = _mul(xr, xi, er, ei)
-    lr, li, zero = _cmath(cmath.log, pr, pi)
-    raises |= zero
-    dk, em = np.empty(len(k)), np.empty(len(k))
-    for step in set(k.tolist()):
-        at = k == step
-        try:  # the int powers as CPython converts them, or its OverflowError
-            dk[at], em[at] = float(d**step), float((d**step - 1) // (d - 1))
-        except OverflowError:
-            raises |= at
-    with np.errstate(all="ignore"):
-        if log_a is not None:
-            mr, mi = _mul(em, 0.0, log_a.real, log_a.imag)
-            lr, li = mr + lr, mi + li
-        block.logphi[0][idx], block.logphi[1][idx] = _div_real(lr, li, dk)
-        if sums is not None:
-            for j in (0, 2):
-                parts = _div_real(sums[j][ok], sums[j + 1][ok], dk)
-                block.gradient[j][idx], block.gradient[j + 1][idx] = parts
+        phi_w = x * exp_sum
+        log_w, zero = _cmath(cmath.log, phi_w)
+        raises |= zero
+        sums = [g[ok] for g in sums or ()]
+        for step in set(k.tolist()):
+            at = k == step
+            dk = d**step
+            try:  # the int powers as CPython converts them, or its OverflowError
+                logphi = log_w[at] if log_a is None else (dk - 1) // (d - 1) * log_a + log_w[at]
+                block.logphi[idx[at]] = logphi / dk
+            except OverflowError:
+                raises |= at
+                continue
+            for out, g in zip(block.gradient, sums):
+                out[idx[at]] = g[at] / dk
     block.status[idx[raises]] = RAISES
 
 
-def phi_plus_batch(coeffs, a, xr, xi, yr, yi, K, alpha, cap, trap, gradient):
-    """`_kernel.phi_plus_eval(coeffs, a, x, y, K, alpha, cap, trap)` for
-    every point (xr + i xi, yr + i yi) of the float64 arrays: its gradient
-    slots only if `gradient`.
-
-    Returns (status, k, logphi, dlog_dx, dlog_dy, smax), each slot an array
-    with one entry per point and each complex slot a pair (real parts,
-    imaginary parts); the gradient slots are None unless `gradient`.
-    Status RAISES marks a point where the scalar kernel raises.
-    """
+def _eval(coeffs, a, x, y, K, alpha, cap, trap, plus, gradient):
+    """Both batch entries; the minus side runs on the swapped pair (y, x)."""
     a = complex(a)
-    block = _Block(len(xr), gradient)
-    entered = _entry(block, coeffs, a, (xr, xi), (yr, yi), alpha, cap, trap, True, gradient)
-    if entered is not None:
-        lsr, lsi, sums, ok = _product(block, coeffs, a, K, entered, True, gradient)
-        _finish(block, len(coeffs) - 1, entered, lsr, lsi, sums, ok, None)
-    return block.result()
-
-
-def phi_minus_batch(coeffs, a, xr, xi, yr, yi, K, alpha, cap, gradient):
-    """`_kernel.phi_minus_eval(coeffs, a, x, y, K, alpha, cap)` for every
-    point (xr + i xi, yr + i yi) of the float64 arrays, as `phi_plus_batch`
-    returns it; a = 0 raises at every point, as 1/a does in the scalar
-    kernel.
-    """
-    a = complex(a)
-    block = _Block(len(xr), gradient)
-    if a == 0:
+    block = _Block(len(x.re), gradient)
+    if not plus and a == 0:  # 1/a raises
         block.status[:] = RAISES
         return block.result()
-    inv_a = 1.0 / a
-    # the minus entry loop is the plus one on (y, x) with p(y) - x divided by a
-    entered = _entry(block, coeffs, inv_a, (yr, yi), (xr, xi), alpha, cap, None, False, gradient)
+    entered = _entry(block, coeffs, a, x, y, alpha, cap, trap, plus, gradient)
     if entered is not None:
-        lsr, lsi, sums, ok = _product(block, coeffs, a, K, entered, False, gradient)
-        _finish(block, len(coeffs) - 1, entered, lsr, lsi, sums, ok, cmath.log(a))
+        logsum, sums, ok = _product(block, coeffs, a, K, entered, plus, gradient)
+        _finish(block, len(coeffs) - 1, entered, logsum, sums, ok, None if plus else cmath.log(a))
     return block.result()
+
+
+def phi_plus_batch(coeffs, a, x, y, K, alpha, cap, trap, gradient):
+    """`_kernel.phi_plus_eval(coeffs, a, x, y, K, alpha, cap, trap)` for
+    every point of the `_Z` blocks x and y: its gradient slots only if
+    `gradient`.
+
+    Returns (status, k, logphi, dlog_dx, dlog_dy, smax), each slot with one
+    entry per point and each complex slot a `_Z`; the gradient slots are
+    None unless `gradient`.  Status RAISES marks a point where the scalar
+    kernel raises.
+    """
+    return _eval(coeffs, a, x, y, K, alpha, cap, trap, True, gradient)
+
+
+def phi_minus_batch(coeffs, a, x, y, K, alpha, cap, gradient):
+    """`_kernel.phi_minus_eval(coeffs, a, x, y, K, alpha, cap)` for every
+    point of the `_Z` blocks x and y, as `phi_plus_batch` returns it; a = 0
+    raises at every point, as 1/a does in the scalar kernel.
+    """
+    return _eval(coeffs, a, y, x, K, alpha, cap, None, False, gradient)

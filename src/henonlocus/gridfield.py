@@ -17,14 +17,14 @@ in row order, so a block's first error is the scalar path's own.
 
 A tangency block is one plus-side batch call with the gradient, at
 `tangency_value`'s depth, then one minus-side call over the pixels the
-plus side accepts; the determinant and scale are formed split-real, as
-`locus._tangency` forms them.  A pixel that the scalar path refuses with
-a HenonLocusError (no escape, overflow, |s| >= r, a non-finite log phi or
-gradient) is NaN, and every pixel the batch cannot vouch for (the scalar
-kernel raises, an abs overflows, or a coordinate is not finite) goes to
-`tangency_value` itself, in row order.  At a = 0 that is every pixel the
-plus side accepts: the minus batch raises there, as 1/a does, and
-`tangency_value` takes the minus side's closed form.
+plus side accepts; the determinant and scale are `locus._tangency`'s own
+expressions on the batch's split-real values.  A pixel that the scalar path
+refuses with a HenonLocusError (no escape, overflow, |s| >= r, a non-finite
+log phi or gradient) is NaN, and every pixel the batch cannot vouch for
+(the scalar kernel raises, an abs overflows, or a coordinate is not
+finite) goes to `tangency_value` itself, in row order.  At a = 0 that is
+every pixel the plus side accepts: the minus batch raises there, as 1/a
+does, and `tangency_value` takes the minus side's closed form.
 
 Exports: binary 16-bit PGM (P5, big-endian, row-major, affine scaling
 recorded in a JSON sidecar) and CSV rows (x, y, value).
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _batch
-from ._kernel import NO_ESCAPE, OK
+from ._kernel import NO_ESCAPE, OK, horner
 from .dynamics import HenonMap, Point, to_json
 from .errors import HenonLocusError
 from .escape import DEFAULT_CAP, DEFAULT_TOL, GREEN_TOL, _call_args, _interior_green, green
@@ -102,15 +102,15 @@ def _forked(task):
 
 def _pixels(job, rows):
     """(x, y) of the pixels of rows `rows` (a range), row-major; each
-    coordinate is a pair of float64 arrays, its real and imaginary parts."""
+    coordinate is a `_batch._Z`."""
     henon, kind, res, ims, pin, slice_axis = job
-    c = (np.tile(res, len(rows)), np.repeat(ims[rows.start : rows.stop], len(res)))
-    p = (np.full(c[0].shape, pin.real), np.full(c[0].shape, pin.imag))
+    c = _batch._Z(np.tile(res, len(rows)), np.repeat(ims[rows.start : rows.stop], len(res)))
+    p = _batch._Z(np.full(c.re.shape, pin.real), np.full(c.re.shape, pin.imag))
     return (c, p) if slice_axis == "x" else (p, c)
 
 
 def _point(x, y, i):
-    return Point(complex(x[0][i], x[1][i]), complex(y[0][i], y[1][i]))
+    return Point(complex(x.re[i], x.im[i]), complex(y.re[i], y.im[i]))
 
 
 def _escaped(status, smax, r, *parts):
@@ -125,7 +125,7 @@ def _block(job, rows):
     side = "plus" if kind == "green-plus" else "minus"
     x, y = _pixels(job, rows)
     dp, K, alpha, trap = _call_args(henon, side, GREEN_TOL, None)
-    args = (henon.p.coefficients, henon.a, *x, *y, K, alpha, DEFAULT_CAP)
+    args = (henon.p.coefficients, henon.a, x, y, K, alpha, DEFAULT_CAP)
     if side == "plus":
         status, _, (values, logphi_im), _, _, smax = _batch.phi_plus_batch(*args, trap, False)
     else:
@@ -149,13 +149,13 @@ def _tangency_rows(job, rows):
     call per side: |tangency|, NaN where the scalar path refuses it."""
     henon = job[0]
     coeffs, a = henon.p.coefficients, henon.a
-    x, y = _pixels(job, rows)
+    x, y = pixels = _pixels(job, rows)
     # tangency_value's depth: both sides enter past DEPTH_FACTOR * alpha
     dp, K, alpha, trap = _call_args(
         henon, "plus", DEFAULT_TOL, DEPTH_FACTOR * henon.domain_params().alpha
     )
     status, _, logphi, g1x, g1y, smax = _batch.phi_plus_batch(
-        coeffs, a, *x, *y, K, alpha, DEFAULT_CAP, trap, True
+        coeffs, a, x, y, K, alpha, DEFAULT_CAP, trap, True
     )
     # NaN stays where the scalar path raises a HenonLocusError on either
     # side; `scalar` marks the pixels tangency_value itself must give
@@ -163,26 +163,24 @@ def _tangency_rows(job, rows):
     plus = np.flatnonzero(_escaped(status, smax, dp.r, *logphi, *g1x, *g1y))
     values = np.full(len(status), math.nan)
     if plus.size:
-        (xr, xi), (yr, yi), g1x, g1y = [[part[plus] for part in z] for z in (x, y, g1x, g1y)]
+        x, y, g1x, g1y = (z[plus] for z in (x, y, g1x, g1y))
         dp, K, alpha, _ = _call_args(henon, "minus", DEFAULT_TOL, alpha)
         status, _, logphi, g2x, g2y, smax = _batch.phi_minus_batch(
-            coeffs, a, xr, xi, yr, yi, K, alpha, DEFAULT_CAP, True
+            coeffs, a, x, y, K, alpha, DEFAULT_CAP, True
         )
         scalar[plus[status == _batch.RAISES]] = True
         both = _escaped(status, smax, dp.r, *logphi, *g2x, *g2y)
-        # det = g1x g2y - g2x g1y, scale = d |x| |p(y) - x|, pixel |det scale|
-        dr, di = _batch._mul(*g1x, *g2y)
-        er, ei = _batch._mul(*g2x, *g1y)
-        ax, over_x = _batch._abs(xr, xi)
-        pr, pi = _batch._horner(coeffs, yr, yi)
-        ap, over_p = _batch._abs(pr - xr, pi - xi)
+        # locus._tangency's det, scale = d |x| |p(y) - x| and pixel |det scale|
+        det = g1x * g2y - g2x * g1y
+        ax, over_x = _batch._abs(x)
+        ap, over_p = _batch._abs(horner(coeffs, y) - x)
         scale = henon.degree * ax * ap
-        pixel, over = _batch._abs(*_batch._mul(dr - er, di - ei, scale, 0.0))
+        pixel, over = _batch._abs(det * scale)
         values[plus[both]] = pixel[both]
         scalar[plus[both & (over_x | over_p | over)]] = True
     for i in np.flatnonzero(scalar).tolist():
         try:
-            values[i] = abs(tangency_value(henon, _point(x, y, i)).value)
+            values[i] = abs(tangency_value(henon, _point(*pixels, i)).value)
         except HenonLocusError:
             values[i] = math.nan
     return values.reshape(len(rows), -1)

@@ -14,6 +14,7 @@ import operator
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_kernels import (
@@ -32,6 +33,12 @@ from test_kernels import (
 
 from henonlocus import _batch, _kernel
 from henonlocus.dynamics import attracting_trap
+
+# ndarray * complex silently builds a numpy complex array, which a float
+# output truncates to its real part with only this warning (numpy < 1.25
+# names the class at its top level, not in numpy.exceptions)
+_WARNING = getattr(np, "exceptions", np).ComplexWarning
+pytestmark = pytest.mark.filterwarnings(f"error::{_WARNING.__module__}.{_WARNING.__name__}")
 
 
 def _scalar(side, coeffs, a, x, y, K, alpha, cap, trap, gradient):
@@ -61,20 +68,21 @@ def _gradient_bits(z):
     return _bits(complex(*(math.nan if math.isnan(part) else part for part in (z.real, z.imag))))
 
 
+def _z(values):
+    """The complex values as one `_batch._Z`."""
+    return _batch._Z(np.array([v.real for v in values]), np.array([v.imag for v in values]))
+
+
 def _batched(side, coeffs, a, points, K, alpha, cap, trap, cuts, gradient):
     """The batch's outcome per point, one call per block between cuts."""
     outcomes = []
     bounds = [0, *sorted(cuts), len(points)]
     for lo, hi in zip(bounds, bounds[1:]):
-        parts = [
-            np.array([getattr(p[j], part) for p in points[lo:hi]], dtype=float)
-            for j in (0, 1)
-            for part in ("real", "imag")
-        ]
+        x, y = (_z([p[j] for p in points[lo:hi]]) for j in (0, 1))
         if side == "plus":
-            result = _batch.phi_plus_batch(coeffs, a, *parts, K, alpha, cap, trap, gradient)
+            result = _batch.phi_plus_batch(coeffs, a, x, y, K, alpha, cap, trap, gradient)
         else:
-            result = _batch.phi_minus_batch(coeffs, a, *parts, K, alpha, cap, gradient)
+            result = _batch.phi_minus_batch(coeffs, a, x, y, K, alpha, cap, gradient)
         status, k, logphi, dlog_dx, dlog_dy, smax = result
         if gradient:
             slots = (logphi, dlog_dx, dlog_dy)
@@ -202,41 +210,65 @@ def _same(got, want):
     return struct.pack("<d", got) == struct.pack("<d", want)
 
 
-def _check(op, batch, *operands):
-    zr, zi = batch
+def _check(op, got, *operands):
+    """The `_Z` got is op of the operands, element by element, bitwise
+    (any NaN matching any NaN), wherever CPython does not raise."""
     for i, args in enumerate(zip(*operands)):
         try:
             want = op(*args)
         except (ZeroDivisionError, OverflowError):
             continue  # the kernel's callers flag these points
-        assert _same(zr[i], want.real) and _same(zi[i], want.imag), (op, args)
+        assert _same(got.re[i], want.real) and _same(got.im[i], want.imag), (op, args)
+
+
+# Python complex scalars with signed-zero parts, as a, 1/a, Log a, the
+# trap's centre and the coefficients enter the loops
+_SCALARS = [complex(x, y) for x in (0.0, -0.0, -1.5) for y in (0.0, -0.0, 2.25)]
 
 
 def test_split_real_operations_are_cpythons():
     z = [p[0] for p in _PAIRS]
     w = [p[1] for p in _PAIRS]
-    zr, zi, wr, wi = (
-        np.array([getattr(v, part) for v in vs]) for vs in (z, w) for part in ("real", "imag")
-    )
+    zb, wb = _z(z), _z(w)
+    w_re = wb.re
+    reals = w_re.tolist()
     with np.errstate(all="ignore"):
-        _check(operator.mul, _batch._mul(zr, zi, wr, wi), z, w)
-        _check(operator.truediv, _batch._div(zr, zi, wr, wi), z, w)
-        _check(lambda v: 1.0 / v, _batch._div(1.0, 0.0, wr, wi), w)
-        _check(lambda v: 1.0 + v, (1.0 + zr, 0.0 + zi), z)
-        _check(operator.neg, (-zr, -zi), z)
-        # the gradient path's int and float operands, which CPython 3.11
-        # promotes to complex with a +0.0 imaginary part (3.14 no longer
-        # does, and these checks fail there): d * u^(d-1), t * d^j and
-        # gradient sums / d^k with ints, det * scale with floats
+        _check(operator.add, zb + wb, z, w)
+        _check(operator.sub, zb - wb, z, w)
+        _check(operator.mul, zb * wb, z, w)
+        _check(operator.truediv, zb / wb, z, w)
+        _check(lambda v: 1.0 / v, 1.0 / wb, w)
+        _check(lambda v: 1.0 + v, 1.0 + zb, z)
+        _check(operator.neg, -zb, z)
+        # the int, float and real array operands, which CPython 3.11 promotes
+        # to complex with a +0.0 imaginary part (3.14 no longer does, and
+        # these checks fail there): d * u^(d-1), t * d^j and log(t) / d^j
+        # with ints, 1.0 + s with a float, det * scale and the sums / d^k
+        # with real arrays; a divisor that is not a positive float or int
+        # takes Smith's full quotient
         for n in (1, 2, 3, 7):
-            _check(lambda v: n * v, _batch._mul(float(n), 0.0, zr, zi), z)
-            _check(lambda v: v * n, _batch._mul(zr, zi, float(n), 0.0), z)
-            _check(lambda v: v / n, _batch._div_real(zr, zi, float(n)), z)
+            _check(lambda v: n * v, n * zb, z)
+            _check(lambda v: v * n, zb * n, z)
+            _check(lambda v: v / n, zb / n, z)
         for f in _PARTS:
-            _check(lambda v: v * f, _batch._mul(zr, zi, f, 0.0), z)
+            _check(lambda v: v * f, zb * f, z)
+            _check(lambda v: f * v, f * zb, z)
+            _check(lambda v: v / f, zb / f, z)
+        _check(operator.mul, zb * w_re, z, reals)
+        _check(operator.mul, w_re * zb, reals, z)
+        _check(operator.truediv, zb / w_re, z, reals)
+        for c in _SCALARS:
+            _check(lambda v: c * v, c * zb, z)
+            _check(lambda v: v * c, zb * c, z)
+            _check(lambda v: v + c, zb + c, z)
+            _check(lambda v: v - c, zb - c, z)
+            _check(lambda v: v / c, zb / c, z)
         for n in (0, 1, 2, 3, 5):
-            pr, pi, raises = _batch._pow(zr, zi, n)
-            _check(lambda v: v**n, (pr, pi), z)
+            power, raises = _batch._pow(zb, n)
+            # z ** 0 comes back as the one value 1 + 0j, which never raises
+            power = _batch._Z(*(np.broadcast_to(part, zb.re.shape) for part in power))
+            raises = np.broadcast_to(raises, zb.re.shape)
+            _check(lambda v: v**n, power, z)
             for v, flagged in zip(z, raises.tolist()):
                 try:
                     v**n
@@ -244,7 +276,7 @@ def test_split_real_operations_are_cpythons():
                     assert flagged, (v, n)
                 else:
                     assert not flagged, (v, n)
-        h, raises = _batch._abs(zr, zi)
+        h, raises = _batch._abs(zb)
         for v, got, flagged in zip(z, h.tolist(), raises.tolist()):
             try:
                 want = abs(v)

@@ -34,6 +34,12 @@ from henonlocus.gridfield import (
 )
 from henonlocus.locus import tangency_value
 
+# ndarray * complex silently builds a numpy complex array, which a float
+# output truncates to its real part with only this warning (numpy < 1.25
+# names the class at its top level, not in numpy.exceptions)
+_WARNING = getattr(np, "exceptions", np).ComplexWarning
+pytestmark = pytest.mark.filterwarnings(f"error::{_WARNING.__module__}.{_WARNING.__name__}")
+
 SQUARE = Polynomial([0, 0, 1])
 BASIC = Polynomial([-1, 0, 1])
 CUBIC_3X = Polynomial([0, -3, 0, 1])

@@ -319,6 +319,77 @@ def test_batch_kernel_stays_split_real():
     assert found == [], f"_batch.py leaves CPython's arithmetic at lines {found}"
 
 
+def _tree(module):
+    return ast.parse((PACKAGE / module).read_text(encoding="utf-8"), filename=str(module))
+
+
+def _function(module, name):
+    return next(
+        node for node in ast.walk(_tree(module)) if getattr(node, "name", None) == name
+    )
+
+
+def test_one_horner_routine():
+    # p is evaluated by _kernel's horner and horner_with_deriv alone: the
+    # batch runs them on its split-real values, with no Horner of its own.
+    defined = {
+        (path.name, node.name)
+        for path in PACKAGE.rglob("*.py")
+        for node in ast.walk(_tree(path.relative_to(PACKAGE)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and "horner" in node.name
+    }
+    assert defined == {("_kernel.py", "horner"), ("_kernel.py", "horner_with_deriv")}
+    imported = {
+        alias.name
+        for node in ast.walk(_tree("_batch.py"))
+        if isinstance(node, ast.ImportFrom) and node.module == "_kernel"
+        for alias in node.names
+    }
+    assert {"horner", "horner_with_deriv"} <= imported
+
+
+# What the batch assigns with _kernel._eval's own expressions: the entry's
+# Jacobian step, the product's set-up, and each factor's terms
+_MIRRORED = (
+    *("njxx", "njxy"),
+    *("u", "w", "uu", "gux", "guy", "gwx", "gwy", "glx", "gly"),
+    *("u_dm1", "s", "t", "u_d", "inv_t", "dsdu", "gsx", "gsy", "tdj", "fu", "fw"),
+    *("ngux", "nguy", "ngwx", "ngwy"),
+)
+
+
+def _assigned(node, names):
+    """{name: the ast.dump of each value assigned to it under node, in source
+    order}; a tuple assigned to a tuple counts element by element."""
+    found = {name: [] for name in names}
+    assigns = sorted(
+        (child for child in ast.walk(node) if isinstance(child, ast.Assign)),
+        key=lambda child: (child.lineno, child.col_offset),
+    )
+    for assign in assigns:
+        for target in assign.targets:
+            pairs = [(target, assign.value)]
+            if isinstance(target, ast.Tuple) and isinstance(assign.value, ast.Tuple):
+                pairs = zip(target.elts, assign.value.elts)
+            for name, value in pairs:
+                if isinstance(name, ast.Name) and name.id in found:
+                    found[name.id].append(ast.dump(value))
+    return found
+
+
+def test_batch_mirrors_the_scalar_kernel():
+    # The batch is bitwise the scalar kernel because it computes with the
+    # same expressions: each mirrored name is assigned the same right-hand
+    # sides, in the same order, in _kernel._eval and in _batch (on _Z values
+    # there), and gridfield's tangency determinant is locus._tangency's.
+    kernel = _assigned(_function("_kernel.py", "_eval"), _MIRRORED)
+    assert all(kernel.values())
+    assert _assigned(_tree("_batch.py"), _MIRRORED) == kernel
+    det = _assigned(_function("locus.py", "_tangency"), ["det"])
+    assert det["det"]
+    assert _assigned(_function("gridfield.py", "_tangency_rows"), ["det"]) == det
+
+
 def _is_real_imag_pair(node):
     return (
         isinstance(node, ast.List)
