@@ -49,8 +49,9 @@ expands volume by 1/|a| and has no attracting cycle.
 
 The batch twin, `_batch.phi_plus_batch` and `phi_minus_batch`, runs the
 same loops over blocks of points, bitwise (see its docstring and
-`tests/test_batch.py`).  A change to the operations here must be made
-there too.
+`tests/test_batch.py`), with `_eval`'s own expressions on a split-real
+complex type; `tests/test_source.py::test_batch_mirrors_the_scalar_kernel`
+fails when an assignment it mirrors changes on one side only.
 """
 
 import cmath

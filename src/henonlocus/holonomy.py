@@ -28,7 +28,7 @@ from typing import List, Optional
 from .dynamics import HenonMap, Point
 from .errors import ContinuationFailure, DegenerateJacobian
 from .escape import phi_minus, phi_plus
-from .locus import CLOSURE_TOL, _theta_continuation
+from .locus import CLOSURE_TOL, _require_simple_critical, _theta_continuation
 
 _LEAF_TOL = 1e-6  # |ratio - omega| accepted as a leaf witness
 MAX_EXPONENT = 8  # largest n of a d^n-th root witness, and of a monodromy orbit
@@ -105,8 +105,10 @@ def monodromy_orbit(henon: HenonMap, c: complex, z: Point, n: int) -> List[Point
     every returned point is certified on the component.  The continuation
     must return to z within CLOSURE_TOL, else ContinuationFailure.  The orbit
     starts at z itself.  n runs from 0 to MAX_EXPONENT, the largest exponent
-    a leaf witness resolves (ValueError otherwise, before any work).
+    a leaf witness resolves (ValueError otherwise, before any work), and c
+    a simple critical point of p (NotSimpleCritical before any kernel call).
     """
+    _require_simple_critical(henon.p, c)
     require_exponent(n)
     z = Point(complex(z[0]), complex(z[1]))
     if n == 0:

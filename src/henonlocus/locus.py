@@ -108,10 +108,13 @@ def tube_radius(p: Polynomial) -> float:
 
 
 def _require_simple_critical(p: Polynomial, c: complex) -> None:
-    """Refuse (NotSimpleCritical) unless |p'(c)| <= 1e-9 and |p''(c)| >= 1e-9."""
-    if abs(p.derivative(c)) > 1e-9:
+    """Refuse a non-finite c (ValueError), and any c unless |p'(c)| <= 1e-9
+    and |p''(c)| >= 1e-9 (NotSimpleCritical)."""
+    if not cmath.isfinite(c):
+        raise ValueError(f"critical point c must be finite, got {c!r}")
+    if not abs(p.derivative(c)) <= 1e-9:
         raise NotSimpleCritical(f"p'({c}) != 0")
-    if abs(p.second_derivative(c)) < 1e-9:
+    if not abs(p.second_derivative(c)) >= 1e-9:
         raise NotSimpleCritical(f"p''({c}) ~ 0")
 
 
@@ -478,7 +481,9 @@ def verify_biholomorphism(
     theta}) around the full circle must close up (< CLOSURE_TOL), wind
     exactly once, and visit points pairwise more than CLOSURE_TOL apart.
     There must be at least one radius, and every radius must be finite and
-    > 1 (ValueError before any continuation)."""
+    > 1 (ValueError before any continuation); c must be a simple critical
+    point of p (NotSimpleCritical before any kernel call)."""
+    _require_simple_critical(henon.p, c)
     radii = tuple(radii)  # read once: a spent iterator would certify nothing
     bad = [rho for rho in radii if not 1.0 < rho < math.inf]
     if bad or not radii:

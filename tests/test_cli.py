@@ -503,8 +503,25 @@ def test_critlocus_bad_step_or_range_exits_2(capsys, flag, value):
     assert "positive and finite" in report["error"]
 
 
+def test_critlocus_refuses_a_non_finite_c(capsys):
+    code, report = run_json(capsys, ["critlocus", "--c", "nan"])
+    assert code == 2
+    assert report["status"] == "config-error"
+    assert "critical point c must be finite, got (nan+0j)" in report["error"]
+
+
 # ---------------------------------------------------------------------------
 # holonomy
+
+
+@pytest.mark.parametrize("c", ["0.7", "[0.3,0.2]"])
+def test_holonomy_refuses_a_c_that_is_not_a_critical_point(capsys, c):
+    # x^2 - 1 has the one critical point 0; the locus Newton from y = c
+    # still lands on its component, but the orbit is not certified for c
+    code, report = run_json(capsys, ["holonomy", "--c", c])
+    assert code == 1
+    assert report["status"] == "assertion-failed"
+    assert report["error"].startswith("NotSimpleCritical: p'(")
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from henonlocus import _kernel, locus
+from henonlocus import _kernel, holonomy, locus
 from henonlocus.dynamics import HenonMap, Point, Polynomial
 from henonlocus.errors import (
     ContinuationFailure,
@@ -441,6 +441,27 @@ def test_biholomorphism_refuses_bad_radii_before_any_continuation(monkeypatch, r
         verify_biholomorphism(H, 0.0, radii=radii)
 
 
+@pytest.mark.parametrize("c", [0.7, complex(0.3, 0.2), math.nan, complex(0.0, math.inf)])
+@pytest.mark.parametrize("certificate", ["cover", "orbit"])
+def test_certificates_refuse_a_c_that_is_not_a_critical_point(monkeypatch, certificate, c):
+    # x^2 - 1 has the one critical point 0: the covering and monodromy
+    # certificates hold on its component only, so any other c, and a
+    # non-finite one, is refused before any kernel call
+    calls = []
+    for name in ("phi_plus_eval", "phi_minus_eval"):
+        routine = getattr(_kernel, name)
+        monkeypatch.setattr(
+            _kernel, name, lambda *args, routine=routine: calls.append(args) or routine(*args)
+        )
+    with pytest.raises(NotSimpleCritical if cmath.isfinite(c) else ValueError) as caught:
+        if certificate == "cover":
+            verify_biholomorphism(H, c, radii=(8.0,))
+        else:
+            holonomy.monodromy_orbit(H, c, Point(8.0, 0.0), 1)
+    assert repr(c) in str(caught.value)
+    assert calls == []
+
+
 # ------------------------------------------------- theta continuation
 #
 # The oracle is the loop the chord continuation replaced: every solve
@@ -529,8 +550,6 @@ def test_covering_matches_restarting_newton_oracle(monkeypatch, rho):
 
 @pytest.mark.parametrize("n", (1, 2))
 def test_monodromy_matches_restarting_newton_oracle(monkeypatch, n):
-    from henonlocus import holonomy
-
     z, _ = locate_on_locus(H, 4.2)
     got = holonomy.monodromy_orbit(H, 0.0, z, n)
     monkeypatch.setattr(holonomy, "_theta_continuation", _oracle_continuation)
