@@ -30,8 +30,9 @@ from .dynamics import HenonMap, Point, Polynomial, to_json
 from .errors import ConfigError, HenonLocusError
 
 # Each subcommand imports the modules it runs inside its handler, so that a
-# run loads only what it uses: numpy comes only with green-grid and manifold,
-# and multiprocessing only with green-grid.
+# run loads only what it uses: numpy comes only with green-grid and manifold.
+# No subcommand loads multiprocessing: green-grid forks its render processes
+# with os.fork itself.
 
 
 class _CheckFailed(Exception):
@@ -325,12 +326,14 @@ def _cmd_critlocus(opts):
 
 def _cmd_holonomy(opts):
     from .holonomy import monodromy_orbit, psi_pair, require_exponent, same_leaf_plus
-    from .locus import locate_on_locus
+    from .locus import _require_simple_critical, locate_on_locus
 
     henon = _build_map(opts)
     n = _as_int(opts["n"], "n")
     require_exponent(n)
     c = _as_complex(opts["c"], "c")
+    # monodromy_orbit refuses such a c too, but only after the Newton here
+    _require_simple_critical(henon.p, c)
     z, _ = locate_on_locus(henon, _as_float(opts["x"], "x"), c)
     orbit = monodromy_orbit(henon, c, z, n)
     count = henon.degree**n

@@ -2,11 +2,15 @@
 
 A grid samples one complex coordinate over a rectangle while the other is
 pinned (a horizontal or vertical slice of C^2).  Every tile is cut into
-one block of contiguous rows per process, rendered by `workers` processes
-(default: the CPU count) forked so that each inherits the map with its
-escape domain and trap computed, or in-process where the platform cannot
-fork or one process is asked for.  Blocks are assembled in row order, so
-outputs are byte-reproducible whatever the worker count.
+one block of contiguous rows per process, `workers` processes in all
+(default: the CPU count).  The caller renders the first block itself, and
+every other block is rendered by a child forked for it alone, so that it
+inherits the map with its escape domain and trap computed; the child
+pickles its rows, or its error, into a pipe and exits.  Where the platform
+cannot fork, or one process is asked for, every block renders in-process.
+No thread is started and no child outlives the call.  Blocks are assembled
+in row order, so outputs are byte-reproducible whatever the worker count,
+and the lowest failing block's error is the one raised.
 
 A g+ or g- block is one call of the batch kernel `_batch` without the
 gradient, whose every pixel's (status, k, log phi, smax) is bitwise the
@@ -31,9 +35,10 @@ recorded in a JSON sidecar) and CSV rows (x, y, value).
 """
 
 import math
-import multiprocessing
 import numbers
 import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,20 +89,6 @@ def worker_count(requested):
     if requested < 1:
         raise ValueError("worker count must be positive")
     return int(requested)
-
-
-# (render function, grid) of a forked worker, set by _adopt in the worker only
-_work = None
-
-
-def _adopt(work):
-    global _work
-    _work = work
-
-
-def _forked(task):
-    render, job = _work
-    return render(job, task)
 
 
 def _pixels(job, rows):
@@ -186,6 +177,74 @@ def _tangency_rows(job, rows):
     return values.reshape(len(rows), -1)
 
 
+def _named(rows):
+    return f"rows {rows.start}-{rows.stop - 1}"
+
+
+def _answer(write, render, job, rows):
+    """In a forked child: render `rows`, write the pickled (ok, rows or
+    error) to the pipe's write end, and exit without returning.  An error
+    that does not survive pickling is sent as a ChildProcessError naming
+    it; a child that cannot write at all exits with status 1."""
+    status = 1
+    try:
+        try:
+            answer = pickle.dumps((True, render(job, rows)))
+        except BaseException as exc:
+            try:
+                answer = pickle.dumps((False, exc))
+                pickle.loads(answer)
+            except Exception:
+                error = f"{_named(rows)}: unpicklable {type(exc).__name__}: {exc}"
+                answer = pickle.dumps((False, ChildProcessError(error)))
+        with open(write, "wb") as pipe:
+            pipe.write(answer)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _render_forked(render, job, tasks):
+    """The blocks `tasks`, the first rendered here and each other one in a
+    child forked for it; the lowest failing block's error is raised."""
+    children = []  # (pid, read end, rows) of every child not yet reaped
+    try:
+        for rows in tasks[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _answer(write, render, job, rows)
+            # closed at once, so that no later child holds this write end
+            # and the read below meets EOF when this child exits
+            os.close(write)
+            children.append((pid, open(read, "rb"), rows))
+        blocks = [render(job, tasks[0])]
+        while children:
+            pid, pipe, rows = children[0]
+            with pipe:
+                answer = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if status != 0 or not answer:
+                raise ChildProcessError(f"{_named(rows)}: the worker exited with status {status}")
+            ok, value = pickle.loads(answer)
+            if not ok:
+                raise value
+            blocks.append(value)
+        return blocks
+    finally:
+        # the path of an error: the children still running are not waited for
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def green_grid(
     henon: HenonMap,
     kind: str,
@@ -223,15 +282,11 @@ def green_grid(
     render = _tangency_rows if kind == "tangency" else _block
     cuts = [ny * i // processes for i in range(processes + 1)]
     tasks = [range(*cut) for cut in zip(cuts, cuts[1:])]
-    if processes == 1 or "fork" not in multiprocessing.get_all_start_methods():
+    if processes == 1 or not hasattr(os, "fork"):
         rows = [render(job, task) for task in tasks]
     else:
-        # The job reaches the workers by fork, unpickled.  imap, one block
-        # at a time, raises the lowest failing block's error, as the
-        # in-process loop does; leaving the block stops every worker.
-        fork = multiprocessing.get_context("fork")
-        with fork.Pool(processes, initializer=_adopt, initargs=((render, job),)) as pool:
-            rows = list(pool.imap(_forked, tasks, 1))
+        # the job reaches the children by fork, unpickled
+        rows = _render_forked(render, job, tasks)
     values = np.vstack(rows)
     return GridField(
         kind=kind,
@@ -293,9 +348,11 @@ def grid_sidecar(grid: GridField) -> str:
 def grid_to_csv(grid: GridField) -> str:
     """Rows x,y,value with x the real and y the imaginary pixel coordinate."""
     ny, nx = grid.values.shape
-    res = np.linspace(*grid.re_range, nx).tolist()
+    # each coordinate is formatted once: x per column, y per row
+    xs = [f"{re!r}," for re in np.linspace(*grid.re_range, nx).tolist()]
     ims = np.linspace(*grid.im_range, ny).tolist()
-    lines = ["x,y,value"]
+    lines = ["x,y,value\n"]
     for im, row in zip(ims, grid.values.tolist()):
-        lines += [f"{re!r},{im!r},{value!r}" for re, value in zip(res, row)]
-    return "\n".join(lines) + "\n"
+        y = f"{im!r},"
+        lines += [f"{x}{y}{value!r}\n" for x, value in zip(xs, row)]
+    return "".join(lines)

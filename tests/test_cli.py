@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import henonlocus
-from henonlocus import cli, holonomy, locus
+from henonlocus import _kernel, cli, holonomy, locus
 from henonlocus.cli import RunConfig, config_from_text, run
 from henonlocus.errors import ConfigError
 
@@ -515,13 +515,27 @@ def test_critlocus_refuses_a_non_finite_c(capsys):
 
 
 @pytest.mark.parametrize("c", ["0.7", "[0.3,0.2]"])
-def test_holonomy_refuses_a_c_that_is_not_a_critical_point(capsys, c):
+def test_holonomy_refuses_a_c_that_is_not_a_critical_point(capsys, monkeypatch, c):
     # x^2 - 1 has the one critical point 0; the locus Newton from y = c
-    # still lands on its component, but the orbit is not certified for c
+    # would still land on its component, but the orbit is not certified
+    # for c, so c is refused before the Newton makes any kernel call
+    calls = []
+    for name in ("phi_plus_eval", "phi_minus_eval"):
+        routine = getattr(_kernel, name)
+
+        def counting(*args, name=name, routine=routine):
+            calls.append(name)
+            return routine(*args)
+
+        monkeypatch.setattr(_kernel, name, counting)
     code, report = run_json(capsys, ["holonomy", "--c", c])
     assert code == 1
     assert report["status"] == "assertion-failed"
     assert report["error"].startswith("NotSimpleCritical: p'(")
+    assert calls == []
+    # the counters see the kernel calls of a run at the critical point
+    assert run_json(capsys, ["holonomy", "--c", "0", "--n", "1"])[0] == 0
+    assert calls
 
 
 @pytest.mark.parametrize(

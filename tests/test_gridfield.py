@@ -12,6 +12,7 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import struct
 import threading
 import time
@@ -43,6 +44,14 @@ pytestmark = pytest.mark.filterwarnings(f"error::{_WARNING.__module__}.{_WARNING
 SQUARE = Polynomial([0, 0, 1])
 BASIC = Polynomial([-1, 0, 1])
 CUBIC_3X = Polynomial([0, -3, 0, 1])
+
+
+def _no_child_is_left():
+    # green_grid's children are raw forks, which active_children() never
+    # lists; waitpid sees a child of any kind, a zombie included
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_degenerate_minus_grid_matches_closed_form():
@@ -249,11 +258,12 @@ def _overflow(workers):
 def test_worker_error_reaches_the_caller_typed():
     one = _overflow(1)
     assert (one.step, one.point) == (0, Point(complex(1.0, 1e80 / 3), 0j))
+    _no_child_is_left()
     many = _overflow(2)
     assert type(many) is type(one)
     assert many.args == one.args
     assert (many.step, many.point) == (one.step, one.point)
-    assert multiprocessing.active_children() == []
+    _no_child_is_left()
 
 
 def test_lowest_failing_row_raises_whichever_worker_fails_first(monkeypatch):
@@ -275,7 +285,93 @@ def test_lowest_failing_row_raises_whichever_worker_fails_first(monkeypatch):
         with pytest.raises(RuntimeError) as caught:
             green_grid(HenonMap(BASIC, 0.0), "tangency", (0, 1), (0, 3), 2, 4, workers=workers)
         assert caught.value.args == ("row 1",)
-    assert multiprocessing.active_children() == []
+        _no_child_is_left()
+
+
+def test_the_callers_error_stops_the_children_still_rendering(monkeypatch):
+    # The caller's block (rows 0 and 1; row 0 calls no tangency_value) fails
+    # at once, while the child's rows 2 and 3 would render for a minute: the
+    # caller's error is raised, and the child is killed and reaped rather
+    # than waited for
+    caller = os.getpid()
+
+    def tangency(henon, point):
+        if os.getpid() != caller:
+            time.sleep(60)
+        raise RuntimeError(f"row {round(point.x.imag)}")
+
+    monkeypatch.setattr(gridfield, "tangency_value", tangency)
+    threads = threading.enumerate()
+    start = time.monotonic()
+    with pytest.raises(RuntimeError) as caught:
+        green_grid(HenonMap(BASIC, 0.0), "tangency", (0, 1), (0, 3), 2, 4, workers=2)
+    assert caught.value.args == ("row 1",)
+    assert time.monotonic() - start < 30
+    _no_child_is_left()
+    assert threading.enumerate() == threads
+
+
+def _dying_block(monkeypatch, die):
+    """Patch gridfield._block so that it calls `die(rows)` in a forked child,
+    and renders as it does in the caller."""
+    caller, block = os.getpid(), gridfield._block
+
+    def patched(job, rows):
+        if os.getpid() != caller:
+            die(rows)
+        return block(job, rows)
+
+    monkeypatch.setattr(gridfield, "_block", patched)
+
+
+def _exit_3(rows):
+    os._exit(3)
+
+
+def _killed(rows):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("die, status", ((_exit_3, 3), (_killed, -signal.SIGKILL)))
+def test_a_worker_that_dies_is_a_typed_error(monkeypatch, die, status):
+    # The child of rows 2-3 exits without an answer: the caller raises a
+    # ChildProcessError naming the rows and the status, and waits no longer
+    _dying_block(monkeypatch, die)
+    with pytest.raises(ChildProcessError) as caught:
+        green_grid(HenonMap(BASIC, 0.01), "green-minus", (1, 2), (0, 1), 3, 4, workers=2)
+    assert str(caught.value) == f"rows 2-3: the worker exited with status {status}"
+    _no_child_is_left()
+
+
+class _TwoArguments(Exception):
+    # pickles, but unpickling calls __init__ with the one argument in args
+    def __init__(self, message, extra):
+        super().__init__(message)
+        self.extra = extra
+
+
+def _raise_local(rows):
+    class Unsendable(Exception):
+        pass  # a local class: pickle cannot name it
+
+    raise Unsendable(f"rows from {rows.start}")
+
+
+def _raise_two_arguments(rows):
+    raise _TwoArguments(f"rows from {rows.start}", 1)
+
+
+@pytest.mark.parametrize(
+    "die, name", ((_raise_local, "Unsendable"), (_raise_two_arguments, "_TwoArguments"))
+)
+def test_an_error_that_does_not_pickle_is_named(monkeypatch, die, name):
+    # A pool raised MaybeEncodingError here; the child sends a
+    # ChildProcessError with the error's type and message instead
+    _dying_block(monkeypatch, die)
+    with pytest.raises(ChildProcessError) as caught:
+        green_grid(HenonMap(BASIC, 0.01), "green-minus", (1, 2), (0, 1), 3, 4, workers=2)
+    assert str(caught.value) == f"rows 2-3: unpicklable {name}: rows from 2"
+    _no_child_is_left()
 
 
 def _first_scalar_failure(henon, kind, re_range, im_range, nx, ny):
@@ -331,7 +427,7 @@ def test_batch_tiles_raise_the_first_scalar_error(monkeypatch, geometry, error):
         assert caught.value.pixel == point
         if error is CertificateViolation:
             assert (caught.value.smax, caught.value.depth) == (expected.smax, expected.depth)
-    assert multiprocessing.active_children() == []
+        _no_child_is_left()
 
 
 def test_tangency_tiles_raise_the_first_scalar_error():
@@ -350,7 +446,7 @@ def test_tangency_tiles_raise_the_first_scalar_error():
         with pytest.raises(ValueError) as caught:
             green_grid(henon(), "tangency", (2.0, 2.5), (0.0, 1.5), 3, 4, workers=workers)
         assert caught.value.args == expected.value.args
-    assert multiprocessing.active_children() == []
+        _no_child_is_left()
 
 
 def test_non_finite_log_phi_from_the_batch_is_refused_by_green():
@@ -362,11 +458,16 @@ def test_non_finite_log_phi_from_the_batch_is_refused_by_green():
 
 
 def test_no_worker_outlives_the_call():
-    # nor a pool thread, which would make the next call fork a threaded process
+    # nor a thread, which would make the next call fork a threaded process;
+    # 3 and 8 blocks need as many pipes, each read to its end
     threads = threading.enumerate()
-    green_grid(HenonMap(BASIC, 0.01), "green-minus", (1, 2), (0, 1), 3, 4, workers=2)
-    assert multiprocessing.active_children() == []
-    assert threading.enumerate() == threads
+    henon = HenonMap(BASIC, 0.01)
+    one = green_grid(henon, "green-minus", (1, 2), (0, 1), 3, 8, workers=1)
+    for workers in (2, 3, 8):
+        many = green_grid(henon, "green-minus", (1, 2), (0, 1), 3, 8, workers=workers)
+        assert np.array_equal(one.values, many.values)
+        _no_child_is_left()
+        assert threading.enumerate() == threads
 
 
 def test_trap_is_computed_once_in_the_caller(monkeypatch):

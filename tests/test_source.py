@@ -247,6 +247,25 @@ def test_no_thread_pool_renders_pixels():
     assert not found, f"ThreadPoolExecutor in the package: {found}"
 
 
+def _names_a_pool(node):
+    """`Pool` or `multiprocessing`, as a name, an attribute or an import."""
+    names = {"Pool", "multiprocessing"}
+    if isinstance(node, ast.Name):
+        return node.id in names
+    if isinstance(node, ast.Attribute):
+        return node.attr in names
+    if isinstance(node, ast.alias):
+        return node.name.split(".")[0] in names
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in names
+
+
+def test_tiles_have_one_dispatch_and_no_pool():
+    # gridfield forks one child per extra block and reaps it in the call;
+    # a process pool would be a second dispatch, with handler threads
+    found = _find(_names_a_pool)
+    assert not found, f"Pool or multiprocessing in the package: {found}"
+
+
 def _imports_numpy(node):
     if isinstance(node, ast.Import):
         return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
@@ -400,11 +419,19 @@ def _is_real_imag_pair(node):
 
 def test_one_json_writer():
     # Every JSON output goes through dynamics.to_json (strict, complex values
-    # as [re, im]).
+    # as [re, im]).  gridfield's forked children answer with pickle.dumps,
+    # which writes no JSON.
+    def dumps(node):
+        return isinstance(node, ast.Attribute) and node.attr == "dumps"
+
+    def pickles(node):
+        return dumps(node) and isinstance(node.value, ast.Name) and node.value.id == "pickle"
+
     assert _enclosing_functions(
-        lambda node: (isinstance(node, ast.Attribute) and node.attr == "dumps")
+        lambda node: (dumps(node) and not pickles(node))
         or (isinstance(node, ast.alias) and node.name == "dumps")
     ) == {("dynamics.py", "to_json")}
+    assert _enclosing_functions(pickles) == {("gridfield.py", "_answer")}
     assert _find(lambda node: getattr(node, "name", None) in ("c2", "_c2")) == []
     assert _enclosing_functions(_is_real_imag_pair) == {("dynamics.py", "_pair")}
 
