@@ -311,14 +311,14 @@ def test_the_callers_error_stops_the_children_still_rendering(monkeypatch):
     assert threading.enumerate() == threads
 
 
-def _dying_block(monkeypatch, die):
-    """Patch gridfield._block so that it calls `die(rows)` in a forked child,
-    and renders as it does in the caller."""
+def _failing_child(monkeypatch, fail):
+    """Patch gridfield._block so that it calls `fail(rows)` in a forked
+    child, and renders as it does in the caller."""
     caller, block = os.getpid(), gridfield._block
 
     def patched(job, rows):
         if os.getpid() != caller:
-            die(rows)
+            fail(rows)
         return block(job, rows)
 
     monkeypatch.setattr(gridfield, "_block", patched)
@@ -332,11 +332,11 @@ def _killed(rows):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-@pytest.mark.parametrize("die, status", ((_exit_3, 3), (_killed, -signal.SIGKILL)))
-def test_a_worker_that_dies_is_a_typed_error(monkeypatch, die, status):
+@pytest.mark.parametrize("fail, status", ((_exit_3, 3), (_killed, -signal.SIGKILL)))
+def test_a_worker_that_dies_is_a_typed_error(monkeypatch, fail, status):
     # The child of rows 2-3 exits without an answer: the caller raises a
     # ChildProcessError naming the rows and the status, and waits no longer
-    _dying_block(monkeypatch, die)
+    _failing_child(monkeypatch, fail)
     with pytest.raises(ChildProcessError) as caught:
         green_grid(HenonMap(BASIC, 0.01), "green-minus", (1, 2), (0, 1), 3, 4, workers=2)
     assert str(caught.value) == f"rows 2-3: the worker exited with status {status}"
@@ -362,12 +362,12 @@ def _raise_two_arguments(rows):
 
 
 @pytest.mark.parametrize(
-    "die, name", ((_raise_local, "Unsendable"), (_raise_two_arguments, "_TwoArguments"))
+    "fail, name", ((_raise_local, "Unsendable"), (_raise_two_arguments, "_TwoArguments"))
 )
-def test_an_error_that_does_not_pickle_is_named(monkeypatch, die, name):
-    # A pool raised MaybeEncodingError here; the child sends a
+def test_an_error_that_does_not_pickle_is_named(monkeypatch, fail, name):
+    # The error itself cannot reach the caller: the child sends a
     # ChildProcessError with the error's type and message instead
-    _dying_block(monkeypatch, die)
+    _failing_child(monkeypatch, fail)
     with pytest.raises(ChildProcessError) as caught:
         green_grid(HenonMap(BASIC, 0.01), "green-minus", (1, 2), (0, 1), 3, 4, workers=2)
     assert str(caught.value) == f"rows 2-3: unpicklable {name}: rows from 2"
