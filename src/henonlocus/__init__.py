@@ -32,6 +32,7 @@ _EXPORTS = {
         "escape": (
             "EscapeValue",
             "GreenValue",
+            "evaluator",
             "green",
             "phi_minus",
             "phi_plus",
@@ -61,7 +62,6 @@ _EXPORTS = {
             "RadiusReport",
             "TangencyValue",
             "TraceSample",
-            "classify_component",
             "contact_order",
             "locate_on_locus",
             "tangency_value",
@@ -73,7 +73,6 @@ _EXPORTS = {
         ),
         "manifolds": (
             "LocalManifold",
-            "boundary_index",
             "gradient_index",
             "gradient_winding",
             "local_stable_graph",

@@ -101,8 +101,8 @@ def phi_plus_eval(coeffs, a, x, y, K, alpha, cap, trap):
     Returns (status, k, logphi, dlog_dx, dlog_dy, smax) where
     logphi = d^-k * Log(phi+(f^k(x,y))) with principal Log, k the first
     entry time into V+ = {|x| > |y|, |x| > alpha}, and smax the largest
-    |s_j| met in the product (``escape._run`` raises CertificateViolation
-    unless smax < r).
+    |s_j| met in the product (``escape.evaluator``'s evaluations raise
+    CertificateViolation unless smax < r).
 
     trap: None, or (x0, y0, rho, sigma) from ``CycleTrap.kernel_trap(alpha)``;
     an iterate with |x - x0| < rho and |y - y0| < sigma ends the loop with

@@ -148,14 +148,6 @@ class DomainParams:
     alpha: float
     degree: int
 
-    @property
-    def B(self) -> float:
-        """Distortion bound: B^-1 < |phi+/x| < B on V+ (same for phi-/y).
-
-        The product tail is bounded by -log(1-r)/(d-1), so the distortion
-        constant is exp of that."""
-        return (1.0 - self.r) ** (-1.0 / (self.degree - 1))
-
 
 class HenonMap:
     """f_a for a Polynomial p.  Read-only, so the domain and trap cached on it

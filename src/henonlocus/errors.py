@@ -1,4 +1,14 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the refusal of a
+non-integral count that the entry points share."""
+
+import numbers
+
+
+def require_integer(what, value):
+    """ValueError naming `value` unless it is an integer: a bool or a float
+    (2.5, or even 2.0) is refused, not rounded."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 class HenonLocusError(Exception):
@@ -63,10 +73,6 @@ class LeafParameterizationFailed(HenonLocusError):
 
 class ContinuationFailure(HenonLocusError):
     """Predictor-corrector continuation broke down."""
-
-
-class NotClassified(HenonLocusError):
-    """No iterate of the point landed in a primary tube within the cap."""
 
 
 class NotSimpleCritical(HenonLocusError):

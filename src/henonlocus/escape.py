@@ -13,27 +13,30 @@ everything is carried in log space so the a^(e_m) factors never underflow.
 
 At a = 0 the minus function has the closed form phi- = (p(y) - x)^(1/d).
 
-Both sides go through one function, `_run`: one kernel call returns log
-phi and its exact gradient.  `_run` enforces the certificate behind the
-tail bound (every factor |s_k| < r) with CertificateViolation, so the check
-also holds under `python -O`; a non-finite log phi (e.g. 1/a overflowing
-for a subnormal a) is refused the same way.  Only `phi_with_gradient` reads
-the gradient, so only it refuses a non-finite one: `phi_plus`, `phi_minus`
-and `green` never refuse over a gradient they do not read.  The domain is
-the map's own (`HenonMap.domain_params()`, which refuses |a| >= R with
-ValueError); a non-finite point (a blown-up Newton iterate, say) is refused
-with CoordinateOverflow before iterating, and an iterate past the kernel's
+Both sides go through `evaluator`, made once per solve: it fixes the
+kernel, K, alpha, trap and tail bound, and each call of the function it
+returns is one kernel call, giving log phi and its exact gradient.  It
+enforces the certificate behind the tail bound (every factor |s_k| < r)
+with CertificateViolation, so the check also holds under `python -O`; a
+non-finite log phi (e.g. 1/a overflowing for a subnormal a) is refused the
+same way.  Only a gradient evaluator reads the gradient, so only it
+refuses a non-finite one: `phi_plus`, `phi_minus` and `green` never refuse
+over a gradient they do not read.  The domain is the map's own
+(`HenonMap.domain_params()`, which refuses |a| >= R with ValueError); a
+non-finite point (a blown-up Newton iterate, say) is refused with
+CoordinateOverflow before iterating, and an iterate past the kernel's
 overflow guard with CoordinateOverflow naming the depth.
 
-Every kernel call, `_run`'s and those of `gridfield`'s batch blocks, takes
-its domain, K, alpha and trap from `_call_args`.  On the plus side the trap
-is the map's certified one around f's attracting cycle (`HenonMap.trap`,
-computed on first use and cached on the map), handed over when every
-bidisk lies in |x|, |y| < alpha for the call's alpha.  An orbit that enters
-it is certified bounded, and NotInEscapeRegion then names the trap step
-and radius; an orbit that neither escapes nor meets the trap is refused by
-the 200-step cap, as on the minus side.  Which of the two refuses changes
-no value: the kernel returns the plain loop's status either way.
+Every kernel call, an evaluator's and those of `gridfield`'s batch blocks,
+takes its domain, K, alpha and trap from `_call_args`.  On the plus side
+the trap is the map's certified one around f's attracting cycle
+(`HenonMap.trap`, computed on first use and cached on the map), handed
+over when every bidisk lies in |x|, |y| < alpha for the call's alpha.  An
+orbit that enters it is certified bounded, and NotInEscapeRegion then
+names the trap step and radius; an orbit that neither escapes nor meets
+the trap is refused by the 200-step cap, as on the minus side.  Which of
+the two refuses changes no value: the kernel returns the plain loop's
+status either way.
 
 Green's functions: g+ = log|phi+| on the escape side, 0 on K+;
 g- = log|phi-| on the escape side, log|a|/(d-1) on K-.
@@ -104,10 +107,13 @@ def _call_args(henon, side, tol, alpha):
     return dp, K, alpha, None if trap is None else trap.kernel_trap(alpha)
 
 
-def _run(henon, z, side, tol, alpha):
-    """(EscapeValue, gradient of log phi) on one side, from one kernel call;
-    the gradient is the closed form's at a = 0 on the minus side, and is
-    returned unchecked."""
+def evaluator(henon: HenonMap, side: str, tol: float, alpha: float | None, gradient: bool):
+    """z -> EscapeValue on `side` to truncation tolerance `tol`, entering
+    V+/V- past `alpha` (None: the domain's); with `gradient`, z ->
+    (EscapeValue, gradient of log phi w.r.t. (x, y)), which refuses a
+    non-finite gradient.  The kernel is looked up, and `_call_args` and the
+    tail bound taken, here, once; each call is one kernel call, or the
+    closed form at a = 0 on the minus side."""
     if side == "plus":
         evaluate, iterate, domain = kernel.phi_plus_eval, "forward", "V+"
     elif side == "minus":
@@ -115,78 +121,77 @@ def _run(henon, z, side, tol, alpha):
     else:
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
     dp, K, alpha, trap = _call_args(henon, side, tol, alpha)
-    d = henon.degree
-    x, y = complex(z[0]), complex(z[1])
-    if not (cmath.isfinite(x) and cmath.isfinite(y)):
-        raise CoordinateOverflow(f"non-finite point ({x!r}, {y!r})", point=Point(x, y))
-    if side == "minus" and henon.a == 0:
-        v = henon.p(y) - x
-        if v == 0:
-            raise OnDegenerateCurve("a = 0 and p(y) = x")
-        # g- reads the real part: math.log(abs(v)), which cmath.log differs from near |v| = 1
-        logphi = complex(math.log(abs(v)), cmath.phase(v)) / d
-        # no product: no factors, no tail, depth 0, smax 0
-        ev = EscapeValue(cmath.exp(logphi), logphi, 0, 0.0, 0, 0.0)
-        return ev, (-1.0 / (d * v), henon.p.derivative(y) / (d * v))
-    args = (henon.p.coefficients, henon.a, x, y, K, alpha, DEFAULT_CAP)
-    if side == "plus":
-        args += (trap,)
-    status, depth, logphi, glx, gly, smax = evaluate(*args)
-    if status == kernel.NO_ESCAPE:
-        if depth < DEFAULT_CAP:
+    d, r, coeffs, a = henon.degree, dp.r, henon.p.coefficients, henon.a
+    bound = tail_bound(d, r, K)
+    # the kernel's arguments after the point
+    rest = (K, alpha, DEFAULT_CAP, trap) if side == "plus" else (K, alpha, DEFAULT_CAP)
+    closed_form = side == "minus" and a == 0
+
+    def value(z):
+        x, y = complex(z[0]), complex(z[1])
+        if not (cmath.isfinite(x) and cmath.isfinite(y)):
+            raise CoordinateOverflow(f"non-finite point ({x!r}, {y!r})", point=Point(x, y))
+        if closed_form:
+            v = henon.p(y) - x
+            if v == 0:
+                raise OnDegenerateCurve("a = 0 and p(y) = x")
+            # g- reads the real part: math.log(abs(v)), which cmath.log differs from near |v| = 1
+            logphi = complex(math.log(abs(v)), cmath.phase(v)) / d
+            # no product: no factors, no tail, depth 0, smax 0
+            ev = EscapeValue(cmath.exp(logphi), logphi, 0, 0.0, 0, 0.0)
+            return ev, (-1.0 / (d * v), henon.p.derivative(y) / (d * v))
+        status, depth, logphi, glx, gly, smax = evaluate(coeffs, a, x, y, *rest)
+        if status == kernel.NO_ESCAPE:
+            if depth < DEFAULT_CAP:
+                raise NotInEscapeRegion(
+                    f"{iterate} iterate {depth} entered the certified trap (radius "
+                    f"{trap[2]:.3g}) around the attracting {henon.trap.period}-cycle, "
+                    f"so no {iterate} iterate ever enters {domain}"
+                )
             raise NotInEscapeRegion(
-                f"{iterate} iterate {depth} entered the certified trap (radius "
-                f"{trap[2]:.3g}) around the attracting {henon.trap.period}-cycle, "
-                f"so no {iterate} iterate ever enters {domain}"
+                f"no {iterate} iterate entered {domain} within {DEFAULT_CAP} steps"
             )
-        raise NotInEscapeRegion(
-            f"no {iterate} iterate entered {domain} within {DEFAULT_CAP} steps"
-        )
-    if status == kernel.OVERFLOW:
-        raise CoordinateOverflow(
-            f"{iterate} iterate {depth} passed OVERFLOW_CAP^(1/d) before reaching {domain}",
-            step=depth,
-            point=Point(x, y),
-        )
-    if not smax < dp.r:
-        raise CertificateViolation(
-            f"product factor |s| = {smax} >= r = {dp.r} at {domain} entry depth {depth}",
-            smax=smax,
-            r=dp.r,
-            depth=depth,
-        )
-    if not cmath.isfinite(logphi):
-        raise _non_finite(side, depth, smax, dp.r)
-    ev = EscapeValue(
-        value=cmath.exp(logphi),
-        log_value=logphi,
-        truncation_terms=K,
-        tail_bound=tail_bound(d, dp.r, K),
-        depth=depth,
-        smax=smax,
-    )
-    return ev, (glx, gly)
+        if status == kernel.OVERFLOW:
+            raise CoordinateOverflow(
+                f"{iterate} iterate {depth} passed OVERFLOW_CAP^(1/d) before reaching {domain}",
+                step=depth,
+                point=Point(x, y),
+            )
+        if not smax < r:
+            raise CertificateViolation(
+                f"product factor |s| = {smax} >= r = {r} at {domain} entry depth {depth}",
+                smax=smax,
+                r=r,
+                depth=depth,
+            )
+        if not cmath.isfinite(logphi):
+            raise _non_finite(side, depth, smax, r)
+        return EscapeValue(cmath.exp(logphi), logphi, K, bound, depth, smax), (glx, gly)
+
+    if not gradient:
+        return lambda z: value(z)[0]
+
+    def with_gradient(z):
+        ev, (gx, gy) = evaluation = value(z)
+        if not (cmath.isfinite(gx) and cmath.isfinite(gy)):
+            raise _non_finite(side, ev.depth, ev.smax, r)
+        return evaluation
+
+    return with_gradient
 
 
-def phi_plus(henon: HenonMap, z: Point, tol: float = DEFAULT_TOL) -> EscapeValue:
-    return _run(henon, z, "plus", tol, None)[0]
+def phi_plus(henon: HenonMap, z: Point) -> EscapeValue:
+    return evaluator(henon, "plus", DEFAULT_TOL, None, False)(z)
 
 
-def phi_minus(henon: HenonMap, z: Point, tol: float = DEFAULT_TOL) -> EscapeValue:
-    return _run(henon, z, "minus", tol, None)[0]
+def phi_minus(henon: HenonMap, z: Point) -> EscapeValue:
+    return evaluator(henon, "minus", DEFAULT_TOL, None, False)(z)
 
 
-def phi_with_gradient(henon: HenonMap, z: Point, side: str, alpha: float | None = None):
-    """(EscapeValue, gradient of log phi w.r.t. (x, y)), forward-mode exact.
-
-    `alpha` overrides the V+/V- entry threshold (the locus code pushes
-    deeper, to 2*alpha, before trusting leaf geometry).  A non-finite
-    gradient is refused with CertificateViolation.
-    """
-    ev, gradient = _run(henon, z, side, DEFAULT_TOL, alpha)
-    if not (cmath.isfinite(gradient[0]) and cmath.isfinite(gradient[1])):
-        raise _non_finite(side, ev.depth, ev.smax, henon.domain_params().r)
-    return ev, gradient
+def phi_with_gradient(henon: HenonMap, z: Point, side: str):
+    """(EscapeValue, gradient of log phi w.r.t. (x, y)), forward-mode exact;
+    a non-finite gradient is refused with CertificateViolation."""
+    return evaluator(henon, side, DEFAULT_TOL, None, True)(z)
 
 
 def _non_finite(side, depth, smax, r):
@@ -205,10 +210,8 @@ def green(henon: HenonMap, z: Point, side: str) -> GreenValue:
     interior by the cap.  At a = 0, g- = log|p(y) - x|/d from phi-'s closed
     form, and the collapse curve x = p(y) is interior with g- = -inf.
     """
-    if side not in ("plus", "minus"):
-        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
     try:
-        ev = (phi_plus if side == "plus" else phi_minus)(henon, z, GREEN_TOL)
+        ev = evaluator(henon, side, GREEN_TOL, None, False)(z)
     except OnDegenerateCurve:
         return GreenValue(-math.inf, True)
     except NotInEscapeRegion:

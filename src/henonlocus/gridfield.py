@@ -35,7 +35,6 @@ recorded in a JSON sidecar) and CSV rows (x, y, value).
 """
 
 import math
-import numbers
 import os
 import pickle
 import signal
@@ -46,7 +45,7 @@ import numpy as np
 from . import _batch
 from ._kernel import NO_ESCAPE, OK, horner
 from .dynamics import HenonMap, Point, to_json
-from .errors import HenonLocusError
+from .errors import HenonLocusError, require_integer
 from .escape import DEFAULT_CAP, DEFAULT_TOL, GREEN_TOL, _call_args, _interior_green, green
 from .locus import DEPTH_FACTOR, tangency_value
 
@@ -84,8 +83,7 @@ def worker_count(requested):
     integer: a bool or a float (2.7, or even 2.0) is refused, not rounded."""
     if requested is None:
         return os.cpu_count() or 1
-    if isinstance(requested, bool) or not isinstance(requested, numbers.Integral):
-        raise ValueError(f"worker count must be an integer, got {requested!r}")
+    require_integer("worker count", requested)
     if requested < 1:
         raise ValueError("worker count must be positive")
     return int(requested)
@@ -122,7 +120,7 @@ def _block(job, rows):
     else:
         status, _, (values, logphi_im), _, _, smax = _batch.phi_minus_batch(*args, False)
     # the batch value stands where the scalar path returns it: a pixel in
-    # K+/K-, or an escaping one whose smax and log phi _run accepts
+    # K+/K-, or an escaping one whose smax and log phi an escape evaluator accepts
     interior = status == NO_ESCAPE
     escaped = _escaped(status, smax, dp.r, values, logphi_im)
     kept = (interior | escaped) & np.isfinite([*x, *y]).all(0)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from .dynamics import HenonMap, Point
-from .errors import ContinuationFailure, DegenerateJacobian
+from .errors import ContinuationFailure, DegenerateJacobian, require_integer
 from .escape import phi_minus, phi_plus
 from .locus import CLOSURE_TOL, _require_simple_critical, _theta_continuation
 
@@ -89,7 +89,9 @@ def same_leaf_plus(
 
 
 def require_exponent(n: int) -> None:
-    """ValueError unless 0 <= n <= MAX_EXPONENT, checked before any locus work."""
+    """ValueError unless n is an integer with 0 <= n <= MAX_EXPONENT, checked
+    before any locus work."""
+    require_integer("monodromy exponent", n)
     if not 0 <= n <= MAX_EXPONENT:
         raise ValueError(f"monodromy exponent must be in 0..{MAX_EXPONENT}, got {n}")
 

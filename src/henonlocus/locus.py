@@ -1,4 +1,4 @@
-"""Foliation tangency, locus tracing, contact order, and classification.
+"""Foliation tangency, locus tracing, contact order and the covering certificate.
 
 The two escape foliations are the level sets of log phi+ and log phi-.
 Their tangency locus is the zero set of the gradient determinant
@@ -40,15 +40,13 @@ from .errors import (
     LeafParameterizationFailed,
     LeftTube,
     NewtonDivergence,
-    NotClassified,
     NotInEscapeRegion,
     NotSimpleCritical,
 )
-from .escape import phi_minus, phi_plus, phi_with_gradient
+from .escape import DEFAULT_TOL, evaluator, phi_plus
 
 NEWTON_TOL = 1e-10
 DEPTH_FACTOR = 2.0  # push V+/V- entry past 2*alpha before trusting leaves
-CLASSIFY_STEPS = 8  # iterates each way classify_component tries
 FD_STEP = 1e-6
 CLOSURE_TOL = 1e-8  # closure gap of a certified theta continuation
 DECAY_SLACK = 1e-12  # growth of |y - c| the trace's decay test forgives
@@ -125,16 +123,28 @@ def tangency_value(henon: HenonMap, z: Point) -> TangencyValue:
     DEPTH_FACTOR * alpha, so the leaf geometry backing the gradients is the
     certified one.  Deterministic for fixed depths and truncation.
     """
-    z = Point(complex(z[0]), complex(z[1]))
+    return _tangency_at(henon, _evaluators(henon), z)
+
+
+def _evaluators(henon: HenonMap):
+    """(plus, minus): the gradient evaluators at tangency_value's V+/V-
+    threshold DEPTH_FACTOR * alpha, made once per solve."""
     alpha = DEPTH_FACTOR * henon.domain_params().alpha
-    return _tangency(henon, z, phi_with_gradient(henon, z, "plus", alpha=alpha), alpha)
+    plus = evaluator(henon, "plus", DEFAULT_TOL, alpha, True)
+    return plus, evaluator(henon, "minus", DEFAULT_TOL, alpha, True)
 
 
-def _tangency(henon: HenonMap, z: Point, plus, alpha: float) -> TangencyValue:
-    """tangency_value at z from `plus`, the phi_with_gradient plus-side
-    evaluation at z with V+ threshold alpha, which the caller already has."""
+def _tangency_at(henon: HenonMap, pair, z: Point) -> TangencyValue:
+    """tangency_value at z from an `_evaluators` pair."""
+    z = Point(complex(z[0]), complex(z[1]))
+    return _tangency(henon, z, pair[0](z), pair[1])
+
+
+def _tangency(henon: HenonMap, z: Point, plus, minus) -> TangencyValue:
+    """tangency_value at z from `plus`, the plus-side evaluation at z that
+    the caller already has, and `minus`, the pair's minus evaluator."""
     evp, (g1x, g1y) = plus
-    evm, (g2x, g2y) = phi_with_gradient(henon, z, "minus", alpha=alpha)
+    evm, (g2x, g2y) = minus(z)
     det = g1x * g2y - g2x * g1y
     scale = henon.degree * abs(z.x) * abs(henon.p(z.y) - z.x)
     return TangencyValue(
@@ -142,10 +152,10 @@ def _tangency(henon: HenonMap, z: Point, plus, alpha: float) -> TangencyValue:
     )
 
 
-def _dvalue_dy(henon: HenonMap, x: complex, y: complex) -> complex:
+def _dvalue_dy(henon: HenonMap, pair, x: complex, y: complex) -> complex:
     h = FD_STEP * max(1.0, abs(y))
-    up = tangency_value(henon, Point(x, y + h)).det
-    down = tangency_value(henon, Point(x, y - h)).det
+    up = _tangency_at(henon, pair, Point(x, y + h)).det
+    down = _tangency_at(henon, pair, Point(x, y - h)).det
     return (up - down) / (2.0 * h)
 
 
@@ -165,15 +175,16 @@ def locate_on_locus(
     y = complex(y_seed)
     if not (cmath.isfinite(x) and cmath.isfinite(y)):
         raise ValueError(f"x {x!r} and y_seed {y_seed!r} must be finite")
+    pair = _evaluators(henon)
     for _ in range(16):
-        tv = tangency_value(henon, Point(x, y))
+        tv = _tangency_at(henon, pair, Point(x, y))
         if abs(tv.value) < tol:
             return Point(complex(x), y), tv
-        deriv = _dvalue_dy(henon, x, y)
+        deriv = _dvalue_dy(henon, pair, x, y)
         if deriv == 0:
             raise NewtonDivergence(f"flat tangency derivative at x = {x}")
         y = y - tv.det / deriv
-    tv = tangency_value(henon, Point(x, y))
+    tv = _tangency_at(henon, pair, Point(x, y))
     if abs(tv.value) < tol:
         return Point(complex(x), y), tv
     raise NewtonDivergence(
@@ -279,17 +290,12 @@ def _first_rise(samples: Sequence[TraceSample], c: complex):
 # --------------------------------------------------------------- leaf probes
 
 
-def _frozen_ratio(henon: HenonMap, x: complex, y: complex, n: int, log_target: complex, error):
-    """(R, dR/dx, dR/dy), R = exp(d^n log phi+(z) - log_target) at z = (x, y):
-    phi+(f^n(z)) / e^log_target by the d^n lift.  Refused with `error` unless
-    f^n(z) is in V+ (entry depth <= n), or if the exp overflows."""
-    return _lift(henon, phi_with_gradient(henon, Point(x, y), "plus"), n, log_target, error)
-
-
 def _lift(henon: HenonMap, plus, n: int, log_target: complex, error):
-    """_frozen_ratio from `plus`, a phi_with_gradient plus-side evaluation
-    at z with any V+ threshold: its entry depth must be <= n, and the d^n
-    lift kills the branch of log phi+ that depth picked."""
+    """(R, dR/dx, dR/dy), R = exp(d^n log phi+(z) - log_target): phi+(f^n(z)) /
+    e^log_target by the d^n lift, from `plus`, a gradient evaluation at z
+    with any V+ threshold.  Refused with `error` unless f^n(z) is in V+
+    (entry depth <= n: the lift kills the branch of log phi+ that depth
+    picked), or if the exp overflows."""
     scale = henon.degree**n
     ev, (glx, gly) = plus
     if ev.depth > n:
@@ -302,13 +308,13 @@ def _lift(henon: HenonMap, plus, n: int, log_target: complex, error):
     return ratio, g * glx, g * gly
 
 
-def _leaf_x(henon: HenonMap, x0: complex, y: complex, n: int, log_target: complex) -> complex:
+def _leaf_x(henon: HenonMap, plus, x0: complex, y: complex, n: int, log_target: complex):
     """Solve phi+(f^n(x, y)) = e^log_target for x by Newton on the
-    branch-free _frozen_ratio - 1 (the d^n lift; f^n(x, y) must stay in V+,
-    else LeafParameterizationFailed)."""
+    branch-free _lift - 1 of the plus gradient evaluator `plus` (f^n(x, y)
+    must stay in V+, else LeafParameterizationFailed)."""
     x = complex(x0)
     for _ in range(30):
-        ratio, dF, _ = _frozen_ratio(henon, x, y, n, log_target, LeafParameterizationFailed)
+        ratio, dF, _ = _lift(henon, plus(Point(x, y)), n, log_target, LeafParameterizationFailed)
         F = ratio - 1.0
         if abs(F) < 1e-12:
             return x
@@ -333,18 +339,19 @@ def contact_order(henon: HenonMap, z: Point) -> int:
     of the energy, among harmonics 1 to 5.
     """
     z = Point(complex(z[0]), complex(z[1]))
-    alpha = DEPTH_FACTOR * henon.domain_params().alpha
-    base, _ = phi_with_gradient(henon, z, "plus", alpha=alpha)
+    base, _ = _evaluators(henon)[0](z)
     n = base.depth
     log_target = henon.degree**n * base.log_value
+    leaf = evaluator(henon, "plus", DEFAULT_TOL, None, True)
+    minus = evaluator(henon, "minus", DEFAULT_TOL, None, False)
 
     mus: list[complex] = []
     x = z.x
     for j in range(_PROBE_SAMPLES):
         theta = 2.0 * math.pi * j / _PROBE_SAMPLES
         y = z.y + 1e-2 * cmath.exp(1j * theta)
-        x = _leaf_x(henon, x, y, n, log_target)
-        ev = phi_minus(henon, Point(x, y))
+        x = _leaf_x(henon, leaf, x, y, n, log_target)
+        ev = minus(Point(x, y))
         mu = ev.log_value
         if mus:
             quantum = 2.0 * math.pi / henon.degree ** max(ev.depth, 1)
@@ -392,22 +399,22 @@ def _locus_newton_2d(
     attracting trap) is a NewtonDivergence naming the iterate.  Returns
     (x, y, phi+ at the frozen depth)."""
     deep_target = henon.degree**depth * log_target
-    alpha = DEPTH_FACTOR * henon.domain_params().alpha
+    pair = _evaluators(henon)
     row = None
     residual = math.inf
     try:
         for _ in range(25):
             z = Point(x, y)
-            plus = phi_with_gradient(henon, z, "plus", alpha=alpha)
+            plus = pair[0](z)
             ratio, a11, a12 = _lift(henon, plus, depth, deep_target, NewtonDivergence)
-            tv = _tangency(henon, z, plus, alpha)
+            tv = _tangency(henon, z, plus, pair[1])
             F1 = ratio - 1.0
             F2 = tv.det
             if abs(F1) < 1e-11 and abs(F2) * tv.scale < 10.0 * NEWTON_TOL:
                 return x, y, ratio * cmath.exp(deep_target)
             previous, residual = residual, max(abs(F1), abs(F2) * tv.scale)
             if row is None or residual > 0.5 * previous:
-                row = _chord_row(henon, x, y, F2)
+                row = _chord_row(henon, pair, x, y, F2)
             a21, a22 = row
             det = a11 * a22 - a12 * a21
             if det == 0:
@@ -421,15 +428,15 @@ def _locus_newton_2d(
     )
 
 
-def _chord_row(henon: HenonMap, x: complex, y: complex, det: complex) -> Tuple[complex, complex]:
+def _chord_row(henon: HenonMap, pair, x: complex, y: complex, det: complex):
     """Forward differences (dT/dx, dT/dy) of the raw tangency determinant
     from its value `det` at (x, y), with steps FD_STEP * max(1, |x|) and
-    FD_STEP * max(1, |y|)."""
+    FD_STEP * max(1, |y|), from an `_evaluators` pair."""
     h = FD_STEP * max(1.0, abs(x))
     k = FD_STEP * max(1.0, abs(y))
     return (
-        (tangency_value(henon, Point(x + h, y)).det - det) / h,
-        (tangency_value(henon, Point(x, y + k)).det - det) / k,
+        (_tangency_at(henon, pair, Point(x + h, y)).det - det) / h,
+        (_tangency_at(henon, pair, Point(x, y + k)).det - det) / k,
     )
 
 
@@ -537,46 +544,6 @@ def verify_biholomorphism(
     return BiholomorphismReport(
         critical_point=complex(c), items=tuple(items), ok=all(i.ok for i in items)
     )
-
-
-# ------------------------------------------------------------- classification
-
-
-def classify_component(henon: HenonMap, z: Point) -> Tuple[complex, int]:
-    """(c, k) with f^k(z) inside the primary tube of critical point c
-    (|y - c| < tube_radius(p), |x| > DEPTH_FACTOR * alpha), searching
-    k = 0, 1, -1, 2, -2, ..., +-CLASSIFY_STEPS."""
-    crits = henon.p.critical_points()
-    tube = tube_radius(henon.p)
-    x_min = DEPTH_FACTOR * henon.domain_params().alpha
-
-    def hit(w: Point):
-        if abs(w.x) <= x_min:
-            return None
-        for c in crits:
-            if abs(w.y - c) < tube:
-                return c
-        return None
-
-    z = Point(complex(z[0]), complex(z[1]))
-    forward, backward = z, z
-    fwd_alive, bwd_alive = True, henon.a != 0
-    for k in range(CLASSIFY_STEPS + 1):
-        if fwd_alive:
-            c = hit(forward)
-            if c is not None:
-                return (c, k)
-        if k and bwd_alive:
-            c = hit(backward)
-            if c is not None:
-                return (c, -k)
-        if fwd_alive:
-            forward = henon.apply(forward)
-            fwd_alive = abs(forward.x) <= 1e100 and abs(forward.y) <= 1e100
-        if bwd_alive:
-            backward = henon.apply_inverse(backward)
-            bwd_alive = abs(backward.x) <= 1e100 and abs(backward.y) <= 1e100
-    raise NotClassified(f"no iterate within |k| <= {CLASSIFY_STEPS} entered a primary tube")
 
 
 # ------------------------------------------------------------------- exports

@@ -30,10 +30,9 @@ cycle, else ValueError names the critical point.
 backward Green's function restricted to a stable graph along a parameter
 circle |v| = const.  A single block contributes index one (the degenerate
 model is log|v|/d); removing the forward images of the d preimage blocks
-leaves a region of index 1 - d, which ``boundary_index`` verifies from
-explicit hole loops.  The gradient is exact: one ``phi_with_gradient``
-call per loop node, chained through the same _chart_point with the
-derivative of the stored graph.
+leaves a region of index 1 - d.  The gradient is exact: one minus-side
+evaluation per loop node, from one evaluator per loop, chained through the
+same _chart_point with the derivative of the stored graph.
 """
 
 import cmath
@@ -48,8 +47,9 @@ from .errors import (
     NewtonDivergence,
     NotInEscapeRegion,
     OnDegenerateCurve,
+    require_integer,
 )
-from .escape import phi_with_gradient
+from .escape import DEFAULT_TOL, evaluator
 
 DELTA = 0.05  # radius of the v-disk of a block
 DISK_RADIUS = 0.05  # radius of the u-disk about a Julia point
@@ -141,6 +141,7 @@ def _taylor_from_circle(values, radius: float):
 
 
 def _require_mesh(mesh: int) -> None:
+    require_integer("mesh", mesh)
     if not mesh >= 1:
         raise ValueError(f"mesh must be at least 1 circle node, got {mesh!r}")
 
@@ -288,6 +289,7 @@ def local_stable_graph(
     z must be finite (ValueError).
     """
     _require_mesh(mesh)
+    require_integer("iterations", iterations)
     z = complex(z)
     if not cmath.isfinite(z):
         raise ValueError(f"z {z!r} must be finite")
@@ -377,6 +379,7 @@ def local_unstable_graph(
             raise ValueError("history is not a backward orbit under p")
     if iterations is None:
         iterations = len(hist) - 1
+    require_integer("iterations", iterations)
     if not 1 <= iterations <= len(hist) - 1:
         raise ValueError("iterations must fit inside the history")
     radius = SHRINK * DISK_RADIUS
@@ -430,12 +433,13 @@ def local_unstable_graph(
 # gradient winding
 
 
-def _gradient_at(henon, manifold, t):
+def _gradient_at(henon, minus, manifold, t):
     """Planar gradient of g- restricted to the graph, at disk parameter t.
 
     g- = Re log phi- and the graph is holomorphic in t, so the gradient is
     the conjugate of the chain-rule derivative of log phi- along the graph:
-    (du, dv) from the stored Taylor polynomial, then (dx, dy) by _chart_point.
+    (du, dv) from the stored Taylor polynomial, then (dx, dy) by _chart_point;
+    `minus` is the loop's minus-side gradient evaluator.
     """
     t = complex(t)
     s = t - manifold.parameter_center
@@ -446,7 +450,7 @@ def _gradient_at(henon, manifold, t):
         u, v, du, dv = t, m, 1.0, dm
     w, dx, dy = _chart_point(henon, u, v, du, dv)
     try:
-        _, (gx, gy) = phi_with_gradient(henon, w, "minus")
+        _, (gx, gy) = minus(w)
     except (NotInEscapeRegion, OnDegenerateCurve) as exc:
         raise GradientVanishesOnLoop(f"g- has no gradient at a loop point: {exc}") from exc
     return (gx * dx + gy * dy).conjugate()
@@ -462,7 +466,8 @@ def gradient_winding(henon: HenonMap, manifold: LocalManifold, params) -> int:
     loop = [complex(v) for v in params]
     if len(loop) < 16:
         raise ValueError("need at least 16 loop nodes")
-    grads = [_gradient_at(henon, manifold, v) for v in loop]
+    minus = evaluator(henon, "minus", DEFAULT_TOL, None, True)
+    grads = [_gradient_at(henon, minus, manifold, v) for v in loop]
     total = 0.0
     for g1, g2 in zip(grads, grads[1:] + grads[:1]):
         if abs(g1) < 1e-10 or abs(g2) < 1e-10:
@@ -502,14 +507,6 @@ def gradient_index(henon: HenonMap, manifold: LocalManifold, loop_radius: float)
                 raise GradientVanishesOnLoop(
                     "gradient direction could not be resolved on the loop"
                 )
-
-
-def boundary_index(
-    henon: HenonMap, manifold: LocalManifold, loop_radius: float, holes
-) -> int:
-    """Index over the graph disk minus hole loops: outer minus hole windings."""
-    outer = gradient_index(henon, manifold, loop_radius)
-    return outer - sum(gradient_winding(henon, manifold, hole) for hole in holes)
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ from fractions import Fraction
 from functools import partial, wraps
 from typing import Callable, Sequence, Tuple
 
-from .errors import DegenerateCriticalPoint, SeriesInconsistency
+from .errors import DegenerateCriticalPoint, SeriesInconsistency, require_integer
 from .series import MultiPoly, TruncSeries
 
 CHART_VARS = ("a", "c", "x", "y")
@@ -321,15 +321,16 @@ def _highest_order_kept(compute):
     lower order as its truncation (only ``rigidity_defect``'s is kept).
 
     Exact, because every coefficient through order n is independent of the
-    truncation order.  Orders below 1 (under deg p - 1 for the quadratic
-    family) go to compute, which refuses them.  ``cache_clear()`` drops the
-    kept series.
+    truncation order.  A non-integral order is refused (ValueError) before
+    any work; orders below 1 (under deg p - 1 for the quadratic family) go
+    to compute, which refuses them.  ``cache_clear()`` drops the kept series.
     """
     kept = None  # (order, value)
 
     @wraps(compute)
     def serve(order):
         nonlocal kept
+        require_integer("order", order)
         if kept is not None and 1 <= order <= kept[0]:
             return kept[1] if order == kept[0] else kept[1].truncate(order)
         kept = (order, compute(order))  # a higher order: compute refuses those below 1

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from henonlocus.dynamics import HenonMap, Point, Polynomial
-from henonlocus.escape import green, phi_minus, phi_plus
+from henonlocus.escape import evaluator, green, phi_plus
 from henonlocus.holonomy import monodromy_orbit, same_leaf_plus
 from henonlocus.locus import (
     contact_order,
@@ -28,7 +28,6 @@ from henonlocus.locus import (
     verify_biholomorphism,
 )
 from henonlocus.manifolds import (
-    boundary_index,
     gradient_index,
     gradient_winding,
     local_stable_graph,
@@ -40,7 +39,7 @@ from henonlocus.rigidity import (
     sigma_series,
     verify_table_case,
 )
-from test_manifolds import graph_point
+from test_manifolds import boundary_index, graph_point
 
 SQUARE = Polynomial([0, 0, 1])
 BASIC = Polynomial([-1, 0, 1])
@@ -105,7 +104,7 @@ def test_02_degenerate_limit_law():
         target = p(5.0)  # p(y) - x at (x, y) = (0, 5)
         for a in (1e-2, 1e-3, 1e-4):
             henon = HenonMap(p, a)
-            value = phi_minus(henon, Point(0.0, 5.0), 1e-13).value
+            value = evaluator(henon, "minus", 1e-13, None, False)(Point(0.0, 5.0)).value
             ratios.append(abs(value * value - target) / a)
     assert max(ratios) < 1.0  # single constant across all a
     _report(
@@ -322,9 +321,11 @@ def test_10_symbolic_numeric_chart_crosscheck():
     henon = HenonMap(BASIC, a)
     trace = trace_primary_component(henon, 0.0, x_range=(20.0, 200.0), step=0.05)
     zs, ws = [], []
+    plus = evaluator(henon, "plus", 1e-13, None, False)
+    minus = evaluator(henon, "minus", 1e-13, None, False)
     for s in trace.samples:
-        zs.append(1.0 / phi_plus(henon, s.point, 1e-13).value)
-        fm = phi_minus(henon, s.point, 1e-13).value
+        zs.append(1.0 / plus(s.point).value)
+        fm = minus(s.point).value
         ws.append(a * a / (fm * fm))
     zs = np.array(zs)
     ws = np.array(ws)

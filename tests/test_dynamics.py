@@ -25,6 +25,12 @@ X2 = Polynomial([0, 0, 1])
 X2M1 = Polynomial([-1, 0, 1])
 
 
+def distortion_bound(dp):
+    """Distortion bound B: B^-1 < |phi+/x| < B on V+ (same for phi-/y).  The
+    product tail is bounded by -log(1-r)/(d-1), so B is exp of that."""
+    return (1.0 - dp.r) ** (-1.0 / (dp.degree - 1))
+
+
 def _in_v_plus(z, dp):
     """z in V+ = {|x| > max(|y|, alpha)}."""
     return abs(z[0]) > abs(z[1]) and abs(z[0]) > dp.alpha
@@ -93,7 +99,7 @@ def test_domain_params_x2():
     dp = domain_params(X2)  # fixed (r, R) = (1/2, 1/8)
     # analytic threshold for p = x^2 is (R+1)/r = 2.25, inflated by 5%
     assert abs(dp.alpha - 2.3625) < 1e-3
-    assert dp.B == pytest.approx(2.0)
+    assert distortion_bound(dp) == pytest.approx(2.0)
 
 
 def test_map_domain_params_need_jacobian_below_R():

@@ -7,12 +7,12 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import henonlocus
-from henonlocus import dynamics, escape
-from henonlocus.dynamics import HenonMap, Point, Polynomial, domain_params
+from henonlocus import _kernel, dynamics, escape
+from henonlocus.dynamics import R_BIG, HenonMap, Point, Polynomial, domain_params
 from henonlocus.errors import (
     CertificateViolation,
     CoordinateOverflow,
@@ -20,6 +20,8 @@ from henonlocus.errors import (
     NotInEscapeRegion,
     OnDegenerateCurve,
 )
+from henonlocus.escape import DEFAULT_TOL, GREEN_TOL, evaluator
+from test_dynamics import distortion_bound
 
 X2 = Polynomial([0, 0, 1])
 X2M1 = Polynomial([-1, 0, 1])
@@ -96,7 +98,7 @@ def test_bound_property():
     rng = random.Random(17)
     for p in (X2, X2M1):
         dp = domain_params(p)
-        B = dp.B
+        B = distortion_bound(dp)
         h = HenonMap(p, 0.08)
         count = 0
         while count < 1000:
@@ -131,8 +133,8 @@ def test_truncation_consistency():
     h = HenonMap(X2M1, 0.05)
     z = Point(4 + 1j, 0.5)
     tol = 1e-8
-    e1 = escape.phi_plus(h, z, tol=tol)
-    e2 = escape.phi_plus(h, z, tol=tol / 2**5)
+    e1 = evaluator(h, "plus", tol, None, False)(z)
+    e2 = evaluator(h, "plus", tol / 2**5, None, False)(z)
     assert e2.truncation_terms == e1.truncation_terms + 5
     assert abs(e2.log_value - e1.log_value) < e1.tail_bound
 
@@ -200,7 +202,7 @@ def test_interior_refusals_name_their_certificate():
     assert h.trap.period == 1
     # a threshold the trap's bidisks reach: no trap, the cap refuses
     with pytest.raises(NotInEscapeRegion, match=r"within 200 steps"):
-        escape.phi_with_gradient(h, Point(0, 0), "plus", alpha=0.5)
+        evaluator(h, "plus", DEFAULT_TOL, 0.5, True)(Point(0, 0))
     # no trap on the minus side
     with pytest.raises(NotInEscapeRegion, match=r"no backward iterate entered V- within 200"):
         escape.phi_minus(h, Point(0, 0))
@@ -276,7 +278,7 @@ _VIOLATIONS = ((Point(1.2, 0.1), "plus"), (Point(0.1, 1.2), "minus"))
 def test_certificate_violation_is_typed(z, side):
     h = HenonMap(X2M1, 0.01)
     with pytest.raises(CertificateViolation) as info:
-        escape.phi_with_gradient(h, z, side, alpha=1.0)
+        evaluator(h, side, DEFAULT_TOL, 1.0, True)(z)
     err = info.value
     assert isinstance(err, HenonLocusError)
     assert err.r == domain_params(X2M1).r
@@ -300,12 +302,12 @@ def test_non_finite_kernel_result_is_refused(call):
 _VIOLATIONS_UNDER_O = """
 from henonlocus.dynamics import HenonMap, Point, Polynomial
 from henonlocus.errors import CertificateViolation
-from henonlocus.escape import green, phi_with_gradient
+from henonlocus.escape import DEFAULT_TOL, evaluator, green, phi_with_gradient
 
 h = HenonMap(Polynomial([-1, 0, 1]), 0.01)
 for z, side in ((Point(1.2, 0.1), "plus"), (Point(0.1, 1.2), "minus")):
     try:
-        ev, _ = phi_with_gradient(h, z, side, alpha=1.0)
+        ev, _ = evaluator(h, side, DEFAULT_TOL, 1.0, True)(z)
         print(side, "returned", ev.smax)
     except CertificateViolation as exc:
         print(side, "CertificateViolation", exc.smax >= exc.r)
@@ -363,9 +365,9 @@ def maps_and_points(draw):
 
 def _escape_pair(h, z, fz, side, tol):
     """Escape values at z and at its image; skips points that do not escape."""
-    phi = escape.phi_plus if side == "plus" else escape.phi_minus
+    phi = evaluator(h, side, tol, None, False)
     try:
-        return phi(h, z, tol), phi(h, fz, tol)
+        return phi(z), phi(fz)
     except (NotInEscapeRegion, CoordinateOverflow):
         assume(False)
 
@@ -452,8 +454,8 @@ def test_tail_bound_holds_against_50_digit_oracle(h, tol):
     rng = random.Random(h.degree * 101 + round(-math.log10(tol)))
     dp = domain_params(h.p)
     for z in _sample_escaping(rng, h, dp, 6):
-        for phi, side in ((escape.phi_plus, "plus"), (escape.phi_minus, "minus")):
-            ev = phi(h, z, tol)
+        for side in ("plus", "minus"):
+            ev = evaluator(h, side, tol, None, False)(z)
             # 40 factors past K leave an oracle tail below d^-40 * tail_bound
             exact = _green_oracle(h, z, side, ev.depth + ev.truncation_terms + 40)
             assert abs(ev.log_value.real - float(exact)) <= ev.tail_bound + 1e-12
@@ -464,8 +466,9 @@ def test_tail_bound_holds_against_50_digit_oracle(h, tol):
 def test_tolerance_must_be_positive_and_finite(name, tol):
     # K = ceil(log_d(.../tol)) exists only for 0 < tol < inf
     h = HenonMap(X2M1, 0.01)
+    side = name.removeprefix("phi_")
     with pytest.raises(ValueError, match="tol must be positive and finite"):
-        getattr(escape, name)(h, Point(8.0, 9.0), tol)
+        evaluator(h, side, tol, None, False)(Point(8.0, 9.0))
 
 
 _CALLS = {
@@ -518,3 +521,171 @@ def test_overflow_refusal_names_depth_and_point(phi, h, z, where):
 
 def test_coordinate_overflow_is_not_a_configuration_error():
     assert not issubclass(CoordinateOverflow, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# the prepared evaluator against the per-point path it replaced
+
+
+def _run(henon, z, side, tol, alpha):
+    """The per-point escape evaluation that `evaluator` replaced, kept as its
+    reference: every fixed decision (kernel, `_call_args`, tail bound, error
+    wording) is made again at each point.  (EscapeValue, gradient of log
+    phi), the gradient returned unchecked."""
+    if side == "plus":
+        evaluate, iterate, domain = _kernel.phi_plus_eval, "forward", "V+"
+    elif side == "minus":
+        evaluate, iterate, domain = _kernel.phi_minus_eval, "backward", "V-"
+    else:
+        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+    dp, K, alpha, trap = escape._call_args(henon, side, tol, alpha)
+    d = henon.degree
+    x, y = complex(z[0]), complex(z[1])
+    if not (cmath.isfinite(x) and cmath.isfinite(y)):
+        raise CoordinateOverflow(f"non-finite point ({x!r}, {y!r})", point=Point(x, y))
+    if side == "minus" and henon.a == 0:
+        v = henon.p(y) - x
+        if v == 0:
+            raise OnDegenerateCurve("a = 0 and p(y) = x")
+        logphi = complex(math.log(abs(v)), cmath.phase(v)) / d
+        ev = escape.EscapeValue(cmath.exp(logphi), logphi, 0, 0.0, 0, 0.0)
+        return ev, (-1.0 / (d * v), henon.p.derivative(y) / (d * v))
+    args = (henon.p.coefficients, henon.a, x, y, K, alpha, escape.DEFAULT_CAP)
+    if side == "plus":
+        args += (trap,)
+    status, depth, logphi, glx, gly, smax = evaluate(*args)
+    if status == _kernel.NO_ESCAPE:
+        if depth < escape.DEFAULT_CAP:
+            raise NotInEscapeRegion(
+                f"{iterate} iterate {depth} entered the certified trap (radius "
+                f"{trap[2]:.3g}) around the attracting {henon.trap.period}-cycle, "
+                f"so no {iterate} iterate ever enters {domain}"
+            )
+        raise NotInEscapeRegion(
+            f"no {iterate} iterate entered {domain} within {escape.DEFAULT_CAP} steps"
+        )
+    if status == _kernel.OVERFLOW:
+        raise CoordinateOverflow(
+            f"{iterate} iterate {depth} passed OVERFLOW_CAP^(1/d) before reaching {domain}",
+            step=depth,
+            point=Point(x, y),
+        )
+    if not smax < dp.r:
+        raise CertificateViolation(
+            f"product factor |s| = {smax} >= r = {dp.r} at {domain} entry depth {depth}",
+            smax=smax,
+            r=dp.r,
+            depth=depth,
+        )
+    if not cmath.isfinite(logphi):
+        raise escape._non_finite(side, depth, smax, dp.r)
+    ev = escape.EscapeValue(
+        value=cmath.exp(logphi),
+        log_value=logphi,
+        truncation_terms=K,
+        tail_bound=escape.tail_bound(d, dp.r, K),
+        depth=depth,
+        smax=smax,
+    )
+    return ev, (glx, gly)
+
+
+def _reference(henon, z, side, tol, alpha, gradient):
+    """What phi_plus/phi_minus (gradient False) and phi_with_gradient
+    (gradient True, which refused a non-finite gradient) returned by `_run`."""
+    ev, grad = _run(henon, z, side, tol, alpha)
+    if not gradient:
+        return ev
+    if not (cmath.isfinite(grad[0]) and cmath.isfinite(grad[1])):
+        raise escape._non_finite(side, ev.depth, ev.smax, henon.domain_params().r)
+    return ev, grad
+
+
+def _outcome(compute):
+    """repr of the result (bitwise for floats, -0.0 included), or the type
+    and message of the error raised."""
+    try:
+        return repr(compute())
+    except Exception as exc:  # noqa: BLE001 -- compared, not handled
+        return type(exc), str(exc)
+
+
+@st.composite
+def evaluations(draw):
+    """A monic p of degree 2..3 with |a| < R (a = 0 included), a setting of
+    the evaluator, and points from deep inside V+/V- to well inside K+/K-."""
+    d = draw(st.integers(2, 3))
+    unit = st.floats(-1.0, 1.0)
+    q = [complex(draw(unit), draw(unit)) for _ in range(d)]
+    a = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.99 * R_BIG)))
+    a *= cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+    h = HenonMap(Polynomial(q + [1]), a)
+    alpha = domain_params(h.p).alpha
+    side = draw(st.sampled_from(("plus", "minus")))
+    tol = draw(st.sampled_from((DEFAULT_TOL, GREEN_TOL)))
+    threshold = draw(st.sampled_from((None, 2.0 * alpha)))
+    gradient = draw(st.booleans())
+    radius, turn = st.floats(0.0, 20.0), st.floats(0.0, 7.0)
+    polar = st.builds(lambda rad, arg: rad * alpha * cmath.exp(1j * arg), radius, turn)
+    points = draw(st.lists(st.builds(Point, polar, polar), min_size=1, max_size=4))
+    return h, side, tol, threshold, gradient, points
+
+
+@settings(max_examples=150, deadline=None)
+@given(evaluations())
+# the refusals random points rarely reach: a non-finite log phi and
+# gradient, a non-finite point, the collapse curve, overflow and the trap
+@example((HenonMap(X2M1, _SUBNORMAL_A), "minus", DEFAULT_TOL, None, True, [Point(2, 0.3)]))
+@example((HenonMap(X2M1, _SUBNORMAL_A), "minus", GREEN_TOL, None, False, [Point(2, 0.3)]))
+@example((HenonMap(X2M1, 0.0), "minus", GREEN_TOL, None, True, [Point(8, 3), Point(math.nan, 0)]))
+@example((HenonMap(X2, 0.0), "plus", DEFAULT_TOL, None, True, [Point(0, 1e100), Point(0, 0)]))
+def test_evaluator_is_bitwise_the_per_point_path(case):
+    # one evaluator serves every point, as in a solve
+    h, side, tol, alpha, gradient, points = case
+    evaluate = evaluator(h, side, tol, alpha, gradient)
+    for z in points:
+        want = _outcome(lambda: _reference(h, z, side, tol, alpha, gradient))
+        assert _outcome(lambda: evaluate(z)) == want
+
+
+def test_evaluator_refuses_a_side_when_it_is_made():
+    with pytest.raises(ValueError, match="side must be 'plus' or 'minus', got 'up'"):
+        evaluator(HenonMap(X2M1, 0.01), "up", DEFAULT_TOL, None, False)
+
+
+def test_solves_prepare_a_fixed_number_of_evaluators(monkeypatch):
+    # A solve makes its evaluators once, whatever its iteration count: each
+    # pair of solves below prepares the same number of kernel calls through
+    # `_call_args` while making different numbers of kernel calls.
+    from henonlocus import locus, manifolds
+
+    prepared, calls = [], []
+    call_args = escape._call_args
+    monkeypatch.setattr(escape, "_call_args", lambda *args: prepared.append(1) or call_args(*args))
+    for name in ("phi_plus_eval", "phi_minus_eval"):
+        routine = getattr(_kernel, name)
+        monkeypatch.setattr(
+            _kernel, name, lambda *args, routine=routine: calls.append(1) or routine(*args)
+        )
+
+    def counts(solve, args):
+        prepared.clear(), calls.clear()
+        solve(*args)
+        return len(prepared), len(calls)
+
+    h, hg = HenonMap(X2M1, 0.01), HenonMap(X2M1, 0.005)
+    on, _ = locus.locate_on_locus(h, 20.0)
+    deep = escape.phi_plus(h, Point(8.0, 0.0)).depth + 1
+    seed, log_target = (8.0 + 0j, 0j), math.log(8.0)
+    near = locus._locus_newton_2d(h, *seed, log_target, deep)[:2]
+    graph = manifolds.local_stable_graph(hg, (1 + 5**0.5) / 2, mesh=16)
+    loop = [0.4 * graph.delta * cmath.exp(2j * math.pi * j / 32) for j in range(32)]
+    for expected, solve, first, second in (
+        (2, locus.locate_on_locus, (h, 20.0, 0.05), (h, 20.0, on.y)),
+        (2, locus._locus_newton_2d, (h, *seed, log_target, deep), (h, *near, log_target, deep)),
+        (4, locus.contact_order, (h, on), (h, Point(6.0, 0.2))),
+        (1, manifolds.gradient_winding, (hg, graph, loop), (hg, graph, loop[::2])),
+    ):
+        (p1, k1), (p2, k2) = counts(solve, first), counts(solve, second)
+        assert (p1, p2) == (expected, expected)
+        assert k1 != k2 and max(k1, k2) > expected

@@ -2,15 +2,17 @@
 
 import cmath
 import math
+import re
 
 import pytest
 
-from henonlocus import holonomy
+from henonlocus import _kernel, holonomy
 from henonlocus.dynamics import HenonMap, Point, Polynomial
 from henonlocus.errors import ContinuationFailure, DegenerateJacobian
 from henonlocus.escape import phi_minus, phi_with_gradient
 from henonlocus.holonomy import _nearest_root_witness, monodromy_orbit, psi_pair, same_leaf_plus
 from henonlocus.locus import locate_on_locus
+from test_dynamics import distortion_bound
 
 SQUARE = Polynomial([0, 0, 1])
 BASIC = Polynomial([-1, 0, 1])
@@ -64,7 +66,7 @@ def test_psi_ratio_band():
     pair = psi_pair(HSQ, z)
     predicted = math.sqrt(abs(HSQ.p(z.y) - z.x)) / (abs(HSQ.a) * abs(z.x))
     ratio = abs(pair.psi_minus / pair.psi_plus)
-    B = HSQ.domain_params().B
+    B = distortion_bound(HSQ.domain_params())
     assert predicted / B**2 <= ratio <= predicted * B**2
 
 
@@ -174,3 +176,19 @@ def test_orbit_refuses_exponents_past_the_witness_range(monkeypatch, n):
     monkeypatch.setattr(holonomy, "_theta_continuation", no_work)
     with pytest.raises(ValueError, match=r"exponent must be in 0\.\.8, got"):
         monodromy_orbit(H, 0.0, Point(8.0, 0.0), n)
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0, True])
+def test_orbit_refuses_a_non_integral_exponent_before_any_kernel_call(monkeypatch, n):
+    # range(d**1.5) used to raise a bare TypeError after phi+ was evaluated,
+    # and True ran as 1
+    calls = []
+    for name in ("phi_plus_eval", "phi_minus_eval"):
+        routine = getattr(_kernel, name)
+        monkeypatch.setattr(
+            _kernel, name, lambda *args, routine=routine: calls.append(args) or routine(*args)
+        )
+    refusal = f"monodromy exponent must be an integer, got {re.escape(repr(n))}"
+    with pytest.raises(ValueError, match=refusal):
+        monodromy_orbit(H, 0.0, Point(8.0, 0.0), n)
+    assert calls == []

@@ -19,14 +19,14 @@ from henonlocus import _kernel, holonomy, locus
 from henonlocus.dynamics import HenonMap, Point, Polynomial
 from henonlocus.errors import (
     ContinuationFailure,
+    HenonLocusError,
     LeafParameterizationFailed,
     LeftTube,
     NewtonDivergence,
-    NotClassified,
     NotInEscapeRegion,
     NotSimpleCritical,
 )
-from henonlocus.escape import phi_with_gradient
+from henonlocus.escape import DEFAULT_TOL, evaluator, phi_with_gradient
 from henonlocus.locus import (
     CLOSURE_TOL,
     DEPTH_FACTOR,
@@ -34,10 +34,9 @@ from henonlocus.locus import (
     NEWTON_TOL,
     POLISH_TOL,
     _dvalue_dy,
-    _frozen_ratio,
+    _evaluators,
     _lift,
     _locus_newton_2d,
-    classify_component,
     contact_order,
     locate_on_locus,
     TraceSample,
@@ -139,8 +138,8 @@ def test_tangency_deepening_invariance():
     alpha = H.domain_params().alpha
 
     def normalized(factor):
-        evp, (g1x, g1y) = phi_with_gradient(H, z, "plus", alpha=factor * alpha)
-        evm, (g2x, g2y) = phi_with_gradient(H, z, "minus", alpha=factor * alpha)
+        evp, (g1x, g1y) = evaluator(H, "plus", DEFAULT_TOL, factor * alpha, True)(z)
+        evm, (g2x, g2y) = evaluator(H, "minus", DEFAULT_TOL, factor * alpha, True)(z)
         det = g1x * g2y - g2x * g1y
         return evp.depth, evm.depth, det * (2 * abs(z.x) * abs(BASIC(z.y) - z.x))
 
@@ -435,7 +434,8 @@ def test_biholomorphism_refuses_bad_radii_before_any_continuation(monkeypatch, r
     def no_work(*args, **kwargs):
         raise AssertionError("a circle was computed")
 
-    monkeypatch.setattr(locus, "phi_with_gradient", no_work)
+    monkeypatch.setattr(locus, "phi_plus", no_work)
+    monkeypatch.setattr(locus, "evaluator", no_work)
     monkeypatch.setattr(locus, "_theta_continuation", no_work)
     with pytest.raises(ValueError, match="radii must be finite and exceed 1"):
         verify_biholomorphism(H, 0.0, radii=radii)
@@ -483,7 +483,7 @@ def _oracle_newton_2d(henon, x, y, log_target, depth):
             tangency_value(henon, Point(x + h, y)).det
             - tangency_value(henon, Point(x - h, y)).det
         ) / (2 * h)
-        a22 = _dvalue_dy(henon, x, y)
+        a22 = _dvalue_dy(henon, _evaluators(henon), x, y)
         det = a11 * a22 - a12 * a21
         x = x - (F1 * a22 - F2 * a12) / det
         y = y - (a11 * F2 - a21 * F1) / det
@@ -616,6 +616,52 @@ def test_revisit_within_closure_tolerance_is_not_a_cover(monkeypatch):
 
 
 # ------------------------------------------------------------ classification
+#
+# classify_component is the oracle for the claim that the orbits of primary
+# components cover the critical set.
+
+CLASSIFY_STEPS = 8  # iterates each way classify_component tries
+
+
+class NotClassified(HenonLocusError):
+    """No iterate of the point landed in a primary tube within the cap."""
+
+
+def classify_component(henon, z):
+    """(c, k) with f^k(z) inside the primary tube of critical point c
+    (|y - c| < tube_radius(p), |x| > DEPTH_FACTOR * alpha), searching
+    k = 0, 1, -1, 2, -2, ..., +-CLASSIFY_STEPS."""
+    crits = henon.p.critical_points()
+    tube = tube_radius(henon.p)
+    x_min = DEPTH_FACTOR * henon.domain_params().alpha
+
+    def hit(w):
+        if abs(w.x) <= x_min:
+            return None
+        for c in crits:
+            if abs(w.y - c) < tube:
+                return c
+        return None
+
+    z = Point(complex(z[0]), complex(z[1]))
+    forward, backward = z, z
+    fwd_alive, bwd_alive = True, henon.a != 0
+    for k in range(CLASSIFY_STEPS + 1):
+        if fwd_alive:
+            c = hit(forward)
+            if c is not None:
+                return (c, k)
+        if k and bwd_alive:
+            c = hit(backward)
+            if c is not None:
+                return (c, -k)
+        if fwd_alive:
+            forward = henon.apply(forward)
+            fwd_alive = abs(forward.x) <= 1e100 and abs(forward.y) <= 1e100
+        if bwd_alive:
+            backward = henon.apply_inverse(backward)
+            bwd_alive = abs(backward.x) <= 1e100 and abs(backward.y) <= 1e100
+    raise NotClassified(f"no iterate within |k| <= {CLASSIFY_STEPS} entered a primary tube")
 
 
 def test_classify_on_and_off_component():
@@ -667,9 +713,16 @@ def test_trace_exports():
 
 # ------------------------------------------------------ frozen-depth lift
 #
-# _frozen_ratio lifts one kernel call at z by phi+ o f^n = (phi+)^(d^n).
-# The oracle is the code it replaced: iterate f^n with its Jacobian in
-# Python and evaluate phi+ at f^n(z), which must already lie in V+.
+# _lift lifts one kernel call at z by phi+ o f^n = (phi+)^(d^n).  The oracle
+# is the code it replaced: iterate f^n with its Jacobian in Python and
+# evaluate phi+ at f^n(z), which must already lie in V+.
+
+
+def _frozen_ratio(henon, x, y, n, log_target, error):
+    """The lift at the domain's V+ threshold, as the leaf Newton of
+    contact_order takes it: _lift of a plus gradient evaluation at (x, y)."""
+    plus = evaluator(henon, "plus", DEFAULT_TOL, None, True)
+    return _lift(henon, plus(Point(x, y)), n, log_target, error)
 
 
 def _iterate_with_jacobian(henon, z, n):
@@ -748,7 +801,7 @@ def test_lift_of_the_tangency_evaluation_matches_frozen_ratio(henon, c):
     checked, stricter = 0, 0
     for z in _traced_points(henon, c) + between:
         k = phi_with_gradient(henon, z, "plus")[0].depth
-        plus = phi_with_gradient(henon, z, "plus", alpha=DEPTH_FACTOR * alpha)
+        plus = evaluator(henon, "plus", DEFAULT_TOL, DEPTH_FACTOR * alpha, True)(z)
         deep = plus[0].depth
         assert deep >= k
         for n in range(k, deep):

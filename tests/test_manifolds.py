@@ -12,6 +12,7 @@ import cmath
 import json
 import math
 import random
+import re
 from dataclasses import dataclass, replace
 
 import pytest
@@ -30,7 +31,6 @@ from henonlocus.manifolds import (
     DISK_RADIUS,
     SHRINK,
     LocalManifold,
-    boundary_index,
     gradient_index,
     gradient_winding,
     local_stable_graph,
@@ -38,7 +38,7 @@ from henonlocus.manifolds import (
     manifold_to_json,
     point_from_uv,
 )
-from henonlocus.escape import phi_minus
+from henonlocus.escape import DEFAULT_TOL, evaluator, phi_minus
 from henonlocus.manifolds import (
     _gradient_at,
     _root_near,
@@ -283,6 +283,21 @@ def test_graph_transform_needs_a_mesh_node(mesh):
         local_stable_graph(henon, PHI, mesh=mesh)
     with pytest.raises(ValueError, match="mesh"):
         local_unstable_graph(henon, (PHI,) * 4, mesh=mesh)
+
+
+@pytest.mark.parametrize("count", [2.5, 2.0, True])
+def test_graphs_refuse_a_non_integral_mesh_or_depth(count):
+    # a float reached range() as a bare TypeError, and True ran as 1
+    henon = HenonMap(BASIC, 0.01)
+    for name, build in (
+        ("mesh", lambda: local_stable_graph(henon, PHI, mesh=count)),
+        ("mesh", lambda: local_unstable_graph(henon, (PHI,) * 4, mesh=count)),
+        ("iterations", lambda: local_stable_graph(henon, PHI, iterations=count, mesh=8)),
+        ("iterations", lambda: local_unstable_graph(henon, (PHI,) * 4, iterations=count, mesh=8)),
+    ):
+        refusal = f"{name} must be an integer, got {re.escape(repr(count))}"
+        with pytest.raises(ValueError, match=refusal):
+            build()
 
 
 def test_stable_graph_rejects_escaping_critical_orbit():
@@ -653,10 +668,11 @@ def _central_difference_gradient(henon, m, t, step=1e-6):
 def test_exact_gradient_matches_central_difference(poly, base, a):
     henon = HenonMap(poly, a)
     m = local_stable_graph(henon, base, mesh=32)
+    minus = evaluator(henon, "minus", DEFAULT_TOL, None, True)
     for k in range(8):
         t = 0.4 * m.delta * cmath.exp(2j * math.pi * (k + 0.25) / 8)
         oracle = _central_difference_gradient(henon, m, t)
-        assert abs(_gradient_at(henon, m, t) - oracle) <= 1e-6 * abs(oracle)
+        assert abs(_gradient_at(henon, minus, m, t) - oracle) <= 1e-6 * abs(oracle)
 
 
 def test_exact_gradient_on_unstable_side_chart():
@@ -668,10 +684,11 @@ def test_exact_gradient_on_unstable_side_chart():
         local_unstable_graph(henon, (PHI,) * 25, mesh=32),
         coefficients=(0.02 + 0.005j, 0.3 - 0.1j, 0.5j),
     )
+    minus = evaluator(henon, "minus", DEFAULT_TOL, None, True)
     for k in range(4):
         t = PHI + 0.5 * m.radius * cmath.exp(2j * math.pi * k / 4)
         oracle = _central_difference_gradient(henon, m, t)
-        assert abs(_gradient_at(henon, m, t) - oracle) <= 1e-6 * abs(oracle)
+        assert abs(_gradient_at(henon, minus, m, t) - oracle) <= 1e-6 * abs(oracle)
 
 
 def _hole_loop(henon, m, n_nodes):
@@ -682,6 +699,13 @@ def _hole_loop(henon, m, n_nodes):
         w = graph_point(henon, m, v)
         params.append(henon.a * w.y)  # v(f(x, y)) = a y
     return params
+
+
+def boundary_index(henon, manifold, loop_radius, holes):
+    """Oracle: the index over the graph disk minus hole loops, outer minus
+    hole windings (1 - d on the disk minus the forward images)."""
+    outer = gradient_index(henon, manifold, loop_radius)
+    return outer - sum(gradient_winding(henon, manifold, hole) for hole in holes)
 
 
 def test_boundary_index_with_holes():

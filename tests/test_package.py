@@ -38,6 +38,7 @@ EXPORTS = {
     "escape": [
         "EscapeValue",
         "GreenValue",
+        "evaluator",
         "green",
         "phi_minus",
         "phi_plus",
@@ -67,7 +68,6 @@ EXPORTS = {
         "RadiusReport",
         "TangencyValue",
         "TraceSample",
-        "classify_component",
         "contact_order",
         "locate_on_locus",
         "tangency_value",
@@ -79,7 +79,6 @@ EXPORTS = {
     ],
     "manifolds": [
         "LocalManifold",
-        "boundary_index",
         "gradient_index",
         "gradient_winding",
         "local_stable_graph",

@@ -18,6 +18,7 @@ import math
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -649,3 +650,17 @@ def test_sigma_agrees_with_reversion_route():
     via_reversion = compose(chart.chi_minus, reverse(chart.chi_plus))
     for k in range(8):
         assert sigma.coeffs[k] == via_reversion.coeffs[k]
+
+
+@pytest.mark.parametrize("order", [2.0, 7.5, True])
+def test_defect_refuses_a_non_integral_order_before_any_product(monkeypatch, order):
+    # a float reached range() as a bare TypeError, and True ran as order 1
+    def no_product(*args):
+        raise AssertionError("a series product ran")
+
+    for cls in (MultiPoly, TruncSeries):
+        monkeypatch.setattr(cls, "__mul__", no_product)
+        monkeypatch.setattr(cls, "__rmul__", no_product)
+    for call in (rigidity_defect, defect_coefficients_text):
+        with pytest.raises(ValueError, match=f"order must be an integer, got {re.escape(repr(order))}"):
+            call(order)

@@ -236,6 +236,39 @@ def test_one_kernel_call_preparation():
     assert _enclosing_functions(_prepares_a_kernel_call) == {("escape.py", "_call_args")}
 
 
+_PER_POINT = {"phi_with_gradient", "tangency_value"}
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _calls_per_point_entry_in_a_loop(node):
+    """A loop or comprehension that calls phi_with_gradient or tangency_value."""
+    return isinstance(node, _LOOPS) and any(
+        isinstance(call, ast.Call)
+        and _PER_POINT & {getattr(call.func, "id", None), getattr(call.func, "attr", None)}
+        for call in ast.walk(node)
+    )
+
+
+def test_solves_make_their_escape_evaluators_outside_their_loops():
+    # phi_with_gradient and tangency_value prepare a kernel call afresh at
+    # every point: the locus and manifold solves make their evaluators once
+    # and call those in their loops.  The scalar path's one preparation is
+    # escape.evaluator's; gridfield's batch blocks prepare their own.
+    for bad in ("for z in zs:\n    tangency_value(h, z)", "[escape.phi_with_gradient(h, z, s) for z in zs]"):
+        assert any(map(_calls_per_point_entry_in_a_loop, ast.walk(ast.parse(bad)))), bad
+    assert {
+        (module, fn)
+        for module, fn in _enclosing_functions(_calls_per_point_entry_in_a_loop)
+        if module in ("locus.py", "manifolds.py")
+    } == set()
+    assert _functions_naming("_call_args") == {
+        ("escape.py", "evaluator"),
+        ("gridfield.py", "<module>"),
+        ("gridfield.py", "_block"),
+        ("gridfield.py", "_tangency_rows"),
+    }
+
+
 def test_no_thread_pool_renders_pixels():
     # The escape kernel is pure Python, so threads share one interpreter
     # lock: grid rows go to forked processes instead.
@@ -532,9 +565,6 @@ KNOBS = {
     "errors:CoordinateOverflow.__init__:point",
     "errors:CoordinateOverflow.__init__:step",
     "errors:LeftTube.__init__:sample",
-    "escape:phi_minus:tol",
-    "escape:phi_plus:tol",
-    "escape:phi_with_gradient:alpha",
     "gridfield:green_grid:slice_axis",
     "gridfield:green_grid:slice_value",
     "gridfield:green_grid:workers",
