@@ -378,6 +378,7 @@ def contact_order(henon: HenonMap, z: Point) -> int:
 
 def _locus_newton_2d(
     henon: HenonMap,
+    pair,
     x: complex,
     y: complex,
     log_target: complex,
@@ -385,8 +386,9 @@ def _locus_newton_2d(
 ) -> Tuple[complex, complex, complex]:
     """Solve (phi+ = e^{log_target}, tangency = 0) jointly for (x, y).
 
-    Each iteration makes one plus-side kernel call, at the tangency depth
-    threshold DEPTH_FACTOR * alpha, and it feeds both rows.  The phi+ row is
+    `pair` is the solve's `_evaluators` pair.  Each iteration makes one
+    plus-side kernel call, at the tangency depth threshold
+    DEPTH_FACTOR * alpha, and it feeds both rows.  The phi+ row is
     exp(d^depth (log phi+ - log_target)) - 1 and its exact gradient, by the
     d^depth lift (_lift; the entry depth at that threshold must be <= depth,
     else NewtonDivergence), branch-free because 2 pi i jumps die under exp,
@@ -399,7 +401,6 @@ def _locus_newton_2d(
     attracting trap) is a NewtonDivergence naming the iterate.  Returns
     (x, y, phi+ at the frozen depth)."""
     deep_target = henon.degree**depth * log_target
-    pair = _evaluators(henon)
     row = None
     residual = math.inf
     try:
@@ -457,7 +458,8 @@ def _theta_continuation(
     Each solve starts from the third-order predictor 3 z0 - 3 z1 + z2 through
     the last three accepted points z0, z1, z2 (newest first): 2 z0 - z1 with
     two of them, z0 with one.  A failed solve raises ContinuationFailure
-    naming the step."""
+    naming the step.  One `_evaluators` pair serves every step."""
+    pair = _evaluators(henon)
     recent = [(x, y)] if first else []  # accepted points, oldest first
     for j in range(first, steps + 1):
         if len(recent) == 3:
@@ -468,7 +470,7 @@ def _theta_continuation(
             x, y = 2 * x0 - x1, 2 * y0 - y1
         log_target = log_target0 + 2j * math.pi * j / steps
         try:
-            x, y, value = _locus_newton_2d(henon, x, y, log_target, depth)
+            x, y, value = _locus_newton_2d(henon, pair, x, y, log_target, depth)
         except NewtonDivergence as err:
             raise ContinuationFailure(
                 f"theta continuation failed at |phi+| = {math.exp(log_target0.real):.6g}, "

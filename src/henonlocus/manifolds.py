@@ -9,13 +9,15 @@ z, p(z), p^2(z), ... is the graph of a holomorphic map from a v-disk to a
 u-disk, obtained as the limit of preimages of a vertical slice pulled back
 through the orbit; the unstable manifold over a prescribed backward
 history is the limit of forward images of the horizontal slice v = 0.
-Both limits are computed mesh-node by mesh-node (one scalar Newton solve
-per node) and stored as Taylor polynomials recovered from circle samples;
-the two sides share the node solver and the deepening loop, and differ
-only in the residual they solve and the slice they start from.  The node
-Newton is exact: each residual returns its derivative by the chain rule
-through the chart (_chart_point) and through the u-coordinate of the
-image point (_image_u), so one residual evaluation serves a Newton step.
+Both limits are computed mesh-node by mesh-node and stored as Taylor
+polynomials recovered from circle samples; the two sides share the node
+solver and the deepening loop, and differ only in the graphs they hand
+the solver and the slice they start from.  A mesh node is one 2-D Newton
+in (uu, y) with x = p(uu): the node w = (x, y) lies on a vertical graph
+v = V(uu), and f(w) on an image graph u = U(v).  Since v(f(w)) = a y, the
+u-coordinate of f(w) is U(a y), and substituting it into
+p(u(f(w))) = p(x) - a y leaves two equations in (uu, y), so no Newton
+runs inside the residual and the Jacobian comes from Horner passes.
 The graph at level k of the orbit after n transforms depends on k only
 through the base points from k on, so the deepening keeps each such graph
 once per (level key, n): on an eventually periodic base (preperiod j,
@@ -115,17 +117,6 @@ def _chart_point(henon, u, v, du, dv):
     return w, dx, (dx + dv) / henon.p.derivative(w.y)
 
 
-def _image_u(henon, w, dx, dy):
-    """u-coordinate u' of f(w), and its differential along (dx, dy).
-
-    p(u') = p(x) - a y gives du' = (p'(x) dx - a dy) / p'(u').
-    """
-    p = henon.p
-    px, dpx = horner_with_deriv(p.coefficients, w.x)
-    u_img = _root_near(p, px - henon.a * w.y, w.x)
-    return u_img, (dpx * dx - henon.a * dy) / p.derivative(u_img)
-
-
 def _taylor_from_circle(values, radius: float):
     """Taylor coefficients from equispaced circle samples, noise floored.
     numpy is imported here, its one use in the module, so that the graph
@@ -161,17 +152,35 @@ def _require_tame_polynomial(p: Polynomial) -> None:
 # graph transform, shared by both sides
 
 
-def _solve_node(residual, seed, what):
-    """Root near seed of residual(u) -> (value, derivative), by Newton."""
-    u = complex(seed)
+def _solve_node(henon, seed, vertical, image, what):
+    """Mesh node (uu, y) near seed, by one Newton with x = p(uu) on
+
+        F1 = p(y) - x - V(uu),   F2 = p(U(a y)) - p(x) + a y,
+
+    where vertical = (h, center) gives V(uu) = h(uu - center) and image = g
+    gives U = g; both are Taylor coefficients.  The Jacobian is exact:
+    ((-p'(uu) - V', p'(y)), (-p'(x) p'(uu), a (p'(U) g'(a y) + 1))).  Both
+    steps must fall below _NODE_TOL.
+    """
+    coeffs, a = henon.p.coefficients, henon.a
+    h, center = vertical
+    uu, y = seed
     for _ in range(50):
-        f0, d = residual(u)
-        if d == 0:
+        x, dx = horner_with_deriv(coeffs, uu)
+        py, dpy = horner_with_deriv(coeffs, y)
+        px, dpx = horner_with_deriv(coeffs, x)
+        vv, dvv = horner_with_deriv(h, uu - center)
+        g, dg = horner_with_deriv(image, a * y)
+        pg, dpg = horner_with_deriv(coeffs, g)
+        f1, f2 = py - x - vv, pg - px + a * y
+        j11, j21, j22 = -dx - dvv, -dpx * dx, a * (dpg * dg + 1)
+        det = j11 * j22 - dpy * j21
+        if det == 0:
             break
-        step = f0 / d
-        u -= step
-        if abs(step) < _NODE_TOL * max(1.0, abs(u)):
-            return u
+        du, dy = (f1 * j22 - dpy * f2) / det, (j11 * f2 - j21 * f1) / det
+        uu, y = uu - du, y - dy
+        if abs(du) < _NODE_TOL * max(1.0, abs(uu)) and abs(dy) < _NODE_TOL * max(1.0, abs(y)):
+            return uu, y
     raise NewtonDivergence(f"{what} Newton stalled at a mesh node")
 
 
@@ -261,22 +270,6 @@ def _deepen(bases, slice_at, transform, iterations, what):
 # stable side
 
 
-def _stable_residual(henon, coeffs_next, v):
-    """uu -> u(f(w)) - g_next(v(f(w))) and its derivative, for w = (uu, v).
-
-    v(f(w)) = a y, so the derivative of the subtracted graph is a dy g_next'.
-    """
-    a = henon.a
-
-    def residual(uu):
-        w, dx, dy = _chart_point(henon, uu, v, 1.0, 0.0)
-        u_img, du_img = _image_u(henon, w, dx, dy)
-        g, dg = horner_with_deriv(coeffs_next, a * w.y)
-        return u_img - g, du_img - a * dy * dg
-
-    return residual
-
-
 def local_stable_graph(
     henon: HenonMap, z: complex, iterations: int = 48, mesh: int = 32
 ) -> LocalManifold:
@@ -304,13 +297,15 @@ def local_stable_graph(
         return (orbit[k],)
 
     def pull_back(k, coeffs, seeds):
+        # node w = (uu, v) on the vertical line v, f(w) on the next graph
         if seeds is None:
-            seeds = [orbit[k]] * mesh
-        vals = [
-            _solve_node(_stable_residual(henon, coeffs, v), seed, "pullback")
+            seeds = [(orbit[k], orbit[k])] * mesh
+        solved = [
+            _solve_node(henon, seed, ((v,), 0j), coeffs, "pullback")
             for v, seed in zip(nodes, seeds)
         ]
-        return vals, _taylor_from_circle(vals, radius), vals
+        vals = [uu for uu, _ in solved]
+        return vals, _taylor_from_circle(vals, radius), solved
 
     vals0, coeffs0, used, conv, (pre, period) = _deepen(
         orbit, slice_at, pull_back, iterations, "stable graph"
@@ -343,19 +338,6 @@ def local_stable_graph(
 # unstable side
 
 
-def _unstable_residual(henon, coeffs_prev, center_prev, u_target):
-    """uu -> u(f(w)) - u_target and its derivative, for w = (uu, v) on the
-    prior graph v = h(uu - center_prev)."""
-
-    def residual(uu):
-        vv, dvv = horner_with_deriv(coeffs_prev, uu - center_prev)
-        w, dx, dy = _chart_point(henon, uu, vv, 1.0, dvv)
-        u_img, du_img = _image_u(henon, w, dx, dy)
-        return u_img - u_target, du_img
-
-    return residual
-
-
 def local_unstable_graph(
     henon: HenonMap, history, iterations: int | None = None, mesh: int = 32
 ) -> LocalManifold:
@@ -386,19 +368,18 @@ def local_unstable_graph(
     rays = tuple(cmath.exp(2j * math.pi * j / mesh) for j in range(mesh))
 
     def push_forward(k, coeffs, seeds):
+        # node w on the prior graph v = h(uu - center_prev), f(w) on the
+        # vertical line u = center + radius * ray, where v(f(w)) = a y
         center, center_prev = hist[k], hist[k + 1]
         if seeds is None:
-            seeds = [center_prev + radius * ray / henon.p.derivative(center_prev) for ray in rays]
-        vals, sources = [], []
-        for ray, seed in zip(rays, seeds):
-            u_src = _solve_node(
-                _unstable_residual(henon, coeffs, center_prev, center + radius * ray),
-                seed,
-                "pushforward",
-            )
-            sources.append(u_src)
-            w = point_from_uv(henon, u_src, horner(coeffs, u_src - center_prev))
-            vals.append(henon.a * w.y)
+            starts = (center_prev + radius * ray / henon.p.derivative(center_prev) for ray in rays)
+            seeds = [(uu, uu) for uu in starts]
+        prior = (coeffs, center_prev)
+        sources = [
+            _solve_node(henon, seed, prior, (center + radius * ray,), "pushforward")
+            for ray, seed in zip(rays, seeds)
+        ]
+        vals = [henon.a * y for _, y in sources]
         return vals, _taylor_from_circle(vals, radius), sources
 
     vals0, coeffs0, used, conv, (pre, period) = _deepen(

@@ -794,21 +794,21 @@ _PINNED_RUNS = {
         ["manifold", "--z", repr(PHI)],
         "d9191255186a3512a1a10b8a524caa868af3be500ba9f12e19768491408c8fab",
         {
-            "manifold.json": "ab67c868ce39e4ec27dbf60ef54ff81c9074a3d39bdfb7abb01f397f2ad0dc01",
+            "manifold.json": "2766ffe67210065e51184d31ae002ff1a4b008117fedc67b2de329854c387d79",
         },
     ),
     "manifold-unstable": (
         ["manifold", "--side", "unstable", "--history", json.dumps([PHI] * 25)],
         "5933462403bc1136c4f2a169ba85599648dccf2b118a5f68bde22aee07572911",
         {
-            "manifold.json": "9cb58c6bb1f9e28186005ff7497358db548215629f3973fdb60aa7f0decafa28",
+            "manifold.json": "ed0d3d52f08c50ca534bc45c6fc003ff775e42589af78d2b38ef00d99b6850e0",
         },
     ),
     "manifold-complex-a": (
         ["manifold", "--a", "0.003+0.002j", "--z", repr(PHI)],
-        "1cdcf9ef8a8ce5ec54d4488b7ac94eb2ac31e6b383ca72e5e7a0a48b8eee5bb3",
+        "c0c25aa4bf52335d0bad5ea2d80bc23728796b81fba5ff5ab36e273d1bff8b5a",
         {
-            "manifold.json": "39fde7ae4275b496c646a7aeca849b98f9ba3c35da13758c719115738c9e98af",
+            "manifold.json": "d1d200a634d17f8cdeb5da89432cb41c8448d5b918c4b16f8c83e2d001714ce3",
         },
     ),
     "grid-tangency": (

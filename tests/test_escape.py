@@ -673,16 +673,15 @@ def test_solves_prepare_a_fixed_number_of_evaluators(monkeypatch):
         solve(*args)
         return len(prepared), len(calls)
 
-    h, hg = HenonMap(X2M1, 0.01), HenonMap(X2M1, 0.005)
+    h, hg, hc = HenonMap(X2M1, 0.01), HenonMap(X2M1, 0.005), HenonMap(X2, 0.01)
     on, _ = locus.locate_on_locus(h, 20.0)
-    deep = escape.phi_plus(h, Point(8.0, 0.0)).depth + 1
-    seed, log_target = (8.0 + 0j, 0j), math.log(8.0)
-    near = locus._locus_newton_2d(h, *seed, log_target, deep)[:2]
     graph = manifolds.local_stable_graph(hg, (1 + 5**0.5) / 2, mesh=16)
     loop = [0.4 * graph.delta * cmath.exp(2j * math.pi * j / 32) for j in range(32)]
     for expected, solve, first, second in (
         (2, locus.locate_on_locus, (h, 20.0, 0.05), (h, 20.0, on.y)),
-        (2, locus._locus_newton_2d, (h, *seed, log_target, deep), (h, *near, log_target, deep)),
+        # the depth probe's phi_plus, then one pair for the whole continuation
+        # of 256 theta steps at radius 1.1 and of 64 at radius 8
+        (3, locus.verify_biholomorphism, (hc, 0.0, (1.1,)), (hc, 0.0, (8.0,))),
         (4, locus.contact_order, (h, on), (h, Point(6.0, 0.2))),
         (1, manifolds.gradient_winding, (hg, graph, loop), (hg, graph, loop[::2])),
     ):

@@ -573,7 +573,7 @@ def test_chord_row_is_retaken_far_from_the_solution(monkeypatch):
     for start, k, least_rows in ((seed, 0, 2), (solved, 1, 1), (solved, 2, 2)):
         log_target = math.log(rho) + 2j * math.pi * k / steps
         rows.clear()
-        got = _locus_newton_2d(H, *start, log_target, depth)
+        got = _locus_newton_2d(H, _evaluators(H), *start, log_target, depth)
         assert len(rows) >= least_rows
         want = _oracle_newton_2d(H, *start, log_target, depth)
         assert _gap(Point(*got[:2]), Point(*want[:2])) < 1e-8
@@ -586,10 +586,11 @@ def test_iterate_entering_the_trap_is_a_newton_divergence():
     rho = 2.0
     depth = phi_with_gradient(H, Point(rho, 0.0), "plus")[0].depth + 1
     steps = max(64, 8 * H.degree**depth)  # as verify_biholomorphism chooses
-    x, y, _ = _locus_newton_2d(H, complex(rho), 0j, math.log(rho), depth)
+    pair = _evaluators(H)
+    x, y, _ = _locus_newton_2d(H, pair, complex(rho), 0j, math.log(rho), depth)
     far = math.log(rho) + 2j * math.pi * 4 / steps
     with pytest.raises(NewtonDivergence, match=r"iterate \(x, y\) = .*certified trap") as err:
-        _locus_newton_2d(H, x, y, far, depth)
+        _locus_newton_2d(H, pair, x, y, far, depth)
     assert isinstance(err.value.__cause__, NotInEscapeRegion)
     # the continuation that makes this solve refuses with its own type
     before = far - 2j * math.pi / steps

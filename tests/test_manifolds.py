@@ -4,8 +4,10 @@ Independent oracles: the uv chart is checked against hand values and
 round trips, stable graphs against a direct slice-preimage solved by a
 fresh 2-D Newton with its own forward tangent accumulation, the exact
 restricted gradient against central differences of g- along the graph,
-the winding counts against the degenerate closed form log|v|/d, and the
-memoised deepening against the restarting one it replaced.
+the winding counts against the degenerate closed form log|v|/d, the
+memoised deepening against the restarting one it replaced, and the joint
+(uu, y) node Newton against the nested solve it replaced, whose residuals
+ran a Newton for y and one for the image's u-coordinate at every step.
 """
 
 import cmath
@@ -16,9 +18,11 @@ import re
 from dataclasses import dataclass, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from henonlocus import manifolds
-from henonlocus._kernel import horner
+from henonlocus._kernel import horner, horner_with_deriv
 from henonlocus.dynamics import HenonMap, Point, Polynomial
 from henonlocus.errors import (
     GradientVanishesOnLoop,
@@ -40,12 +44,11 @@ from henonlocus.manifolds import (
 )
 from henonlocus.escape import DEFAULT_TOL, evaluator, phi_minus
 from henonlocus.manifolds import (
+    _chart_point,
     _gradient_at,
     _root_near,
     _solve_node,
-    _stable_residual,
     _taylor_from_circle,
-    _unstable_residual,
 )
 
 SQUARE = Polynomial([0, 0, 1])  # x^2
@@ -394,17 +397,17 @@ def _restarting_stable(henon, z, iterations, mesh):
         orbit.append(henon.p(orbit[-1]))
     radius = SHRINK * DELTA
     nodes = [radius * cmath.exp(2j * math.pi * j / mesh) for j in range(mesh)]
-    levels = [[orbit[k]] * mesh for k in range(iterations)]
+    levels = [[(orbit[k], orbit[k])] * mesh for k in range(iterations)]
 
     def layer(depth):
         coeffs = (orbit[depth],)
         for k in range(depth - 1, -1, -1):
             levels[k] = [
-                _solve_node(_stable_residual(henon, coeffs, v), seed, "pullback")
+                _solve_node(henon, seed, ((v,), 0j), coeffs, "pullback")
                 for v, seed in zip(nodes, levels[k])
             ]
-            coeffs = _taylor_from_circle(levels[k], radius)
-        return levels[0]
+            coeffs = _taylor_from_circle([uu for uu, _ in levels[k]], radius)
+        return [uu for uu, _ in levels[0]]
 
     return _restarting_deepen(layer, iterations)
 
@@ -413,22 +416,22 @@ def _restarting_unstable(henon, hist, mesh):
     iterations = len(hist) - 1
     radius = SHRINK * DISK_RADIUS
     rays = [cmath.exp(2j * math.pi * j / mesh) for j in range(mesh)]
-    sources = [
+    starts = [
         [hist[k + 1] + radius * ray / henon.p.derivative(hist[k + 1]) for ray in rays]
         for k in range(iterations)
     ]
+    sources = [[(u, u) for u in level] for level in starts]
 
     def layer(depth):
         coeffs = (0j,)
         for k in range(depth - 1, -1, -1):
             vals = []
             for i, ray in enumerate(rays):
-                target = hist[k] + radius * ray
-                residual = _unstable_residual(henon, coeffs, hist[k + 1], target)
-                sources[k][i] = _solve_node(residual, sources[k][i], "pushforward")
-                u_src = sources[k][i]
-                w = point_from_uv(henon, u_src, horner(coeffs, u_src - hist[k + 1]))
-                vals.append(henon.a * w.y)
+                target = (hist[k] + radius * ray,)
+                sources[k][i] = _solve_node(
+                    henon, sources[k][i], (coeffs, hist[k + 1]), target, "pushforward"
+                )
+                vals.append(henon.a * sources[k][i][1])
             coeffs = _taylor_from_circle(vals, radius)
         return vals
 
@@ -540,10 +543,10 @@ def test_divergence_names_depth_and_cycle(monkeypatch):
     calls = _count_node_solves(monkeypatch)
     solve = manifolds._solve_node
 
-    def stall_on_the_second_pass(*args):
+    def stall_on_the_second_pass(henon, seed, vertical, image, what):
         if len(calls) == 4:  # a fixed point's first pass made 4 solves
-            raise NewtonDivergence("pullback Newton stalled at a mesh node")
-        return solve(*args)
+            raise NewtonDivergence(f"{what} Newton stalled at a mesh node")
+        return solve(henon, seed, vertical, image, what)
 
     monkeypatch.setattr(manifolds, "_solve_node", stall_on_the_second_pass)
     failed = r"transform failed at depth 2 \(preperiod 0, period 1\): pullback Newton stalled"
@@ -552,7 +555,88 @@ def test_divergence_names_depth_and_cycle(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# graph-transform node residuals
+# the nested node solve, kept as the joint Newton's oracle
+#
+# The node Newton this replaced solved for uu alone.  Each of its residual
+# evaluations ran two more Newtons (_root_near): y from p(y) = x + v, and
+# the image's u-coordinate u' from p(u') = p(x) - a y.
+
+
+def _image_u(henon, w, dx, dy):
+    """u-coordinate u' of f(w), and its differential along (dx, dy).
+
+    p(u') = p(x) - a y gives du' = (p'(x) dx - a dy) / p'(u').
+    """
+    p = henon.p
+    px, dpx = horner_with_deriv(p.coefficients, w.x)
+    u_img = _root_near(p, px - henon.a * w.y, w.x)
+    return u_img, (dpx * dx - henon.a * dy) / p.derivative(u_img)
+
+
+def _stable_residual(henon, coeffs_next, v):
+    """uu -> u(f(w)) - g_next(v(f(w))) and its derivative, for w = (uu, v).
+
+    v(f(w)) = a y, so the derivative of the subtracted graph is a dy g_next'.
+    """
+    a = henon.a
+
+    def residual(uu):
+        w, dx, dy = _chart_point(henon, uu, v, 1.0, 0.0)
+        u_img, du_img = _image_u(henon, w, dx, dy)
+        g, dg = horner_with_deriv(coeffs_next, a * w.y)
+        return u_img - g, du_img - a * dy * dg
+
+    return residual
+
+
+def _unstable_residual(henon, coeffs_prev, center_prev, u_target):
+    """uu -> u(f(w)) - u_target and its derivative, for w = (uu, v) on the
+    prior graph v = h(uu - center_prev)."""
+
+    def residual(uu):
+        vv, dvv = horner_with_deriv(coeffs_prev, uu - center_prev)
+        w, dx, dy = _chart_point(henon, uu, vv, 1.0, dvv)
+        u_img, du_img = _image_u(henon, w, dx, dy)
+        return u_img - u_target, du_img
+
+    return residual
+
+
+def _residual_newton(residual, seed, what):
+    """Root near seed of residual(u) -> (value, derivative), by Newton."""
+    u = complex(seed)
+    for _ in range(50):
+        f0, d = residual(u)
+        if d == 0:
+            break
+        step = f0 / d
+        u -= step
+        if abs(step) < manifolds._NODE_TOL * max(1.0, abs(u)):
+            return u
+    raise NewtonDivergence(f"{what} Newton stalled at a mesh node")
+
+
+def _nested_residual(henon, vertical, image, what):
+    """The residual in uu for _solve_node's (vertical, image) arguments."""
+    h, center = vertical
+    if what == "pullback":
+        return _stable_residual(henon, image, h[0])
+    return _unstable_residual(henon, h, center, image[0])
+
+
+def _nested_node(henon, seed, vertical, image, what):
+    """The nested solve behind _solve_node's signature: uu by the residual
+    Newton from seed's uu, then y by inverting the chart at (uu, V(uu))."""
+    uu = _residual_newton(_nested_residual(henon, vertical, image, what), seed[0], what)
+    h, center = vertical
+    return uu, point_from_uv(henon, uu, horner(h, uu - center)).y
+
+
+def _nested(build, *args, **kwargs):
+    """build(*args, **kwargs) with every mesh node solved by the nested oracle."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(manifolds, "_solve_node", _nested_node)
+        return build(*args, **kwargs)
 
 
 def _forward_difference(residual, u, step=1e-7):
@@ -560,28 +644,195 @@ def _forward_difference(residual, u, step=1e-7):
     return (residual(u + step)[0] - residual(u)[0]) / step
 
 
-@pytest.mark.parametrize("poly, base, a", [
+_CURVED_NODES = [
     (BASIC, PHI, 0.01),
     (BASIC, -PHI, 0.005 + 0.003j),
     (SQUARE, 1.0, -0.004j),
     (Polynomial([0, -3, 0, 1]), 2.0, 0.02),  # x^3 - 3x, fixed point 2
-])
-def test_node_residual_derivatives_match_forward_difference(poly, base, a):
-    # Curved graphs, so the g_next' and h' terms of the chain rule count.
-    henon = HenonMap(poly, a)
+]
+
+
+def _curved_graphs(poly, base):
+    """(what, uu, vertical, image) for node solves on curved graphs about
+    base, so that the V' and g' terms count, with a point uu off the node:
+    six stable nodes (the vertical line v onto the graph g_next) and six
+    unstable ones (the graph h onto the line u = u_target)."""
     g_next = (poly(base), 0.3 - 0.1j, 0.5j)  # stable: u = g_next(v) at f(w)
     h_prev = (0.002 + 0.001j, 0.03 - 0.01j, 0.05j)  # unstable: v = h(u - base)
     for k in range(6):
         ray = cmath.exp(2j * math.pi * (k + 0.25) / 6)
-        u = base + 0.01 * ray
-        residuals = (
-            _stable_residual(henon, g_next, 0.02 * ray),
-            _unstable_residual(henon, h_prev, base, poly(base) + 0.01),
-        )
-        for residual in residuals:
-            oracle = _forward_difference(residual, u)
-            _, exact = residual(u)
-            assert abs(exact - oracle) <= 1e-6 * abs(oracle)
+        uu = base + 0.01 * ray
+        yield "pullback", uu, ((0.02 * ray,), 0j), g_next
+        yield "pushforward", uu, (h_prev, base), (poly(base) + 0.01 * ray,)
+
+
+@pytest.mark.parametrize("poly, base, a", _CURVED_NODES)
+def test_node_residual_derivatives_match_forward_difference(poly, base, a):
+    # The oracle's residuals carry their derivative by the chain rule.
+    henon = HenonMap(poly, a)
+    for what, u, vertical, image in _curved_graphs(poly, base):
+        residual = _nested_residual(henon, vertical, image, what)
+        oracle = _forward_difference(residual, u)
+        _, exact = residual(u)
+        assert abs(exact - oracle) <= 1e-6 * abs(oracle)
+
+
+def _node_equations(henon, vertical, image, uu, y):
+    """|F1| and |F2| of the node system at (uu, y), each relative to the sum
+    of the magnitudes of its terms:
+    F1 = p(y) - p(uu) - V(uu), F2 = p(U(a y)) - p(p(uu)) + a y."""
+    p, a = henon.p, henon.a
+    h, center = vertical
+    x = p(uu)
+    terms = ((p(y), -x, -horner(h, uu - center)), (p(horner(image, a * y)), -p(x), a * y))
+    return tuple(abs(sum(t)) / sum(map(abs, t)) for t in terms)
+
+
+@pytest.mark.parametrize("poly, base, a", _CURVED_NODES)
+def test_node_newton_converges_quadratically(monkeypatch, poly, base, a):
+    # An exact Jacobian takes a seed 1e-2 off the node onto it in four steps
+    # (five on the cubic); leaving out any one of its terms costs a step on
+    # one side or the other.  A step is six Horner passes.
+    henon = HenonMap(poly, a)
+    passes = []
+    horner_pass = manifolds.horner_with_deriv
+    monkeypatch.setattr(
+        manifolds, "horner_with_deriv", lambda *args: passes.append(1) or horner_pass(*args)
+    )
+    steps = 4 if poly.degree == 2 else 5
+    for what, _, vertical, image in _curved_graphs(poly, base):
+        uu, y = _solve_node(henon, (base, base), vertical, image, what)
+        assert max(_node_equations(henon, vertical, image, uu, y)) <= 1e-13
+        for off in (1e-2, 1e-2j, -1e-2):
+            passes.clear()
+            again = _solve_node(henon, (uu + off, y - off), vertical, image, what)
+            assert abs(again[0] - uu) + abs(again[1] - y) <= 1e-13
+            assert len(passes) <= 6 * steps
+
+
+def _graph_and_index(henon, base, **kwargs):
+    """(stable graph, its gradient index at 0.4), or the refusal's type."""
+    try:
+        graph = local_stable_graph(henon, base, **kwargs)
+        return graph, gradient_index(henon, graph, 0.4)
+    except (HenonLocusError, ValueError) as exc:
+        return type(exc)
+
+
+def _assert_same_graph(got, want):
+    assert (got.iterations, got.preperiod, got.period) == (
+        want.iterations, want.preperiod, want.period
+    )
+    assert len(got.convergence) == len(want.convergence)
+    assert max(abs(g - w) for g, w in zip(got.values, want.values)) <= 1e-12
+
+
+# (c, a) of the fixed-point graphs in the benchmark's certify sequence at
+# seed 3101: bulb, cardioid and a = 0 quadratics, one row per stratum cycle
+_CERTIFY_QUADRATICS = (
+    (-0.848736 - 0.061797j, -0.003558 + 0.001365j),
+    (-0.361558 + 0.353707j, 0.005697 - 0.001598j),
+    (-0.919142 - 0.06749j, 0j),
+    (-0.906494 - 0.142054j, 0.004059 - 0.000587j),
+    (-0.215639 - 0.008604j, 0.000904 + 0.003501j),
+    (-0.225933 + 0.003756j, 0j),
+    (-0.939652 - 0.015945j, 0.006251 - 0.001841j),
+    (-0.208272 - 0.10553j, -0.001516 - 0.004725j),
+    (-0.221699 + 0.136717j, 0j),
+    (-0.848301 + 0.052122j, -0.003306 + 0.00218j),
+    (-0.433002 - 0.216958j, -0.002508 + 0.006942j),
+    (-0.961501 + 0.030048j, 0j),
+    (-1.060915 - 0.119542j, 0.008855 - 0.002706j),
+    (-0.443985 - 0.096571j, -0.00375 + 0.002733j),
+    (-0.278075 - 0.075414j, 0j),
+    (-1.100712 + 0.129928j, 0.007933 + 0.000741j),
+    (-0.226769 + 0.033872j, 0.001421 + 0.005333j),
+    (-0.234577 - 0.074053j, 0j),
+)
+
+
+@pytest.mark.parametrize("c, a, base", [
+    *[(-1, a, base) for a in (0.005, 0, 0.003j, -0.008, 0.01) for base in (PHI, -PHI)],
+    *[(c, a, _beta(c)) for c, a in _CERTIFY_QUADRATICS],
+])
+def test_stable_graphs_match_the_nested_oracle(c, a, base):
+    henon = HenonMap(_quadratic(c), a)
+    (got, got_index), (want, want_index) = _graph_and_index(henon, base), _nested(
+        _graph_and_index, henon, base
+    )
+    _assert_same_graph(got, want)
+    assert got_index == want_index
+
+
+@pytest.mark.parametrize("a", [0.01, 0.003j])
+@pytest.mark.parametrize("history", [
+    (PHI,) * 25,
+    _backward((PHI, -PHI), 22),
+    _backward((PHI, PHI, PHI, -PHI), 22),
+])
+def test_unstable_graphs_match_the_nested_oracle(a, history):
+    henon = HenonMap(BASIC, a)
+    got = local_unstable_graph(henon, history, mesh=16)
+    _assert_same_graph(got, _nested(local_unstable_graph, henon, history, mesh=16))
+
+
+@pytest.mark.parametrize("poly, a, base, iterations, refusal", [
+    # still moving at the depth cap; the node Newton fails at depth 4; the
+    # graph leaves the block; the gradient direction is never resolved
+    (_quadratic(0.2), 0.003j, _beta(0.2), 24, GraphTransformDiverged),
+    (BASIC, 0.01, 0.3, 48, GraphTransformDiverged),
+    (SQUARE, 0.12, 1.0, 48, GraphTransformDiverged),
+    (BASIC, 0.01, 3.0, 48, GradientVanishesOnLoop),
+])
+def test_refusals_match_the_nested_oracle(poly, a, base, iterations, refusal):
+    henon = HenonMap(poly, a)
+    assert _graph_and_index(henon, base, iterations=iterations) is refusal
+    assert _nested(_graph_and_index, henon, base, iterations=iterations) is refusal
+
+
+_unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def _certify_quadratic(draw):
+    """(c, a) as the certify workload draws them: c in the period-2 bulb
+    (|c + 1| < 0.18) or the main cardioid (multiplier of modulus 0.3 to 0.8,
+    within 0.14 turns of 1/2), and a = 0 or 0.001 <= |a| <= 0.01."""
+    if draw(st.booleans()):
+        c = -1 + 0.18 * math.sqrt(draw(_unit)) * cmath.exp(2j * math.pi * draw(_unit))
+    else:
+        mu = draw(st.floats(0.3, 0.8)) * cmath.exp(2j * math.pi * draw(st.floats(0.36, 0.64)))
+        c = mu / 2 - mu * mu / 4
+    a = draw(st.just(0j) | st.builds(
+        lambda r, t: r * cmath.exp(2j * math.pi * t), st.floats(0.001, 0.01), _unit
+    ))
+    return c, a
+
+
+@settings(max_examples=10, deadline=None)
+@given(_certify_quadratic())
+def test_joint_nodes_solve_the_node_system_and_match_the_nested_oracle(case):
+    c, a = case
+    henon = HenonMap(_quadratic(c), a)
+    nodes = []
+    solve = manifolds._solve_node
+
+    def recording(henon, seed, vertical, image, what):
+        node = solve(henon, seed, vertical, image, what)
+        nodes.append((vertical, image, node))
+        return node
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(manifolds, "_solve_node", recording)
+        got = _graph_and_index(henon, _beta(c), mesh=16)
+    want = _nested(_graph_and_index, henon, _beta(c), mesh=16)
+    if isinstance(got, type):
+        assert want is got
+        return
+    for vertical, image, (uu, y) in nodes:
+        assert max(_node_equations(henon, vertical, image, uu, y)) <= 1e-12
+    _assert_same_graph(got[0], want[0])
+    assert got[1] == want[1]
 
 
 # ---------------------------------------------------------------------------

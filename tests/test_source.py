@@ -222,6 +222,36 @@ def test_one_formal_newton_loop():
     }
 
 
+def _calls_reached(module, name):
+    """Names called by function `name` of `module`, directly or through the
+    module's own functions; a function's nested definitions count as its own."""
+    bodies = {
+        fn.name: fn
+        for fn in ast.walk(_tree(module))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    reached, todo = set(), [name]
+    while todo:
+        for node in ast.walk(bodies[todo.pop()]):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if callee not in reached:
+                    reached.add(callee)
+                    todo += [callee] if callee in bodies else []
+    return reached
+
+
+def test_no_newton_inside_the_manifold_node_newton():
+    # A mesh node is one joint Newton in (uu, y): neither the node solve nor
+    # the graph builders around it invert p or the chart by a Newton of its
+    # own.  The chart inverse serves the gradient winding only.
+    inverses = {"_root_near", "point_from_uv", "_chart_point"}
+    for fn in ("_solve_node", "local_stable_graph", "local_unstable_graph"):
+        assert _calls_reached("manifolds.py", fn) & inverses == set(), fn
+    assert "_solve_node" in _calls_reached("manifolds.py", "local_unstable_graph")
+    assert "_root_near" in _calls_reached("manifolds.py", "gradient_index")
+
+
 def _prepares_a_kernel_call(node):
     """A call of truncation_K, bare or as an attribute, or of .kernel_trap."""
     return isinstance(node, ast.Call) and (
