@@ -28,7 +28,7 @@ from typing import List, Optional
 from .dynamics import HenonMap, Point
 from .errors import ContinuationFailure, DegenerateJacobian, require_integer
 from .escape import phi_minus, phi_plus
-from .locus import CLOSURE_TOL, _require_simple_critical, _theta_continuation
+from .locus import CLOSURE_TOL, _require_simple_critical, _theta_continuation, _theta_steps
 
 _LEAF_TOL = 1e-6  # |ratio - omega| accepted as a leaf witness
 MAX_EXPONENT = 8  # largest n of a d^n-th root witness, and of a monodromy orbit
@@ -97,16 +97,17 @@ def require_exponent(n: int) -> None:
 
 
 def monodromy_orbit(henon: HenonMap, c: complex, z: Point, n: int) -> List[Point]:
-    """The d^n monodromy translates of z on the component through c.
+    """The d^n monodromy translates of z on the component through c, z first.
 
     The covering certificate's theta-continuation (a third-order predictor,
-    then the 2-D Newton with a chord tangency row) moves the psi+ coordinate
-    around the circle through psi+(z), from z itself as the solved theta = 0
-    point.  The orbit collects the points over omega * psi+(z) for all omega
+    then the 2-D Newton with a chord tangency row) moves psi+ around the circle
+    through psi+(z), from z as the solved theta = 0 point, in _theta_steps (8
+    d^depth, at least 32 for the predictor's reach) rounded up to a multiple
+    of d^n.  The orbit collects the points over omega * psi+(z) for all omega
     with omega^(d^n) = 1; the 2-D Newton enforces the tangency condition, so
-    every returned point is certified on the component.  The continuation
-    must return to z within CLOSURE_TOL, else ContinuationFailure.  The orbit
-    starts at z itself.  n runs from 0 to MAX_EXPONENT, the largest exponent
+    every returned point is certified on the component.  A step turning
+    phi+^(d^depth) by >= pi/2, or a gap over CLOSURE_TOL back at z, is a
+    ContinuationFailure.  n runs from 0 to MAX_EXPONENT, the largest exponent
     a leaf witness resolves (ValueError otherwise, before any work), and c
     a simple critical point of p (NotSimpleCritical before any kernel call).
     """
@@ -119,18 +120,20 @@ def monodromy_orbit(henon: HenonMap, c: complex, z: Point, n: int) -> List[Point
     if abs(base.value) <= 1.0:
         raise ValueError("need |psi+(z)| > 1 on the component")
     count = henon.degree**n
-    sub = max(8, 64 // count)  # continuation steps between orbit points
-    steps = count * sub
     depth = base.depth + 1  # frozen V+ iterate for the branch-free target
+    steps = _theta_steps(henon, depth, count)
+    sub = steps // count  # continuation steps between orbit points
 
     orbit = [z]
+    deep = cmath.exp(henon.degree**depth * base.log_value)
     continuation = _theta_continuation(henon, z.x, z.y, base.log_value, steps, depth, 1)
-    for j, (x, y, _) in enumerate(continuation, start=1):
+    for j, (x, y, value) in enumerate(continuation, start=1):
+        if abs(cmath.phase(value / deep)) >= math.pi / 2:
+            raise ContinuationFailure(f"orbit continuation step {j}/{steps}: deep turn >= pi/2")
+        deep = value
         if j % sub == 0 and j < steps:
             orbit.append(Point(x, y))
     closure = abs(x - z.x) + abs(y - z.y)
     if closure > CLOSURE_TOL:
-        raise ContinuationFailure(
-            f"orbit continuation did not close up (gap {closure:.3e})"
-        )
+        raise ContinuationFailure(f"orbit continuation did not close up (gap {closure:.3e})")
     return orbit

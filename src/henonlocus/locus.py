@@ -441,6 +441,13 @@ def _chord_row(henon: HenonMap, pair, x: complex, y: complex, det: complex):
     )
 
 
+def _theta_steps(henon: HenonMap, depth: int, multiple: int) -> int:
+    """_theta_continuation's steps at frozen depth `depth`, a multiple of `multiple`."""
+    # 32 is the third-order predictor's reach: on x^2 - 1 at a = 0.01 a step
+    # takes ~19 kernel calls at 16 steps, up to ~14.2 at 24 and ~13 at 32.
+    return -(-max(32, 8 * henon.degree**depth) // multiple) * multiple
+
+
 def _theta_continuation(
     henon: HenonMap,
     x: complex,
@@ -455,6 +462,9 @@ def _theta_continuation(
     Yields (x, y, phi+ at the frozen depth) from _locus_newton_2d at
     theta = 2 pi j / steps for j = first, ..., steps.  With first = 0, (x, y)
     only seeds the j = 0 solve; with first = 1 it is the solved j = 0 point.
+    Both callers take steps = _theta_steps: 8 d^depth, so the deep value
+    phi+^(d^depth) turns by pi/4 a step, and refuse a turn >= pi/2; at least
+    32, below which the predictor's reach costs over 14 kernel calls a step.
     Each solve starts from the third-order predictor 3 z0 - 3 z1 + z2 through
     the last three accepted points z0, z1, z2 (newest first): 2 z0 - z1 with
     two of them, z0 with one.  A failed solve raises ContinuationFailure
@@ -488,7 +498,9 @@ def verify_biholomorphism(
     """Certify that phi+ restricted to the component through c is a degree-one
     cover of each circle |phi+| = rho: continuation of phi+^{-1}(rho e^{i
     theta}) around the full circle must close up (< CLOSURE_TOL), wind
-    exactly once, and visit points pairwise more than CLOSURE_TOL apart.
+    exactly once, and visit points pairwise more than CLOSURE_TOL apart, in
+    _theta_steps (8 d^depth at the frozen depth, at least 32 for the
+    predictor's reach); a step turning phi+^(d^depth) by >= pi/2 fails.
     There must be at least one radius, and every radius must be finite and
     > 1 (ValueError before any continuation); c must be a simple critical
     point of p (NotSimpleCritical before any kernel call)."""
@@ -503,22 +515,15 @@ def verify_biholomorphism(
         seed = phi_plus(henon, Point(x, y))
         depth = seed.depth + 1  # margin: the frozen iterate stays deep in V+
         sheets = henon.degree**depth
-        steps = max(64, 8 * sheets)  # keep deep-value arg steps < pi/2
-        points: list[Point] = []
-        values: list[complex] = []
-        for x, y, val in _theta_continuation(henon, x, y, math.log(rho), steps, depth, 0):
-            points.append(Point(x, y))
-            values.append(val)
+        steps = _theta_steps(henon, depth, 1)
+        solved = list(_theta_continuation(henon, x, y, math.log(rho), steps, depth, 0))
+        points = [Point(x, y) for x, y, _ in solved]
+        values = [value for _, _, value in solved]
         closure = abs(points[-1].x - points[0].x) + abs(points[-1].y - points[0].y)
-        total = 0.0
-        ok_steps = True
-        for v1, v2 in zip(values, values[1:]):
-            darg = cmath.phase(v2 / v1)
-            if abs(darg) >= math.pi / 2:
-                ok_steps = False
-            total += darg
+        turns = [cmath.phase(v2 / v1) for v1, v2 in zip(values, values[1:])]
+        ok_steps = max(map(abs, turns)) < math.pi / 2
         # the deep value is phi+^(d^depth): divide its winding back down
-        winding_deep = total / (2.0 * math.pi)
+        winding_deep = sum(turns) / (2.0 * math.pi)
         winding = round(winding_deep / sheets)
         ok_steps = ok_steps and abs(winding_deep - round(winding_deep)) < 1e-6
         interior = points[:-1]
@@ -527,12 +532,7 @@ def verify_biholomorphism(
             for i, p in enumerate(interior)
             for q in interior[:i]
         )
-        ok = (
-            winding == 1
-            and ok_steps
-            and closure < CLOSURE_TOL
-            and min_sep > CLOSURE_TOL
-        )
+        ok = winding == 1 and ok_steps and closure < CLOSURE_TOL and min_sep > CLOSURE_TOL
         items.append(
             RadiusReport(
                 radius=rho,

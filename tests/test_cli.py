@@ -842,12 +842,12 @@ _PINNED_RUNS = {
     ),
     "holonomy-n1": (
         ["holonomy"],
-        "52349314cdf7f32d9326890d200567d844c8e7ac1624f9bab20fd05fea6310dc",
+        "80dbfb2781e699d2117d73b9b2ca98b2b0aa6221a024743686f944061aa127fa",
         {},
     ),
     "holonomy-n2": (
         ["holonomy", "--n", "2"],
-        "fa88c1d77fbd03ea57a161d9f71729cf23d409f817dbafbaddab195d0bc5953d",
+        "b654277df3ca8a3f209b90ae85b7955eaf61854b6d0558f0b43df217974ec898",
         {},
     ),
     "rigidity-case-defect": (

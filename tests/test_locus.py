@@ -37,6 +37,7 @@ from henonlocus.locus import (
     _evaluators,
     _lift,
     _locus_newton_2d,
+    _theta_steps,
     contact_order,
     locate_on_locus,
     TraceSample,
@@ -512,9 +513,8 @@ def _gap(p, q):
     return abs(p.x - q.x) + abs(p.y - q.y)
 
 
-@pytest.mark.parametrize("rho", (2.0, 8.0, 32.0))
-def test_covering_kernel_calls_per_theta_step(monkeypatch, rho):
-    # the restarting loop made 47-59 calls per step on this map
+def _counting_kernel(monkeypatch):
+    """Calls of each scalar kernel side, counted from now on."""
     calls = {"phi_plus_eval": 0, "phi_minus_eval": 0}
     for name in calls:
         evaluate = getattr(_kernel, name)
@@ -524,6 +524,13 @@ def test_covering_kernel_calls_per_theta_step(monkeypatch, rho):
             return evaluate(*args)
 
         monkeypatch.setattr(_kernel, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("rho", (2.0, 8.0, 32.0))
+def test_covering_kernel_calls_per_theta_step(monkeypatch, rho):
+    # the restarting loop made 47-59 calls per step on this map
+    calls = _counting_kernel(monkeypatch)
     item = verify_biholomorphism(H, 0.0, radii=(rho,)).items[0]
     assert item.ok
     assert sum(calls.values()) <= 14 * item.n_theta
@@ -559,6 +566,47 @@ def test_monodromy_matches_restarting_newton_oracle(monkeypatch, n):
     assert max(_gap(p, q) for p, q in zip(got, want)) < 1e-8
 
 
+@pytest.mark.parametrize("n", (1, 2))
+def test_monodromy_kernel_calls_per_theta_step(monkeypatch, n):
+    # the covering bound: a floor too coarse for the predictor shows here
+    z, _ = locate_on_locus(H, 4.2)
+    steps = []
+    monkeypatch.setattr(
+        holonomy, "_theta_continuation", _recording(holonomy._theta_continuation, steps)
+    )
+    calls = _counting_kernel(monkeypatch)
+    assert len(holonomy.monodromy_orbit(H, 0.0, z, n)) == 2**n
+    assert sum(calls.values()) <= 14 * len(steps)
+
+
+def test_monodromy_steps_follow_the_frozen_depth(monkeypatch):
+    # at x = 1.68 the frozen depth is 4: 64 steps turned the deep value
+    # phi+^16 by exactly pi/2 a step, 8 d^4 = 128 turn it by pi/4
+    z, _ = locate_on_locus(H, 1.68)
+    assert phi_with_gradient(H, z, "plus")[0].depth + 1 == 4
+    steps = []
+    monkeypatch.setattr(
+        holonomy, "_theta_continuation", _recording(holonomy._theta_continuation, steps)
+    )
+    assert len(holonomy.monodromy_orbit(H, 0.0, z, 1)) == 2
+    assert len(steps) >= 8 * H.degree**4
+
+
+def test_monodromy_refuses_a_deep_value_turn_of_a_quarter_circle(monkeypatch):
+    z, _ = locate_on_locus(H, 4.2)
+    steps = _theta_steps(H, phi_with_gradient(H, z, "plus")[0].depth + 1, 2)
+    continuation = holonomy._theta_continuation
+
+    def turning(*args):
+        # from step 5 on, every deep value is turned by a further pi/2
+        for j, (x, y, value) in enumerate(continuation(*args), start=1):
+            yield x, y, value * (1j if j >= 5 else 1)
+
+    monkeypatch.setattr(holonomy, "_theta_continuation", turning)
+    with pytest.raises(ContinuationFailure, match=f"step 5/{steps}: deep turn >= pi/2"):
+        holonomy.monodromy_orbit(H, 0.0, z, 1)
+
+
 def test_chord_row_is_retaken_far_from_the_solution(monkeypatch):
     # With no predictor, one theta step away needs one row on this map; the
     # seed (rho, c) and a start two steps away need the row retaken.
@@ -567,7 +615,7 @@ def test_chord_row_is_retaken_far_from_the_solution(monkeypatch):
     monkeypatch.setattr(locus, "_chord_row", lambda *args: rows.append(1) or chord_row(*args))
     rho, c = 2.0, 0.0
     depth = phi_with_gradient(H, Point(rho, c), "plus")[0].depth + 1
-    steps = max(64, 8 * H.degree**depth)  # as verify_biholomorphism chooses
+    steps = _theta_steps(H, depth, 1)
     seed = (complex(rho), complex(c))
     solved = _oracle_newton_2d(H, *seed, math.log(rho), depth)[:2]
     for start, k, least_rows in ((seed, 0, 2), (solved, 1, 1), (solved, 2, 2)):
@@ -585,7 +633,7 @@ def test_iterate_entering_the_trap_is_a_newton_divergence():
     # the attracting 2-cycle; the kernel's refusal is typed by the Newton.
     rho = 2.0
     depth = phi_with_gradient(H, Point(rho, 0.0), "plus")[0].depth + 1
-    steps = max(64, 8 * H.degree**depth)  # as verify_biholomorphism chooses
+    steps = _theta_steps(H, depth, 1)
     pair = _evaluators(H)
     x, y, _ = _locus_newton_2d(H, pair, complex(rho), 0j, math.log(rho), depth)
     far = math.log(rho) + 2j * math.pi * 4 / steps
@@ -594,7 +642,7 @@ def test_iterate_entering_the_trap_is_a_newton_divergence():
     assert isinstance(err.value.__cause__, NotInEscapeRegion)
     # the continuation that makes this solve refuses with its own type
     before = far - 2j * math.pi / steps
-    with pytest.raises(ContinuationFailure, match="step 1/64: 2-D Newton iterate"):
+    with pytest.raises(ContinuationFailure, match=f"step 1/{steps}: 2-D Newton iterate"):
         list(locus._theta_continuation(H, x, y, before, steps, depth, 1))
 
 
@@ -605,8 +653,9 @@ def test_revisit_within_closure_tolerance_is_not_a_cover(monkeypatch):
 
     def revisiting(*args):
         solved = list(continuation(*args))
-        x, y, _ = solved[10]
-        solved[20] = (x + 1e-9, y, solved[20][2])
+        early, late = len(solved) // 6, len(solved) // 3
+        x, y, _ = solved[early]
+        solved[late] = (x + 1e-9, y, solved[late][2])
         yield from solved
 
     monkeypatch.setattr(locus, "_theta_continuation", revisiting)

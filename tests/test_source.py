@@ -666,6 +666,54 @@ def test_memo_ledger():
     assert sorted(MEMOS - set(found)) == [], "ledger entries with no memo left"
 
 
+def _theta_step_sources(tree, owner):
+    """`owner.function:rule` for every `_theta_continuation` call under tree,
+    where rule is the function called to assign the name passed as its steps
+    argument (the argument itself where it is no such name)."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        assigned = {
+            target.id: ast.unparse(child.value.func)
+            for child in ast.walk(node)
+            if isinstance(child, ast.Assign) and isinstance(child.value, ast.Call)
+            for target in child.targets
+            if isinstance(target, ast.Name)
+        }
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == (
+                "_theta_continuation"
+            ):
+                steps = ast.unparse(call.args[4])
+                found.append(f"{owner}.{node.name}:{assigned.get(steps, steps)}")
+    return found
+
+
+# Every theta continuation and the rule its step count comes from: the one
+# rule, locus._theta_steps, sets the steps of the cover and of the orbit.
+THETA_STEPS = {
+    "holonomy.monodromy_orbit:_theta_steps",
+    "locus.verify_biholomorphism:_theta_steps",
+}
+
+
+def test_theta_step_ledger():
+    found, rules, literals = [], [], []
+    for name in ("holonomy", "locus"):
+        path = PACKAGE / f"{name}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += _theta_step_sources(tree, name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_theta_steps":
+                rules.append(name)
+            elif isinstance(node, ast.Constant) and type(node.value) is int and node.value == 64:
+                literals.append(f"{name}.py:{node.lineno}")
+    assert sorted(found) == sorted(THETA_STEPS)
+    assert rules == ["locus"], "one step rule, next to _theta_continuation"
+    assert literals == [], "a 64-step literal left beside the rule"
+
+
 def _henon_names(tree):
     """Names that hold a HenonMap: `henon`, and any annotated HenonMap."""
     names = {"henon"}
